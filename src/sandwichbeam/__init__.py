@@ -52,8 +52,6 @@ from .timestep import (
     SchemeConfig,
     SimOutput,
     IntegrationError,
-    step_damped_delayed,
-    step_conservative_controlled,
     simulate,
 )
 from .decay import (

@@ -4,7 +4,7 @@ Commands: validate | simulate | decay-report | hum | observability |
 convergence.  Exit codes: 0 ok, 1 hypothesis or criterion failure,
 2 configuration error, 3 solver or conjugate-gradient failure.  All
 numeric output uses shortest round-trip decimals, so identical configs
-and seeds produce byte-identical files.
+and seeds produce byte-identical files within one numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -131,22 +131,23 @@ def cmd_validate(cfg, args):
     return EXIT_OK if payload["all_pass"] else EXIT_HYPOTHESIS
 
 
-def _run_simulation(cfg):
-    sys_ = cfg.build_system()
+def _run_simulation(cfg, n, scheme):
+    """Build the scenario's system on n cells and run it under ``scheme``."""
+    sys_ = build_system(Grid1D(N=n, L=cfg.params.L), cfg.params, cfg.variant)
     state = cfg.build_initial(sys_)
     if cfg.variant == VARIANT_STABILIZED:
         histories = cfg.build_histories(sys_, state) if cfg.gains.any_delayed else None
         out = simulate(
             state,
             sys_,
-            cfg.scheme,
+            scheme,
             gains=cfg.gains,
             delays=cfg.delays,
             damping=cfg.damping,
             histories=histories,
         )
     else:
-        out = simulate(state, sys_, cfg.scheme)
+        out = simulate(state, sys_, scheme)
     return sys_, state, out
 
 
@@ -172,7 +173,7 @@ def _trajectory_columns(out):
 def cmd_simulate(cfg, args):
     os.makedirs(cfg.outdir, exist_ok=True)
     try:
-        sys_, state, out = _run_simulation(cfg)
+        sys_, state, out = _run_simulation(cfg, cfg.n, cfg.scheme)
     except IntegrationError as exc:
         _write_json(
             os.path.join(cfg.outdir, "manifest.json"),
@@ -206,7 +207,7 @@ def cmd_decay_report(cfg, args):
         _say(args, f"rate search infeasible: {exc}")
         return EXIT_HYPOTHESIS
     try:
-        sys_, state, out = _run_simulation(cfg)
+        sys_, state, out = _run_simulation(cfg, cfg.n, cfg.scheme)
     except IntegrationError as exc:
         _say(args, f"integration failed: {exc}")
         return EXIT_SOLVER
@@ -239,12 +240,6 @@ def cmd_decay_report(cfg, args):
             "lambda": rates.lam,
             "zeta": rates.zeta,
             "rate": rates.rate,
-            # the two printed readings of the mass-versus-layer coefficient
-            # ratios coincide because the layer thickness cancels
-            "rate_constant_readings": {
-                "mass_coefficients": rates.rate,
-                "per_layer": rates.rate,
-            },
         },
         "decay_report": report.as_dict(),
         "lyapunov_equivalence": equivalence_ok,
@@ -362,28 +357,15 @@ def _restrict_state(fine_state, fine_sys, coarse_sys):
     return DiscreteState(q=q, p=p, t=fine_state.t)
 
 
-def _final_state(out):
-    return DiscreteState(q=out.states_q[-1].copy(), p=out.states_p[-1].copy(), t=out.times[-1])
-
-
 def cmd_convergence(cfg, args):
     os.makedirs(cfg.outdir, exist_ok=True)
     conv = cfg.convergence
     rows = []
 
     def run_at(n, dt, T):
-        sys_ = build_system(Grid1D(N=n, L=cfg.params.L), cfg.params, cfg.variant)
-        state = cfg.build_initial(sys_)
-        run_cfg = SchemeConfig(dt=dt, T=T, stride=max(int(round(T / dt)), 1))
-        if cfg.variant == VARIANT_STABILIZED:
-            histories = cfg.build_histories(sys_, state) if cfg.gains.any_delayed else None
-            out = simulate(
-                state, sys_, run_cfg,
-                gains=cfg.gains, delays=cfg.delays, damping=cfg.damping, histories=histories,
-            )
-        else:
-            out = simulate(state, sys_, run_cfg)
-        return sys_, out
+        scheme = SchemeConfig(dt=dt, T=T, stride=max(int(round(T / dt)), 1))
+        sys_, _, out = _run_simulation(cfg, n, scheme)
+        return sys_, out.final_state()
 
     if conv["mode"] in ("spatial", "both"):
         ladder = sorted(conv["resolutions"])
@@ -392,15 +374,12 @@ def cmd_convergence(cfg, args):
         # reference four refinements past the finest measured level keeps the
         # finite-reference bias of the order estimates below 0.1
         ref_n = 4 * ladder[-1]
-        ref_sys, ref_out = run_at(ref_n, conv["dt"], conv["T"])
+        ref_sys, ref_state = run_at(ref_n, conv["dt"], conv["T"])
         errors = []
         for n in ladder:
-            sys_n, out_n = run_at(n, conv["dt"], conv["T"])
-            restricted = _restrict_state(_final_state(ref_out), ref_sys, sys_n)
-            diff = DiscreteState(
-                q=_final_state(out_n).q - restricted.q,
-                p=_final_state(out_n).p - restricted.p,
-            )
+            sys_n, final = run_at(n, conv["dt"], conv["T"])
+            restricted = _restrict_state(ref_state, ref_sys, sys_n)
+            diff = DiscreteState(q=final.q - restricted.q, p=final.p - restricted.p)
             errors.append(_state_l2_norm(diff, sys_n))
         for i, n in enumerate(ladder):
             order = np.log2(errors[i] / errors[i + 1]) if i + 1 < len(errors) else float("nan")
@@ -412,15 +391,11 @@ def cmd_convergence(cfg, args):
         if len(dts) < 2:
             raise ConfigError("temporal convergence needs at least 2 steps")
         ref_dt = dts[-1] / conv["reference_divide"]
-        _, ref_out = run_at(conv["n"], ref_dt, conv["T"])
-        ref_state = _final_state(ref_out)
-        sys_n = None
+        _, ref_state = run_at(conv["n"], ref_dt, conv["T"])
         errors = []
         for dt in dts:
-            sys_n, out_n = run_at(conv["n"], dt, conv["T"])
-            diff = DiscreteState(
-                q=_final_state(out_n).q - ref_state.q, p=_final_state(out_n).p - ref_state.p
-            )
+            sys_n, final = run_at(conv["n"], dt, conv["T"])
+            diff = DiscreteState(q=final.q - ref_state.q, p=final.p - ref_state.p)
             errors.append(_state_l2_norm(diff, sys_n))
         for i, dt in enumerate(dts):
             order = np.log2(errors[i] / errors[i + 1]) if i + 1 < len(errors) else float("nan")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import VARIANT_STABILIZED
+from .hypotheses import phi_matrix
 
 __all__ = [
     "DecayReport",
@@ -49,33 +50,19 @@ class DecayReport:
         }
 
 
-def _phi_value(c, alpha, beta, d, trace, delayed):
-    # boundary form with the *actual* delay slope d (may be negative)
-    m11 = -2.0 * c * alpha + abs(beta)
-    m12 = -c * beta
-    m22 = abs(beta) * (d - 1.0)
-    return m11 * trace * trace + 2.0 * m12 * trace * delayed + m22 * delayed * delayed
-
-
 def check_dissipation_identity(out, params, gains, delays=None, damping=None):
     """|dE/dt - (interior damping power + boundary forms)| per step."""
     if out.variant != VARIANT_STABILIZED or out.ledger is None:
         raise ValueError("dissipation check needs a stabilized run with a ledger")
     led = out.ledger
     n = len(led["t_mid"])
-    cs = params.boundary_stiffness
     resid = np.empty(n)
     for k in range(n):
         rhs = -float(np.dot(led["a_mid"][k], led["vel_norms_mid"][k]))
         for i in range(3):
-            rhs += 0.5 * _phi_value(
-                cs[i],
-                gains.alphas[i],
-                gains.betas[i],
-                led["dtau_mid"][k][i],
-                led["trace_mid"][k][i],
-                led["z_mid"][k][i],
-            )
+            # the actual slope tau'(t_mid), negative while the delay shrinks
+            form = phi_matrix(i + 1, led["dtau_mid"][k][i], params, gains)
+            rhs += 0.5 * form.value(led["trace_mid"][k][i], led["z_mid"][k][i])
         lhs = (out.energy[k + 1] - out.energy[k]) / out.dt
         resid[k] = abs(lhs - rhs)
     return resid

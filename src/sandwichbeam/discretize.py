@@ -136,6 +136,11 @@ class SemiDiscreteSystem:
             c[self.block(name)] = a * self.block_weights[name]
         return c
 
+    def field_energy(self, q, p):
+        """Field energy 0.5*(p'Mp + q'Kq); the controlled variant's boundary
+        kinetic terms are part of M."""
+        return float(0.5 * (np.dot(p, self.M * p) + q @ (self.K @ q)))
+
     def velocity_norms_sq(self, p):
         """Unweighted L2 norms squared (||u_t||^2, ||v_t||^2, ||w_t||^2)."""
         return tuple(
@@ -231,9 +236,8 @@ def build_system(grid, params, variant):
     else:
         # dynamic boundary inertia and the dual control columns
         i4, i5, i6 = layout.trace_indices
-        trace_masses = (params.E1h1, params.E3h3, params.alpha * params.k)
         cols = np.zeros((n, 3))
-        for col, (idx, m) in enumerate(zip((i4, i5, i6), trace_masses)):
+        for col, (idx, m) in enumerate(zip((i4, i5, i6), params.trace_masses)):
             M[idx] += m
             cols[idx, col] = m
         sys_.control_columns = cols
@@ -270,13 +274,13 @@ def delay_energy_from_profiles(profiles, taus, betas):
 
 
 def discrete_energy(state, sys_, history=None, delays=None, gains=None, n_panels=32):
-    """Total energy 0.5*(p'Mp + q'Kq) plus the delayed-trace integrals.
+    """Field energy 0.5*(p'Mp + q'Kq) plus the delayed-trace integrals.
 
     For the stabilized variant with any beta_i != 0 a trace history and the
     delay spec are required; the controlled variant carries its boundary
     kinetic terms inside M already.
     """
-    base = 0.5 * (float(np.dot(state.p, sys_.M * state.p)) + float(state.q @ (sys_.K @ state.q)))
+    base = sys_.field_energy(state.q, state.p)
     if sys_.variant != VARIANT_STABILIZED or gains is None or not gains.any_delayed:
         return base
     if history is None or delays is None:
@@ -293,9 +297,7 @@ def discrete_energy(state, sys_, history=None, delays=None, gains=None, n_panels
 
 def hspace_norm(state, sys_):
     """State-space norm sqrt(p'Mp + q'Kq) (no delay terms)."""
-    return float(
-        np.sqrt(np.dot(state.p, sys_.M * state.p) + state.q @ (sys_.K @ state.q))
-    )
+    return float(np.sqrt(2.0 * sys_.field_energy(state.q, state.p)))
 
 
 def export_matrices(sys_, directory):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .discretize import VARIANT_CONTROLLED, DiscreteState, hspace_norm
-from .presets import random_smooth_state
+from .presets import random_smooth_state, zero_state
 from .timestep import simulate
 
 __all__ = [
@@ -94,11 +94,12 @@ class HumWorkspace:
     """Completed state product and its factorization for one system.
 
     Two inner products live here.  ``inner`` is the (completed) state
-    product on terminal data, used for Gramian symmetry and observability
-    quotients.  ``inner_dual`` is the pullback of the state norm through
-    the duality pairing: the norm of the Gramian residual in it equals the
-    energy norm of the terminal state the current controls would leave, so
-    conjugate gradient iterates minimize exactly the certified quantity.
+    product on terminal data, used to normalize observability samples.
+    ``inner_dual`` is the pullback of the state norm through the duality
+    pairing, the metric in which the Gramian operator is symmetric: the norm
+    of the Gramian residual in it equals the energy norm of the terminal
+    state the current controls would leave, so conjugate gradient iterates
+    minimize exactly the certified quantity.
     """
 
     def __init__(self, sys_):
@@ -106,7 +107,7 @@ class HumWorkspace:
             raise ValueError("HUM needs a controlled_conservative system")
         self.sys = sys_
         p = sys_.params
-        self.weights = (p.E1h1, p.E3h3, p.alpha * p.k)
+        self.weights = p.trace_masses
         mean_w = np.zeros(sys_.ndof)
         mean_w[sys_.block("w")] = sys_.block_weights["w"]
         # energy-scaled completion of the transverse-mean direction; backed
@@ -163,8 +164,7 @@ def solve_adjoint(terminal, T, sys_, cfg):
     reversed_initial = DiscreteState(q=terminal.q.copy(), p=-terminal.p, t=0.0)
     out = simulate(reversed_initial, sys_, cfg)
     series = out.displacement_traces[::-1].copy()
-    p = sys_.params
-    obs = ObservationTriple(series=series, dt=out.dt, weights=(p.E1h1, p.E3h3, p.alpha * p.k))
+    obs = ObservationTriple(series=series, dt=out.dt, weights=sys_.params.trace_masses)
     w0 = DiscreteState(q=out.states_q[-1].copy(), p=-out.states_p[-1], t=0.0)
     return out, obs, w0
 
@@ -175,41 +175,25 @@ def controls_from_observation(obs):
     return obs.series.copy()
 
 
-def _terminal_state(out):
-    return DiscreteState(q=out.states_q[-1].copy(), p=out.states_p[-1].copy(), t=out.times[-1])
-
-
-def _duality_representer(ws, terminal_state, sign):
-    """Map a forward terminal state to terminal-data space through the pairing
-    b -> sign * (v'M w_T - q'M r_T)."""
-    qT, vT = terminal_state.q, terminal_state.p
-    rep_q = ws.solve_k_star(ws.sys.M * (sign * vT))
-    rep_p = -sign * qT
-    return np.concatenate([rep_q, rep_p])
-
-
-def zero_state_of(sys_):
-    from .presets import zero_state
-
-    return zero_state(sys_)
-
-
 def apply_gramian(terminal, T, sys_, cfg, ws=None):
-    """One Gramian application: adjoint solve, re-inject traces, represent."""
+    """One Gramian application: adjoint solve, re-inject traces, represent.
+
+    The result is the dual representer of the terminal state the injected
+    traces drive the rest state to; the operator is symmetric positive
+    semidefinite in ``ws.inner_dual``.
+    """
     ws = ws if ws is not None else HumWorkspace(sys_)
     _, obs, _ = solve_adjoint(terminal, T, sys_, cfg)
     controls = controls_from_observation(obs)
-    fwd = simulate(zero_state_of(sys_), sys_, cfg, controls=controls)
-    rep = _duality_representer(ws, _terminal_state(fwd), sign=+1.0)
-    return ws.unpack(rep, t=T)
+    fwd = simulate(zero_state(sys_), sys_, cfg, controls=controls)
+    return ws.unpack(ws.represent_dual(fwd.final_state(), sign=+1.0), t=T)
 
 
 def rhs_from_initial_data(initial, T, sys_, cfg, ws=None):
     """Right side of the Gramian equation: negated free-evolution pairing."""
     ws = ws if ws is not None else HumWorkspace(sys_)
     free = simulate(initial, sys_, cfg)
-    rep = _duality_representer(ws, _terminal_state(free), sign=-1.0)
-    return ws.unpack(rep, t=T)
+    return ws.unpack(ws.represent_dual(free.final_state(), sign=-1.0), t=T)
 
 
 def cg_solve(apply_op, b, tol, maxit, inner, stagnation_window=25):
@@ -281,13 +265,10 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8, maxit=200, ws=None, ti
     O(eps) and defaults to off.
     """
     ws = ws if ws is not None else HumWorkspace(sys_)
-    free = simulate(initial, sys_, cfg)
-    rhs = ws.represent_dual(_terminal_state(free), sign=-1.0)
+    rhs = ws.pack(rhs_from_initial_data(initial, T, sys_, cfg, ws))
 
     def apply_vec(xvec):
-        _, obs, _ = solve_adjoint(ws.unpack(xvec), T, sys_, cfg)
-        fwd = simulate(zero_state_of(sys_), sys_, cfg, controls=controls_from_observation(obs))
-        out = ws.represent_dual(_terminal_state(fwd), sign=+1.0)
+        out = ws.pack(apply_gramian(ws.unpack(xvec), T, sys_, cfg, ws))
         if tikhonov > 0.0:
             out = out + tikhonov * xvec
         return out
@@ -301,7 +282,7 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8, maxit=200, ws=None, ti
     cost = obs.norm_sq
 
     verification = simulate(initial, sys_, cfg, controls=controls)
-    terminal = _terminal_state(verification)
+    terminal = verification.final_state()
     denom = hspace_norm(initial, sys_)
     rel = hspace_norm(terminal, sys_) / denom if denom > 0.0 else hspace_norm(terminal, sys_)
     return HumSolution(

@@ -113,6 +113,12 @@ class PhysicalParams:
         """(E1h1, E3h3, EI): the trace weights of the three feedback channels."""
         return (self.E1h1, self.E3h3, self.EI)
 
+    @property
+    def trace_masses(self):
+        """(E1h1, E3h3, alpha*k): inertia of the dynamic boundary traces of the
+        controlled variant, and the weights of its controls and observations."""
+        return (self.E1h1, self.E3h3, self.alpha * self.k)
+
 
 @dataclass(frozen=True)
 class ConstantDelay:

@@ -24,19 +24,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .delayline import eval_delayed, push, z_profile
-from .discretize import (
-    VARIANT_CONTROLLED,
-    VARIANT_STABILIZED,
-    DiscreteState,
-    delay_energy_from_profiles,
-)
+from .discretize import VARIANT_STABILIZED, DiscreteState, delay_energy_from_profiles
 
 __all__ = [
     "SchemeConfig",
     "SimOutput",
     "IntegrationError",
-    "step_damped_delayed",
-    "step_conservative_controlled",
     "simulate",
 ]
 
@@ -54,9 +47,6 @@ class SchemeConfig:
     dt: float
     T: float
     stride: int = 1
-    solve_tol: float = 1e-12
-    enforce_delay_safety: bool = True
-    scheme: str = "newmark_average_acceleration"
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -106,6 +96,12 @@ class SimOutput:
             return float(np.max(np.abs(self.energy)))
         return float(np.max(np.abs(self.energy - e0)) / e0)
 
+    def final_state(self):
+        """The state at the last step (always one of the samples)."""
+        return DiscreteState(
+            q=self.states_q[-1].copy(), p=self.states_p[-1].copy(), t=self.times[-1]
+        )
+
 
 class _ZeroGains:
     alphas = (0.0, 0.0, 0.0)
@@ -115,8 +111,6 @@ class _ZeroGains:
 
 def _control_midpoints(controls, n_steps, dt):
     """Sample controls at step midpoints; arrays are averaged endpoint pairs."""
-    if controls is None:
-        return np.zeros((n_steps, 3))
     if callable(controls):
         return np.array(
             [np.asarray(controls((n + 0.5) * dt), dtype=float) for n in range(n_steps)]
@@ -130,16 +124,15 @@ def _control_midpoints(controls, n_steps, dt):
 class _Stepper:
     """One factorization of the effective matrix, reused while C(t) is steady."""
 
-    def __init__(self, sys_, dt, gains=None, damping=None):
+    def __init__(self, sys_, dt, gains, damping):
         self.sys = sys_
         self.dt = dt
-        self.gains = gains if gains is not None else _ZeroGains()
         self.damping = damping
         n = sys_.ndof
         self.feedback_diag = np.zeros(n)
         if sys_.variant == VARIANT_STABILIZED:
             cs = sys_.params.boundary_stiffness
-            for c, a, t in zip(cs, self.gains.alphas, sys_.trace_vectors):
+            for c, a, t in zip(cs, gains.alphas, sys_.trace_vectors):
                 self.feedback_diag += c * a * t * t
         self._factored_a = None
         self._factor = None
@@ -176,7 +169,7 @@ class _Stepper:
         return self._factor
 
     def advance(self, q0, v0, t, force_mid):
-        """One midpoint step from t to t + dt; returns (q1, v1, a_mid, damping diag)."""
+        """One midpoint step from t to t + dt; returns (q1, v1, damping weights)."""
         dt = self.dt
         a_values = self._damping_values(t + 0.5 * dt)
         factor = self._factor_for(a_values)
@@ -188,7 +181,7 @@ class _Stepper:
             raise IntegrationError(f"linear solve rejected the state: {exc}")
         v1 = v0 + dt * a
         q1 = q0 + dt * v0 + 0.5 * dt * dt * a
-        return q1, v1, a, a_values
+        return q1, v1, a_values
 
 
 def _delayed_force(sys_, gains, delays, histories, t):
@@ -199,7 +192,7 @@ def _delayed_force(sys_, gains, delays, histories, t):
     cs = sys_.params.boundary_stiffness
     for i in range(3):
         b = gains.betas[i]
-        if b == 0.0 or histories is None:
+        if b == 0.0:
             continue
         zs[i] = eval_delayed(histories[i], i, t, delays)
         f -= cs[i] * b * zs[i] * sys_.trace_vectors[i]
@@ -224,49 +217,9 @@ def _push_midpoint_traces(sys_, histories, t_mid, v_mid, dt):
         push(hist, t_mid, vals[i], slope)
 
 
-def step_damped_delayed(state, sys_, histories, t, cfg, gains, delays, damping=None):
-    """One step of the stabilized delayed system; pushes new traces into histories."""
-    if sys_.variant != VARIANT_STABILIZED:
-        raise ValueError("step_damped_delayed needs a stabilized_delayed system")
-    stepper = _Stepper(sys_, cfg.dt, gains=gains, damping=damping)
-    force, _ = (
-        _delayed_force(sys_, gains, delays, histories, t + 0.5 * cfg.dt)
-        if gains.any_delayed
-        else (np.zeros(sys_.ndof), np.zeros(3))
-    )
-    q1, v1, _, _ = stepper.advance(state.q, state.p, t, force)
-    _check_finite(q1, v1, 0)
-    if histories is not None:
-        _push_midpoint_traces(sys_, histories, t + 0.5 * cfg.dt, 0.5 * (state.p + v1), cfg.dt)
-    return DiscreteState(q=q1, p=v1, t=t + cfg.dt)
-
-
-def step_conservative_controlled(state, sys_, t, cfg, controls=None):
-    """One step of the controlled conservative system with controls f(t)."""
-    if sys_.variant != VARIANT_CONTROLLED:
-        raise ValueError("step_conservative_controlled needs a controlled_conservative system")
-    stepper = _Stepper(sys_, cfg.dt)
-    if controls is None:
-        force = np.zeros(sys_.ndof)
-    else:
-        f_mid = np.asarray(controls(t + 0.5 * cfg.dt), dtype=float)
-        force = sys_.control_columns @ f_mid
-    q1, v1, _, _ = stepper.advance(state.q, state.p, t, force)
-    _check_finite(q1, v1, 0)
-    return DiscreteState(q=q1, p=v1, t=t + cfg.dt)
-
-
 def _check_finite(q, v, step):
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(v))):
         raise IntegrationError(f"non-finite state at step {step}")
-
-
-def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, histories=None, controls=None):
-    """Advance the system over [0, T] and record the full trajectory ledger."""
-    _check_finite(initial.q, initial.p, 0)
-    if sys_.variant == VARIANT_STABILIZED:
-        return _simulate_stabilized(initial, sys_, cfg, gains, delays, damping, histories)
-    return _simulate_controlled(initial, sys_, cfg, controls)
 
 
 def _sample_slots(n_steps, stride):
@@ -276,39 +229,126 @@ def _sample_slots(n_steps, stride):
     return slots
 
 
-def _simulate_controlled(initial, sys_, cfg, controls):
+def _check_arguments(sys_, cfg, gains, delays, damping, histories, controls):
+    """Reject arguments the variant would ignore, and unsafe delay settings."""
+    if sys_.variant == VARIANT_STABILIZED:
+        if controls is not None:
+            raise ValueError("controls drive the controlled_conservative variant only")
+    else:
+        unused = [
+            name
+            for name, value in (
+                ("gains", gains),
+                ("delays", delays),
+                ("damping", damping),
+                ("histories", histories),
+            )
+            if value is not None
+        ]
+        if unused:
+            raise ValueError(f"{', '.join(unused)} apply to the stabilized_delayed variant only")
+    if gains is not None and gains.any_delayed:
+        if histories is None or delays is None:
+            raise ValueError("delayed gains need trace histories and a delay spec")
+        if any(delays.slope_bound(i) >= 1.0 for i in range(3)):
+            raise ValueError("delay slope bound >= 1: delayed argument would not advance")
+        if cfg.dt > delays.min_floor + 1e-15:
+            raise ValueError(
+                f"dt = {cfg.dt} exceeds the smallest delay floor {delays.min_floor}; "
+                "delayed lookups would need current-step unknowns"
+            )
+
+
+def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, histories=None, controls=None):
+    """Advance the system over [0, T] and record the trajectory.
+
+    Both variants take the same midpoint steps.  A controlled run may carry
+    controls and records the boundary displacement traces.  A stabilized run
+    may carry gains, delays, interior damping and trace histories, and
+    records the delayed traces, the delay profiles and the dissipation
+    ledger.  Arguments the variant has no use for raise ValueError.
+    """
+    _check_arguments(sys_, cfg, gains, delays, damping, histories, controls)
+    _check_finite(initial.q, initial.p, 0)
+    stabilized = sys_.variant == VARIANT_STABILIZED
+    gains = gains if gains is not None else _ZeroGains()
+    betas = gains.betas
+    delayed = gains.any_delayed
     n_steps = cfg.n_steps
     dt = cfg.T / n_steps if n_steps else cfg.dt
-    stepper = _Stepper(sys_, dt)
-    f_mid = _control_midpoints(controls, n_steps, dt) if n_steps else np.zeros((0, 3))
+    stepper = _Stepper(sys_, dt, gains, damping)
+    f_mid = _control_midpoints(controls, n_steps, dt) if controls is not None and n_steps else None
 
     q = np.array(initial.q, dtype=float)
     v = np.array(initial.p, dtype=float)
     times = dt * np.arange(n_steps + 1)
-    energy = np.empty(n_steps + 1)
+    field_energy = np.empty(n_steps + 1)
+    # the delay-line energy is the only part of E beyond the field energy
+    energy = np.empty(n_steps + 1) if delayed else field_energy
     tr_vel = np.empty((n_steps + 1, 3))
-    tr_disp = np.empty((n_steps + 1, 3))
     slots = _sample_slots(n_steps, cfg.stride)
+    sample_at = {s: k for k, s in enumerate(slots)}
     states_q = np.empty((len(slots), sys_.ndof))
     states_p = np.empty((len(slots), sys_.ndof))
-    sample_at = {s: k for k, s in enumerate(slots)}
+    tr_disp = z_series = profiles = ledger = None
+    if stabilized:
+        z_series = np.zeros((n_steps + 1, 3))
+        profiles = np.zeros((len(slots), 3, N_RHO_PANELS + 1))
+        ledger = {
+            "t_mid": np.empty(n_steps),
+            "a_mid": np.zeros((n_steps, 3)),
+            "vel_norms_mid": np.zeros((n_steps, 3)),
+            "trace_mid": np.zeros((n_steps, 3)),
+            "z_mid": np.zeros((n_steps, 3)),
+            "dtau_mid": np.zeros((n_steps, 3)),
+        }
+    else:
+        tr_disp = np.empty((n_steps + 1, 3))
 
     def record(n):
-        energy[n] = 0.5 * (np.dot(v, sys_.M * v) + q @ (sys_.K @ q))
+        field_energy[n] = sys_.field_energy(q, v)
         tr_vel[n] = sys_.trace_velocities(v)
-        tr_disp[n] = sys_.displacement_traces(q)
-        if n in sample_at:
-            states_q[sample_at[n]] = q
-            states_p[sample_at[n]] = v
-
-    field_energy = energy
+        if tr_disp is not None:
+            tr_disp[n] = sys_.displacement_traces(q)
+        if delayed:
+            t = times[n]
+            prof = np.zeros((3, N_RHO_PANELS + 1))
+            for i in range(3):
+                if betas[i] != 0.0:
+                    prof[i] = z_profile(histories[i], i, t, delays, N_RHO_PANELS)
+            taus = [delays.tau(i, t) for i in range(3)]
+            energy[n] = field_energy[n] + delay_energy_from_profiles(prof, taus, betas)
+            z_series[n] = prof[:, -1]
+        k = sample_at.get(n)
+        if k is not None:
+            states_q[k] = q
+            states_p[k] = v
+            if delayed:
+                profiles[k] = prof
 
     record(0)
-    zero_force = np.zeros(sys_.ndof)
+    force = np.zeros(sys_.ndof)
     for n in range(n_steps):
-        force = sys_.control_columns @ f_mid[n] if controls is not None else zero_force
-        q, v, _, _ = stepper.advance(q, v, times[n], force)
-        _check_finite(q, v, n + 1)
+        t_mid = times[n] + 0.5 * dt
+        if f_mid is not None:
+            force = sys_.control_columns @ f_mid[n]
+        elif delayed:
+            force, zs = _delayed_force(sys_, gains, delays, histories, t_mid)
+        q1, v1, a_values = stepper.advance(q, v, times[n], force)
+        _check_finite(q1, v1, n + 1)
+        if ledger is not None:
+            v_mid = 0.5 * (v + v1)
+            ledger["t_mid"][n] = t_mid
+            ledger["a_mid"][n] = a_values
+            ledger["vel_norms_mid"][n] = sys_.velocity_norms_sq(v_mid)
+            ledger["trace_mid"][n] = sys_.trace_velocities(v_mid)
+            if delayed:
+                ledger["z_mid"][n] = zs
+            if delays is not None:
+                ledger["dtau_mid"][n] = [delays.dtau(i, t_mid) for i in range(3)]
+            if histories is not None:
+                _push_midpoint_traces(sys_, histories, t_mid, v_mid, dt)
+        q, v = q1, v1
         record(n + 1)
 
     return SimOutput(
@@ -319,101 +359,6 @@ def _simulate_controlled(initial, sys_, cfg, controls):
         field_energy=field_energy,
         trace_velocities=tr_vel,
         displacement_traces=tr_disp,
-        sample_times=times[slots],
-        states_q=states_q,
-        states_p=states_p,
-    )
-
-
-def _simulate_stabilized(initial, sys_, cfg, gains, delays, damping, histories):
-    gains = gains if gains is not None else _ZeroGains()
-    if gains.any_delayed:
-        if histories is None or delays is None:
-            raise ValueError("delayed gains need trace histories and a delay spec")
-        if any(delays.slope_bound(i) >= 1.0 for i in range(3)):
-            raise ValueError("delay slope bound >= 1: delayed argument would not advance")
-        if cfg.enforce_delay_safety and cfg.dt > delays.min_floor + 1e-15:
-            raise ValueError(
-                f"dt = {cfg.dt} exceeds the smallest delay floor {delays.min_floor}; "
-                "delayed lookups would need current-step unknowns"
-            )
-    n_steps = cfg.n_steps
-    dt = cfg.T / n_steps if n_steps else cfg.dt
-    stepper = _Stepper(sys_, dt, gains=gains, damping=damping)
-
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.p, dtype=float)
-    times = dt * np.arange(n_steps + 1)
-    energy = np.empty(n_steps + 1)
-    field_energy = np.empty(n_steps + 1)
-    tr_vel = np.empty((n_steps + 1, 3))
-    z_series = np.zeros((n_steps + 1, 3))
-    slots = _sample_slots(n_steps, cfg.stride)
-    sample_at = {s: k for k, s in enumerate(slots)}
-    states_q = np.empty((len(slots), sys_.ndof))
-    states_p = np.empty((len(slots), sys_.ndof))
-    profiles = np.zeros((len(slots), 3, N_RHO_PANELS + 1))
-    ledger = {
-        "t_mid": np.empty(n_steps),
-        "a_mid": np.zeros((n_steps, 3)),
-        "vel_norms_mid": np.zeros((n_steps, 3)),
-        "trace_mid": np.zeros((n_steps, 3)),
-        "z_mid": np.zeros((n_steps, 3)),
-        "dtau_mid": np.zeros((n_steps, 3)),
-    }
-    betas = gains.betas
-
-    def current_profiles(t):
-        prof = np.zeros((3, N_RHO_PANELS + 1))
-        if histories is not None and delays is not None:
-            for i in range(3):
-                if betas[i] != 0.0:
-                    prof[i] = z_profile(histories[i], i, t, delays, N_RHO_PANELS)
-        return prof
-
-    def record(n, t):
-        prof = current_profiles(t)
-        taus = [delays.tau(i, t) for i in range(3)] if delays is not None else [0.0] * 3
-        field_energy[n] = 0.5 * (np.dot(v, sys_.M * v) + q @ (sys_.K @ q))
-        energy[n] = field_energy[n] + delay_energy_from_profiles(prof, taus, betas)
-        tr_vel[n] = sys_.trace_velocities(v)
-        z_series[n] = prof[:, -1]
-        if n in sample_at:
-            k = sample_at[n]
-            states_q[k] = q
-            states_p[k] = v
-            profiles[k] = prof
-
-    record(0, 0.0)
-    for n in range(n_steps):
-        t = times[n]
-        t_mid = t + 0.5 * dt
-        if gains.any_delayed:
-            force, zs = _delayed_force(sys_, gains, delays, histories, t_mid)
-        else:
-            force, zs = np.zeros(sys_.ndof), np.zeros(3)
-        q1, v1, _, a_values = stepper.advance(q, v, t, force)
-        _check_finite(q1, v1, n + 1)
-        v_mid = 0.5 * (v + v1)
-        ledger["t_mid"][n] = t_mid
-        ledger["a_mid"][n] = a_values
-        ledger["vel_norms_mid"][n] = sys_.velocity_norms_sq(v_mid)
-        ledger["trace_mid"][n] = sys_.trace_velocities(v_mid)
-        ledger["z_mid"][n] = zs
-        if delays is not None:
-            ledger["dtau_mid"][n] = [delays.dtau(i, t_mid) for i in range(3)]
-        if histories is not None:
-            _push_midpoint_traces(sys_, histories, t_mid, v_mid, dt)
-        q, v = q1, v1
-        record(n + 1, times[n + 1])
-
-    return SimOutput(
-        variant=sys_.variant,
-        dt=dt,
-        times=times,
-        energy=energy,
-        field_energy=field_energy,
-        trace_velocities=tr_vel,
         delayed_traces=z_series,
         sample_times=times[slots],
         states_q=states_q,

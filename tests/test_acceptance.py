@@ -306,10 +306,10 @@ def test_criterion_08_gramian_structure():
     La = apply_gramian(a, T, sys_, cfg, ws)
     Lb = apply_gramian(b, T, sys_, cfg, ws)
     xa, xb = ws.pack(a), ws.pack(b)
-    sym_gap = abs(ws.inner(ws.pack(La), xb) - ws.inner(xa, ws.pack(Lb)))
-    sym_ok = sym_gap <= 1e-8 * ws.norm(xa) * ws.norm(xb)
+    sym_gap = abs(ws.inner_dual(ws.pack(La), xb) - ws.inner_dual(xa, ws.pack(Lb)))
+    sym_ok = sym_gap <= 1e-8 * ws.norm_dual(xa) * ws.norm_dual(xb)
     _, obs, _ = solve_adjoint(a, T, sys_, cfg)
-    quad_val = ws.inner(ws.pack(La), xa)
+    quad_val = ws.inner_dual(ws.pack(La), xa)
     quad_ok = abs(quad_val - obs.norm_sq) <= 1e-8 * obs.norm_sq
     qmin16, qmax16 = quotients[16]
     qmin32, qmax32 = quotients[32]

@@ -111,10 +111,10 @@ def test_gramian_symmetry_positivity_and_definition():
     La = apply_gramian(a, cfg.T, sys_, cfg, ws)
     Lb = apply_gramian(b, cfg.T, sys_, cfg, ws)
     xa, xb = ws.pack(a), ws.pack(b)
-    lhs = ws.inner(ws.pack(La), xb)
-    rhs = ws.inner(xa, ws.pack(Lb))
-    assert abs(lhs - rhs) <= 1e-8 * ws.norm(xa) * ws.norm(xb)
-    quad_val = ws.inner(ws.pack(La), xa)
+    lhs = ws.inner_dual(ws.pack(La), xb)
+    rhs = ws.inner_dual(xa, ws.pack(Lb))
+    assert abs(lhs - rhs) <= 1e-8 * ws.norm_dual(xa) * ws.norm_dual(xb)
+    quad_val = ws.inner_dual(ws.pack(La), xa)
     _, obs, _ = solve_adjoint(a, cfg.T, sys_, cfg)
     assert quad_val == pytest.approx(obs.norm_sq, rel=1e-8)
     assert quad_val > 0.0
@@ -169,7 +169,7 @@ def test_rhs_duality_identity():
         rhs = rhs_from_initial_data(U0, cfg.T, sys_, cfg, ws)
         _, _, W0 = solve_adjoint(Wt, cfg.T, sys_, cfg)
         pairing = float(U0.p @ (sys_.M * W0.q) - U0.q @ (sys_.M * W0.p))
-        total = ws.inner(ws.pack(rhs), ws.pack(Wt)) + pairing
+        total = ws.inner_dual(ws.pack(rhs), ws.pack(Wt)) + pairing
         scale = max(abs(pairing), 1e-30)
         assert abs(total) <= 1e-6 * scale
     # linearity and the zero case

@@ -71,6 +71,9 @@ def test_phi_matrix_entries():
     assert (m.m11, m.m12, m.m22) == (-1.0, -1.0, -1.0)
     m = phi_matrix(3, 0.5, p, gains(a=(0, 0, 2.0), b=(0, 0, 0.5)))
     assert (m.m11, m.m12, m.m22) == (-3.5, -0.5, -0.25)
+    # a shrinking delay has a negative actual slope
+    m = phi_matrix(2, -0.5, p, gains(a=(0, 1.0, 0), b=(0, -0.5, 0)))
+    assert (m.m11, m.m12, m.m22) == (-1.5, 0.5, -0.75)
     with pytest.raises(ValueError):
         phi_matrix(4, 0.0, p, gains())
     with pytest.raises(ValueError):

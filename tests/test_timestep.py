@@ -16,13 +16,7 @@ from sandwichbeam.presets import (
     state_from_functions,
     zero_state,
 )
-from sandwichbeam.timestep import (
-    IntegrationError,
-    SchemeConfig,
-    simulate,
-    step_conservative_controlled,
-    step_damped_delayed,
-)
+from sandwichbeam.timestep import IntegrationError, SchemeConfig, simulate
 
 from test_params import unit_params
 
@@ -95,7 +89,7 @@ def test_one_step_constant_control_matches_dense_oracle():
     c = 0.8
     cfg = SchemeConfig(dt=0.01, T=0.01)
     state = zero_state(sys_)
-    new = step_conservative_controlled(state, sys_, 0.0, cfg, lambda t: (c, 0.0, 0.0))
+    new = simulate(state, sys_, cfg, controls=lambda t: (c, 0.0, 0.0)).final_state()
     # dense one-step oracle for the same midpoint equations
     n = sys_.ndof
     force = sys_.control_columns @ np.array([c, 0.0, 0.0])
@@ -111,7 +105,7 @@ def test_one_step_constant_control_matches_dense_oracle():
     assert new.p[i4] == pytest.approx(lead, rel=0.05)
 
 
-def test_step_damped_delayed_pushes_history():
+def test_one_stabilized_step_pushes_history():
     p, sys_ = stabilized(16)
     delays = DelaySpec.constant(0.3)
     gains = GainConfig(1.0, 0.1, 1.0, 0.1, 1.0, 0.05)
@@ -119,10 +113,63 @@ def test_step_damped_delayed_pushes_history():
     hist = make_histories(sys_, st, delays)
     n_before = [len(h) for h in hist]
     cfg = SchemeConfig(dt=0.02, T=0.02)
-    new = step_damped_delayed(st, sys_, hist, 0.0, cfg, gains, delays, DampingSpec.constant(1.0))
+    out = simulate(
+        st, sys_, cfg,
+        gains=gains, delays=delays, damping=DampingSpec.constant(1.0), histories=hist,
+    )
+    new = out.final_state()
     assert new.t == pytest.approx(0.02)
     assert all(len(h) == m + 1 for h, m in zip(hist, n_before))
     assert hist[0].last_time == pytest.approx(0.01)  # midpoint sample
+
+
+def test_one_stabilized_step_matches_dense_oracle():
+    # interior damping plus instantaneous and delayed feedback in one step:
+    # effective matrix diag(M) + dt/2 (feedback + damping) + dt^2/4 K, force
+    # -sum c_i beta_i z_i t_i with z_i read from the constant-trace history
+    p, sys_ = stabilized(16)
+    delays = DelaySpec.constant(0.3)
+    gains = GainConfig(1.0, 0.1, 1.0, -0.1, 1.0, 0.05)
+    a = 0.7
+    st = random_smooth_state(sys_, seed=5)
+    hist = make_histories(sys_, st, delays)
+    dt = 0.02
+    out = simulate(
+        st, sys_, SchemeConfig(dt=dt, T=dt),
+        gains=gains, delays=delays, damping=DampingSpec.constant(a), histories=hist,
+    )
+    cs = p.boundary_stiffness
+    tv = sys_.trace_vectors
+    z = np.array(sys_.trace_velocities(st.p))
+    assert np.all(z != 0.0)
+    feedback = sum(c * al * np.outer(t, t) for c, al, t in zip(cs, gains.alphas, tv))
+    C = feedback + np.diag(sys_.damping_diagonal((a, a, a)))
+    force = -sum(c * b * zi * t for c, b, zi, t in zip(cs, gains.betas, z, tv))
+    A = np.diag(sys_.M) + 0.5 * dt * C + 0.25 * dt ** 2 * sys_.K
+    acc = np.linalg.solve(A, force - C @ st.p - sys_.K @ (st.q + 0.5 * dt * st.p))
+    v1 = st.p + dt * acc
+    q1 = st.q + dt * st.p + 0.5 * dt ** 2 * acc
+    assert np.allclose(out.ledger["z_mid"][0], z, rtol=1e-12, atol=0)
+    assert np.allclose(out.states_p[-1], v1, rtol=0, atol=1e-12 * np.max(np.abs(v1)))
+    assert np.allclose(out.states_q[-1], q1, rtol=0, atol=1e-12 * np.max(np.abs(q1)))
+
+
+def test_simulate_rejects_arguments_the_variant_ignores():
+    cfg = SchemeConfig(dt=0.01, T=0.1)
+    _, sys_ = stabilized(16)
+    with pytest.raises(ValueError, match="controls"):
+        simulate(zero_state(sys_), sys_, cfg, controls=lambda t: (1.0, 0.0, 0.0))
+    _, sysc = controlled(16)
+    st = random_smooth_state(sysc, seed=2)
+    delays = DelaySpec.constant(0.3)
+    for name, value in (
+        ("gains", GainConfig(1.0, 0.1, 1.0, 0.1, 1.0, 0.05)),
+        ("delays", delays),
+        ("damping", DampingSpec.constant(5.0)),
+        ("histories", make_histories(sysc, st, delays)),
+    ):
+        with pytest.raises(ValueError, match=name):
+            simulate(st, sysc, cfg, **{name: value})
 
 
 def test_delay_safety_enforced():
