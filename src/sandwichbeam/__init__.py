@@ -36,7 +36,6 @@ from .discretize import (
     SemiDiscreteSystem,
     DiscreteState,
     build_system,
-    discrete_energy,
     hspace_norm,
     export_matrices,
 )

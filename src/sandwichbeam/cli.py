@@ -32,7 +32,7 @@ from .discretize import (
     Grid1D,
     build_system,
 )
-from .hypotheses import InfeasibleRates, select_mus, validate_gains
+from .hypotheses import InfeasibleRates, decay_bound, select_mus, validate_gains
 from .hum import CgError, compute_null_control, estimate_observability
 from .timestep import IntegrationError, SchemeConfig, simulate
 
@@ -151,6 +151,23 @@ def _run_simulation(cfg, n, scheme):
     return sys_, state, out
 
 
+def _endpoint_scheme(dt, T):
+    """A scheme that samples only the initial and the final state."""
+    return SchemeConfig(dt=dt, T=T, stride=max(int(round(T / dt)), 1))
+
+
+def _monotone_energy(out):
+    """No per-step energy increase beyond roundoff of the initial energy."""
+    return bool(out.max_energy_increase() <= 1e-10 * max(out.energy[0], 1e-300))
+
+
+def _order_rows(errors):
+    """(observed order, non-monotone flag) for each level of an error ladder;
+    the finest level has no successor, so its order is nan."""
+    pairs = zip(errors, errors[1:])
+    return [(np.log2(a / b), int(not a > b)) for a, b in pairs] + [(float("nan"), 0)]
+
+
 def _trajectory_columns(out):
     header = ["t", "E", "E_field", "trace1", "trace2", "trace3"]
     cols = [
@@ -186,7 +203,7 @@ def cmd_simulate(cfg, args):
     invariants = {
         "relative_drift": out.relative_drift(),
         "max_energy_increase": out.max_energy_increase(),
-        "monotone_energy": out.max_energy_increase() <= 1e-10 * max(out.energy[0], 1e-300),
+        "monotone_energy": _monotone_energy(out),
         "finite": True,
     }
     man_path = _write_json(
@@ -223,7 +240,7 @@ def cmd_decay_report(cfg, args):
         and np.all(lyap <= (1.0 + rates.mu4) * e_samples + cushion)
     )
     traces = check_trace_estimates(out, sys_, cfg.gains, cfg.damping)
-    bound = rates.zeta * np.exp(-rates.rate * out.sample_times) * out.energy[0]
+    bound = decay_bound(out.sample_times, out.energy[0], rates)
     resid_at_samples = np.concatenate([[0.0], resid])[idx]
     csv_path = _write_csv(
         os.path.join(cfg.outdir, "decay_series.csv"),
@@ -243,7 +260,7 @@ def cmd_decay_report(cfg, args):
         },
         "decay_report": report.as_dict(),
         "lyapunov_equivalence": equivalence_ok,
-        "monotone_energy": out.max_energy_increase() <= 1e-10 * max(out.energy[0], 1e-300),
+        "monotone_energy": _monotone_energy(out),
         "trace_estimates": traces,
     }
     man_path = _write_json(os.path.join(cfg.outdir, "decay_report.json"), _manifest(cfg, payload))
@@ -267,7 +284,7 @@ def cmd_hum(cfg, args):
     state = cfg.build_initial(sys_)
     T = cfg.hum["T"]
     dt = cfg.hum["dt"] or T / (16 * cfg.n)
-    run_cfg = SchemeConfig(dt=dt, T=T, stride=max(int(round(T / dt)), 1))
+    run_cfg = _endpoint_scheme(dt, T)
     try:
         sol = compute_null_control(
             state, T, sys_, run_cfg,
@@ -308,7 +325,7 @@ def cmd_observability(cfg, args):
     sys_ = cfg.build_system()
     T = cfg.observability["T"]
     dt = cfg.observability["dt"] or T / (16 * cfg.n)
-    run_cfg = SchemeConfig(dt=dt, T=T, stride=max(int(round(T / dt)), 1))
+    run_cfg = _endpoint_scheme(dt, T)
     qmin, qmax = estimate_observability(
         T,
         sys_,
@@ -363,8 +380,7 @@ def cmd_convergence(cfg, args):
     rows = []
 
     def run_at(n, dt, T):
-        scheme = SchemeConfig(dt=dt, T=T, stride=max(int(round(T / dt)), 1))
-        sys_, _, out = _run_simulation(cfg, n, scheme)
+        sys_, _, out = _run_simulation(cfg, n, _endpoint_scheme(dt, T))
         return sys_, out.final_state()
 
     if conv["mode"] in ("spatial", "both"):
@@ -381,10 +397,8 @@ def cmd_convergence(cfg, args):
             restricted = _restrict_state(ref_state, ref_sys, sys_n)
             diff = DiscreteState(q=final.q - restricted.q, p=final.p - restricted.p)
             errors.append(_state_l2_norm(diff, sys_n))
-        for i, n in enumerate(ladder):
-            order = np.log2(errors[i] / errors[i + 1]) if i + 1 < len(errors) else float("nan")
-            monotone = errors[i] > errors[i + 1] if i + 1 < len(errors) else True
-            rows.append(("spatial", n, cfg.params.L / n, errors[i], order, int(not monotone)))
+        for n, err, (order, flag) in zip(ladder, errors, _order_rows(errors)):
+            rows.append(("spatial", n, cfg.params.L / n, err, order, flag))
 
     if conv["mode"] in ("temporal", "both"):
         dts = sorted(conv["dts"], reverse=True)
@@ -397,10 +411,8 @@ def cmd_convergence(cfg, args):
             sys_n, final = run_at(conv["n"], dt, conv["T"])
             diff = DiscreteState(q=final.q - ref_state.q, p=final.p - ref_state.p)
             errors.append(_state_l2_norm(diff, sys_n))
-        for i, dt in enumerate(dts):
-            order = np.log2(errors[i] / errors[i + 1]) if i + 1 < len(errors) else float("nan")
-            monotone = errors[i] > errors[i + 1] if i + 1 < len(errors) else True
-            rows.append(("temporal", conv["n"], dt, errors[i], order, int(not monotone)))
+        for dt, err, (order, flag) in zip(dts, errors, _order_rows(errors)):
+            rows.append(("temporal", conv["n"], dt, err, order, flag))
 
     path = os.path.join(cfg.outdir, "convergence.csv")
     with open(path, "w", newline="\n") as fh:

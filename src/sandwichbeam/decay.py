@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import VARIANT_STABILIZED
-from .hypotheses import phi_matrix
+from .hypotheses import decay_bound, phi_matrix
 
 __all__ = [
     "DecayReport",
@@ -134,8 +134,7 @@ def fit_decay_rate(times, energies, window, floor_ratio=1e-14):
 
 def check_theoretical_bound(out, rates, window=None, slack=1.05, dissipation_residual=None):
     """Count samples violating E(t) <= slack * zeta * exp(-rate t) * E(0)."""
-    e0 = out.energy[0]
-    bound = slack * rates.zeta * np.exp(-rates.rate * out.times) * e0
+    bound = slack * decay_bound(out.times, out.energy[0], rates)
     violations = int(np.sum(out.energy > bound))
     if window is None:
         t_end = out.times[-1]

@@ -35,7 +35,6 @@ __all__ = [
     "SemiDiscreteSystem",
     "DiscreteState",
     "build_system",
-    "discrete_energy",
     "delay_energy_from_profiles",
     "hspace_norm",
     "export_matrices",
@@ -74,13 +73,6 @@ class DofLayout:
     iw: np.ndarray
     ndof: int
 
-    @property
-    def trace_indices(self):
-        """Global indices of the boundary-trace unknowns (u(L), v(L), w-trace)."""
-        if self.variant == VARIANT_CONTROLLED:
-            return (int(self.iu[-1]), int(self.iv[-1]), int(self.iw[-1]))
-        return (int(self.iu[-1]), int(self.iv[-1]), int(self.iw[-2]))
-
 
 def _layout(grid, variant):
     N = grid.N
@@ -105,9 +97,15 @@ class SemiDiscreteSystem:
     """Assembled matrices and helper vectors for one variant.
 
     M is stored as its diagonal; K is dense (problem sizes stay small and a
-    dense symmetric factorization is cheapest).  ``block_weights`` holds the
-    plain trapezoid L2 weights of each field block, used for the interior
-    damping matrix and for unweighted velocity norms.
+    dense symmetric factorization is cheapest).  ``blocks`` holds the global
+    indices of each field block and ``block_weights`` its plain trapezoid L2
+    weights, used for the interior damping matrix and for unweighted
+    velocity norms.
+
+    The three boundary channels at x = L (feedback traces of the stabilized
+    variant, controls and observations of the controlled one) are the map
+    ``channel_coeff * x[channel_index]``: one unknown per channel, scaled by
+    -1/dx for the stabilized w_x(L) = -w_{N-1}/dx and by 1 otherwise.
     """
 
     grid: Grid1D
@@ -116,9 +114,10 @@ class SemiDiscreteSystem:
     layout: DofLayout
     M: np.ndarray
     K: np.ndarray
+    blocks: dict
     block_weights: dict
-    trace_vectors: tuple = ()
-    control_columns: np.ndarray = None
+    channel_index: np.ndarray
+    channel_coeff: np.ndarray
 
     @property
     def ndof(self):
@@ -126,8 +125,7 @@ class SemiDiscreteSystem:
 
     def block(self, name):
         """Global indices of one field block ('u', 'v' or 'w')."""
-        idx = {"u": self.layout.iu, "v": self.layout.iv, "w": self.layout.iw}[name]
-        return idx[idx >= 0]
+        return self.blocks[name]
 
     def damping_diagonal(self, a_values):
         """Diagonal of the interior damping matrix for weights (a1, a2, a3)."""
@@ -148,17 +146,11 @@ class SemiDiscreteSystem:
             for name in ("u", "v", "w")
         )
 
-    def trace_velocities(self, p):
-        """Feedback-channel trace velocities (u_t(L), v_t(L), w_tx(L) or w_t(L))."""
-        if self.variant == VARIANT_STABILIZED:
-            return tuple(float(np.dot(t, p)) for t in self.trace_vectors)
-        i4, i5, i6 = self.layout.trace_indices
-        return (float(p[i4]), float(p[i5]), float(p[i6]))
-
-    def displacement_traces(self, q):
-        """Boundary displacements (u(L), v(L), w(L)); controlled variant only."""
-        i4, i5, i6 = self.layout.trace_indices
-        return (float(q[i4]), float(q[i5]), float(q[i6]))
+    def traces(self, x):
+        """The three boundary-channel values of x: for velocities (u_t(L),
+        v_t(L), w_tx(L) or w_t(L)), for displacements (u(L), v(L), w_x(L) or
+        w(L))."""
+        return self.channel_coeff * x[self.channel_index]
 
 
 def _add_panel(K, idx, coeffs, weight):
@@ -209,40 +201,31 @@ def build_system(grid, params, variant):
     if variant == VARIANT_STABILIZED:
         M[iw[1:N]] = params.rhoh * dx
         block_weights["w"] = np.full(N - 1, dx)
+        # w_x(L) with w(L)=0 eliminated
+        channel_index = np.array([iu[N], iv[N], iw[N - 1]])
+        channel_coeff = np.array([1.0, 1.0, -inv])
     else:
         wtw = np.full(N + 1, dx)
         wtw[0] = wtw[-1] = dx / 2.0
         M[iw] = params.rhoh * wtw
         block_weights["w"] = wtw
+        # the boundary values are dynamic unknowns with their own inertia
+        channel_index = np.array([iu[N], iv[N], iw[N]])
+        channel_coeff = np.ones(3)
+        M[channel_index] += params.trace_masses
 
-    sys_ = SemiDiscreteSystem(
+    return SemiDiscreteSystem(
         grid=grid,
         params=params,
         variant=variant,
         layout=layout,
         M=M,
         K=K,
+        blocks={name: idx[idx >= 0] for name, idx in (("u", iu), ("v", iv), ("w", iw))},
         block_weights=block_weights,
+        channel_index=channel_index,
+        channel_coeff=channel_coeff,
     )
-
-    if variant == VARIANT_STABILIZED:
-        t1 = np.zeros(n)
-        t1[iu[N]] = 1.0
-        t2 = np.zeros(n)
-        t2[iv[N]] = 1.0
-        t3 = np.zeros(n)
-        t3[iw[N - 1]] = -inv  # w_x(L) with w(L)=0 eliminated
-        sys_.trace_vectors = (t1, t2, t3)
-    else:
-        # dynamic boundary inertia and the dual control columns
-        i4, i5, i6 = layout.trace_indices
-        cols = np.zeros((n, 3))
-        for col, (idx, m) in enumerate(zip((i4, i5, i6), params.trace_masses)):
-            M[idx] += m
-            cols[idx, col] = m
-        sys_.control_columns = cols
-
-    return sys_
 
 
 @dataclass
@@ -271,28 +254,6 @@ def delay_energy_from_profiles(profiles, taus, betas):
         z = np.asarray(profiles[i])
         total += 0.5 * abs(b) * taus[i] * float(np.trapezoid(z * z, dx=1.0 / (len(z) - 1)))
     return total
-
-
-def discrete_energy(state, sys_, history=None, delays=None, gains=None, n_panels=32):
-    """Field energy 0.5*(p'Mp + q'Kq) plus the delayed-trace integrals.
-
-    For the stabilized variant with any beta_i != 0 a trace history and the
-    delay spec are required; the controlled variant carries its boundary
-    kinetic terms inside M already.
-    """
-    base = sys_.field_energy(state.q, state.p)
-    if sys_.variant != VARIANT_STABILIZED or gains is None or not gains.any_delayed:
-        return base
-    if history is None or delays is None:
-        raise ValueError("delayed feedback present: history and delays are required")
-    from .delayline import z_profile
-
-    profiles = [
-        z_profile(history, i, state.t, delays, n_panels) if gains.betas[i] != 0.0 else np.zeros(n_panels + 1)
-        for i in range(3)
-    ]
-    taus = [delays.tau(i, state.t) for i in range(3)]
-    return base + delay_energy_from_profiles(profiles, taus, gains.betas)
 
 
 def hspace_norm(state, sys_):

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "BoundaryQuadForm",
     "HypothesisCheck",
@@ -293,9 +295,10 @@ def select_mus(params, delays, damping, gains, max_halvings=60):
 
 
 def decay_bound(t, E0, rates):
-    """Certified envelope zeta * exp(-lam*t/(1+mu4)) * E0."""
-    if t < 0.0:
+    """Certified envelope zeta * exp(-lam*t/(1+mu4)) * E0; t may be an array."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("t must be nonnegative")
     if E0 < 0.0:
         raise ValueError("E0 must be nonnegative")
-    return rates.zeta * math.exp(-rates.rate * t) * E0
+    return rates.zeta * np.exp(-rates.rate * t) * E0

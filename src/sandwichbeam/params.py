@@ -81,24 +81,13 @@ class PhysicalParams:
         """Verify that given layer data reproduces the stored composites.
 
         Returns a list of (name, stored, recomputed) mismatches; empty if
-        everything agrees to relative tolerance 1e-12.
+        everything agrees to relative tolerance 1e-12.  Layer data whose
+        composites are not positive raise ValueError, as in ``from_layers``.
         """
-        rho1, rho2, rho3 = rho
-        h1, h2, h3 = h
-        E1, _, E3 = E
-        I1, _, I3 = I
-        expected = {
-            "rho1h1": rho1 * h1,
-            "E1h1": E1 * h1,
-            "rho3h3": rho3 * h3,
-            "E3h3": E3 * h3,
-            "rhoh": rho1 * h1 + rho2 * h2 + rho3 * h3,
-            "EI": E1 * I1 + E3 * I3,
-            "alpha": h2 + 0.5 * (h1 + h3),
-        }
+        expected = PhysicalParams.from_layers(rho, h, E, I, k=self.k, L=self.L)
         bad = []
-        for name, value in expected.items():
-            stored = getattr(self, name)
+        for name in ("rho1h1", "E1h1", "rho3h3", "E3h3", "rhoh", "EI", "alpha"):
+            stored, value = getattr(self, name), getattr(expected, name)
             if abs(stored - value) > _REL_TOL * max(abs(stored), abs(value)):
                 bad.append((name, stored, value))
         return bad

@@ -198,7 +198,7 @@ def make_histories(sys_, state, delays, kind="constant_trace", interp="hermite")
     ``constant_trace`` extends the initial trace velocity backwards (the
     compatible choice); ``zero`` starts from rest.
     """
-    traces = sys_.trace_velocities(state.p)
+    traces = sys_.traces(state.p)
     histories = []
     for i in range(3):
         if kind == "constant_trace":

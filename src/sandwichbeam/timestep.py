@@ -25,6 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .delayline import eval_delayed, push, z_profile
 from .discretize import VARIANT_STABILIZED, DiscreteState, delay_energy_from_profiles
+from .params import GainConfig
 
 __all__ = [
     "SchemeConfig",
@@ -103,38 +104,47 @@ class SimOutput:
         )
 
 
-class _ZeroGains:
-    alphas = (0.0, 0.0, 0.0)
-    betas = (0.0, 0.0, 0.0)
-    any_delayed = False
+_NO_GAINS = GainConfig(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _control_midpoints(controls, n_steps, dt):
-    """Sample controls at step midpoints; arrays are averaged endpoint pairs."""
+    """Sample controls at step midpoints; arrays are averaged endpoint pairs.
+
+    A non-finite sample raises IntegrationError naming the first step it
+    would drive, so the loop itself never checks the controls again.
+    """
     if callable(controls):
-        return np.array(
+        f_mid = np.array(
             [np.asarray(controls((n + 0.5) * dt), dtype=float) for n in range(n_steps)]
         )
-    arr = np.asarray(controls, dtype=float)
-    if arr.shape != (n_steps + 1, 3):
-        raise ValueError(f"controls must have shape ({n_steps + 1}, 3), got {arr.shape}")
-    return 0.5 * (arr[:-1] + arr[1:])
+    else:
+        arr = np.asarray(controls, dtype=float)
+        if arr.shape != (n_steps + 1, 3):
+            raise ValueError(f"controls must have shape ({n_steps + 1}, 3), got {arr.shape}")
+        f_mid = 0.5 * (arr[:-1] + arr[1:])
+    bad = np.flatnonzero(~np.all(np.isfinite(f_mid), axis=1))
+    if bad.size:
+        raise IntegrationError(f"non-finite control at step {bad[0] + 1}")
+    return f_mid
 
 
 class _Stepper:
-    """One factorization of the effective matrix, reused while C(t) is steady."""
+    """One factorization of the effective matrix, reused while C(t) is steady.
+
+    The effective damping diagonal (boundary feedback plus interior damping)
+    and its factorization are rebuilt only when the damping weights change.
+    """
 
     def __init__(self, sys_, dt, gains, damping):
         self.sys = sys_
         self.dt = dt
         self.damping = damping
-        n = sys_.ndof
-        self.feedback_diag = np.zeros(n)
-        if sys_.variant == VARIANT_STABILIZED:
-            cs = sys_.params.boundary_stiffness
-            for c, a, t in zip(cs, gains.alphas, sys_.trace_vectors):
-                self.feedback_diag += c * a * t * t
-        self._factored_a = None
+        self.feedback_diag = np.zeros(sys_.ndof)
+        cs = np.asarray(sys_.params.boundary_stiffness)
+        coeff = sys_.channel_coeff
+        self.feedback_diag[sys_.channel_index] = cs * gains.alphas * coeff * coeff
+        self.cdiag = None
+        self._a_values = None
         self._factor = None
 
     def _damping_values(self, t):
@@ -142,64 +152,36 @@ class _Stepper:
             return (0.0, 0.0, 0.0)
         return tuple(self.damping.a(i, t) for i in range(3))
 
-    def total_damping_diag(self, a_values):
-        diag = self.feedback_diag.copy()
-        if any(a != 0.0 for a in a_values):
-            diag += self.sys.damping_diagonal(a_values)
-        return diag
-
-    def _factor_for(self, a_values):
-        if self._factored_a is not None:
-            prev = self._factored_a
-            same = all(
-                abs(a - b) <= 1e-14 * max(abs(a), abs(b), 1e-300)
-                for a, b in zip(a_values, prev)
-            )
-            if same:
-                return self._factor
+    def _refactor(self, a_values):
         sys_, dt = self.sys, self.dt
+        cdiag = self.feedback_diag.copy()
+        if any(a != 0.0 for a in a_values):
+            cdiag += sys_.damping_diagonal(a_values)
         A = (0.25 * dt * dt) * sys_.K
-        diag = sys_.M + 0.5 * dt * self.total_damping_diag(a_values)
-        A[np.diag_indices_from(A)] += diag
+        A[np.diag_indices_from(A)] += sys_.M + 0.5 * dt * cdiag
         try:
             self._factor = cho_factor(A, lower=True)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
             raise IntegrationError(f"effective matrix factorization failed: {exc}")
-        self._factored_a = a_values
-        return self._factor
+        self.cdiag = cdiag
+        self._a_values = a_values
 
     def advance(self, q0, v0, t, force_mid):
         """One midpoint step from t to t + dt; returns (q1, v1, damping weights)."""
         dt = self.dt
         a_values = self._damping_values(t + 0.5 * dt)
-        factor = self._factor_for(a_values)
-        cdiag = self.total_damping_diag(a_values)
-        rhs = force_mid - cdiag * v0 - self.sys.K @ (q0 + 0.5 * dt * v0)
-        try:
-            a = cho_solve(factor, rhs)
-        except ValueError as exc:
-            raise IntegrationError(f"linear solve rejected the state: {exc}")
+        if a_values != self._a_values:
+            self._refactor(a_values)
+        rhs = force_mid - self.cdiag * v0 - self.sys.K @ (q0 + 0.5 * dt * v0)
+        # finiteness: the factor is checked when built, the controls when
+        # sampled and the state after every step
+        a = cho_solve(self._factor, rhs, check_finite=False)
         v1 = v0 + dt * a
         q1 = q0 + dt * v0 + 0.5 * dt * dt * a
         return q1, v1, a_values
 
 
-def _delayed_force(sys_, gains, delays, histories, t):
-    """-sum_i c_i * beta_i * z_i(1, t) * t_i, and the z values used."""
-    n = sys_.ndof
-    f = np.zeros(n)
-    zs = np.zeros(3)
-    cs = sys_.params.boundary_stiffness
-    for i in range(3):
-        b = gains.betas[i]
-        if b == 0.0:
-            continue
-        zs[i] = eval_delayed(histories[i], i, t, delays)
-        f -= cs[i] * b * zs[i] * sys_.trace_vectors[i]
-    return f, zs
-
-
-def _push_midpoint_traces(sys_, histories, t_mid, v_mid, dt):
+def _push_midpoint_traces(histories, t_mid, values, dt):
     """Record midpoint trace samples into the delay lines.
 
     Midpoint sampling keeps the delayed feedback loop stable: the undamped
@@ -209,12 +191,10 @@ def _push_midpoint_traces(sys_, histories, t_mid, v_mid, dt):
     accelerations carry the unfiltered ringing and would reopen the loop
     through the Hermite terms).
     """
-    vals = sys_.trace_velocities(v_mid)
-    for i in range(3):
-        hist = histories[i]
+    for hist, value in zip(histories, values):
         hist.extension = 0.5 * dt * (1.0 + 1e-9)
-        slope = (vals[i] - hist.last_value) / (t_mid - hist.last_time)
-        push(hist, t_mid, vals[i], slope)
+        slope = (value - hist.last_value) / (t_mid - hist.last_time)
+        push(hist, t_mid, value, slope)
 
 
 def _check_finite(q, v, step):
@@ -271,13 +251,17 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     _check_arguments(sys_, cfg, gains, delays, damping, histories, controls)
     _check_finite(initial.q, initial.p, 0)
     stabilized = sys_.variant == VARIANT_STABILIZED
-    gains = gains if gains is not None else _ZeroGains()
+    gains = gains if gains is not None else _NO_GAINS
     betas = gains.betas
     delayed = gains.any_delayed
     n_steps = cfg.n_steps
     dt = cfg.T / n_steps if n_steps else cfg.dt
     stepper = _Stepper(sys_, dt, gains, damping)
-    f_mid = _control_midpoints(controls, n_steps, dt) if controls is not None and n_steps else None
+    channel_force = None
+    if controls is not None and n_steps:
+        channel_force = _control_midpoints(controls, n_steps, dt) * sys_.params.trace_masses
+    # delayed feedback on channel i: -c_i * beta_i * z_i * coeff_i
+    feedback_weights = np.asarray(sys_.params.boundary_stiffness) * betas
 
     q = np.array(initial.q, dtype=float)
     v = np.array(initial.p, dtype=float)
@@ -307,9 +291,9 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
 
     def record(n):
         field_energy[n] = sys_.field_energy(q, v)
-        tr_vel[n] = sys_.trace_velocities(v)
+        tr_vel[n] = sys_.traces(v)
         if tr_disp is not None:
-            tr_disp[n] = sys_.displacement_traces(q)
+            tr_disp[n] = sys_.traces(q)
         if delayed:
             t = times[n]
             prof = np.zeros((3, N_RHO_PANELS + 1))
@@ -327,13 +311,19 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
                 profiles[k] = prof
 
     record(0)
+    channels = sys_.channel_index
     force = np.zeros(sys_.ndof)
+    zs = np.zeros(3)
     for n in range(n_steps):
         t_mid = times[n] + 0.5 * dt
-        if f_mid is not None:
-            force = sys_.control_columns @ f_mid[n]
+        if channel_force is not None:
+            force[channels] = channel_force[n]
         elif delayed:
-            force, zs = _delayed_force(sys_, gains, delays, histories, t_mid)
+            for i in range(3):
+                if betas[i] != 0.0:
+                    zs[i] = eval_delayed(histories[i], i, t_mid, delays)
+            # 0.0 - x, not -x: an undelayed channel keeps a +0.0 force
+            force[channels] = 0.0 - feedback_weights * zs * sys_.channel_coeff
         q1, v1, a_values = stepper.advance(q, v, times[n], force)
         _check_finite(q1, v1, n + 1)
         if ledger is not None:
@@ -341,13 +331,14 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             ledger["t_mid"][n] = t_mid
             ledger["a_mid"][n] = a_values
             ledger["vel_norms_mid"][n] = sys_.velocity_norms_sq(v_mid)
-            ledger["trace_mid"][n] = sys_.trace_velocities(v_mid)
+            trace_mid = sys_.traces(v_mid)
+            ledger["trace_mid"][n] = trace_mid
             if delayed:
                 ledger["z_mid"][n] = zs
             if delays is not None:
                 ledger["dtau_mid"][n] = [delays.dtau(i, t_mid) for i in range(3)]
             if histories is not None:
-                _push_midpoint_traces(sys_, histories, t_mid, v_mid, dt)
+                _push_midpoint_traces(histories, t_mid, trace_mid, dt)
         q, v = q1, v1
         record(n + 1)
 

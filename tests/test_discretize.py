@@ -8,11 +8,9 @@ from sandwichbeam.discretize import (
     Grid1D,
     build_system,
     delay_energy_from_profiles,
-    discrete_energy,
     export_matrices,
     hspace_norm,
 )
-from sandwichbeam.params import DelaySpec, GainConfig
 from sandwichbeam.presets import state_from_functions
 
 from test_params import unit_params
@@ -88,7 +86,7 @@ def _energy_order(variant, fields, exact):
     for N in (16, 32, 64, 128):
         sys_ = build_system(Grid1D(N=N, L=1.0), p, variant)
         st = state_from_functions(sys_, **fields)
-        val = discrete_energy(st, sys_)
+        val = sys_.field_energy(st.q, st.p)
         errs.append(abs(val - exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     return orders
@@ -140,21 +138,12 @@ def test_energy_zero_state_and_constant_history():
     p = unit_params()
     sys_ = build_system(Grid1D(N=16, L=1.0), p, VARIANT_STABILIZED)
     st = DiscreteState(q=np.zeros(sys_.ndof), p=np.zeros(sys_.ndof))
-    assert discrete_energy(st, sys_) == 0.0
+    assert sys_.field_energy(st.q, st.p) == 0.0
     # constant profile z = c on one delayed channel: (|b|/2)*tau*c^2
     profiles = np.zeros((3, 33))
     profiles[0, :] = 2.0
     val = delay_energy_from_profiles(profiles, taus=(0.4, 1.0, 1.0), betas=(-0.3, 0.0, 0.0))
     assert val == pytest.approx(0.5 * 0.3 * 0.4 * 4.0)
-
-
-def test_energy_requires_history_when_delayed():
-    p = unit_params()
-    sys_ = build_system(Grid1D(N=16, L=1.0), p, VARIANT_STABILIZED)
-    st = DiscreteState(q=np.zeros(sys_.ndof), p=np.zeros(sys_.ndof))
-    gains = GainConfig(1.0, 0.5, 1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        discrete_energy(st, sys_, gains=gains)
 
 
 def test_hspace_norm_properties_and_dense_oracle():
@@ -201,8 +190,8 @@ def test_trace_dof_mass_coupling():
     # trapezoid half-panel of the field that shares the node
     p = unit_params(E3h3=2.0, k=1.5, alpha=0.5)
     sys_ = build_system(Grid1D(N=16, L=1.0), p, VARIANT_CONTROLLED)
-    dx = sys_.grid.dx
-    i4, i5, i6 = sys_.layout.trace_indices
+    N, dx, lay = sys_.grid.N, sys_.grid.dx, sys_.layout
+    i4, i5, i6 = lay.iu[N], lay.iv[N], lay.iw[N]
     expected = {
         i4: p.E1h1 + p.rho1h1 * dx / 2.0,
         i5: p.E3h3 + p.rho3h3 * dx / 2.0,
@@ -228,7 +217,7 @@ def test_standing_wave_energy_matches_continuum():
     for N in (16, 32, 64):
         sys_ = build_system(Grid1D(N=N, L=1.0), p, VARIANT_STABILIZED)
         st = state_from_functions(sys_, u=lambda x: np.sin(0.5 * np.pi * x))
-        errs.append(abs(discrete_energy(st, sys_) - exact))
+        errs.append(abs(sys_.field_energy(st.q, st.p) - exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.7 <= o <= 2.3 for o in orders), orders
 

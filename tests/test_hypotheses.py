@@ -219,9 +219,13 @@ def test_decay_bound_examples_and_properties():
     ts = np.linspace(0.0, 10.0, 50)
     vals = [decay_bound(t, 1.0, rates) for t in ts]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+    # an array of times gives the scalar values elementwise
+    np.testing.assert_allclose(decay_bound(ts, 1.0, rates), vals, rtol=1e-15, atol=0)
     assert decay_bound(2.0, 7.0, rates) == pytest.approx(7.0 * decay_bound(2.0, 1.0, rates))
     with pytest.raises(ValueError):
         decay_bound(-1.0, 1.0, rates)
+    with pytest.raises(ValueError):
+        decay_bound(np.array([0.0, -1e-3]), 1.0, rates)
 
 
 def test_report_json_shape():

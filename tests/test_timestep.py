@@ -90,9 +90,10 @@ def test_one_step_constant_control_matches_dense_oracle():
     cfg = SchemeConfig(dt=0.01, T=0.01)
     state = zero_state(sys_)
     new = simulate(state, sys_, cfg, controls=lambda t: (c, 0.0, 0.0)).final_state()
-    # dense one-step oracle for the same midpoint equations
-    n = sys_.ndof
-    force = sys_.control_columns @ np.array([c, 0.0, 0.0])
+    # dense one-step oracle for the same midpoint equations; the first
+    # control drives u(L) with weight E1h1
+    force = np.zeros(sys_.ndof)
+    force[sys_.layout.iu[sys_.grid.N]] = p.E1h1 * c
     A = np.diag(sys_.M) + 0.25 * cfg.dt ** 2 * sys_.K
     a = np.linalg.solve(A, force)
     v1 = cfg.dt * a
@@ -100,7 +101,7 @@ def test_one_step_constant_control_matches_dense_oracle():
     assert np.allclose(new.p, v1, rtol=0, atol=1e-13)
     assert np.allclose(new.q, q1, rtol=0, atol=1e-13)
     # the boundary trace velocity picks up ~ dt * c * E1h1 / M_trace
-    i4 = sys_.layout.trace_indices[0]
+    i4 = sys_.layout.iu[-1]
     lead = cfg.dt * c * p.E1h1 / sys_.M[i4]
     assert new.p[i4] == pytest.approx(lead, rel=0.05)
 
@@ -139,8 +140,13 @@ def test_one_stabilized_step_matches_dense_oracle():
         gains=gains, delays=delays, damping=DampingSpec.constant(a), histories=hist,
     )
     cs = p.boundary_stiffness
-    tv = sys_.trace_vectors
-    z = np.array(sys_.trace_velocities(st.p))
+    # trace functionals u_t(L), v_t(L), w_tx(L) = -w_t(x_{N-1})/dx
+    N, lay = sys_.grid.N, sys_.layout
+    tv = np.zeros((3, sys_.ndof))
+    tv[0, lay.iu[N]] = 1.0
+    tv[1, lay.iv[N]] = 1.0
+    tv[2, lay.iw[N - 1]] = -1.0 / sys_.grid.dx
+    z = tv @ st.p
     assert np.all(z != 0.0)
     feedback = sum(c * al * np.outer(t, t) for c, al, t in zip(cs, gains.alphas, tv))
     C = feedback + np.diag(sys_.damping_diagonal((a, a, a)))
@@ -199,6 +205,39 @@ def test_nonfinite_state_detected():
     st.q[0] = np.inf
     with pytest.raises(IntegrationError):
         simulate(st, sys_, SchemeConfig(dt=0.01, T=0.1))
+
+
+def test_nonfinite_control_detected_at_its_step():
+    p, sys_ = controlled(16)
+    st = random_smooth_state(sys_, seed=2)
+    cfg = SchemeConfig(dt=0.01, T=0.1)
+    # an array sample at t_k first enters the midpoint of step k
+    controls = np.zeros((cfg.n_steps + 1, 3))
+    controls[4, 1] = np.nan
+    with pytest.raises(IntegrationError, match="control at step 4$"):
+        simulate(st, sys_, cfg, controls=controls)
+    # a callable is sampled at midpoints: (n + 1/2) dt drives step n + 1
+    bad = lambda t: (np.inf if t > 0.06 else 0.0, 0.0, 0.0)
+    with pytest.raises(IntegrationError, match="control at step 7$"):
+        simulate(st, sys_, cfg, controls=bad)
+
+
+def test_factorization_reused_until_damping_weights_change(monkeypatch):
+    import sandwichbeam.timestep as timestep
+    from sandwichbeam.params import ExponentialDamping
+
+    calls = []
+    real = timestep.cho_factor
+    monkeypatch.setattr(timestep, "cho_factor", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    p, sys_ = stabilized(16)
+    st = random_smooth_state(sys_, seed=4, prepared=True)
+    cfg = SchemeConfig(dt=0.02, T=0.4)
+    simulate(st, sys_, cfg, damping=DampingSpec.constant(1.0))
+    assert len(calls) == 1
+    calls.clear()
+    damping = DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)
+    simulate(st, sys_, cfg, damping=damping)
+    assert len(calls) == cfg.n_steps
 
 
 def test_decimation_stride_honored():
@@ -291,7 +330,7 @@ def test_trace_ode_consistency_controlled():
     st = eigen_mode_state(sys_, 2, 1.0)
     f1 = lambda t: 0.3 * np.sin(2.0 * t)
     controls = lambda t: (f1(t), 0.0, 0.0)
-    i4 = sys_.layout.trace_indices[0]
+    i4 = sys_.layout.iu[-1]
     iu = sys_.layout.iu
     dx = sys_.grid.dx
 
