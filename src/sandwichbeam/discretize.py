@@ -14,18 +14,29 @@ differences on cells, second differences on nodes, shear on cell midpoints)
 so q'Kq is the trapezoid-consistent elastic energy and K is symmetric by
 construction.  Ghost-node elimination of the natural conditions is exactly
 the variational scheme these panels generate.
+
+Every panel couples the three fields at no more than three neighbouring
+nodes, so with the unknowns taken node by node, (u_j, v_j, w_j), K is a band
+matrix of half-bandwidth ``KD`` = 6.  It is assembled and stored only in that
+order, as LAPACK symmetric lower-band storage; state vectors keep the block
+layout (all u, then all v, then all w) and ``perm`` maps one to the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dsbmv
 from scipy.io import mmwrite
 
 VARIANT_STABILIZED = "stabilized_delayed"
 VARIANT_CONTROLLED = "controlled_conservative"
+# half-bandwidth of K in node order: the curvature panel couples w_{j-1}
+# with w_{j+1}, two nodes of three unknowns apart
+KD = 6
 
 __all__ = [
     "VARIANT_STABILIZED",
@@ -96,11 +107,14 @@ def _layout(grid, variant):
 class SemiDiscreteSystem:
     """Assembled matrices and helper vectors for one variant.
 
-    M is stored as its diagonal; K is dense (problem sizes stay small and a
-    dense symmetric factorization is cheapest).  ``blocks`` holds the global
-    indices of each field block and ``block_weights`` its plain trapezoid L2
-    weights, used for the interior damping matrix and for unweighted
-    velocity norms.
+    M is stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
+    lower band of K in node order: ``band[d, i] = K[perm[i + d], perm[i]]``,
+    where ``perm`` lists the block indices of the unknowns node by node.
+    ``K`` is the dense block-ordered view, built from the band on first use
+    for small-n analysis (eigenmodes, the HUM state metric); time stepping
+    never builds it.  ``blocks`` holds the global indices of each field
+    block and ``block_weights`` its plain trapezoid L2 weights, used for the
+    interior damping matrix and for unweighted velocity norms.
 
     The three boundary channels at x = L (feedback traces of the stabilized
     variant, controls and observations of the controlled one) are the map
@@ -113,7 +127,8 @@ class SemiDiscreteSystem:
     variant: str
     layout: DofLayout
     M: np.ndarray
-    K: np.ndarray
+    perm: np.ndarray
+    band: np.ndarray
     blocks: dict
     block_weights: dict
     channel_index: np.ndarray
@@ -122,6 +137,22 @@ class SemiDiscreteSystem:
     @property
     def ndof(self):
         return self.layout.ndof
+
+    @cached_property
+    def K(self):
+        """Dense block-ordered stiffness, exactly symmetric (both mirror
+        entries are copied from one band entry)."""
+        row, col, val = self._lower_entries()
+        K = np.zeros((self.ndof, self.ndof))
+        K[row, col] = val
+        K[col, row] = val
+        return K
+
+    def _lower_entries(self):
+        """(row, col, value) of the nonzero entries of K on and below the
+        diagonal in node order, with row and col as block indices."""
+        d, i = np.nonzero(self.band)
+        return self.perm[i + d], self.perm[i], self.band[d, i]
 
     def block(self, name):
         """Global indices of one field block ('u', 'v' or 'w')."""
@@ -137,7 +168,8 @@ class SemiDiscreteSystem:
     def field_energy(self, q, p):
         """Field energy 0.5*(p'Mp + q'Kq); the controlled variant's boundary
         kinetic terms are part of M."""
-        return float(0.5 * (np.dot(p, self.M * p) + q @ (self.K @ q)))
+        qn = q[self.perm]
+        return float(0.5 * (np.dot(p, self.M * p) + qn @ dsbmv(KD, 1.0, self.band, qn, lower=1)))
 
     def velocity_norms_sq(self, p):
         """Unweighted L2 norms squared (||u_t||^2, ||v_t||^2, ||w_t||^2)."""
@@ -153,13 +185,29 @@ class SemiDiscreteSystem:
         return self.channel_coeff * x[self.channel_index]
 
 
-def _add_panel(K, idx, coeffs, weight):
-    # accumulate weight * outer(coeffs, coeffs) onto the live indices;
-    # looping keeps the accumulation order mirror-symmetric so K == K.T exactly
-    live = [(g, c) for g, c in zip(idx, coeffs) if g >= 0]
-    for ga, ca in live:
-        for gb, cb in live:
-            K[ga, gb] += weight * ca * cb
+def _band_from_panels(n, panels):
+    """Lower band storage of the sum over panels of weight * outer(coeffs, coeffs).
+
+    Each panel family is (slots, coeffs, weight, order): a (P, m) array of
+    positions in node order (-1 for a fixed node), m coefficients, one
+    weight and each panel's place in the summation.  Every entry sums its
+    contributions in that order, so its rounding is fixed by the panel
+    sequence alone, whatever the storage layout.  Of the two mirror entries
+    of a pair only the lower one (row >= column) is kept, at LAPACK's
+    ``band[row - col, col]``.
+    """
+    flat, vals, order = [], [], []
+    for slots, coeffs, weight, panel_order in panels:
+        for a, ca in enumerate(coeffs):
+            for b, cb in enumerate(coeffs):
+                row, col = slots[:, a], slots[:, b]
+                keep = (row >= col) & (col >= 0)
+                flat.append((row[keep] - col[keep]) * n + col[keep])
+                vals.append(np.full(np.count_nonzero(keep), weight * ca * cb))
+                order.append(panel_order[keep])
+    seq = np.argsort(np.concatenate(order), kind="stable")
+    band = np.bincount(np.concatenate(flat)[seq], np.concatenate(vals)[seq], minlength=(KD + 1) * n)
+    return np.asfortranarray(band.reshape(KD + 1, n))
 
 
 def build_system(grid, params, variant):
@@ -168,28 +216,50 @@ def build_system(grid, params, variant):
     N, dx = grid.N, grid.dx
     iu, iv, iw = layout.iu, layout.iv, layout.iw
     n = layout.ndof
-    K = np.zeros((n, n))
+
+    # node order: the live unknowns (u_j, v_j, w_j) node by node; slot[j, f]
+    # is the position of field f at node j in that order
+    nodal = np.stack([iu, iv, iw], axis=1)
+    live = nodal >= 0
+    perm = nodal[live]
+    slot = np.full(nodal.shape, -1)
+    slot[live] = np.arange(n)
+    su, sv, sw = slot.T
 
     inv = 1.0 / dx
-    for j in range(N):
-        _add_panel(K, [iu[j], iu[j + 1]], [-inv, inv], params.E1h1 * dx)
-        _add_panel(K, [iv[j], iv[j + 1]], [-inv, inv], params.E3h3 * dx)
-        _add_panel(
-            K,
-            [iu[j], iu[j + 1], iv[j], iv[j + 1], iw[j], iw[j + 1]],
-            [-0.5, -0.5, 0.5, 0.5, -params.alpha * inv, params.alpha * inv],
-            params.k * dx,
-        )
-
     inv2 = 1.0 / (dx * dx)
-    # curvature panel at x=0 folds the ghost reflection of w_x(0)=0
-    _add_panel(K, [iw[0], iw[1]], [-2.0 * inv2, 2.0 * inv2], params.EI * dx / 2.0)
-    for j in range(1, N):
-        _add_panel(
-            K, [iw[j - 1], iw[j], iw[j + 1]], [inv2, -2.0 * inv2, inv2], params.EI * dx
-        )
-    # no curvature panel at x=L: the natural condition on w_xx(L) lives in the
-    # boundary flux (feedback injection or zero), not in the elastic form
+    # summation order: cells left to right (stretch u, stretch v, shear),
+    # then the curvature panels from x=0
+    cell = 3 * np.arange(N)
+    band = _band_from_panels(
+        n,
+        [
+            (np.column_stack((su[:-1], su[1:])), (-inv, inv), params.E1h1 * dx, cell),
+            (np.column_stack((sv[:-1], sv[1:])), (-inv, inv), params.E3h3 * dx, cell + 1),
+            (
+                np.column_stack((su[:-1], su[1:], sv[:-1], sv[1:], sw[:-1], sw[1:])),
+                (-0.5, -0.5, 0.5, 0.5, -params.alpha * inv, params.alpha * inv),
+                params.k * dx,
+                cell + 2,
+            ),
+            # curvature panel at x=0 folds the ghost reflection of w_x(0)=0
+            (
+                np.column_stack((sw[:1], sw[1:2])),
+                (-2.0 * inv2, 2.0 * inv2),
+                params.EI * dx / 2.0,
+                np.array([3 * N]),
+            ),
+            (
+                np.column_stack((sw[:-2], sw[1:-1], sw[2:])),
+                (inv2, -2.0 * inv2, inv2),
+                params.EI * dx,
+                3 * N + np.arange(1, N),
+            ),
+            # no curvature panel at x=L: the natural condition on w_xx(L)
+            # lives in the boundary flux (feedback injection or zero), not in
+            # the elastic form
+        ],
+    )
 
     M = np.zeros(n)
     wts = np.full(N, dx)
@@ -220,7 +290,8 @@ def build_system(grid, params, variant):
         variant=variant,
         layout=layout,
         M=M,
-        K=K,
+        perm=perm,
+        band=band,
         blocks={name: idx[idx >= 0] for name, idx in (("u", iu), ("v", iv), ("w", iw))},
         block_weights=block_weights,
         channel_index=channel_index,
@@ -262,10 +333,21 @@ def hspace_norm(state, sys_):
 
 
 def export_matrices(sys_, directory):
-    """Dump M (diagonal) and K in MatrixMarket text format for debugging."""
+    """Dump M (diagonal) and K in MatrixMarket text format for debugging.
+
+    K is written from the band's nonzeros, without the dense view."""
     import os
 
     os.makedirs(directory, exist_ok=True)
+    row, col, val = sys_._lower_entries()
+    off = row != col
+    K = sparse.coo_matrix(
+        (
+            np.concatenate([val, val[off]]),
+            (np.concatenate([row, col[off]]), np.concatenate([col, row[off]])),
+        ),
+        shape=(sys_.ndof, sys_.ndof),
+    )
     mmwrite(os.path.join(directory, "mass"), sparse.diags(sys_.M).tocoo())
-    mmwrite(os.path.join(directory, "stiffness"), sparse.coo_matrix(sys_.K))
+    mmwrite(os.path.join(directory, "stiffness"), K)
     return [os.path.join(directory, "mass.mtx"), os.path.join(directory, "stiffness.mtx")]

@@ -14,6 +14,13 @@ holds as an algebraic identity, which is what the dissipation ledger
 records.  Delayed boundary terms are evaluated at known past times (the
 step rule dt <= min tau0 keeps them behind the current step), so every
 step is one symmetric positive definite solve.
+
+That solve and the stiffness product work on the banded node-ordered
+stiffness (``SemiDiscreteSystem.band``): the effective matrix
+M + dt^2/4 K + dt/2 C is factored by LAPACK ``dpbtrf``, each step solves
+with ``dpbtrs`` and multiplies with BLAS ``dsbmv``, so a step costs O(n)
+in time and memory.  The routines are called directly because the scipy
+wrappers cost several times the O(n) work at the grid sizes in use.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .delayline import eval_delayed, push, z_profile
-from .discretize import VARIANT_STABILIZED, DiscreteState, delay_energy_from_profiles
+from .discretize import KD, VARIANT_STABILIZED, DiscreteState, delay_energy_from_profiles
 from .params import GainConfig
 
 __all__ = [
@@ -133,12 +141,15 @@ class _Stepper:
 
     The effective damping diagonal (boundary feedback plus interior damping)
     and its factorization are rebuilt only when the damping weights change.
+    The linear algebra runs in node order; ``advance`` takes and returns
+    block-ordered vectors.
     """
 
     def __init__(self, sys_, dt, gains, damping):
         self.sys = sys_
         self.dt = dt
         self.damping = damping
+        self.perm = sys_.perm
         self.feedback_diag = np.zeros(sys_.ndof)
         cs = np.asarray(sys_.params.boundary_stiffness)
         coeff = sys_.channel_coeff
@@ -146,6 +157,7 @@ class _Stepper:
         self.cdiag = None
         self._a_values = None
         self._factor = None
+        self._accel = np.empty(sys_.ndof)
 
     def _damping_values(self, t):
         if self.damping is None:
@@ -157,27 +169,35 @@ class _Stepper:
         cdiag = self.feedback_diag.copy()
         if any(a != 0.0 for a in a_values):
             cdiag += sys_.damping_diagonal(a_values)
-        A = (0.25 * dt * dt) * sys_.K
-        A[np.diag_indices_from(A)] += sys_.M + 0.5 * dt * cdiag
-        try:
-            self._factor = cho_factor(A, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-            raise IntegrationError(f"effective matrix factorization failed: {exc}")
+        ab = (0.25 * dt * dt) * sys_.band
+        ab[0] += (sys_.M + 0.5 * dt * cdiag)[self.perm]
+        if not np.all(np.isfinite(ab)):
+            raise IntegrationError("non-finite effective matrix")
+        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise IntegrationError(f"effective matrix factorization failed (dpbtrf info {info})")
+        self._factor = factor
         self.cdiag = cdiag
         self._a_values = a_values
 
     def advance(self, q0, v0, t, force_mid):
         """One midpoint step from t to t + dt; returns (q1, v1, damping weights)."""
-        dt = self.dt
+        dt, perm = self.dt, self.perm
         a_values = self._damping_values(t + 0.5 * dt)
         if a_values != self._a_values:
             self._refactor(a_values)
-        rhs = force_mid - self.cdiag * v0 - self.sys.K @ (q0 + 0.5 * dt * v0)
+        rhs = (force_mid - self.cdiag * v0)[perm]
+        x = (q0 + 0.5 * dt * v0)[perm]
+        rhs = dsbmv(KD, -1.0, self.sys.band, x, beta=1.0, y=rhs, lower=1, overwrite_y=1)
         # finiteness: the factor is checked when built, the controls when
         # sampled and the state after every step
-        a = cho_solve(self._factor, rhs, check_finite=False)
-        v1 = v0 + dt * a
-        q1 = q0 + dt * v0 + 0.5 * dt * dt * a
+        a, info = dpbtrs(self._factor, rhs, lower=1, overwrite_b=1)
+        if info != 0:  # pragma: no cover - only for invalid arguments
+            raise IntegrationError(f"linear solve failed (dpbtrs info {info})")
+        accel = self._accel
+        accel[perm] = a
+        v1 = v0 + dt * accel
+        q1 = q0 + dt * v0 + 0.5 * dt * dt * accel
         return q1, v1, a_values
 
 
@@ -209,8 +229,9 @@ def _sample_slots(n_steps, stride):
     return slots
 
 
-def _check_arguments(sys_, cfg, gains, delays, damping, histories, controls):
-    """Reject arguments the variant would ignore, and unsafe delay settings."""
+def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
+    """Reject arguments the variant would ignore, and unsafe delay settings
+    for the step ``dt`` the run takes."""
     if sys_.variant == VARIANT_STABILIZED:
         if controls is not None:
             raise ValueError("controls drive the controlled_conservative variant only")
@@ -232,9 +253,9 @@ def _check_arguments(sys_, cfg, gains, delays, damping, histories, controls):
             raise ValueError("delayed gains need trace histories and a delay spec")
         if any(delays.slope_bound(i) >= 1.0 for i in range(3)):
             raise ValueError("delay slope bound >= 1: delayed argument would not advance")
-        if cfg.dt > delays.min_floor + 1e-15:
+        if dt > delays.min_floor + 1e-15:
             raise ValueError(
-                f"dt = {cfg.dt} exceeds the smallest delay floor {delays.min_floor}; "
+                f"dt = {dt} exceeds the smallest delay floor {delays.min_floor}; "
                 "delayed lookups would need current-step unknowns"
             )
 
@@ -248,14 +269,15 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     records the delayed traces, the delay profiles and the dissipation
     ledger.  Arguments the variant has no use for raise ValueError.
     """
-    _check_arguments(sys_, cfg, gains, delays, damping, histories, controls)
+    n_steps = cfg.n_steps
+    # the step taken: T split into whole steps, which may exceed cfg.dt
+    dt = cfg.T / n_steps if n_steps else cfg.dt
+    _check_arguments(sys_, dt, gains, delays, damping, histories, controls)
     _check_finite(initial.q, initial.p, 0)
     stabilized = sys_.variant == VARIANT_STABILIZED
     gains = gains if gains is not None else _NO_GAINS
     betas = gains.betas
     delayed = gains.any_delayed
-    n_steps = cfg.n_steps
-    dt = cfg.T / n_steps if n_steps else cfg.dt
     stepper = _Stepper(sys_, dt, gains, damping)
     channel_force = None
     if controls is not None and n_steps:

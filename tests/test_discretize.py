@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.linalg.blas import dsbmv
 
 from sandwichbeam.discretize import (
+    KD,
     VARIANT_CONTROLLED,
     VARIANT_STABILIZED,
     DiscreteState,
@@ -53,6 +57,41 @@ def test_stiffness_symmetric_exactly_and_psd():
             q = rng.standard_normal(sys_.ndof)
             assert q @ sys_.K @ q >= -1e-12 * np.dot(q, q)
         assert np.all(sys_.M > 0.0)
+
+
+def _loop_stiffness(sys_):
+    """Dense K assembled panel by panel with Python loops, cells left to
+    right and then the curvature panels: the reference for the banded
+    assembly, which sums each entry in the same order."""
+    p, N, dx = sys_.params, sys_.grid.N, sys_.grid.dx
+    iu, iv, iw = sys_.layout.iu, sys_.layout.iv, sys_.layout.iw
+    K = np.zeros((sys_.ndof, sys_.ndof))
+
+    def add(idx, coeffs, weight):
+        live = [(g, c) for g, c in zip(idx, coeffs) if g >= 0]
+        for ga, ca in live:
+            for gb, cb in live:
+                K[ga, gb] += weight * ca * cb
+
+    inv, inv2 = 1.0 / dx, 1.0 / (dx * dx)
+    for j in range(N):
+        add([iu[j], iu[j + 1]], [-inv, inv], p.E1h1 * dx)
+        add([iv[j], iv[j + 1]], [-inv, inv], p.E3h3 * dx)
+        add(
+            [iu[j], iu[j + 1], iv[j], iv[j + 1], iw[j], iw[j + 1]],
+            [-0.5, -0.5, 0.5, 0.5, -p.alpha * inv, p.alpha * inv],
+            p.k * dx,
+        )
+    add([iw[0], iw[1]], [-2.0 * inv2, 2.0 * inv2], p.EI * dx / 2.0)
+    for j in range(1, N):
+        add([iw[j - 1], iw[j], iw[j + 1]], [inv2, -2.0 * inv2, inv2], p.EI * dx)
+    return K
+
+
+def test_band_assembly_equals_loop_reference_bitwise():
+    for N in (8, 17, 33):
+        for sys_ in both_systems(N, E3h3=2.0, EI=0.7, k=1.3, alpha=0.8, L=1.7):
+            assert np.array_equal(sys_.K, _loop_stiffness(sys_))
 
 
 def test_elastic_energy_linear_profile():
@@ -229,3 +268,50 @@ def test_matrix_market_export(tmp_path):
     for f in files:
         with open(f) as fh:
             assert fh.readline().startswith("%%MatrixMarket")
+
+
+def _panel_energy(sys_, q):
+    """q'Kq summed panel by panel from the field differences."""
+    p, dx = sys_.params, sys_.grid.dx
+    u, v, w = (np.where(idx >= 0, q[idx], 0.0) for idx in (sys_.layout.iu, sys_.layout.iv, sys_.layout.iw))
+    shear = 0.5 * (v[:-1] + v[1:] - u[:-1] - u[1:]) + p.alpha * np.diff(w) / dx
+    curvature = np.diff(w, 2) / dx ** 2
+    kappa0 = 2.0 * (w[1] - w[0]) / dx ** 2
+    return (
+        dx * np.sum(p.E1h1 * (np.diff(u) / dx) ** 2 + p.E3h3 * (np.diff(v) / dx) ** 2 + p.k * shear ** 2)
+        + dx * p.EI * np.sum(curvature ** 2)
+        + 0.5 * dx * p.EI * kappa0 ** 2
+    )
+
+
+_coefficient = hs.floats(0.05, 20.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    N=hs.integers(8, 64),
+    variant=hs.sampled_from((VARIANT_STABILIZED, VARIANT_CONTROLLED)),
+    E1h1=_coefficient,
+    E3h3=_coefficient,
+    EI=_coefficient,
+    k=_coefficient,
+    alpha=_coefficient,
+    L=hs.floats(0.2, 5.0),
+    seed=hs.integers(0, 2 ** 32 - 1),
+)
+def test_band_stiffness_properties(N, variant, E1h1, E3h3, EI, k, alpha, L, seed):
+    p = unit_params(E1h1=E1h1, E3h3=E3h3, EI=EI, k=k, alpha=alpha, L=L)
+    sys_ = build_system(Grid1D(N=N, L=L), p, variant)
+    K, perm = sys_.K, sys_.perm
+    rows, cols = np.nonzero(K[np.ix_(perm, perm)])
+    assert np.max(np.abs(rows - cols)) <= KD
+    assert np.array_equal(K, K.T)
+    q = np.random.default_rng(seed).standard_normal(sys_.ndof)
+    Kq = np.empty_like(q)
+    Kq[perm] = dsbmv(KD, 1.0, sys_.band, q[perm], lower=1)
+    dense = K @ q
+    assert np.max(np.abs(Kq - dense)) <= 1e-13 * np.max(np.abs(dense))
+    energy = _panel_energy(sys_, q)
+    assert abs(q @ dense - energy) <= 1e-12 * energy
+    assert abs(2.0 * sys_.field_energy(q, np.zeros_like(q)) - energy) <= 1e-12 * energy
+

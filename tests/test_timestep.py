@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from sandwichbeam.discretize import (
     Grid1D,
     build_system,
 )
-from sandwichbeam.params import DampingSpec, DelaySpec, GainConfig, SinusoidalDelay
+from sandwichbeam.params import DampingSpec, DelaySpec, ExponentialDamping, GainConfig, SinusoidalDelay
 from sandwichbeam.presets import (
     eigen_mode_state,
     make_histories,
@@ -187,6 +189,15 @@ def test_delay_safety_enforced():
     cfg = SchemeConfig(dt=0.1, T=1.0)
     with pytest.raises(ValueError):
         simulate(st, sys_, cfg, gains=gains, delays=delays, histories=hist)
+    # the rule binds the step taken, T / round(T / dt): 2 steps of 0.0625
+    cfg = SchemeConfig(dt=0.05, T=0.125)
+    with pytest.raises(ValueError, match="0.0625"):
+        simulate(st, sys_, cfg, gains=gains, delays=delays, histories=hist)
+    # 3 steps of 0.05 satisfy it although cfg.dt = 0.055 does not
+    cfg = SchemeConfig(dt=0.055, T=0.15)
+    hist = make_histories(sys_, st, delays)
+    out = simulate(st, sys_, cfg, gains=gains, delays=delays, histories=hist)
+    assert out.n_steps == 3 and out.dt <= delays.min_floor
 
 
 def test_unit_slope_delay_refused():
@@ -227,8 +238,8 @@ def test_factorization_reused_until_damping_weights_change(monkeypatch):
     from sandwichbeam.params import ExponentialDamping
 
     calls = []
-    real = timestep.cho_factor
-    monkeypatch.setattr(timestep, "cho_factor", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = timestep.dpbtrf
+    monkeypatch.setattr(timestep, "dpbtrf", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     p, sys_ = stabilized(16)
     st = random_smooth_state(sys_, seed=4, prepared=True)
     cfg = SchemeConfig(dt=0.02, T=0.4)
@@ -238,6 +249,25 @@ def test_factorization_reused_until_damping_weights_change(monkeypatch):
     damping = DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)
     simulate(st, sys_, cfg, damping=damping)
     assert len(calls) == cfg.n_steps
+
+
+def test_large_grid_steps_without_dense_stiffness():
+    # the dense K alone would be 3073^2 * 8 bytes = 75.5 MB
+    p = unit_params()
+    cases = (
+        (VARIANT_CONTROLLED, {"controls": lambda t: (1.0, -1.0, 0.5)}),
+        (VARIANT_STABILIZED, {"damping": DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)}),
+    )
+    for variant, kwargs in cases:
+        tracemalloc.start()
+        try:
+            sys_ = build_system(Grid1D(N=1024, L=p.L), p, variant)
+            out = simulate(random_smooth_state(sys_, seed=1), sys_, SchemeConfig(dt=1e-4, T=5e-4), **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.n_steps == 5
+        assert peak < 10 * 2 ** 20, (variant, peak)
 
 
 def test_decimation_stride_honored():
