@@ -288,7 +288,7 @@ def cmd_hum(cfg, args):
     try:
         sol = compute_null_control(
             state, T, sys_, run_cfg,
-            tol=cfg.hum["cg_tol"], maxit=cfg.hum["maxit"], tikhonov=cfg.hum["tikhonov"],
+            tol=cfg.hum["cg_tol"], maxit=cfg.hum["maxit"],
         )
     except (CgError, IntegrationError) as exc:
         _say(args, f"control synthesis failed: {exc}")
@@ -359,18 +359,16 @@ def _state_l2_norm(state, sys_):
 
 
 def _restrict_state(fine_state, fine_sys, coarse_sys):
-    """Restrict a fine-grid state to a nested coarse grid (factor-2 nodes)."""
+    """Restrict a fine-grid state to a nested coarse grid: each coarse node
+    takes the values of the fine node at the same place."""
     ratio = fine_sys.grid.N // coarse_sys.grid.N
+    coarse = coarse_sys.layout.nodal
+    fine = fine_sys.layout.nodal[::ratio]
+    live = coarse >= 0
     q = np.zeros(coarse_sys.ndof)
     p = np.zeros(coarse_sys.ndof)
-    for name in ("u", "v", "w"):
-        fi = {"u": fine_sys.layout.iu, "v": fine_sys.layout.iv, "w": fine_sys.layout.iw}[name]
-        ci = {"u": coarse_sys.layout.iu, "v": coarse_sys.layout.iv, "w": coarse_sys.layout.iw}[name]
-        for j in range(coarse_sys.grid.N + 1):
-            if ci[j] < 0:
-                continue
-            q[ci[j]] = fine_state.q[fi[ratio * j]]
-            p[ci[j]] = fine_state.p[fi[ratio * j]]
+    q[coarse[live]] = fine_state.q[fine[live]]
+    p[coarse[live]] = fine_state.p[fine[live]]
     return DiscreteState(q=q, p=p, t=fine_state.t)
 
 

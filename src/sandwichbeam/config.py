@@ -51,7 +51,7 @@ _SCHEMA = {
     "scheme": {"dt", "t", "stride"},
     "initial": {"preset", "field", "mode", "amplitude", "seed", "cutoff", "prepared", "history"},
     "fit": {"window_start", "window_end"},
-    "hum": {"t", "dt", "cg_tol", "terminal_tol", "maxit", "tikhonov"},
+    "hum": {"t", "dt", "cg_tol", "terminal_tol", "maxit"},
     "observability": {"t", "dt", "samples", "seed", "cutoff"},
     "convergence": {"mode", "resolutions", "dts", "reference_divide", "t", "dt", "n"},
     "output": {"dir"},
@@ -317,7 +317,6 @@ def load_config(path, overrides=None):
         "cg_tol": _get_float(hsec, "cg_tol", 1e-8),
         "terminal_tol": _get_float(hsec, "terminal_tol", 1e-3),
         "maxit": _get_int(hsec, "maxit", 200),
-        "tikhonov": _get_float(hsec, "tikhonov", 0.0),
     }
 
     osec = parser["observability"] if "observability" in parser else {}

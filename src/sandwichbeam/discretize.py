@@ -15,11 +15,11 @@ so q'Kq is the trapezoid-consistent elastic energy and K is symmetric by
 construction.  Ghost-node elimination of the natural conditions is exactly
 the variational scheme these panels generate.
 
-Every panel couples the three fields at no more than three neighbouring
-nodes, so with the unknowns taken node by node, (u_j, v_j, w_j), K is a band
-matrix of half-bandwidth ``KD`` = 6.  It is assembled and stored only in that
-order, as LAPACK symmetric lower-band storage; state vectors keep the block
-layout (all u, then all v, then all w) and ``perm`` maps one to the other.
+The unknowns are numbered node by node, (u_j, v_j, w_j) for j = 0..N with
+the nodes fixed by essential conditions skipped, and state vectors use that
+one order.  Every panel couples the three fields at no more than three
+neighbouring nodes, so K is a band matrix of half-bandwidth ``KD`` = 6,
+assembled and stored as LAPACK symmetric lower-band storage.
 """
 
 from __future__ import annotations
@@ -76,31 +76,33 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class DofLayout:
-    """Node-to-unknown index maps; -1 marks a node fixed by an essential condition."""
+    """Node-by-node numbering of the unknowns.
+
+    ``nodal[j, f]`` is the index of field f (u, v, w) at node j, or -1 where
+    an essential condition fixes it; ``iu``, ``iv``, ``iw`` are its columns.
+    """
 
     variant: str
-    iu: np.ndarray
-    iv: np.ndarray
-    iw: np.ndarray
+    nodal: np.ndarray
     ndof: int
+
+    iu = property(lambda self: self.nodal[:, 0])
+    iv = property(lambda self: self.nodal[:, 1])
+    iw = property(lambda self: self.nodal[:, 2])
 
 
 def _layout(grid, variant):
     N = grid.N
-    iu = np.full(N + 1, -1, dtype=int)
-    iv = np.full(N + 1, -1, dtype=int)
-    iw = np.full(N + 1, -1, dtype=int)
-    iu[1:] = np.arange(N)
-    iv[1:] = N + np.arange(N)
+    live = np.ones((N + 1, 3), dtype=bool)
+    live[0, :2] = False  # u(0) = v(0) = 0
     if variant == VARIANT_STABILIZED:
-        iw[1:N] = 2 * N + np.arange(N - 1)
-        ndof = 3 * N - 1
-    elif variant == VARIANT_CONTROLLED:
-        iw[:] = 2 * N + np.arange(N + 1)
-        ndof = 3 * N + 1
-    else:
+        live[[0, N], 2] = False  # w(0) = w(L) = 0
+    elif variant != VARIANT_CONTROLLED:
         raise ValueError(f"unknown variant {variant!r}")
-    return DofLayout(variant=variant, iu=iu, iv=iv, iw=iw, ndof=ndof)
+    ndof = int(np.count_nonzero(live))
+    nodal = np.full((N + 1, 3), -1)
+    nodal[live] = np.arange(ndof)  # row-major: node by node
+    return DofLayout(variant=variant, nodal=nodal, ndof=ndof)
 
 
 @dataclass
@@ -108,12 +110,11 @@ class SemiDiscreteSystem:
     """Assembled matrices and helper vectors for one variant.
 
     M is stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
-    lower band of K in node order: ``band[d, i] = K[perm[i + d], perm[i]]``,
-    where ``perm`` lists the block indices of the unknowns node by node.
-    ``K`` is the dense block-ordered view, built from the band on first use
-    for small-n analysis (eigenmodes, the HUM state metric); time stepping
-    never builds it.  ``blocks`` holds the global indices of each field
-    block and ``block_weights`` its plain trapezoid L2 weights, used for the
+    lower band of K in LAPACK storage: ``band[d, i] = K[i + d, i]``.  ``K``
+    is the dense view, built from the band on first use for small-n
+    analysis (eigenmodes, the HUM state metric); time stepping never builds
+    it.  ``blocks`` holds the indices of each field's unknowns and
+    ``block_weights`` their plain trapezoid L2 weights, used for the
     interior damping matrix and for unweighted velocity norms.
 
     The three boundary channels at x = L (feedback traces of the stabilized
@@ -127,7 +128,6 @@ class SemiDiscreteSystem:
     variant: str
     layout: DofLayout
     M: np.ndarray
-    perm: np.ndarray
     band: np.ndarray
     blocks: dict
     block_weights: dict
@@ -140,8 +140,8 @@ class SemiDiscreteSystem:
 
     @cached_property
     def K(self):
-        """Dense block-ordered stiffness, exactly symmetric (both mirror
-        entries are copied from one band entry)."""
+        """Dense stiffness, exactly symmetric (both mirror entries are
+        copied from one band entry)."""
         row, col, val = self._lower_entries()
         K = np.zeros((self.ndof, self.ndof))
         K[row, col] = val
@@ -150,12 +150,12 @@ class SemiDiscreteSystem:
 
     def _lower_entries(self):
         """(row, col, value) of the nonzero entries of K on and below the
-        diagonal in node order, with row and col as block indices."""
+        diagonal."""
         d, i = np.nonzero(self.band)
-        return self.perm[i + d], self.perm[i], self.band[d, i]
+        return i + d, i, self.band[d, i]
 
     def block(self, name):
-        """Global indices of one field block ('u', 'v' or 'w')."""
+        """Indices of one field's unknowns ('u', 'v' or 'w'), node by node."""
         return self.blocks[name]
 
     def damping_diagonal(self, a_values):
@@ -168,8 +168,7 @@ class SemiDiscreteSystem:
     def field_energy(self, q, p):
         """Field energy 0.5*(p'Mp + q'Kq); the controlled variant's boundary
         kinetic terms are part of M."""
-        qn = q[self.perm]
-        return float(0.5 * (np.dot(p, self.M * p) + qn @ dsbmv(KD, 1.0, self.band, qn, lower=1)))
+        return float(0.5 * (np.dot(p, self.M * p) + q @ dsbmv(KD, 1.0, self.band, q, lower=1)))
 
     def velocity_norms_sq(self, p):
         """Unweighted L2 norms squared (||u_t||^2, ||v_t||^2, ||w_t||^2)."""
@@ -189,7 +188,7 @@ def _band_from_panels(n, panels):
     """Lower band storage of the sum over panels of weight * outer(coeffs, coeffs).
 
     Each panel family is (slots, coeffs, weight, order): a (P, m) array of
-    positions in node order (-1 for a fixed node), m coefficients, one
+    unknown indices (-1 for a fixed node), m coefficients, one
     weight and each panel's place in the summation.  Every entry sums its
     contributions in that order, so its rounding is fixed by the panel
     sequence alone, whatever the storage layout.  Of the two mirror entries
@@ -217,15 +216,6 @@ def build_system(grid, params, variant):
     iu, iv, iw = layout.iu, layout.iv, layout.iw
     n = layout.ndof
 
-    # node order: the live unknowns (u_j, v_j, w_j) node by node; slot[j, f]
-    # is the position of field f at node j in that order
-    nodal = np.stack([iu, iv, iw], axis=1)
-    live = nodal >= 0
-    perm = nodal[live]
-    slot = np.full(nodal.shape, -1)
-    slot[live] = np.arange(n)
-    su, sv, sw = slot.T
-
     inv = 1.0 / dx
     inv2 = 1.0 / (dx * dx)
     # summation order: cells left to right (stretch u, stretch v, shear),
@@ -234,23 +224,23 @@ def build_system(grid, params, variant):
     band = _band_from_panels(
         n,
         [
-            (np.column_stack((su[:-1], su[1:])), (-inv, inv), params.E1h1 * dx, cell),
-            (np.column_stack((sv[:-1], sv[1:])), (-inv, inv), params.E3h3 * dx, cell + 1),
+            (np.column_stack((iu[:-1], iu[1:])), (-inv, inv), params.E1h1 * dx, cell),
+            (np.column_stack((iv[:-1], iv[1:])), (-inv, inv), params.E3h3 * dx, cell + 1),
             (
-                np.column_stack((su[:-1], su[1:], sv[:-1], sv[1:], sw[:-1], sw[1:])),
+                np.column_stack((iu[:-1], iu[1:], iv[:-1], iv[1:], iw[:-1], iw[1:])),
                 (-0.5, -0.5, 0.5, 0.5, -params.alpha * inv, params.alpha * inv),
                 params.k * dx,
                 cell + 2,
             ),
             # curvature panel at x=0 folds the ghost reflection of w_x(0)=0
             (
-                np.column_stack((sw[:1], sw[1:2])),
+                np.column_stack((iw[:1], iw[1:2])),
                 (-2.0 * inv2, 2.0 * inv2),
                 params.EI * dx / 2.0,
                 np.array([3 * N]),
             ),
             (
-                np.column_stack((sw[:-2], sw[1:-1], sw[2:])),
+                np.column_stack((iw[:-2], iw[1:-1], iw[2:])),
                 (inv2, -2.0 * inv2, inv2),
                 params.EI * dx,
                 3 * N + np.arange(1, N),
@@ -290,7 +280,6 @@ def build_system(grid, params, variant):
         variant=variant,
         layout=layout,
         M=M,
-        perm=perm,
         band=band,
         blocks={name: idx[idx >= 0] for name, idx in (("u", iu), ("v", iv), ("w", iw))},
         block_weights=block_weights,

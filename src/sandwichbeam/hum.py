@@ -253,25 +253,20 @@ def cg_solve(apply_op, b, tol, maxit, inner, stagnation_window=25):
     return x, np.array(residuals), converged, (ray_min, ray_max)
 
 
-def compute_null_control(initial, T, sys_, cfg, tol=1e-8, maxit=200, ws=None, tikhonov=0.0):
+def compute_null_control(initial, T, sys_, cfg, tol=1e-8, maxit=200, ws=None):
     """Solve the Gramian equation and verify the synthesized controls.
 
     Conjugate gradient runs in the pullback metric, where the residual norm
     equals the energy norm of the terminal state the current controls would
     leave; non-convergence at maxit is reported in the returned HumSolution
     together with the independently verified terminal norm, never silently
-    accepted.  ``tikhonov`` adds an off-theory eps*identity shift for
-    ill-conditioned small-horizon studies; it biases the terminal state by
-    O(eps) and defaults to off.
+    accepted.
     """
     ws = ws if ws is not None else HumWorkspace(sys_)
     rhs = ws.pack(rhs_from_initial_data(initial, T, sys_, cfg, ws))
 
     def apply_vec(xvec):
-        out = ws.pack(apply_gramian(ws.unpack(xvec), T, sys_, cfg, ws))
-        if tikhonov > 0.0:
-            out = out + tikhonov * xvec
-        return out
+        return ws.pack(apply_gramian(ws.unpack(xvec), T, sys_, cfg, ws))
 
     xvec, residuals, converged, (ray_min, ray_max) = cg_solve(
         apply_vec, rhs, tol=tol, maxit=maxit, inner=ws.inner_dual

@@ -192,7 +192,7 @@ def eigen_mode_state(sys_, index, amplitude=1.0, velocity=False):
     return DiscreteState(q=q, p=p, t=0.0)
 
 
-def make_histories(sys_, state, delays, kind="constant_trace", interp="hermite"):
+def make_histories(sys_, state, delays, kind="constant_trace"):
     """Initial trace histories on [-tau_i(0), 0] for the delayed channels.
 
     ``constant_trace`` extends the initial trace velocity backwards (the
@@ -209,6 +209,6 @@ def make_histories(sys_, state, delays, kind="constant_trace", interp="hermite")
         else:
             raise ValueError(f"unknown history preset {kind!r}")
         histories.append(
-            init_history(i, fn, delays.tau(i, 0.0), retention=delays.cap(i), interp=interp)
+            init_history(i, fn, delays.tau(i, 0.0), retention=delays.cap(i))
         )
     return tuple(histories)

@@ -15,8 +15,9 @@ records.  Delayed boundary terms are evaluated at known past times (the
 step rule dt <= min tau0 keeps them behind the current step), so every
 step is one symmetric positive definite solve.
 
-That solve and the stiffness product work on the banded node-ordered
-stiffness (``SemiDiscreteSystem.band``): the effective matrix
+That solve and the stiffness product work on the banded stiffness
+(``SemiDiscreteSystem.band``), in the node-by-node order of the state
+vectors themselves: the effective matrix
 M + dt^2/4 K + dt/2 C is factored by LAPACK ``dpbtrf``, each step solves
 with ``dpbtrs`` and multiplies with BLAS ``dsbmv``, so a step costs O(n)
 in time and memory.  The routines are called directly because the scipy
@@ -141,15 +142,12 @@ class _Stepper:
 
     The effective damping diagonal (boundary feedback plus interior damping)
     and its factorization are rebuilt only when the damping weights change.
-    The linear algebra runs in node order; ``advance`` takes and returns
-    block-ordered vectors.
     """
 
     def __init__(self, sys_, dt, gains, damping):
         self.sys = sys_
         self.dt = dt
         self.damping = damping
-        self.perm = sys_.perm
         self.feedback_diag = np.zeros(sys_.ndof)
         cs = np.asarray(sys_.params.boundary_stiffness)
         coeff = sys_.channel_coeff
@@ -157,7 +155,6 @@ class _Stepper:
         self.cdiag = None
         self._a_values = None
         self._factor = None
-        self._accel = np.empty(sys_.ndof)
 
     def _damping_values(self, t):
         if self.damping is None:
@@ -170,7 +167,7 @@ class _Stepper:
         if any(a != 0.0 for a in a_values):
             cdiag += sys_.damping_diagonal(a_values)
         ab = (0.25 * dt * dt) * sys_.band
-        ab[0] += (sys_.M + 0.5 * dt * cdiag)[self.perm]
+        ab[0] += sys_.M + 0.5 * dt * cdiag
         if not np.all(np.isfinite(ab)):
             raise IntegrationError("non-finite effective matrix")
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
@@ -182,26 +179,24 @@ class _Stepper:
 
     def advance(self, q0, v0, t, force_mid):
         """One midpoint step from t to t + dt; returns (q1, v1, damping weights)."""
-        dt, perm = self.dt, self.perm
+        dt = self.dt
         a_values = self._damping_values(t + 0.5 * dt)
         if a_values != self._a_values:
             self._refactor(a_values)
-        rhs = (force_mid - self.cdiag * v0)[perm]
-        x = (q0 + 0.5 * dt * v0)[perm]
+        rhs = force_mid - self.cdiag * v0
+        x = q0 + 0.5 * dt * v0
         rhs = dsbmv(KD, -1.0, self.sys.band, x, beta=1.0, y=rhs, lower=1, overwrite_y=1)
         # finiteness: the factor is checked when built, the controls when
         # sampled and the state after every step
         a, info = dpbtrs(self._factor, rhs, lower=1, overwrite_b=1)
         if info != 0:  # pragma: no cover - only for invalid arguments
             raise IntegrationError(f"linear solve failed (dpbtrs info {info})")
-        accel = self._accel
-        accel[perm] = a
-        v1 = v0 + dt * accel
-        q1 = q0 + dt * v0 + 0.5 * dt * dt * accel
+        v1 = v0 + dt * a
+        q1 = q0 + dt * v0 + 0.5 * dt * dt * a
         return q1, v1, a_values
 
 
-def _push_midpoint_traces(histories, t_mid, values, dt):
+def _push_midpoint_traces(histories, t_mid, values):
     """Record midpoint trace samples into the delay lines.
 
     Midpoint sampling keeps the delayed feedback loop stable: the undamped
@@ -212,7 +207,6 @@ def _push_midpoint_traces(histories, t_mid, values, dt):
     through the Hermite terms).
     """
     for hist, value in zip(histories, values):
-        hist.extension = 0.5 * dt * (1.0 + 1e-9)
         slope = (value - hist.last_value) / (t_mid - hist.last_time)
         push(hist, t_mid, value, slope)
 
@@ -279,6 +273,10 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     betas = gains.betas
     delayed = gains.any_delayed
     stepper = _Stepper(sys_, dt, gains, damping)
+    if histories is not None:
+        # the newest midpoint sample trails the step end by dt/2
+        for hist in histories:
+            hist.extension = 0.5 * dt * (1.0 + 1e-9)
     channel_force = None
     if controls is not None and n_steps:
         channel_force = _control_midpoints(controls, n_steps, dt) * sys_.params.trace_masses
@@ -360,7 +358,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             if delays is not None:
                 ledger["dtau_mid"][n] = [delays.dtau(i, t_mid) for i in range(3)]
             if histories is not None:
-                _push_midpoint_traces(histories, t_mid, trace_mid, dt)
+                _push_midpoint_traces(histories, t_mid, trace_mid)
         q, v = q1, v1
         record(n + 1)
 

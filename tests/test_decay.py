@@ -14,6 +14,7 @@ from sandwichbeam.params import DampingSpec, DelaySpec, GainConfig, SinusoidalDe
 from sandwichbeam.presets import make_histories, random_smooth_state, zero_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
+from test_discretize import block_draw
 from test_params import unit_params
 
 
@@ -123,8 +124,8 @@ def test_lyapunov_equivalence_random_states():
     rng = np.random.default_rng(8)
     rho = np.linspace(0.0, 1.0, 33)
     for _ in range(50):
-        q = rng.standard_normal(sys_.ndof)
-        v = rng.standard_normal(sys_.ndof)
+        q = block_draw(rng, sys_)
+        v = block_draw(rng, sys_)
         profiles = rng.standard_normal((3, 33))
         t = rng.uniform(0.0, 5.0)
         taus = [delays.tau(i, t) for i in range(3)]

@@ -20,6 +20,14 @@ from sandwichbeam.presets import state_from_functions
 from test_params import unit_params
 
 
+def block_draw(rng, sys_):
+    """Standard normal state vector drawn field block by field block (all u,
+    then all v, then all w) and placed at the layout's indices."""
+    x = np.empty(sys_.ndof)
+    x[np.concatenate([sys_.block(name) for name in "uvw"])] = rng.standard_normal(sys_.ndof)
+    return x
+
+
 def both_systems(N=32, **kw):
     p = unit_params(**kw)
     g = Grid1D(N=N, L=p.L)
@@ -41,6 +49,9 @@ def test_layout_indices_partition():
         for idx in (lay.iu, lay.iv, lay.iw):
             seen.extend(int(i) for i in idx if i >= 0)
         assert sorted(seen) == list(range(lay.ndof))
+        # numbered node by node: node j's unknowns all precede node j+1's
+        live = lay.nodal >= 0
+        assert np.array_equal(lay.nodal[live], np.arange(lay.ndof))
         # essential nodes carry no index
         assert lay.iu[0] == -1 and lay.iv[0] == -1
         if sys_.variant == VARIANT_STABILIZED:
@@ -54,7 +65,7 @@ def test_stiffness_symmetric_exactly_and_psd():
     for sys_ in both_systems(24, E3h3=2.0, EI=0.7, k=1.3, alpha=0.8):
         assert np.max(np.abs(sys_.K - sys_.K.T)) == 0.0
         for _ in range(100):
-            q = rng.standard_normal(sys_.ndof)
+            q = block_draw(rng, sys_)
             assert q @ sys_.K @ q >= -1e-12 * np.dot(q, q)
         assert np.all(sys_.M > 0.0)
 
@@ -191,7 +202,7 @@ def test_hspace_norm_properties_and_dense_oracle():
     zero = DiscreteState(q=np.zeros(sys_.ndof), p=np.zeros(sys_.ndof))
     assert hspace_norm(zero, sys_) == 0.0
     rng = np.random.default_rng(3)
-    st = DiscreteState(q=rng.standard_normal(sys_.ndof), p=rng.standard_normal(sys_.ndof))
+    st = DiscreteState(q=block_draw(rng, sys_), p=block_draw(rng, sys_))
     n1 = hspace_norm(st, sys_)
     st2 = DiscreteState(q=-2.5 * st.q, p=-2.5 * st.p)
     assert hspace_norm(st2, sys_) == pytest.approx(2.5 * n1, rel=1e-12)
@@ -237,7 +248,7 @@ def test_trace_dof_mass_coupling():
         i6: p.alpha * p.k + p.rhoh * dx / 2.0,
     }
     rng = np.random.default_rng(5)
-    st = DiscreteState(q=rng.standard_normal(sys_.ndof), p=rng.standard_normal(sys_.ndof))
+    st = DiscreteState(q=block_draw(rng, sys_), p=block_draw(rng, sys_))
     for idx, mass in expected.items():
         assert sys_.M[idx] == pytest.approx(mass, rel=1e-14)
         delta = 0.7
@@ -302,13 +313,12 @@ _coefficient = hs.floats(0.05, 20.0)
 def test_band_stiffness_properties(N, variant, E1h1, E3h3, EI, k, alpha, L, seed):
     p = unit_params(E1h1=E1h1, E3h3=E3h3, EI=EI, k=k, alpha=alpha, L=L)
     sys_ = build_system(Grid1D(N=N, L=L), p, variant)
-    K, perm = sys_.K, sys_.perm
-    rows, cols = np.nonzero(K[np.ix_(perm, perm)])
+    K = sys_.K
+    rows, cols = np.nonzero(K)
     assert np.max(np.abs(rows - cols)) <= KD
     assert np.array_equal(K, K.T)
     q = np.random.default_rng(seed).standard_normal(sys_.ndof)
-    Kq = np.empty_like(q)
-    Kq[perm] = dsbmv(KD, 1.0, sys_.band, q[perm], lower=1)
+    Kq = dsbmv(KD, 1.0, sys_.band, q, lower=1)
     dense = K @ q
     assert np.max(np.abs(Kq - dense)) <= 1e-13 * np.max(np.abs(dense))
     energy = _panel_energy(sys_, q)

@@ -1,10 +1,11 @@
 """Golden-artifact check: four short N=16 runs against recorded series.
 
 ``golden/simulate_n16.json`` holds the energy, boundary-trace and
-final-state series of each run.  A rebuild of the same scheme reproduces
-them to roundoff (the largest gap seen across numpy/BLAS builds is about
-5e-8 relative), while any change to the scheme itself moves them by 1e-5
-or more, so the comparison uses rtol = 1e-6 against each series' largest
+final-state series of each run, the final states in field-block order (all
+u, then all v, then all w).  A rebuild of the same scheme reproduces them
+to roundoff (the largest gap seen across numpy/BLAS builds is about 5e-8
+relative), while any change to the scheme itself moves them by 1e-5 or
+more, so the comparison uses rtol = 1e-6 against each series' largest
 magnitude.
 
 Regenerate the file only when the scheme is meant to change:
@@ -43,10 +44,10 @@ def _controlled(forced):
     sys_ = build_system(Grid1D(N=16, L=PARAMS.L), PARAMS, VARIANT_CONTROLLED)
     state = random_smooth_state(sys_, seed=3)
     if not forced:
-        return simulate(state, sys_, SCHEME)
+        return sys_, simulate(state, sys_, SCHEME)
     t = SCHEME.dt * np.arange(SCHEME.n_steps + 1)
     controls = np.column_stack([0.3 * np.sin(2.0 * t), 0.2 * np.cos(3.0 * t), -0.1 * t])
-    return simulate(state, sys_, SCHEME, controls=controls)
+    return sys_, simulate(state, sys_, SCHEME, controls=controls)
 
 
 def _stabilized(damping):
@@ -61,7 +62,7 @@ def _stabilized(damping):
         )
     )
     gains = GainConfig(1.0, 0.2, 0.8, -0.15, 1.2, 0.1)
-    return simulate(
+    return sys_, simulate(
         state, sys_, SCHEME,
         gains=gains, delays=delays, damping=damping,
         histories=make_histories(sys_, state, delays),
@@ -78,13 +79,14 @@ RUNS = {
 }
 
 
-def _series(out):
+def _series(sys_, out):
+    blocks = np.concatenate([sys_.block(name) for name in "uvw"])
     series = {
         "energy": out.energy,
         "field_energy": out.field_energy,
         "trace_velocities": out.trace_velocities,
-        "final_q": out.states_q[-1],
-        "final_p": out.states_p[-1],
+        "final_q": out.states_q[-1][blocks],
+        "final_p": out.states_p[-1][blocks],
     }
     if out.displacement_traces is not None:
         series["displacement_traces"] = out.displacement_traces
@@ -102,7 +104,7 @@ def golden():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden(name, golden):
     expected = golden[name]
-    actual = _series(RUNS[name]())
+    actual = _series(*RUNS[name]())
     assert sorted(actual) == sorted(expected)
     for key, values in expected.items():
         ref = np.asarray(values, dtype=float)
@@ -113,7 +115,7 @@ def test_run_matches_golden(name, golden):
 
 
 if __name__ == "__main__":
-    record = {name: {k: v.tolist() for k, v in _series(run()).items()} for name, run in RUNS.items()}
+    record = {name: {k: v.tolist() for k, v in _series(*run()).items()} for name, run in RUNS.items()}
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", newline="\n") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
