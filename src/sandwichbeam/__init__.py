@@ -3,8 +3,8 @@
 Simulates two longitudinal wave layers coupled to a transverse bending
 layer under (a) time-varying delayed boundary velocity feedback and (b)
 dynamic boundary controls, verifies the energy decay and observability
-structure at the discrete level, and synthesizes null controls by
-conjugate gradient on the control Gramian.
+structure at the discrete level, and synthesizes null controls from the
+assembled control Gramian.
 """
 
 from .params import (
@@ -64,15 +64,12 @@ from .decay import (
 from .hum import (
     ObservationTriple,
     HumSolution,
-    CgError,
     HumWorkspace,
     solve_adjoint,
-    controls_from_observation,
-    apply_gramian,
+    gramian,
     rhs_from_initial_data,
-    cg_solve,
     compute_null_control,
-    estimate_observability,
+    observability,
 )
 
 __version__ = "0.1.0"

@@ -51,8 +51,10 @@ _SCHEMA = {
     "scheme": {"dt", "t", "stride"},
     "initial": {"preset", "field", "mode", "amplitude", "seed", "cutoff", "prepared", "history"},
     "fit": {"window_start", "window_end"},
-    "hum": {"t", "dt", "cg_tol", "terminal_tol", "maxit"},
-    "observability": {"t", "dt", "samples", "seed", "cutoff"},
+    "hum": {"t", "dt", "cg_tol", "terminal_tol"},
+    # the observability constant is exact, so nothing reads ``seed`` any
+    # more; it stays accepted for documents that still set it
+    "observability": {"t", "dt", "seed", "cutoff"},
     "convergence": {"mode", "resolutions", "dts", "reference_divide", "t", "dt", "n"},
     "output": {"dir"},
 }
@@ -316,15 +318,12 @@ def load_config(path, overrides=None):
         "dt": _get_float(hsec, "dt", 0.0) or None,
         "cg_tol": _get_float(hsec, "cg_tol", 1e-8),
         "terminal_tol": _get_float(hsec, "terminal_tol", 1e-3),
-        "maxit": _get_int(hsec, "maxit", 200),
     }
 
     osec = parser["observability"] if "observability" in parser else {}
     observability = {
         "T": _get_float(osec, "t", hum["T"] / 2.0),
         "dt": _get_float(osec, "dt", 0.0) or None,
-        "samples": _get_int(osec, "samples", 20),
-        "seed": _get_int(osec, "seed", 0),
         "cutoff": _get_int(osec, "cutoff", 8),
     }
 

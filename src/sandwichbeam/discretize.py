@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.linalg.blas import dsbmv
 from scipy.io import mmwrite
 
@@ -112,7 +113,7 @@ class SemiDiscreteSystem:
     M is stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
     lower band of K in LAPACK storage: ``band[d, i] = K[i + d, i]``.  ``K``
     is the dense view, built from the band on first use for small-n
-    analysis (eigenmodes, the HUM state metric); time stepping never builds
+    analysis (``modes``, the HUM state metric); time stepping never builds
     it.  ``blocks`` holds the indices of each field's unknowns and
     ``block_weights`` their plain trapezoid L2 weights, used for the
     interior damping matrix and for unweighted velocity norms.
@@ -147,6 +148,12 @@ class SemiDiscreteSystem:
         K[row, col] = val
         K[col, row] = val
         return K
+
+    @cached_property
+    def modes(self):
+        """Vibration modes: eigenpairs (omega^2, phi) of (K, M), eigenvalues
+        ascending and eigenvectors M-normalized (phi' M phi = I)."""
+        return eigh(self.K, np.diag(self.M))
 
     def _lower_entries(self):
         """(row, col, value) of the nonzero entries of K on and below the

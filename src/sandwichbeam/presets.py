@@ -173,13 +173,10 @@ def eigen_mode_state(sys_, index, amplitude=1.0, velocity=False):
     preset of choice for convergence-order studies.  Modes are M-normalized
     with the largest-magnitude entry made positive.
     """
-    from scipy.linalg import eigh
-
-    w, vecs = eigh(sys_.K, np.diag(sys_.M))
-    order = np.argsort(w)
-    if not 0 <= index < len(order):
+    vecs = sys_.modes[1]
+    if not 0 <= index < sys_.ndof:
         raise ValueError(f"mode index {index} out of range")
-    phi = vecs[:, order[index]]
+    phi = vecs[:, index]
     peak = np.argmax(np.abs(phi))
     if phi[peak] < 0:
         phi = -phi

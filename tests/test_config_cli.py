@@ -87,11 +87,9 @@ t = 4.0
 dt = 0.0125
 cg_tol = 1e-8
 terminal_tol = 0.05
-maxit = 60
 
 [observability]
 t = 2.0
-samples = 10
 seed = 1
 
 [convergence]
@@ -228,9 +226,7 @@ def test_hum_cli_and_failure_exit(tmp_path):
     controls = (tmp_path / "out" / "controls.csv").read_text().splitlines()
     assert controls[0] == "t,f1,f2,f3"
     # absurd terminal tolerance on a coarse grid: documented failure, exit 3
-    doc = CONTROLLED_DOC.replace("terminal_tol = 0.05", "terminal_tol = 1e-12").replace(
-        "maxit = 60", "maxit = 25"
-    )
+    doc = CONTROLLED_DOC.replace("terminal_tol = 0.05", "terminal_tol = 1e-12")
     path = write_doc(tmp_path, doc, "strict.ini")
     assert main(["hum", "--config", path, "--quiet"]) == 3
 
