@@ -45,7 +45,7 @@ from .delayline import (
     init_history,
     push,
     eval_delayed,
-    z_profile,
+    delay_integrals,
 )
 from .timestep import (
     SchemeConfig,

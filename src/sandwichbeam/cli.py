@@ -232,7 +232,7 @@ def cmd_decay_report(cfg, args):
     resid = check_dissipation_identity(out, cfg.params, cfg.gains, cfg.delays, cfg.damping)
     window = (cfg.fit_window[0] * cfg.scheme.T, cfg.fit_window[1] * cfg.scheme.T)
     report = check_theoretical_bound(out, rates, window=window, dissipation_residual=resid)
-    lyap = lyapunov_trace(out, sys_, rates, cfg.delays, cfg.gains)
+    lyap = lyapunov_trace(out, sys_, rates, cfg.gains)
     idx = np.searchsorted(out.times, out.sample_times)
     e_samples = out.energy[idx]
     cushion = 1e-9 * np.maximum(e_samples, 1e-300)

@@ -326,6 +326,10 @@ def load_config(path, overrides=None):
         "dt": _get_float(osec, "dt", 0.0) or None,
         "cutoff": _get_int(osec, "cutoff", 8),
     }
+    for name, sec in (("hum", hum), ("observability", observability)):
+        # dt = 0 (the default, stored as None) derives the step from t
+        if not sec["T"] > 0.0 or (sec["dt"] is not None and not sec["dt"] > 0.0):
+            _fail(f"[{name}] needs t > 0 and dt >= 0, got t = {sec['T']!r}, dt = {sec['dt']!r}")
 
     csec = parser["convergence"] if "convergence" in parser else {}
     convergence = {

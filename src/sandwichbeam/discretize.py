@@ -28,10 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.linalg.blas import dsbmv
-from scipy.io import mmwrite
 
 VARIANT_STABILIZED = "stabilized_delayed"
 VARIANT_CONTROLLED = "controlled_conservative"
@@ -47,7 +45,6 @@ __all__ = [
     "SemiDiscreteSystem",
     "DiscreteState",
     "build_system",
-    "delay_energy_from_profiles",
     "hspace_norm",
     "export_matrices",
 ]
@@ -307,22 +304,6 @@ class DiscreteState:
         return DiscreteState(q=self.q.copy(), p=self.p.copy(), t=self.t)
 
 
-def delay_energy_from_profiles(profiles, taus, betas):
-    """Sum of (|beta_i|/2) * tau_i * int z_i^2 drho over the delayed channels.
-
-    ``profiles`` is a (3, m+1) array of z_i sampled at rho = 0..1; the rho
-    integral uses the composite trapezoid rule on those panels.
-    """
-    total = 0.0
-    for i in range(3):
-        b = betas[i]
-        if b == 0.0:
-            continue
-        z = np.asarray(profiles[i])
-        total += 0.5 * abs(b) * taus[i] * float(np.trapezoid(z * z, dx=1.0 / (len(z) - 1)))
-    return total
-
-
 def hspace_norm(state, sys_):
     """State-space norm sqrt(p'Mp + q'Kq) (no delay terms)."""
     return float(np.sqrt(2.0 * sys_.field_energy(state.q, state.p)))
@@ -333,6 +314,9 @@ def export_matrices(sys_, directory):
 
     K is written from the band's nonzeros, without the dense view."""
     import os
+
+    from scipy import sparse
+    from scipy.io import mmwrite
 
     os.makedirs(directory, exist_ok=True)
     row, col, val = sys_._lower_entries()

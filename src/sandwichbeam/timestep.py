@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .delayline import eval_delayed, push, z_profile
-from .discretize import KD, VARIANT_STABILIZED, DiscreteState, delay_energy_from_profiles
+from .delayline import delay_integrals, eval_delayed, push
+from .discretize import KD, VARIANT_STABILIZED, DiscreteState
 from .params import GainConfig
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "IntegrationError",
     "simulate",
 ]
-
-N_RHO_PANELS = 32
 
 
 class IntegrationError(RuntimeError):
@@ -86,7 +84,8 @@ class SimOutput:
     sample_times: np.ndarray = None
     states_q: np.ndarray = None
     states_p: np.ndarray = None
-    delay_profiles: np.ndarray = None
+    # per step and channel: int (1 - (t - s)/tau) y(s)^2 ds over the delay window
+    delay_tilts: np.ndarray = None
     ledger: dict = None
 
     @property
@@ -260,7 +259,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     Both variants take the same midpoint steps.  A controlled run may carry
     controls and records the boundary displacement traces.  A stabilized run
     may carry gains, delays, interior damping and trace histories, and
-    records the delayed traces, the delay profiles and the dissipation
+    records the delayed traces, the delay-window tilts and the dissipation
     ledger.  Arguments the variant has no use for raise ValueError.
     """
     n_steps = cfg.n_steps
@@ -294,10 +293,10 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     sample_at = {s: k for k, s in enumerate(slots)}
     states_q = np.empty((len(slots), sys_.ndof))
     states_p = np.empty((len(slots), sys_.ndof))
-    tr_disp = z_series = profiles = ledger = None
+    tr_disp = z_series = tilts = ledger = None
     if stabilized:
         z_series = np.zeros((n_steps + 1, 3))
-        profiles = np.zeros((len(slots), 3, N_RHO_PANELS + 1))
+        tilts = np.zeros((n_steps + 1, 3))
         ledger = {
             "t_mid": np.empty(n_steps),
             "a_mid": np.zeros((n_steps, 3)),
@@ -316,19 +315,18 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             tr_disp[n] = sys_.traces(q)
         if delayed:
             t = times[n]
-            prof = np.zeros((3, N_RHO_PANELS + 1))
+            delay_energy = 0.0
             for i in range(3):
                 if betas[i] != 0.0:
-                    prof[i] = z_profile(histories[i], i, t, delays, N_RHO_PANELS)
-            taus = [delays.tau(i, t) for i in range(3)]
-            energy[n] = field_energy[n] + delay_energy_from_profiles(prof, taus, betas)
-            z_series[n] = prof[:, -1]
+                    tau = delays.tau(i, t)
+                    window, tilts[n, i] = delay_integrals(histories[i], t, tau)
+                    delay_energy += 0.5 * abs(betas[i]) * window
+                    z_series[n, i] = histories[i].interpolate(t - tau)[0]
+            energy[n] = field_energy[n] + delay_energy
         k = sample_at.get(n)
         if k is not None:
             states_q[k] = q
             states_p[k] = v
-            if delayed:
-                profiles[k] = prof
 
     record(0)
     channels = sys_.channel_index
@@ -374,6 +372,6 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
         sample_times=times[slots],
         states_q=states_q,
         states_p=states_p,
-        delay_profiles=profiles,
+        delay_tilts=tilts,
         ledger=ledger,
     )

@@ -17,7 +17,7 @@ from sandwichbeam.decay import (
     check_trace_estimates,
     lyapunov_trace,
 )
-from sandwichbeam.delayline import eval_delayed, init_history, push, z_profile
+from sandwichbeam.delayline import eval_delayed, init_history, push
 from sandwichbeam.discretize import (
     VARIANT_CONTROLLED,
     VARIANT_STABILIZED,
@@ -168,7 +168,7 @@ def test_criterion_04_theoretical_bound_and_equivalence():
     rates = select_mus(UNIT, delays, damping, gains)
     resid = check_dissipation_identity(out, UNIT, gains, delays, damping)
     report = check_theoretical_bound(out, rates, window=(2.0, 9.0), dissipation_residual=resid)
-    lyap = lyapunov_trace(out, sys_, rates, delays, gains)
+    lyap = lyapunov_trace(out, sys_, rates, gains)
     idx = np.searchsorted(out.times, out.sample_times)
     energy = out.energy[idx]
     cushion = 1e-9 * np.maximum(energy, 1e-300)
@@ -186,14 +186,14 @@ def test_criterion_04_theoretical_bound_and_equivalence():
 
 
 def test_criterion_05_delay_fidelity():
-    # linear history in linear mode is exact
+    # linear history with exact slopes is exact
     delays = DelaySpec.constant(0.3)
-    hist = init_history(0, lambda s: 2.0 * s + 1.0, 0.3, retention=np.inf, interp="linear")
+    hist = init_history(0, lambda s: 2.0 * s + 1.0, 0.3, retention=np.inf)
     t = 0.0
     worst = 0.0
     for k in range(1, 60):
         t = 0.01 * k
-        push(hist, t, 2.0 * t + 1.0)
+        push(hist, t, 2.0 * t + 1.0, 2.0)
         got = eval_delayed(hist, 0, t, delays)
         worst = max(worst, abs(got - (2.0 * (t - 0.3) + 1.0)))
     exact = worst <= 1e-14
@@ -206,13 +206,13 @@ def test_criterion_05_delay_fidelity():
     slope = lambda s: 2.0 * math.cos(2.0 * s) - 1.5 * math.sin(5.0 * s)
 
     def residual(dt):
-        h = init_history(0, trace, tdel.tau(0, 0.0), retention=10.0, interp="hermite")
+        h = init_history(0, trace, tdel.tau(0, 0.0), retention=10.0)
         s = 0.0
         while s < 3.0:
             s += dt
             push(h, s, trace(s), slope=slope(s))
         rho = np.linspace(0.0, 1.0, 65)
-        prof = {d: z_profile(h, 0, 2.0 + d * dt, tdel, 64) for d in (-1, 0, 1)}
+        prof = {d: h.interpolate(2.0 + d * dt - tdel.tau(0, 2.0 + d * dt) * rho) for d in (-1, 0, 1)}
         z_t = (prof[1] - prof[-1]) / (2.0 * dt)
         z_rho = np.gradient(prof[0], 1.0 / 64)
         res = tdel.tau(0, 2.0) * z_t + (1.0 - tdel.dtau(0, 2.0) * rho) * z_rho

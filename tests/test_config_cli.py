@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +129,40 @@ def test_unknown_key_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["validate", "--config", path, "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[hum]\nt = 4.0", "[hum]\nt = 0"),
+        ("[hum]\nt = 4.0", "[hum]\nt = -1.0"),
+        ("dt = 0.0125", "dt = -0.1"),
+        ("[observability]\nt = 2.0", "[observability]\nt = 0"),
+        ("[observability]\nt = 2.0", "[observability]\nt = 2.0\ndt = -0.1"),
+    ],
+)
+def test_nonpositive_hum_and_observability_horizon_is_config_error(tmp_path, old, new):
+    assert CONTROLLED_DOC.count(old) == 1
+    path = write_doc(tmp_path, CONTROLLED_DOC.replace(old, new))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    for command in ("hum", "observability"):
+        assert main([command, "--config", path, "--quiet"]) == 2
+
+
+def test_cli_import_leaves_sparse_and_io_unloaded():
+    # scipy.sparse and scipy.io serve only export_matrices, which imports them
+    code = (
+        "import sys, sandwichbeam.cli; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.io') if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_unknown_section_is_config_error(tmp_path):

@@ -8,7 +8,8 @@ from sandwichbeam.decay import (
     fit_decay_rate,
     lyapunov_trace,
 )
-from sandwichbeam.discretize import Grid1D, VARIANT_STABILIZED, build_system, delay_energy_from_profiles
+from sandwichbeam.delayline import TraceHistory, delay_integrals, push
+from sandwichbeam.discretize import Grid1D, VARIANT_STABILIZED, build_system
 from sandwichbeam.hypotheses import TheoreticalRates, compute_mu4, compute_zeta, select_mus
 from sandwichbeam.params import DampingSpec, DelaySpec, GainConfig, SinusoidalDelay
 from sandwichbeam.presets import make_histories, random_smooth_state, zero_state
@@ -112,25 +113,30 @@ def test_lyapunov_trace_zero_and_velocity_free():
         st, sys_, SchemeConfig(dt=0.02, T=0.2),
         gains=gains, delays=delays, damping=damping, histories=hist,
     )
-    L = lyapunov_trace(out, sys_, rates, delays, gains)
+    L = lyapunov_trace(out, sys_, rates, gains)
     assert np.all(L == 0.0)
 
 
 def test_lyapunov_equivalence_random_states():
-    # algebraic check on arbitrary states and delay profiles: the functional
-    # stays within (1 -+ mu4) of the energy computed with shared quadratures
+    # algebraic check on arbitrary states and random Hermite histories: the
+    # functional stays within (1 -+ mu4) of the energy built from the same
+    # delay-window integrals
     p, sys_, delays, damping, gains = crit3_setup(16)
     rates = select_mus(p, delays, damping, gains)
     rng = np.random.default_rng(8)
-    rho = np.linspace(0.0, 1.0, 33)
     for _ in range(50):
         q = block_draw(rng, sys_)
         v = block_draw(rng, sys_)
-        profiles = rng.standard_normal((3, 33))
         t = rng.uniform(0.0, 5.0)
         taus = [delays.tau(i, t) for i in range(3)]
+        windows = []
+        for i in range(3):
+            hist = TraceHistory(i, retention=np.inf)
+            for s, y, m in zip(np.linspace(t - taus[i], t, 33), *rng.standard_normal((2, 33))):
+                push(hist, s, y, m)
+            windows.append(delay_integrals(hist, t, taus[i]))
         e_field = 0.5 * (np.dot(v, sys_.M * v) + q @ sys_.K @ q)
-        e = e_field + delay_energy_from_profiles(profiles, taus, gains.betas)
+        e = e_field + sum(0.5 * abs(b) * i0 for b, (i0, _) in zip(gains.betas, windows))
         cross = 0.0
         for m, name in zip(p.mass_coefficients, ("u", "v", "w")):
             blk = sys_.block(name)
@@ -140,10 +146,7 @@ def test_lyapunov_equivalence_random_states():
             b = gains.betas[i]
             if b == 0.0:
                 continue
-            z = profiles[i]
-            tilt += rates.mus[i + 1] * 0.5 * abs(b) * taus[i] * float(
-                np.trapezoid((1.0 - rho) * z * z, rho)
-            )
+            tilt += rates.mus[i + 1] * 0.5 * abs(b) * windows[i][1]
         L = e + rates.mu0 * cross + tilt
         assert (1.0 - rates.mu4) * e - 1e-12 <= L <= (1.0 + rates.mu4) * e + 1e-12
 
@@ -151,7 +154,7 @@ def test_lyapunov_equivalence_random_states():
 def test_lyapunov_equivalence_along_run():
     p, sys_, delays, damping, gains, out = run_crit3(dt=0.02, T=6.0, N=32)
     rates = select_mus(p, delays, damping, gains)
-    L = lyapunov_trace(out, sys_, rates, delays, gains)
+    L = lyapunov_trace(out, sys_, rates, gains)
     idx = np.searchsorted(out.times, out.sample_times)
     E = out.energy[idx]
     cushion = 1e-9 * np.maximum(E, 1e-300)

@@ -1,16 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from sandwichbeam.delayline import (
     LookupBeforeHistory,
     TraceHistory,
-    dump_history_csv,
+    delay_integrals,
     eval_delayed,
     init_history,
     push,
-    z_profile,
 )
 from sandwichbeam.params import ConstantDelay, DelaySpec, SinusoidalDelay
 
@@ -18,58 +20,42 @@ from sandwichbeam.params import ConstantDelay, DelaySpec, SinusoidalDelay
 def test_init_history_zero_and_linear():
     h = init_history(0, lambda s: 0.0, 0.5)
     assert np.all(h.values == 0.0)
-    h = init_history(0, lambda s: s, 0.5, interp="linear")
+    h = init_history(0, lambda s: s, 0.5)
     assert h.interpolate(-0.25)[0] == pytest.approx(-0.25, abs=1e-14)
     with pytest.raises(ValueError):
         init_history(0, lambda s: 0.0, 0.0)
 
 
-def test_init_history_sine_interpolation_error_bound():
-    tau = 0.8
-    h = init_history(0, math.sin, tau, interp="linear")
-    thetas = np.linspace(-tau, 0.0, 1117)
-    err = np.max(np.abs(h.interpolate(thetas) - np.sin(thetas)))
-    # composite linear interpolation: |f''|/8 * spacing^2
-    assert err <= 0.13 * (tau / 63) ** 2 + 1e-15
-
-
 def test_push_monotone_and_eval_at_push():
-    h = init_history(0, lambda s: 1.0, 0.2, interp="linear")
-    push(h, 0.1, 3.0)
+    h = init_history(0, lambda s: 1.0, 0.2)
+    push(h, 0.1, 3.0, 0.0)
     assert h.interpolate(0.1)[0] == 3.0
     with pytest.raises(ValueError):
-        push(h, 0.1, 4.0)
+        push(h, 0.1, 4.0, 0.0)
     with pytest.raises(ValueError):
-        push(h, 0.05, 4.0)
-
-
-def test_two_pushes_linear_midpoint_average():
-    h = init_history(0, lambda s: 0.0, 0.2, interp="linear")
-    push(h, 0.1, 2.0)
-    push(h, 0.2, 4.0)
-    assert h.interpolate(0.15)[0] == pytest.approx(3.0)
+        push(h, 0.05, 4.0, 0.0)
 
 
 def test_hermite_needs_slope():
-    h = init_history(0, lambda s: 0.0, 0.2, interp="hermite")
-    with pytest.raises(ValueError):
+    h = init_history(0, lambda s: 0.0, 0.2)
+    with pytest.raises(TypeError):
         push(h, 0.1, 1.0)
     push(h, 0.1, 1.0, slope=0.0)
 
 
 def test_eval_delayed_constant_and_linear_exact():
     delays = DelaySpec.constant(0.3)
-    h = init_history(0, lambda s: 5.0, 0.3, interp="linear")
+    h = init_history(0, lambda s: 5.0, 0.3)
     for t, v in ((0.05, 5.0), (0.1, 5.0)):
-        push(h, t, v)
+        push(h, t, v, 0.0)
     assert eval_delayed(h, 0, 0.05, delays) == pytest.approx(5.0)
 
-    h = init_history(1, lambda s: s, 0.3, retention=np.inf, interp="linear")
+    h = init_history(1, lambda s: s, 0.3, retention=np.inf)
     t = 0.0
     for k in range(1, 40):
         t = 0.01 * k
-        push(h, t, t)
-    # linear history, linear mode: exact to roundoff
+        push(h, t, t, 1.0)
+    # linear history with exact slopes: exact to roundoff
     for t_eval in (0.05, 0.17, 0.33):
         got = eval_delayed(h, 1, t_eval, delays)
         assert abs(got - (t_eval - 0.3)) <= 1e-14
@@ -79,11 +65,11 @@ def test_eval_delayed_sine_second_order():
     delays = DelaySpec.constant(0.4)
     errs = []
     for dt in (0.02, 0.01):
-        h = init_history(0, math.sin, 0.4, retention=np.inf, interp="linear")
+        h = init_history(0, math.sin, 0.4, retention=np.inf)
         t = 0.0
         while t < 1.0:
             t += dt
-            push(h, t, math.sin(t))
+            push(h, t, math.sin(t), math.cos(t))
         err = 0.0
         for t_eval in np.linspace(0.5, 1.0, 101):
             err = max(err, abs(eval_delayed(h, 0, t_eval, delays) - math.sin(t_eval - 0.4)))
@@ -92,34 +78,17 @@ def test_eval_delayed_sine_second_order():
     assert errs[0] / errs[1] > 3.0
 
 
-def test_hermite_beats_linear_on_smooth_data():
-    delays = DelaySpec.constant(0.4)
-    errors = {}
-    for mode in ("linear", "hermite"):
-        h = init_history(0, math.sin, 0.4, retention=np.inf, interp=mode)
-        t = 0.0
-        while t < 1.0:
-            t += 0.02
-            push(h, t, math.sin(t), slope=math.cos(t))
-        err = max(
-            abs(eval_delayed(h, 0, te, delays) - math.sin(te - 0.4))
-            for te in np.linspace(0.5, 1.0, 101)
-        )
-        errors[mode] = err
-    assert errors["hermite"] < errors["linear"] / 50.0
-
-
 def test_monotone_theta_assertion():
     delays = DelaySpec.constant(0.3)
-    h = init_history(0, lambda s: 0.0, 0.3, interp="linear")
-    push(h, 0.2, 1.0)
+    h = init_history(0, lambda s: 0.0, 0.3)
+    push(h, 0.2, 1.0, 0.0)
     eval_delayed(h, 0, 0.2, delays)
     with pytest.raises(AssertionError):
         eval_delayed(h, 0, 0.1, delays)
 
 
 def test_lookup_before_history_raises():
-    h = init_history(0, lambda s: 0.0, 0.2, interp="linear")
+    h = init_history(0, lambda s: 0.0, 0.2)
     with pytest.raises(LookupBeforeHistory):
         h.interpolate(-0.5)
     with pytest.raises(LookupBeforeHistory):
@@ -128,38 +97,37 @@ def test_lookup_before_history_raises():
 
 def test_z_profile_at_zero_matches_initial_function():
     tau0 = 0.6
-    h = init_history(2, lambda s: math.cos(3.0 * s), tau0, interp="linear")
-    delays = DelaySpec.constant(tau0)
-    prof = z_profile(h, 2, 0.0, delays, 16)
+    h = init_history(2, lambda s: math.cos(3.0 * s), tau0)
     rho = np.linspace(0.0, 1.0, 17)
+    prof = h.interpolate(0.0 - tau0 * rho)
     assert np.max(np.abs(prof - np.cos(3.0 * (-tau0 * rho)))) < 2e-4
     # rho = 0 entry equals the newest pushed value exactly
-    push(h, 0.05, 7.5, slope=None if h.interp == "linear" else 0.0)
-    prof = z_profile(h, 2, 0.05, delays, 8)
+    push(h, 0.05, 7.5, 0.0)
+    prof = h.interpolate(0.05 - tau0 * np.linspace(0.0, 1.0, 9))
     assert prof[0] == 7.5
 
 
 def test_constant_trace_constant_profile():
-    h = init_history(0, lambda s: 2.5, 0.3, interp="linear")
+    h = init_history(0, lambda s: 2.5, 0.3)
     t = 0.0
     for k in range(1, 30):
         t = 0.02 * k
-        push(h, t, 2.5)
-    delays = DelaySpec.constant(0.3)
-    prof = z_profile(h, 0, t, delays, 32)
-    assert np.max(np.abs(prof - 2.5)) == 0.0
+        push(h, t, 2.5, 0.0)
+    prof = h.interpolate(t - 0.3 * np.linspace(0.0, 1.0, 33))
+    # the Hermite sum of four basis terms may round the constant by one ulp
+    assert np.max(np.abs(prof - 2.5)) <= np.spacing(2.5)
 
 
 def test_eviction_preserves_reachable_lookups():
     delays = DelaySpec((SinusoidalDelay(0.3, 0.1, 2.0),) * 3)
-    hist_evict = init_history(0, math.sin, delays.tau(0, 0.0), retention=delays.cap(0), interp="linear")
-    hist_keep = init_history(0, math.sin, delays.tau(0, 0.0), retention=np.inf, interp="linear")
+    hist_evict = init_history(0, math.sin, delays.tau(0, 0.0), retention=delays.cap(0))
+    hist_keep = init_history(0, math.sin, delays.tau(0, 0.0), retention=np.inf)
     t = 0.0
     vals_evict, vals_keep = [], []
     for k in range(1, 400):
         t = 0.01 * k
-        push(hist_evict, t, math.sin(t))
-        push(hist_keep, t, math.sin(t))
+        push(hist_evict, t, math.sin(t), math.cos(t))
+        push(hist_keep, t, math.sin(t), math.cos(t))
         theta = t - delays.tau(0, t)
         vals_evict.append(hist_evict.interpolate(theta)[0])
         vals_keep.append(hist_keep.interpolate(theta)[0])
@@ -175,7 +143,7 @@ def test_transport_equation_residual_second_order():
     slope = lambda t: 2.0 * math.cos(2.0 * t) - 1.5 * math.sin(5.0 * t)
 
     def residual(dt_hist, n_panels=64):
-        h = init_history(0, trace, delays.tau(0, 0.0), retention=10.0, interp="hermite")
+        h = init_history(0, trace, delays.tau(0, 0.0), retention=10.0)
         t = 0.0
         while t < 3.0:
             t += dt_hist
@@ -183,7 +151,10 @@ def test_transport_equation_residual_second_order():
         t0 = 2.0
         drho = 1.0 / n_panels
         rho = np.linspace(0.0, 1.0, n_panels + 1)
-        prof = {s: z_profile(h, 0, t0 + s * dt_hist, delays, n_panels) for s in (-1, 0, 1)}
+        prof = {
+            s: h.interpolate(t0 + s * dt_hist - delays.tau(0, t0 + s * dt_hist) * rho)
+            for s in (-1, 0, 1)
+        }
         z_t = (prof[1] - prof[-1]) / (2.0 * dt_hist)
         z_rho = np.gradient(prof[0], drho)
         res = delays.tau(0, t0) * z_t + (1.0 - delays.dtau(0, t0) * rho) * z_rho
@@ -194,10 +165,54 @@ def test_transport_equation_residual_second_order():
     assert 3.0 <= r2 / r3 <= 5.0, (r2, r3)
 
 
-def test_history_csv_dump(tmp_path):
-    h = init_history(0, lambda s: 1.0, 0.1, interp="linear")
-    push(h, 0.05, 2.0)
-    path = dump_history_csv(h, str(tmp_path / "ch0.csv"))
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "t,value,slope"
-    assert len(lines) == len(h) + 1
+def _cubic_integrals(c, a, b, theta, tau):
+    """Exact int_a^b p^2 ds and int_a^b (s - theta)/tau p^2 ds for the cubic
+    with coefficients c (rational arithmetic on the float inputs)."""
+    sq = [sum(c[i] * c[k - i] for i in range(max(0, k - 3), min(k, 3) + 1)) for k in range(7)]
+
+    def moment(x, extra):
+        return sum(q * x ** (k + 1 + extra) / (k + 1 + extra) for k, q in enumerate(sq))
+
+    a, b, theta, tau = (Fraction(v) for v in (a, b, theta, tau))
+    i0 = moment(b, 0) - moment(a, 0)
+    i1 = (moment(b, 1) - moment(a, 1) - theta * i0) / tau
+    return i0, i1
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=hs.integers(0, 2**32 - 1), case=hs.sampled_from(["initial", "tail", "compacted"]))
+def test_delay_integrals_exact_on_cubic_histories(seed, case):
+    # a cubic trace pushed with exact slopes is its own Hermite interpolant,
+    # so both window integrals must match the closed form to roundoff
+    rng = np.random.default_rng(seed)
+    c = [Fraction(x) for x in rng.uniform(-2.0, 2.0, 4)]
+    p = lambda s: c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+    dp = lambda s: c[1] + s * (2 * c[2] + s * 3 * c[3])
+    compacted = case == "compacted"
+    n_push = 1500 if compacted else int(rng.integers(8, 60))
+    gaps = rng.uniform(0.002, 0.01, n_push) if compacted else rng.uniform(0.01, 0.2, n_push)
+    times = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
+    h = TraceHistory(0, retention=0.2 if compacted else np.inf)
+    for t in times:
+        push(h, t, float(p(Fraction(t))), float(dp(Fraction(t))))
+    ts = h.times
+    if compacted:
+        # samples were evicted, and the buffer compacted at least once
+        assert len(h) < n_push and h._n < n_push
+    # windows end at the newest sample, or past it in the constant tail
+    h.extension = ts[-1] - ts[-2]
+    t = ts[-1] + (rng.uniform(0.0, 1.0) * h.extension if case == "tail" else 0.0)
+    if case == "initial":
+        theta = ts[0] + rng.uniform(0.0, 1.0) * (ts[1] - ts[0])
+    else:
+        theta = rng.uniform(ts[0], ts[-1])
+    tau = t - theta
+    theta = t - tau  # the window start as the history rounds it
+    i0, i1 = delay_integrals(h, t, tau)
+    ref0, ref1 = _cubic_integrals(c, theta, ts[-1], theta, tau)
+    y2 = Fraction(h.last_value) ** 2
+    span = Fraction(t) - Fraction(ts[-1])
+    ref0 += y2 * span
+    ref1 += y2 * span * (Fraction(t) + Fraction(ts[-1]) - 2 * Fraction(theta)) / 2 / Fraction(tau)
+    assert abs(i0 - float(ref0)) <= 1e-12 * float(ref0)
+    assert abs(i1 - float(ref1)) <= 1e-12 * float(ref1)

@@ -11,10 +11,10 @@ from sandwichbeam.discretize import (
     DiscreteState,
     Grid1D,
     build_system,
-    delay_energy_from_profiles,
     export_matrices,
     hspace_norm,
 )
+from sandwichbeam.delayline import delay_integrals, init_history
 from sandwichbeam.presets import state_from_functions
 
 from test_params import unit_params
@@ -189,11 +189,12 @@ def test_energy_zero_state_and_constant_history():
     sys_ = build_system(Grid1D(N=16, L=1.0), p, VARIANT_STABILIZED)
     st = DiscreteState(q=np.zeros(sys_.ndof), p=np.zeros(sys_.ndof))
     assert sys_.field_energy(st.q, st.p) == 0.0
-    # constant profile z = c on one delayed channel: (|b|/2)*tau*c^2
-    profiles = np.zeros((3, 33))
-    profiles[0, :] = 2.0
-    val = delay_energy_from_profiles(profiles, taus=(0.4, 1.0, 1.0), betas=(-0.3, 0.0, 0.0))
-    assert val == pytest.approx(0.5 * 0.3 * 0.4 * 4.0)
+    # constant history c on one delayed channel: I0 = tau*c^2, I1 = tau*c^2/2,
+    # so the delay energy is (|b|/2)*tau*c^2
+    i0, i1 = delay_integrals(init_history(0, lambda s: 2.0, 0.4), 0.0, 0.4)
+    assert 0.5 * abs(-0.3) * i0 == pytest.approx(0.5 * 0.3 * 0.4 * 4.0)
+    assert i0 == pytest.approx(0.4 * 4.0)
+    assert i1 == pytest.approx(0.5 * 0.4 * 4.0)
 
 
 def test_hspace_norm_properties_and_dense_oracle():
