@@ -45,6 +45,7 @@ from .delayline import (
     init_history,
     push,
     eval_delayed,
+    delay_window,
     delay_integrals,
 )
 from .timestep import (

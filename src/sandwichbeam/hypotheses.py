@@ -59,7 +59,7 @@ class BoundaryQuadForm:
 def phi_matrix(i, d, params, gains):
     """Boundary dissipation form of channel i for an actual delay slope d < 1.
 
-    d = tau'(t) is negative while the delay shrinks.
+    d = tau'(t), negative while the delay shrinks, may be an array of slopes.
 
     Entries: [[-2*C_i*alpha_i + |beta_i|, -C_i*beta_i],
               [-C_i*beta_i,               |beta_i|*(d - 1)]]
@@ -67,8 +67,8 @@ def phi_matrix(i, d, params, gains):
     """
     if i not in (1, 2, 3):
         raise ValueError(f"channel must be 1, 2 or 3, got {i!r}")
-    if not d < 1.0:
-        raise ValueError(f"delay slope d must be < 1, got {d!r}")
+    if not np.all(np.less(d, 1.0)):
+        raise ValueError(f"delay slope d must be < 1, got max {float(np.max(d))!r}")
     c = params.boundary_stiffness[i - 1]
     a = gains.alphas[i - 1]
     b = gains.betas[i - 1]

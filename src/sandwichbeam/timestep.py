@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .delayline import delay_integrals, eval_delayed, push
+from .delayline import delay_window, eval_delayed, push
 from .discretize import KD, VARIANT_STABILIZED, DiscreteState
 from .params import GainConfig
 
@@ -152,6 +152,7 @@ class _Stepper:
         coeff = sys_.channel_coeff
         self.feedback_diag[sys_.channel_index] = cs * gains.alphas * coeff * coeff
         self.cdiag = None
+        self._scaled_band = (0.25 * dt * dt) * sys_.band
         self._a_values = None
         self._factor = None
 
@@ -165,7 +166,7 @@ class _Stepper:
         cdiag = self.feedback_diag.copy()
         if any(a != 0.0 for a in a_values):
             cdiag += sys_.damping_diagonal(a_values)
-        ab = (0.25 * dt * dt) * sys_.band
+        ab = self._scaled_band.copy()
         ab[0] += sys_.M + 0.5 * dt * cdiag
         if not np.all(np.isfinite(ab)):
             raise IntegrationError("non-finite effective matrix")
@@ -319,9 +320,8 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             for i in range(3):
                 if betas[i] != 0.0:
                     tau = delays.tau(i, t)
-                    window, tilts[n, i] = delay_integrals(histories[i], t, tau)
+                    window, tilts[n, i], z_series[n, i] = delay_window(histories[i], t, tau)
                     delay_energy += 0.5 * abs(betas[i]) * window
-                    z_series[n, i] = histories[i].interpolate(t - tau)[0]
             energy[n] = field_energy[n] + delay_energy
         k = sample_at.get(n)
         if k is not None:

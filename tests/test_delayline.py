@@ -198,7 +198,7 @@ def test_delay_integrals_exact_on_cubic_histories(seed, case):
     ts = h.times
     if compacted:
         # samples were evicted, and the buffer compacted at least once
-        assert len(h) < n_push and h._n < n_push
+        assert len(h) < n_push and len(h._t) < n_push
     # windows end at the newest sample, or past it in the constant tail
     h.extension = ts[-1] - ts[-2]
     t = ts[-1] + (rng.uniform(0.0, 1.0) * h.extension if case == "tail" else 0.0)
@@ -216,3 +216,54 @@ def test_delay_integrals_exact_on_cubic_histories(seed, case):
     ref1 += y2 * span * (Fraction(t) + Fraction(ts[-1]) - 2 * Fraction(theta)) / 2 / Fraction(tau)
     assert abs(i0 - float(ref0)) <= 1e-12 * float(ref0)
     assert abs(i1 - float(ref1)) <= 1e-12 * float(ref1)
+
+
+def _reference_value(ts, ys, ms, theta):
+    """The Hermite lookup rebuilt on numpy: searchsorted segment, clipped s."""
+    if theta >= ts[-1]:
+        return ys[-1]
+    k = min(max(int(np.searchsorted(ts, theta, side="right")) - 1, 0), len(ts) - 2)
+    h = ts[k + 1] - ts[k]
+    s = min(max((theta - ts[k]) / h, 0.0), 1.0)
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * ys[k]
+        + (s3 - 2.0 * s2 + s) * h * ms[k]
+        + (-2.0 * s3 + 3.0 * s2) * ys[k + 1]
+        + (s3 - s2) * h * ms[k + 1]
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=hs.integers(0, 2**32 - 1))
+def test_lookups_match_searchsorted_reference_after_compaction(seed):
+    # random samples under finite retention: the history evicts and compacts,
+    # and every lookup still equals the searchsorted reference on what it kept
+    rng = np.random.default_rng(seed)
+    n_push = int(rng.integers(200, 600))
+    times = np.cumsum(rng.uniform(0.001, 0.02, n_push))
+    ys, ms = rng.standard_normal((2, n_push))
+    h = TraceHistory(0, retention=float(rng.uniform(0.05, 0.3)), extension=0.01)
+    for t, y, m in zip(times, ys, ms):
+        push(h, float(t), float(y), float(m))
+    assert len(h) < n_push and len(h._t) < n_push
+    kept = slice(n_push - len(h), n_push)
+    ts, ys, ms = times[kept], ys[kept], ms[kept]
+    np.testing.assert_array_equal(h.times, ts)
+    thetas = rng.uniform(ts[0], ts[-1] + h.extension, 50)
+    thetas[:3] = ts[0], ts[-1], ts[int(rng.integers(1, len(ts) - 1))]
+    ref = np.array([_reference_value(ts, ys, ms, theta) for theta in thetas])
+    got = h.interpolate(thetas)
+    assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+    for theta, r in zip(thetas, ref):
+        assert abs(h.value_at(float(theta)) - r) <= np.spacing(abs(r))
+    # both sides of the retained span are checked, the window end included
+    with pytest.raises(LookupBeforeHistory):
+        h.value_at(ts[0] - 1e-6)
+    with pytest.raises(LookupBeforeHistory):
+        h.value_at(ts[-1] + h.extension + 1e-6)
+    with pytest.raises(LookupBeforeHistory):
+        delay_integrals(h, ts[-1] + h.extension + 1e-6, 0.5 * (ts[-1] - ts[0]))
+    with pytest.raises(ValueError):
+        delay_integrals(h, ts[-1] - 1e-6, 0.5 * (ts[-1] - ts[0]))
