@@ -291,7 +291,7 @@ def cmd_hum(cfg, args):
     except IntegrationError as exc:
         _say(args, f"control synthesis failed: {exc}")
         return EXIT_SOLVER
-    tgrid = dt * np.arange(sol.controls.shape[0])
+    tgrid = sol.dt * np.arange(sol.controls.shape[0])
     csv_path = _write_csv(
         os.path.join(cfg.outdir, "controls.csv"),
         ["t", "f1", "f2", "f3"],
@@ -311,7 +311,9 @@ def cmd_hum(cfg, args):
         "control_cost": sol.control_cost,
         "rayleigh": {"min": sol.min_rayleigh, "max": sol.max_rayleigh},
         "T": T,
-        "dt": dt,
+        # the step taken, which differs from the requested dt when it does
+        # not divide T
+        "dt": sol.dt,
     }
     man_path = _write_json(os.path.join(cfg.outdir, "hum.json"), _manifest(cfg, payload))
     _say(
@@ -332,15 +334,15 @@ def cmd_observability(cfg, args):
     if not 1 <= cutoff <= sys_.ndof:
         raise ConfigError(f"observability cutoff must be in [1, {sys_.ndof}], got {cutoff}")
     T = cfg.observability["T"]
-    dt = cfg.observability["dt"] or T / (16 * cfg.n)
-    qmin, unfiltered, qmax = observability(sys_, _endpoint_scheme(dt, T), cutoff=cutoff)
+    scheme = _endpoint_scheme(cfg.observability["dt"] or T / (16 * cfg.n), T)
+    qmin, unfiltered, qmax = observability(sys_, scheme, cutoff=cutoff)
     payload = {
         "min_rayleigh": qmin,
         "unfiltered_min": unfiltered,
         "max_rayleigh": qmax,
         "cutoff": cutoff,
         "T": T,
-        "dt": dt,
+        "dt": scheme.step,
         "observable": qmin > 0.0,
     }
     path = _write_json(os.path.join(cfg.outdir, "observability.json"), _manifest(cfg, payload))

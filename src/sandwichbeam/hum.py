@@ -13,19 +13,22 @@ holds to roundoff and the Gramian G (x'Gx = weighted observation norm of
 the adjoint solution from terminal datum x) is symmetric positive
 semidefinite by construction.
 
-G is assembled in closed form.  The midpoint Newmark step advances every
-mode of (K, M) by an exact rotation of angle 2*arctan(omega*dt/2), and the
-rigid mode (omega = 0) by q + dt*p, so the midpoint traces of every modal
-datum are cosine and sine tables and G is their Gram matrix, mapped back
-to the state through phi'M.  It is numerically singular: the top bending
-modes and the spurious wave-branch modes of the grid are almost invisible
-at the boundary, as for every finite-difference scheme of this kind
-(Infante-Zuazua 1999; Ervedoza-Zheng-Zuazua 2008).  ``observability``
-therefore reports the exact constant on a fixed class of low modes beside
-the unfiltered spectrum, and ``compute_null_control`` solves in the
-eigenbasis, dropping the least observable directions only as far as the
-residual tolerance allows.  The right side, the controls and their
-verification still run through the Newmark loop.
+The unforced midpoint Newmark step advances every mode of (K, M) by an
+exact rotation of angle 2*arctan(omega*dt/2), and the rigid mode
+(omega = 0) by q + dt*p.  One modal propagator turns this into closed
+forms for everything HUM needs of the unforced system: the free state at
+T (the right side), the adjoint traces from the solved terminal datum (the
+controls), and the midpoint traces of every modal datum, whose Gram matrix
+mapped back to the state through phi'M is G.  G is numerically singular:
+the top bending modes and the spurious wave-branch modes of the grid are
+almost invisible at the boundary, as for every finite-difference scheme of
+this kind (Infante-Zuazua 1999; Ervedoza-Zheng-Zuazua 2008).
+``observability`` therefore reports the exact constant on a fixed class of
+low modes beside the unfiltered spectrum, and ``compute_null_control``
+solves in the eigenbasis, dropping the least observable directions only as
+far as the residual tolerance allows.  Only the verification, the forward
+run under the synthesized controls, is stepped through the Newmark loop;
+``solve_adjoint`` stays as the stepped reference of the closed forms.
 
 The displacement part of the state product q'Kq is blind to a constant
 transverse shift (the controlled variant has no essential condition on w
@@ -45,7 +48,7 @@ from scipy.linalg import block_diag, cho_factor, cho_solve, eigh
 from .discretize import VARIANT_CONTROLLED, DiscreteState, hspace_norm
 from .timestep import simulate
 
-# steps per block of the cosine/sine tables in ``gramian``
+# steps per block of the cosine/sine tables of ``_ModalPropagator``
 _STEP_BLOCK = 64
 
 __all__ = [
@@ -174,54 +177,104 @@ def solve_adjoint(terminal, T, sys_, cfg):
     return out, obs, w0
 
 
+class _ModalPropagator:
+    """The midpoint Newmark steps of ``cfg`` in the modes of (K, M), in closed form.
+
+    In modal coordinates (a, b) = (phi'M q, phi'M p) one step turns every
+    mode by the exact angle theta = 2*arctan(omega*dt/2) in the plane of
+    (omega*a, b), and moves the rigid mode (omega = 0) by a + dt*b.
+    """
+
+    def __init__(self, sys_, cfg):
+        self.n_steps = cfg.n_steps
+        self.dt = cfg.step
+        omega_sq, self.phi = sys_.modes
+        self.omega = np.sqrt(np.maximum(omega_sq, 0.0))
+        self.theta = 2.0 * np.arctan(0.5 * self.dt * self.omega)
+        # theta / omega, which tends to dt on the rigid mode
+        self._theta_per_omega = np.divide(
+            self.theta, self.omega, out=np.full_like(self.omega, self.dt), where=self.omega > 0.0
+        )
+        self.to_modal = self.phi.T * sys_.M
+        # the three boundary channels of every mode
+        self.traces = sys_.channel_coeff[:, None] * self.phi[sys_.channel_index]
+
+    def __call__(self, m):
+        """cos(m theta) and sin(m theta)/omega after m steps, for a number or
+        a column of step counts; the second is m*dt on the rigid mode."""
+        angle = m * self.theta
+        return np.cos(angle), (m * self._theta_per_omega) * np.sinc(angle / np.pi)
+
+    def free_state(self, initial):
+        """The state the unforced run from ``initial`` reaches at T."""
+        a = self.to_modal @ initial.q
+        b = self.to_modal @ initial.p
+        cos, sin = self(self.n_steps)
+        q = self.phi @ (cos * a + sin * b)
+        p = self.phi @ (cos * b - self.omega * self.omega * sin * a)
+        return DiscreteState(q=q, p=p, t=self.n_steps * self.dt)
+
+    def adjoint_traces(self, terminal):
+        """The observation series of ``solve_adjoint`` from ``terminal``.
+
+        The adjoint is the run from (q_T, -p_T) reversed in time, so row k
+        holds the displacement traces after n_steps - k of its steps.  The
+        tables are built in blocks of steps, so the memory beside the
+        (n_steps + 1, 3) result stays O(block * n) whatever the horizon.
+        """
+        a = self.to_modal @ terminal.q
+        b = -(self.to_modal @ terminal.p)
+        series = np.empty((self.n_steps + 1, 3))
+        for start in range(0, self.n_steps + 1, _STEP_BLOCK):
+            rows = np.arange(start, min(start + _STEP_BLOCK, self.n_steps + 1))
+            cos, sin = self((self.n_steps - rows)[:, None])
+            series[rows] = (cos * a + sin * b) @ self.traces.T
+        return series
+
+
 def gramian(sys_, cfg):
     """Gramian G on packed terminal data: x'Gx is the observation norm of
     ``solve_adjoint`` from x, for the steps of ``cfg``.
 
     In modal coordinates (a, b) = (phi'M q, phi'M p) of the terminal datum,
     the midpoint traces of step n of the reversed run are the channel rows
-    of phi times C[n]*a - S[n]*b, with C = cos((n+1/2)theta) cos(theta/2)
-    and S = sin((n+1/2)theta) cos(theta/2) / omega.  So G is the Hadamard
+    of phi times C[n]*a - S[n]*b, the propagator at n + 1/2 steps times
+    cos(theta/2): C = cos((n+1/2)theta) cos(theta/2) and
+    S = sin((n+1/2)theta) cos(theta/2) / omega.  So G is the Hadamard
     product of the Gram matrix of [C, -S] over the steps with the Gram
     matrix of the weighted channel rows; the observation matrix itself is
     never formed.
     """
-    n_steps = cfg.n_steps
-    # the step simulate takes
-    dt = cfg.T / n_steps if n_steps else cfg.dt
-    omega_sq, phi = sys_.modes
-    n = len(omega_sq)
-    omega = np.sqrt(np.maximum(omega_sq, 0.0))
-    theta = 2.0 * np.arctan(0.5 * dt * omega)
-    # theta / omega, which tends to dt on the rigid mode
-    theta_per_omega = np.divide(theta, omega, out=np.full_like(omega, dt), where=omega > 0.0)
-    half = np.cos(0.5 * theta)
+    prop = _ModalPropagator(sys_, cfg)
+    n = len(prop.omega)
+    half = np.cos(0.5 * prop.theta)
     modal = np.zeros((2 * n, 2 * n))
     # the step tables are summed in blocks of steps, so memory stays
     # O(block * n) whatever the horizon
-    for start in range(0, n_steps, _STEP_BLOCK):
-        mid = np.arange(start, min(start + _STEP_BLOCK, n_steps))[:, None] + 0.5
-        angle = mid * theta
-        table = np.hstack(
-            [np.cos(angle) * half, -(mid * theta_per_omega) * np.sinc(angle / np.pi) * half]
-        )
+    for start in range(0, prop.n_steps, _STEP_BLOCK):
+        mid = np.arange(start, min(start + _STEP_BLOCK, prop.n_steps))[:, None] + 0.5
+        cos, sin = prop(mid)
+        table = np.hstack([cos * half, -sin * half])
         modal += table.T @ table
-    traces = sys_.channel_coeff[:, None] * phi[sys_.channel_index]
-    channels = dt * traces.T @ (np.asarray(sys_.params.trace_masses)[:, None] * traces)
+    traces = prop.traces
+    channels = prop.dt * traces.T @ (np.asarray(sys_.params.trace_masses)[:, None] * traces)
     # each of the four (n, n) blocks times the channel Gram matrix, in place
     modal.reshape(2, n, 2, n)[...] *= channels[:, None, :]
     # back to packed data: G = L' modal L with L = blockdiag(phi'M, phi'M),
     # applied to the four blocks at once
-    to_modal = phi.T * sys_.M
+    to_modal = prop.to_modal
     right = (modal.reshape(4 * n, n) @ to_modal).reshape(2, n, 2 * n)
     return (to_modal.T @ right).reshape(2 * n, 2 * n)
 
 
 def rhs_from_initial_data(initial, T, sys_, cfg, ws=None):
-    """Right side of the Gramian equation: negated free-evolution pairing."""
+    """Right side of the Gramian equation: negated free-evolution pairing.
+
+    The free state at T is taken in closed form from the modes, not stepped.
+    """
     ws = ws if ws is not None else HumWorkspace(sys_)
-    free = simulate(initial, sys_, cfg)
-    return ws.unpack(ws.represent_dual(free.final_state(), sign=-1.0), t=T)
+    free = _ModalPropagator(sys_, cfg).free_state(initial)
+    return ws.unpack(ws.represent_dual(free, sign=-1.0), t=T)
 
 
 def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
@@ -234,6 +287,11 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
     (the discrepancy principle); directions below the roundoff floor of G
     are never kept, and a tolerance they would need is reported as not
     converged, together with the independently verified terminal norm.
+
+    The right side and the controls (the adjoint traces from x) come in
+    closed form from the modes; the one run through the Newmark loop is
+    the verification, the forward run under the controls that gives
+    ``terminal_rel_norm``.
     """
     ws = HumWorkspace(sys_)
     b = ws.pack(rhs_from_initial_data(initial, T, sys_, cfg, ws))
@@ -250,13 +308,14 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
     rank = int(met[0]) if converged else resolved
     x = vecs[:, :rank] @ (beta[:rank] / lam[:rank])
 
-    _, obs, _ = solve_adjoint(ws.unpack(x, t=T), T, sys_, cfg)
-    verification = simulate(initial, sys_, cfg, controls=obs.series)
+    controls = _ModalPropagator(sys_, cfg).adjoint_traces(ws.unpack(x, t=T))
+    verification = simulate(initial, sys_, cfg, controls=controls)
     terminal = verification.final_state()
     denom = hspace_norm(initial, sys_)
     rel = hspace_norm(terminal, sys_) / denom if denom > 0.0 else hspace_norm(terminal, sys_)
+    obs = ObservationTriple(series=controls, dt=verification.dt, weights=ws.weights)
     return HumSolution(
-        controls=obs.series,
+        controls=controls,
         dt=verification.dt,
         iterations=rank,
         residuals=residuals[: rank + 1],

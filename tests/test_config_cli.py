@@ -267,6 +267,22 @@ def test_hum_cli_and_failure_exit(tmp_path):
     assert main(["hum", "--config", path, "--quiet"]) == 3
 
 
+def test_hum_and_observability_report_the_step_taken(tmp_path):
+    # dt = 0.03 does not divide T = 4: the run takes 133 steps of 4/133
+    doc = CONTROLLED_DOC.replace("dt = 0.0125", "dt = 0.03").replace(
+        "[observability]\nt = 2.0", "[observability]\nt = 4.0\ndt = 0.03"
+    )
+    path = write_doc(tmp_path, doc)
+    assert main(["hum", "--config", path, "--quiet"]) == 0
+    assert main(["observability", "--config", path, "--quiet"]) == 0
+    out = tmp_path / "out"
+    for name in ("hum.json", "observability.json"):
+        assert json.loads((out / name).read_text())["dt"] == 4.0 / 133, name
+    rows = (out / "controls.csv").read_text().splitlines()[1:]
+    assert len(rows) == 134
+    assert float(rows[-1].split(",")[0]) == pytest.approx(4.0, rel=1e-12)
+
+
 def test_observability_cli(tmp_path):
     path = write_doc(tmp_path, CONTROLLED_DOC)
     assert main(["observability", "--config", path, "--quiet"]) == 0

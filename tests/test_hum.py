@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,8 +12,10 @@ from sandwichbeam.discretize import (
     build_system,
     hspace_norm,
 )
+import sandwichbeam.hum as hum
 from sandwichbeam.hum import (
     HumWorkspace,
+    _ModalPropagator,
     compute_null_control,
     gramian,
     observability,
@@ -95,6 +99,81 @@ def test_modal_gramian_matches_stepped_gramian():
     stepped = np.array(rows) @ np.array(rows).T
     G = gramian(sys_, cfg)
     assert np.max(np.abs(G - stepped)) <= 1e-10 * np.max(np.abs(stepped))
+
+
+def modal_test_states(sys_, seed):
+    """A random smooth state and a standard-normal one."""
+    rng = np.random.default_rng(seed)
+    normal = DiscreteState(q=rng.standard_normal(sys_.ndof), p=rng.standard_normal(sys_.ndof))
+    return random_smooth_state(sys_, seed=seed), normal
+
+
+@pytest.mark.parametrize("N", [16, 24])
+def test_modal_free_state_matches_newmark(N):
+    # the closed-form free state at T against the one stepped by simulate
+    p, sys_ = controlled_system(N=N)
+    T = 4.0
+    cfg = SchemeConfig(dt=T / 512, T=T, stride=512)
+    prop = _ModalPropagator(sys_, cfg)
+    for state in modal_test_states(sys_, seed=N):
+        stepped = simulate(state, sys_, cfg).final_state()
+        modal = prop.free_state(state)
+        diff = DiscreteState(q=modal.q - stepped.q, p=modal.p - stepped.p)
+        assert hspace_norm(diff, sys_) <= 1e-9 * hspace_norm(state, sys_)
+        assert modal.t == pytest.approx(stepped.t, rel=1e-15)
+
+
+@pytest.mark.parametrize("N", [16, 24])
+def test_modal_controls_match_adjoint_solve(N):
+    # the closed-form adjoint traces against the series of the stepped
+    # adjoint solve, on a step that does not divide T evenly
+    p, sys_ = controlled_system(N=N)
+    T = 4.0
+    cfg = SchemeConfig(dt=0.0077, T=T, stride=10 ** 9)
+    prop = _ModalPropagator(sys_, cfg)
+    for state in modal_test_states(sys_, seed=N + 1):
+        _, obs, _ = solve_adjoint(state, T, sys_, cfg)
+        series = prop.adjoint_traces(state)
+        assert series.shape == obs.series.shape
+        assert np.max(np.abs(series - obs.series)) <= 1e-8 * np.max(np.abs(obs.series))
+
+
+def test_null_control_steps_the_newmark_loop_once(monkeypatch):
+    # only the verification run is stepped; the right side and the
+    # controls come from the modes
+    calls = []
+    stepped = hum.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("controls") is not None)
+        return stepped(*args, **kwargs)
+
+    monkeypatch.setattr(hum, "simulate", counting)
+    p, sys_ = controlled_system(N=16)
+    T = 4.0
+    cfg = SchemeConfig(dt=T / 256, T=T, stride=256)
+    sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), T, sys_, cfg, tol=1e-6)
+    assert calls == [True]
+    assert sol.terminal_rel_norm <= 1e-3
+
+
+def test_modal_controls_memory_is_blocked():
+    # 100k steps: whole cosine/sine tables would take 2 * 100k * ndof
+    # doubles (about 75 MB at N=16); the blocked evaluation adds only a
+    # block's worth beside the (n_steps + 1, 3) result
+    p, sys_ = controlled_system(N=16)
+    steps = 100_000
+    cfg = SchemeConfig(dt=1e-3, T=steps * 1e-3, stride=10 ** 9)
+    prop = _ModalPropagator(sys_, cfg)
+    state = random_smooth_state(sys_, seed=3)
+    tracemalloc.start()
+    try:
+        series = prop.adjoint_traces(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (steps + 1, 3) and np.all(np.isfinite(series))
+    assert peak < series.nbytes + 2 ** 20, peak
 
 
 def test_duality_identity_random_triples():

@@ -218,6 +218,40 @@ def test_nonfinite_state_detected():
         simulate(st, sys_, SchemeConfig(dt=0.01, T=0.1))
 
 
+def test_large_finite_state_is_not_rejected():
+    # the squares of 1e200 overflow; the scalar test must fall back to the
+    # elementwise check rather than report a non-finite state
+    p, sys_ = controlled(16)
+    st = random_smooth_state(sys_, seed=2)
+    big = DiscreteState(q=1e200 * st.q / np.max(np.abs(st.q)), p=1e200 * st.p / np.max(np.abs(st.p)))
+    # the recorded energy overflows; only the state must stay finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = simulate(big, sys_, SchemeConfig(dt=0.01, T=0.1, stride=1))
+    assert out.n_steps == 10
+    assert np.all(np.isfinite(out.states_q)) and np.all(np.isfinite(out.states_p))
+
+
+def test_injected_nan_reported_at_its_step(monkeypatch):
+    import sandwichbeam.timestep as timestep
+
+    advance = timestep._Stepper.advance
+    calls = []
+
+    def poisoned(self, q0, v0, t, force_mid):
+        q1, v1, a_values = advance(self, q0, v0, t, force_mid)
+        calls.append(t)
+        if len(calls) == 4:
+            v1 = v1.copy()
+            v1[3] = np.nan
+        return q1, v1, a_values
+
+    monkeypatch.setattr(timestep._Stepper, "advance", poisoned)
+    p, sys_ = controlled(16)
+    with pytest.raises(IntegrationError, match="non-finite state at step 4$"):
+        simulate(random_smooth_state(sys_, seed=2), sys_, SchemeConfig(dt=0.01, T=0.1))
+    assert len(calls) == 4
+
+
 def test_nonfinite_control_detected_at_its_step():
     p, sys_ = controlled(16)
     st = random_smooth_state(sys_, seed=2)
