@@ -46,7 +46,6 @@ from .delayline import (
     push,
     eval_delayed,
     delay_window,
-    delay_integrals,
 )
 from .timestep import (
     SchemeConfig,
@@ -65,10 +64,8 @@ from .decay import (
 from .hum import (
     ObservationTriple,
     HumSolution,
-    HumWorkspace,
     solve_adjoint,
     gramian,
-    rhs_from_initial_data,
     compute_null_control,
     observability,
 )

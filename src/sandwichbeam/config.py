@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .discretize import Grid1D, VARIANT_CONTROLLED, VARIANT_STABILIZED, build_system
 from .params import (

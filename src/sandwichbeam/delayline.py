@@ -27,7 +27,6 @@ __all__ = [
     "push",
     "eval_delayed",
     "delay_window",
-    "delay_integrals",
 ]
 
 # 4-point Gauss-Legendre on [0, 1]: exact for polynomials of degree <= 7
@@ -233,8 +232,3 @@ def delay_window(history, t, tau):
     i0 += y2 * (t - start)
     i1 += 0.5 * y2 * ((t - theta) ** 2 - (start - theta) ** 2)
     return i0, i1 / tau, history._value(j, theta)
-
-
-def delay_integrals(history, t, tau):
-    """(I0, I1) of ``delay_window``, without the window's start value."""
-    return delay_window(history, t, tau)[:2]

@@ -109,9 +109,8 @@ class SemiDiscreteSystem:
 
     M is stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
     lower band of K in LAPACK storage: ``band[d, i] = K[i + d, i]``.  ``K``
-    is the dense view, built from the band on first use for small-n
-    analysis (``modes``, the HUM state metric); time stepping never builds
-    it.  ``blocks`` holds the indices of each field's unknowns and
+    is the dense view, built from the band on first use for ``modes``,
+    the only reader; time stepping never builds it.  ``blocks`` holds the indices of each field's unknowns and
     ``block_weights`` their plain trapezoid L2 weights, used for the
     interior damping matrix and for unweighted velocity norms.
 

@@ -1,4 +1,4 @@
-"""Null-control synthesis and observability from one assembled Gramian.
+"""Null-control synthesis and observability in the modes of (K, M).
 
 The controlled conservative system is time-reversible (the generator is
 skew-adjoint in the discrete state product), so the adjoint problem is the
@@ -13,37 +13,40 @@ holds to roundoff and the Gramian G (x'Gx = weighted observation norm of
 the adjoint solution from terminal datum x) is symmetric positive
 semidefinite by construction.
 
-The unforced midpoint Newmark step advances every mode of (K, M) by an
-exact rotation of angle 2*arctan(omega*dt/2), and the rigid mode
-(omega = 0) by q + dt*p.  One modal propagator turns this into closed
-forms for everything HUM needs of the unforced system: the free state at
-T (the right side), the adjoint traces from the solved terminal datum (the
-controls), and the midpoint traces of every modal datum, whose Gram matrix
-mapped back to the state through phi'M is G.  G is numerically singular:
-the top bending modes and the spurious wave-branch modes of the grid are
-almost invisible at the boundary, as for every finite-difference scheme of
-this kind (Infante-Zuazua 1999; Ervedoza-Zheng-Zuazua 2008).
-``observability`` therefore reports the exact constant on a fixed class of
-low modes beside the unfiltered spectrum, and ``compute_null_control``
-solves in the eigenbasis, dropping the least observable directions only as
-far as the residual tolerance allows.  Only the verification, the forward
-run under the synthesized controls, is stepped through the Newmark loop;
-``solve_adjoint`` stays as the stepped reference of the closed forms.
+HUM works in the modal coordinates (a, b) = (phi'M q, phi'M p) of the state
+alone: nothing is mapped back to nodal data, so no back-transform adds
+roundoff to the nearly unobservable directions the solve keeps.  The
+unforced midpoint Newmark step advances every mode of (K, M) by an exact
+rotation of angle 2*arctan(omega*dt/2), and the rigid mode (omega = 0) by
+a + dt*b.  One modal propagator turns this into closed forms for everything
+HUM needs of the unforced system: the free state at T (the right side), the
+adjoint traces from the solved terminal datum (the controls), and the
+midpoint traces of every modal datum, whose Gram matrix is G.  G is
+numerically singular: the top bending modes and the spurious wave-branch
+modes of the grid are almost invisible at the boundary, as for every
+finite-difference scheme of this kind (Infante-Zuazua 1999;
+Ervedoza-Zheng-Zuazua 2008).  ``observability`` therefore reports the exact
+constant on a fixed class of low modes beside the unfiltered spectrum, and
+``compute_null_control`` solves in the eigenbasis, dropping the least
+observable directions only as far as the residual tolerance allows.  Only
+the verification, the forward run under the synthesized controls, is
+stepped through the Newmark loop; ``solve_adjoint`` stays as the stepped
+reference of the closed forms.
 
-The displacement part of the state product q'Kq is blind to a constant
-transverse shift (the controlled variant has no essential condition on w
-itself), so the terminal-data space is completed with a mean-of-w term
-before representing functionals; this only fixes the representation, not
-the synthesized controls.
+The displacement part of the state product, diag(omega^2) in modes, is
+blind to the rigid mode, a constant transverse shift (the controlled
+variant has no essential condition on w itself).  The metrics complete it
+to A = diag(omega^2) + gamma*c*c', with c = phi'm the modal coordinates of
+the transverse mean m.  The right side D b, and so the controls of a
+full-rank solve, do not depend on the completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 from .discretize import VARIANT_CONTROLLED, DiscreteState, hspace_norm
 from .timestep import simulate
@@ -54,10 +57,8 @@ _STEP_BLOCK = 64
 __all__ = [
     "ObservationTriple",
     "HumSolution",
-    "HumWorkspace",
     "solve_adjoint",
     "gramian",
-    "rhs_from_initial_data",
     "compute_null_control",
     "observability",
 ]
@@ -110,59 +111,6 @@ class HumSolution:
     max_rayleigh: float
 
 
-class HumWorkspace:
-    """Completed state metrics of one system on packed data (q, p).
-
-    ``metric`` is the (completed) state product blockdiag(K*, M), which
-    normalizes observability quotients.  ``dual_metric`` is
-    blockdiag(M, M K*^-1 M), the pullback of the state norm through the
-    duality pairing: the norm in it of the Gramian residual equals the
-    energy norm of the terminal state the controls would leave.
-    """
-
-    def __init__(self, sys_):
-        if sys_.variant != VARIANT_CONTROLLED:
-            raise ValueError("HUM needs a controlled_conservative system")
-        self.sys = sys_
-        p = sys_.params
-        self.weights = p.trace_masses
-        mean_w = np.zeros(sys_.ndof)
-        mean_w[sys_.block("w")] = sys_.block_weights["w"]
-        # energy-scaled completion of the transverse-mean direction; backed
-        # by the bending stiffness so it survives shear-free reductions
-        gamma = (p.k + p.EI / p.L ** 4) / p.L
-        self.k_star = sys_.K + gamma * np.outer(mean_w, mean_w)
-        self.n = sys_.ndof
-
-    @cached_property
-    def metric(self):
-        return block_diag(self.k_star, np.diag(self.sys.M))
-
-    @cached_property
-    def dual_metric(self):
-        M = self.sys.M
-        k_star_inv_m = cho_solve(cho_factor(self.k_star, lower=True), np.diag(M))
-        return block_diag(np.diag(M), M[:, None] * k_star_inv_m)
-
-    def pack(self, state):
-        return np.concatenate([state.q, state.p])
-
-    def unpack(self, x, t=0.0):
-        return DiscreteState(q=x[: self.n].copy(), p=x[self.n :].copy(), t=t)
-
-    def represent_dual(self, terminal_state, sign):
-        """Terminal-space vector x with x' D b = sign*(v'Mw_b - q'Mr_b),
-        D the dual metric.
-
-        The dual norm of this representer is the (completed) energy norm of
-        ``terminal_state``: x_q = sign*v_T and x_p = -sign*M^{-1}K*q_T.
-        """
-        qT, vT = terminal_state.q, terminal_state.p
-        x_q = sign * vT
-        x_p = -sign * (self.k_star @ qT) / self.sys.M
-        return np.concatenate([x_q, x_p])
-
-
 def solve_adjoint(terminal, T, sys_, cfg):
     """Adjoint solve backward from terminal data at T.
 
@@ -182,22 +130,23 @@ class _ModalPropagator:
 
     In modal coordinates (a, b) = (phi'M q, phi'M p) one step turns every
     mode by the exact angle theta = 2*arctan(omega*dt/2) in the plane of
-    (omega*a, b), and moves the rigid mode (omega = 0) by a + dt*b.
+    (omega*a, b), and moves the rigid mode (omega = 0) by a + dt*b.  Modal
+    data x are the stacked (a, b).
     """
 
     def __init__(self, sys_, cfg):
         self.n_steps = cfg.n_steps
         self.dt = cfg.step
-        omega_sq, self.phi = sys_.modes
+        omega_sq, phi = sys_.modes
         self.omega = np.sqrt(np.maximum(omega_sq, 0.0))
         self.theta = 2.0 * np.arctan(0.5 * self.dt * self.omega)
         # theta / omega, which tends to dt on the rigid mode
         self._theta_per_omega = np.divide(
             self.theta, self.omega, out=np.full_like(self.omega, self.dt), where=self.omega > 0.0
         )
-        self.to_modal = self.phi.T * sys_.M
+        self.to_modal = phi.T * sys_.M
         # the three boundary channels of every mode
-        self.traces = sys_.channel_coeff[:, None] * self.phi[sys_.channel_index]
+        self.traces = sys_.channel_coeff[:, None] * phi[sys_.channel_index]
 
     def __call__(self, m):
         """cos(m theta) and sin(m theta)/omega after m steps, for a number or
@@ -205,39 +154,54 @@ class _ModalPropagator:
         angle = m * self.theta
         return np.cos(angle), (m * self._theta_per_omega) * np.sinc(angle / np.pi)
 
-    def free_state(self, initial):
-        """The state the unforced run from ``initial`` reaches at T."""
-        a = self.to_modal @ initial.q
-        b = self.to_modal @ initial.p
+    def free_state(self, x):
+        """Modal data at T of the unforced run from modal data ``x``."""
+        a, b = np.split(x, 2)
         cos, sin = self(self.n_steps)
-        q = self.phi @ (cos * a + sin * b)
-        p = self.phi @ (cos * b - self.omega * self.omega * sin * a)
-        return DiscreteState(q=q, p=p, t=self.n_steps * self.dt)
+        return np.concatenate([cos * a + sin * b, cos * b - self.omega * self.omega * sin * a])
 
-    def adjoint_traces(self, terminal):
-        """The observation series of ``solve_adjoint`` from ``terminal``.
+    def adjoint_traces(self, x):
+        """The observation series of ``solve_adjoint`` from modal terminal
+        data ``x``.
 
-        The adjoint is the run from (q_T, -p_T) reversed in time, so row k
+        The adjoint is the run from (a_T, -b_T) reversed in time, so row k
         holds the displacement traces after n_steps - k of its steps.  The
         tables are built in blocks of steps, so the memory beside the
         (n_steps + 1, 3) result stays O(block * n) whatever the horizon.
         """
-        a = self.to_modal @ terminal.q
-        b = -(self.to_modal @ terminal.p)
+        a, b = np.split(x, 2)
         series = np.empty((self.n_steps + 1, 3))
         for start in range(0, self.n_steps + 1, _STEP_BLOCK):
             rows = np.arange(start, min(start + _STEP_BLOCK, self.n_steps + 1))
             cos, sin = self((self.n_steps - rows)[:, None])
-            series[rows] = (cos * a + sin * b) @ self.traces.T
+            series[rows] = (cos * a - sin * b) @ self.traces.T
         return series
 
 
-def gramian(sys_, cfg):
-    """Gramian G on packed terminal data: x'Gx is the observation norm of
-    ``solve_adjoint`` from x, for the steps of ``cfg``.
+def _state_metric(sys_):
+    """The completed state product on modal data, blockdiag(A, I) with
+    A = diag(omega^2) + gamma*c*c' and c = phi'm the modal coordinates of
+    the transverse mean m."""
+    if sys_.variant != VARIANT_CONTROLLED:
+        raise ValueError("HUM needs a controlled_conservative system")
+    p = sys_.params
+    omega_sq, phi = sys_.modes
+    c = sys_.block_weights["w"] @ phi[sys_.block("w")]
+    # energy-scaled completion of the transverse-mean direction; backed
+    # by the bending stiffness so it survives shear-free reductions
+    gamma = (p.k + p.EI / p.L ** 4) / p.L
+    n = len(c)
+    metric = np.eye(2 * n)
+    metric[:n, :n] = np.diag(omega_sq) + gamma * np.outer(c, c)
+    return metric
 
-    In modal coordinates (a, b) = (phi'M q, phi'M p) of the terminal datum,
-    the midpoint traces of step n of the reversed run are the channel rows
+
+def gramian(sys_, cfg):
+    """Gramian G on modal terminal data (a, b) = (phi'M q, phi'M p): x'Gx
+    is the observation norm of ``solve_adjoint`` from x, for the steps of
+    ``cfg``.
+
+    The midpoint traces of step n of the reversed run are the channel rows
     of phi times C[n]*a - S[n]*b, the propagator at n + 1/2 steps times
     cos(theta/2): C = cos((n+1/2)theta) cos(theta/2) and
     S = sin((n+1/2)theta) cos(theta/2) / omega.  So G is the Hadamard
@@ -248,72 +212,66 @@ def gramian(sys_, cfg):
     prop = _ModalPropagator(sys_, cfg)
     n = len(prop.omega)
     half = np.cos(0.5 * prop.theta)
-    modal = np.zeros((2 * n, 2 * n))
+    G = np.zeros((2 * n, 2 * n))
     # the step tables are summed in blocks of steps, so memory stays
     # O(block * n) whatever the horizon
     for start in range(0, prop.n_steps, _STEP_BLOCK):
         mid = np.arange(start, min(start + _STEP_BLOCK, prop.n_steps))[:, None] + 0.5
         cos, sin = prop(mid)
         table = np.hstack([cos * half, -sin * half])
-        modal += table.T @ table
+        G += table.T @ table
     traces = prop.traces
     channels = prop.dt * traces.T @ (np.asarray(sys_.params.trace_masses)[:, None] * traces)
     # each of the four (n, n) blocks times the channel Gram matrix, in place
-    modal.reshape(2, n, 2, n)[...] *= channels[:, None, :]
-    # back to packed data: G = L' modal L with L = blockdiag(phi'M, phi'M),
-    # applied to the four blocks at once
-    to_modal = prop.to_modal
-    right = (modal.reshape(4 * n, n) @ to_modal).reshape(2, n, 2 * n)
-    return (to_modal.T @ right).reshape(2 * n, 2 * n)
-
-
-def rhs_from_initial_data(initial, T, sys_, cfg, ws=None):
-    """Right side of the Gramian equation: negated free-evolution pairing.
-
-    The free state at T is taken in closed form from the modes, not stepped.
-    """
-    ws = ws if ws is not None else HumWorkspace(sys_)
-    free = _ModalPropagator(sys_, cfg).free_state(initial)
-    return ws.unpack(ws.represent_dual(free, sign=-1.0), t=T)
+    G.reshape(2, n, 2, n)[...] *= channels[:, None, :]
+    return G
 
 
 def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
     """Solve G x = D b in the eigenbasis of (G, D) and verify the controls.
 
-    D is the dual metric and b the representer of the free evolution, so
-    the D-norm of the residual is the energy norm of the terminal state the
-    controls leave.  Eigen-directions are kept in order of falling
-    eigenvalue up to the first rank whose residual is at most tol*||b||_D
-    (the discrepancy principle); directions below the roundoff floor of G
-    are never kept, and a tolerance they would need is reported as not
-    converged, together with the independently verified terminal norm.
+    On modal data the dual metric D = blockdiag(I, A^-1) is the pullback
+    of the state metric blockdiag(A, I) through the duality pairing, and
+    b represents the free evolution: D b = (-b_T, a_T) for the free modal
+    state (a_T, b_T) at T.  So the D-norm of the residual is the energy
+    norm of the terminal state the controls leave.  Eigen-directions are
+    kept in order of falling eigenvalue up to the first rank whose
+    residual is at most tol*||b||_D (the discrepancy principle); directions
+    below the roundoff floor of G are never kept, and a tolerance they
+    would need is reported as not converged, together with the
+    independently verified terminal norm.
 
     The right side and the controls (the adjoint traces from x) come in
     closed form from the modes; the one run through the Newmark loop is
     the verification, the forward run under the controls that gives
     ``terminal_rel_norm``.
     """
-    ws = HumWorkspace(sys_)
-    b = ws.pack(rhs_from_initial_data(initial, T, sys_, cfg, ws))
+    n = sys_.ndof
+    dual_metric = np.eye(2 * n)
+    dual_metric[n:, n:] = np.linalg.inv(_state_metric(sys_)[:n, :n])
+    prop = _ModalPropagator(sys_, cfg)
+    x0 = np.concatenate([prop.to_modal @ initial.q, prop.to_modal @ initial.p])
+    a_T, b_T = np.split(prop.free_state(x0), 2)
+    dual_b = np.concatenate([-b_T, a_T])
     # dsygv: a fraction of the workspace of the divide-and-conquer default
-    lam, vecs = eigh(gramian(sys_, cfg), ws.dual_metric, driver="gv")
+    lam, vecs = eigh(gramian(sys_, cfg), dual_metric, driver="gv")
     lam, vecs = lam[::-1], vecs[:, ::-1]
-    beta = vecs.T @ (ws.dual_metric @ b)
+    beta = vecs.T @ dual_b
     # residual norm with the first r directions kept, r = 0..2n
     tail = np.sqrt(np.cumsum(beta[::-1] ** 2)[::-1])
-    resolved = int(np.count_nonzero(lam > 2 * len(b) * np.finfo(float).eps * lam[0]))
+    resolved = int(np.count_nonzero(lam > 2 * len(beta) * np.finfo(float).eps * lam[0]))
     residuals = np.append(tail, 0.0)[: resolved + 1]
     met = np.flatnonzero(residuals <= tol * residuals[0])
     converged = met.size > 0
     rank = int(met[0]) if converged else resolved
     x = vecs[:, :rank] @ (beta[:rank] / lam[:rank])
 
-    controls = _ModalPropagator(sys_, cfg).adjoint_traces(ws.unpack(x, t=T))
+    controls = prop.adjoint_traces(x)
     verification = simulate(initial, sys_, cfg, controls=controls)
     terminal = verification.final_state()
     denom = hspace_norm(initial, sys_)
     rel = hspace_norm(terminal, sys_) / denom if denom > 0.0 else hspace_norm(terminal, sys_)
-    obs = ObservationTriple(series=controls, dt=verification.dt, weights=ws.weights)
+    obs = ObservationTriple(series=controls, dt=verification.dt, weights=sys_.params.trace_masses)
     return HumSolution(
         controls=controls,
         dt=verification.dt,
@@ -330,16 +288,18 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
 def observability(sys_, cfg, cutoff=8):
     """Exact observability quotients x'Gx / x'(metric)x for the steps of ``cfg``.
 
-    Returns (minimum on the span of the lowest ``cutoff`` modes of (K, M),
-    in displacement and in velocity; minimum over all data; maximum over
-    all data).  The unfiltered minimum sits at roundoff: the discrete
-    system is not uniformly observable, its constant on a fixed class of
-    low modes is, and that constant is stable under grid refinement.
+    On modal data the completed state metric is blockdiag(A, I).  Returns
+    (minimum on the span of the lowest ``cutoff`` modes of (K, M), in
+    displacement and in velocity, which are the first ``cutoff`` indices
+    of each block; minimum over all data; maximum over all data).  The
+    unfiltered minimum sits at roundoff: the discrete system is not
+    uniformly observable, its constant on a fixed class of low modes is,
+    and that constant is stable under grid refinement.
     """
-    metric = HumWorkspace(sys_).metric
+    n = sys_.ndof
+    metric = _state_metric(sys_)
     G = gramian(sys_, cfg)
     full = eigh(G, metric, eigvals_only=True)
-    low = sys_.modes[1][:, :cutoff]
-    basis = block_diag(low, low)
-    restricted = eigh(basis.T @ G @ basis, basis.T @ metric @ basis, eigvals_only=True)
+    low = np.ix_(*2 * [np.r_[:cutoff, n : n + cutoff]])
+    restricted = eigh(G[low], metric[low], eigvals_only=True)
     return float(restricted[0]), float(full[0]), float(full[-1])

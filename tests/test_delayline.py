@@ -9,7 +9,7 @@ from hypothesis import strategies as hs
 from sandwichbeam.delayline import (
     LookupBeforeHistory,
     TraceHistory,
-    delay_integrals,
+    delay_window,
     eval_delayed,
     init_history,
     push,
@@ -208,7 +208,7 @@ def test_delay_integrals_exact_on_cubic_histories(seed, case):
         theta = rng.uniform(ts[0], ts[-1])
     tau = t - theta
     theta = t - tau  # the window start as the history rounds it
-    i0, i1 = delay_integrals(h, t, tau)
+    i0, i1 = delay_window(h, t, tau)[:2]
     ref0, ref1 = _cubic_integrals(c, theta, ts[-1], theta, tau)
     y2 = Fraction(h.last_value) ** 2
     span = Fraction(t) - Fraction(ts[-1])
@@ -264,6 +264,6 @@ def test_lookups_match_searchsorted_reference_after_compaction(seed):
     with pytest.raises(LookupBeforeHistory):
         h.value_at(ts[-1] + h.extension + 1e-6)
     with pytest.raises(LookupBeforeHistory):
-        delay_integrals(h, ts[-1] + h.extension + 1e-6, 0.5 * (ts[-1] - ts[0]))
+        delay_window(h, ts[-1] + h.extension + 1e-6, 0.5 * (ts[-1] - ts[0]))
     with pytest.raises(ValueError):
-        delay_integrals(h, ts[-1] - 1e-6, 0.5 * (ts[-1] - ts[0]))
+        delay_window(h, ts[-1] - 1e-6, 0.5 * (ts[-1] - ts[0]))

@@ -1,0 +1,44 @@
+"""Package hygiene: every exported name exists and no module imports a name
+it never uses."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import sandwichbeam
+
+MODULES = [sandwichbeam.__name__] + [
+    f"{sandwichbeam.__name__}.{info.name}" for info in pkgutil.iter_modules(sandwichbeam.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_exist(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
+    assert not missing, missing
+
+
+def imported_names(tree):
+    """(bound name, line) of every import statement, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_no_unused_imports(name):
+    # the package's own imports are its re-exports, so it is left out
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(getattr(module, "__all__", []))
+    unused = [(alias, line) for alias, line in imported_names(tree) if alias not in used]
+    assert not unused, unused
