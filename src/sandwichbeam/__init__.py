@@ -46,6 +46,8 @@ from .delayline import (
     push,
     eval_delayed,
     delay_window,
+    retained_first,
+    window_integrals,
 )
 from .timestep import (
     SchemeConfig,

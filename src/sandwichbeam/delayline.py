@@ -2,15 +2,20 @@
 
 The delayed feedback needs trace velocities at t - tau_i(t), and the
 delay-line energy needs integrals of y_i(s)^2 over [t - tau_i(t), t].  Both
-are served by one (t, value, slope) sample list per channel, interpolated
-by cubic Hermite polynomials with the slopes the integrator pushes.  On a
-cubic segment the integrands have degree <= 7, so 4-point Gauss-Legendre
-integrates them exactly.  Because tau' <= d < 1, the delayed argument is
-increasing, so samples older than the retention horizon can be evicted.
+read one (t, value, slope) sample stream per channel, interpolated by cubic
+Hermite polynomials with the slopes the integrator pushes.  Because
+tau' <= d < 1, the delayed argument is increasing, so samples older than
+the retention horizon can be evicted.
 
-Every lookup reads one point, so the samples are Python floats and the
-kernels scalar Python: a bisection finds the segment, and numpy's per-call
-overhead would cost more than the arithmetic it saves.
+The two readers differ in shape.  A lookup reads one point while the run
+steps, so ``TraceHistory`` keeps its samples as Python floats and the
+lookup kernel is scalar Python: a bisection finds the segment, and numpy's
+per-call overhead would cost more than the arithmetic it saves.  The window
+integrals are diagnostics that nothing in a step reads, so
+``window_integrals`` computes them for every window of a run in one numpy
+pass over the whole sample record, after the run.  On a cubic segment the
+integrands have degree <= 7, so 4-point Gauss-Legendre integrates them
+exactly.
 """
 
 from __future__ import annotations
@@ -27,15 +32,20 @@ __all__ = [
     "push",
     "eval_delayed",
     "delay_window",
+    "retained_first",
+    "window_integrals",
 ]
 
 # 4-point Gauss-Legendre on [0, 1]: exact for polynomials of degree <= 7
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 _GAUSS = tuple(zip((0.5 * (_GAUSS_X + 1.0)).tolist(), (0.5 * _GAUSS_W).tolist()))
+# window-by-segment entries one block of ``window_integrals`` holds at most
+_BLOCK = 1 << 12
 
 
 def _hermite(s, h, y0, m0, y1, m1):
-    """Cubic Hermite value at local coordinate s in [0, 1] of a segment of length h."""
+    """Cubic Hermite value at local coordinate s in [0, 1] of a segment of
+    length h; floats or arrays."""
     s2 = s * s
     s3 = s2 * s
     return (
@@ -54,10 +64,9 @@ class TraceHistory:
     """Ordered (t, value, slope) samples of one boundary trace.
 
     The samples are plain float lists, live from index ``_start`` on; the
-    evicted prefix is deleted once it is more than half of them.  Beside
-    sample k the lists ``_e`` and ``_f`` keep the integrals over the segment
-    that ends there, int y^2 ds and int (s - t_{k-1}) y^2 ds (zero for the
-    first sample ever appended).
+    evicted prefix is deleted once it is more than half of them.  The
+    history holds samples only: point lookups read it directly, and
+    ``delay_window`` hands its live samples to ``window_integrals``.
 
     ``extension`` permits constant continuation past the newest sample by
     at most that much; the integrator records samples at step midpoints
@@ -69,7 +78,7 @@ class TraceHistory:
         self.channel = channel
         self.retention = retention
         self.extension = extension
-        self._t, self._y, self._m, self._e, self._f = [], [], [], [], []
+        self._t, self._y, self._m = [], [], []
         self._start = 0
         self._last_primary_theta = -math.inf
 
@@ -85,6 +94,10 @@ class TraceHistory:
         return np.array(self._y[self._start :])
 
     @property
+    def slopes(self):
+        return np.array(self._m[self._start :])
+
+    @property
     def last_time(self):
         return self._t[-1]
 
@@ -93,18 +106,9 @@ class TraceHistory:
         return self._y[-1]
 
     def _append(self, t, value, slope):
-        t, value, slope = float(t), float(value), float(slope)
-        e = f = 0.0
-        if len(self):
-            h = t - self._t[-1]
-            y0, m0 = self._y[-1], self._m[-1]
-            for s, w in _GAUSS:
-                y = _hermite(s, h, y0, m0, value, slope)
-                piece = h * w * y * y
-                e += piece
-                f += h * s * piece
-        for buf, x in zip((self._t, self._y, self._m, self._e, self._f), (t, value, slope, e, f)):
-            buf.append(x)
+        self._t.append(float(t))
+        self._y.append(float(value))
+        self._m.append(float(slope))
 
     def _evict(self, horizon):
         """Skip the samples no lookup after ``horizon`` reaches; delete them past half."""
@@ -112,29 +116,31 @@ class TraceHistory:
         while start < len(ts) - 1 and ts[start + 1] <= horizon:
             start += 1
         if start > len(ts) // 2:
-            for buf in (self._t, self._y, self._m, self._e, self._f):
+            for buf in (self._t, self._y, self._m):
                 del buf[:start]
             start = 0
         self._start = start
 
-    def _segment(self, theta, end):
+    def _segment(self, theta):
         """Segment j = [t_j, t_{j+1}] holding theta (the tail maps to the last),
-        once [theta, end] is checked to lie in the retained samples."""
+        once theta is checked to lie in the retained samples."""
         ts = self._t
         if theta < ts[self._start] - 1e-12:
             raise LookupBeforeHistory(
                 f"channel {self.channel}: lookup at t={theta:.6g} "
                 f"before earliest retained sample t={ts[self._start]:.6g}"
             )
-        if end > ts[-1] + self.extension + 1e-12:
+        if theta > ts[-1] + self.extension + 1e-12:
             raise LookupBeforeHistory(
-                f"channel {self.channel}: lookup at t={end:.6g} "
+                f"channel {self.channel}: lookup at t={theta:.6g} "
                 f"beyond newest sample t={ts[-1]:.6g} (+extension {self.extension:.3g})"
             )
         j = bisect.bisect_right(ts, theta, self._start) - 1
         return min(max(j, self._start), len(ts) - 2)
 
-    def _value(self, j, theta):
+    def value_at(self, theta):
+        """The trace at one past time theta."""
+        j = self._segment(theta)
         ts, ys, ms = self._t, self._y, self._m
         # exact passthrough at the newest sample; lookups inside the extension
         # window clamp to it (keeps the delay line on the recorded stream)
@@ -143,10 +149,6 @@ class TraceHistory:
         h = ts[j + 1] - ts[j]
         s = min(max((theta - ts[j]) / h, 0.0), 1.0)
         return _hermite(s, h, ys[j], ms[j], ys[j + 1], ms[j + 1])
-
-    def value_at(self, theta):
-        """The trace at one past time theta."""
-        return self._value(self._segment(theta, theta), theta)
 
     def interpolate(self, thetas):
         """Evaluate the trace at (an array of) past times."""
@@ -197,38 +199,150 @@ def eval_delayed(history, channel, t, delays):
     return history.value_at(theta)
 
 
-def delay_window(history, t, tau):
-    """(I0, I1, z) over the window [t - tau, t], which must reach the newest sample.
+def retained_first(ts, pushed_from, retention):
+    """Index of the earliest sample a history retains while sample k is its newest.
+
+    ``ts`` are a history's live sample times followed by the times pushed
+    after them, from index ``pushed_from`` on; the eviction of every
+    ``push`` is replayed, so ``window_integrals`` refuses each window that
+    the history could not have served when that sample was the newest.
+    """
+    ts = np.asarray(ts, dtype=float)
+    first = np.zeros(len(ts), dtype=np.intp)
+    k = np.arange(max(pushed_from, 1), len(ts))
+    if math.isfinite(retention) and k.size:
+        horizon = ts[k] - retention - 2.0 * (ts[k] - ts[k - 1])
+        reach = np.minimum(np.searchsorted(ts, horizon, side="right") - 1, k)
+        first[k] = np.maximum.accumulate(np.maximum(reach, 0))
+    return first
+
+
+def _segment_integrals(ts, ys, ms):
+    """int y^2 ds and int (s - t_{k-1}) y^2 ds over each segment [t_{k-1}, t_k],
+    stored at k (zero at k = 0)."""
+    h = np.diff(ts)
+    e = np.zeros(len(ts))
+    f = np.zeros(len(ts))
+    for s, w in _GAUSS:
+        y = _hermite(s, h, ys[:-1], ms[:-1], ys[1:], ms[1:])
+        piece = h * w * y * y
+        e[1:] += piece
+        f[1:] += h * s * piece
+    return e, f
+
+
+def _window_block(ts, ys, ms, e, f, ends, thetas, j, newest):
+    """Unscaled (I0, I1) and z of a block of windows whose start segments j
+    and newest samples are known; every sum runs left to right."""
+    t0, t1 = ts[j], ts[j + 1]
+    h = t1 - t0
+    y0, m0, y1, m1 = ys[j], ms[j], ys[j + 1], ms[j + 1]
+    # the partial piece [theta, t_{j+1}] of segment j, in its local coordinate
+    span = np.maximum(t1 - thetas, 0.0)
+    sigma = 1.0 - span / h
+    i0 = np.zeros(len(ends))
+    i1 = np.zeros(len(ends))
+    for s, w in _GAUSS:
+        y = _hermite(sigma + (1.0 - sigma) * s, h, y0, m0, y1, m1)
+        piece = span * w * (y * y)
+        i0 += piece
+        i1 += span * s * piece
+    # whole segments j+2 .. newest, each window's along one row of a padded
+    # block: a running sum along the row adds them in order, and the zero
+    # padding past them leaves it unchanged
+    count = newest - j - 1
+    width = int(count.max())
+    if width:
+        cols = np.arange(width)
+        whole = cols < count[:, None]
+        k = np.minimum(j[:, None] + 2 + cols, newest[:, None])
+        ek = e[k]
+        row = np.empty((len(ends), width + 1))
+        row[:, 0] = i0
+        row[:, 1:] = np.where(whole, ek, 0.0)
+        i0 = np.cumsum(row, axis=1)[:, -1]
+        row[:, 0] = i1
+        row[:, 1:] = np.where(whole, (ts[k - 1] - thetas[:, None]) * ek + f[k], 0.0)
+        i1 = np.cumsum(row, axis=1)[:, -1]
+    # the constant tail past the newest sample
+    tn, yn = ts[newest], ys[newest]
+    start = np.maximum(thetas, tn)
+    y2 = yn * yn
+    i0 += y2 * (ends - start)
+    d_end, d_start = ends - thetas, start - thetas
+    i1 += 0.5 * y2 * (d_end * d_end - d_start * d_start)
+    s = np.clip((thetas - t0) / h, 0.0, 1.0)
+    z = np.where(thetas >= tn, yn, _hermite(s, h, y0, m0, y1, m1))
+    return i0, i1, z
+
+
+def window_integrals(ts, ys, ms, ends, taus, retained=None, extension=0.0, channel=0):
+    """(I0, I1, z) of the windows [ends - taus, ends] over one sample record, as arrays.
+
+    The record is the (t, value, slope) samples of one trace, times strictly
+    increasing.  Window k reads the samples up to n, the newest one at or
+    before ends[k], plus the constant continuation of sample n, which may
+    reach at most ``extension`` past it; it must start at or after sample
+    ``retained[n]`` (``retained_first``; sample 0 by default), else
+    LookupBeforeHistory is raised, as it is for too long a tail.
 
     I0 = int y(s)^2 ds and I1 = int (1 - (t - s)/tau) y(s)^2 ds, which are
     tau * int z^2 drho and tau * int (1 - rho) z^2 drho for the rescaled
     profile: the partial first segment by 4-point Gauss-Legendre on its
-    Hermite cubic, the whole segments from their stored integrals, and the
-    part past the newest sample from its constant value.  z = y(t - tau) is
-    the window's start value, read from the same segment.
+    Hermite cubic, the whole segments from their integrals by the same
+    rule, and the tail in closed form, summed left to right.
+    z = y(t - tau) is the window's start value, read from the same segment.
+    The windows go through in blocks of at most about ``_BLOCK`` window
+    segments, so the pass holds O(n + _BLOCK) values for n samples and
+    windows.
     """
+    ts, ys, ms = (np.asarray(a, dtype=float) for a in (ts, ys, ms))
+    ends = np.asarray(ends, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    thetas = ends - taus
+    newest = np.searchsorted(ts, ends, side="right") - 1
+    top = np.maximum(newest, 0)
+    first = np.zeros_like(newest) if retained is None else np.asarray(retained)[top]
+    early = (newest < first) | (thetas < ts[first] - 1e-12)
+    late = ends > ts[top] + extension + 1e-12
+    bad = np.flatnonzero(early | late)
+    if bad.size:
+        k = bad[0]
+        if early[k]:
+            raise LookupBeforeHistory(
+                f"channel {channel}: lookup at t={thetas[k]:.6g} "
+                f"before earliest retained sample t={ts[first[k]]:.6g}"
+            )
+        raise LookupBeforeHistory(
+            f"channel {channel}: lookup at t={ends[k]:.6g} "
+            f"beyond newest sample t={ts[newest[k]]:.6g} (+extension {extension:.3g})"
+        )
+    # segment j = [t_j, t_{j+1}] holds the window start (the tail maps to the last)
+    j = np.minimum(np.maximum(np.searchsorted(ts, thetas, side="right") - 1, first), newest - 1)
+    e, f = _segment_integrals(ts, ys, ms)
+    i0, i1, z = (np.empty(len(ends)) for _ in range(3))
+    size = max(1, _BLOCK // max(1, int((newest - j).max(initial=0))))
+    for b in range(0, len(ends), size):
+        blk = slice(b, b + size)
+        i0[blk], i1[blk], z[blk] = _window_block(
+            ts, ys, ms, e, f, ends[blk], thetas[blk], j[blk], newest[blk]
+        )
+    return i0, i1 / taus, z
+
+
+def delay_window(history, t, tau):
+    """(I0, I1, z) over one window [t - tau, t], which must reach the newest
+    sample: ``window_integrals`` on the history's live samples."""
     t = float(t)
-    theta = t - tau
-    ts, ys, ms = history._t, history._y, history._m
-    if t < ts[-1]:
-        raise ValueError(f"window end t={t!r} before the newest sample t={ts[-1]!r}")
-    j = history._segment(theta, t)
-    # the partial piece [theta, t_{j+1}] of segment j, in its local coordinate
-    t1, h = ts[j + 1], ts[j + 1] - ts[j]
-    span = max(t1 - theta, 0.0)
-    sigma = 1.0 - span / h
-    i0 = i1 = 0.0
-    for s, w in _GAUSS:
-        piece = span * w * _hermite(sigma + (1.0 - sigma) * s, h, ys[j], ms[j], ys[j + 1], ms[j + 1]) ** 2
-        i0 += piece
-        i1 += span * s * piece
-    # whole segments j+1 .. newest, stored at their closing samples
-    for k in range(j + 2, len(ts)):
-        e = history._e[k]
-        i0 += e
-        i1 += (ts[k - 1] - theta) * e + history._f[k]
-    start = max(theta, ts[-1])
-    y2 = ys[-1] ** 2
-    i0 += y2 * (t - start)
-    i1 += 0.5 * y2 * ((t - theta) ** 2 - (start - theta) ** 2)
-    return i0, i1 / tau, history._value(j, theta)
+    if t < history.last_time:
+        raise ValueError(f"window end t={t!r} before the newest sample t={history.last_time!r}")
+    i0, i1, z = window_integrals(
+        history.times,
+        history.values,
+        history.slopes,
+        [t],
+        [tau],
+        extension=history.extension,
+        channel=history.channel,
+    )
+    return float(i0[0]), float(i1[0]), float(z[0])

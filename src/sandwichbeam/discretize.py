@@ -161,12 +161,18 @@ class SemiDiscreteSystem:
         """Indices of one field's unknowns ('u', 'v' or 'w'), node by node."""
         return self.blocks[name]
 
+    @cached_property
+    def field_weights(self):
+        """(3, n) matrix whose row f holds field f's L2 weights on its
+        unknowns and zeros elsewhere."""
+        W = np.zeros((3, self.ndof))
+        for row, name in zip(W, ("u", "v", "w")):
+            row[self.block(name)] = self.block_weights[name]
+        return W
+
     def damping_diagonal(self, a_values):
         """Diagonal of the interior damping matrix for weights (a1, a2, a3)."""
-        c = np.zeros(self.ndof)
-        for a, name in zip(a_values, ("u", "v", "w")):
-            c[self.block(name)] = a * self.block_weights[name]
-        return c
+        return np.dot(a_values, self.field_weights)
 
     def field_energy(self, q, p):
         """Field energy 0.5*(p'Mp + q'Kq); the controlled variant's boundary

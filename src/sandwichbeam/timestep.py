@@ -15,13 +15,21 @@ records.  Delayed boundary terms are evaluated at known past times (the
 step rule dt <= min tau0 keeps them behind the current step), so every
 step is one symmetric positive definite solve.
 
+A delayed run pushes one midpoint trace sample per channel and step into
+the delay lines, which serve the delayed lookups, and records every sample
+it pushes.  Nothing in a step reads the delay-window integrals, so the
+delay energy, the Lyapunov tilts and the delayed traces z_i at the record
+times are computed after the loop, in one ``window_integrals`` pass per
+delayed channel over the history's initial samples and the recorded ones.
+
 That solve and the stiffness product work on the banded stiffness
 (``SemiDiscreteSystem.band``), in the node-by-node order of the state
 vectors themselves: the effective matrix
-M + dt^2/4 K + dt/2 C is factored by LAPACK ``dpbtrf``, each step solves
-with ``dpbtrs`` and multiplies with BLAS ``dsbmv``, so a step costs O(n)
-in time and memory.  The routines are called directly because the scipy
-wrappers cost several times the O(n) work at the grid sizes in use.
+M + dt^2/4 K + dt/2 C is written into one Fortran-order band buffer and
+factored there by LAPACK ``dpbtrf``, each step solves with ``dpbtrs`` and
+multiplies with BLAS ``dsbmv``, so a step costs O(n) in time and memory.
+The routines are called directly because the scipy wrappers cost several
+times the O(n) work at the grid sizes in use.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .delayline import delay_window, eval_delayed, push
+from .delayline import eval_delayed, push, retained_first, window_integrals
 from .discretize import KD, VARIANT_STABILIZED, DiscreteState
 from .params import GainConfig
 
@@ -147,7 +155,9 @@ class _Stepper:
     """One factorization of the effective matrix, reused while C(t) is steady.
 
     The effective damping diagonal (boundary feedback plus interior damping)
-    and its factorization are rebuilt only when the damping weights change.
+    and its factorization are rebuilt only when the damping weights change,
+    in place: the scaled stiffness band is checked for finiteness once, and
+    each rebuild checks only the diagonal it changes.
     """
 
     def __init__(self, sys_, dt, gains, damping):
@@ -159,9 +169,12 @@ class _Stepper:
         coeff = sys_.channel_coeff
         self.feedback_diag[sys_.channel_index] = cs * gains.alphas * coeff * coeff
         self.cdiag = None
-        self._scaled_band = (0.25 * dt * dt) * sys_.band
+        self._scaled_band = np.asfortranarray((0.25 * dt * dt) * sys_.band)
+        if not np.all(np.isfinite(self._scaled_band)):
+            raise IntegrationError("non-finite effective matrix")
+        # the effective matrix, then its factor: dpbtrf works in this buffer
+        self._factor = np.empty_like(self._scaled_band)
         self._a_values = None
-        self._factor = None
 
     def _damping_values(self, t):
         if self.damping is None:
@@ -170,13 +183,14 @@ class _Stepper:
 
     def _refactor(self, a_values):
         sys_, dt = self.sys, self.dt
-        cdiag = self.feedback_diag.copy()
-        if any(a != 0.0 for a in a_values):
-            cdiag += sys_.damping_diagonal(a_values)
-        ab = self._scaled_band.copy()
-        ab[0] += sys_.M + 0.5 * dt * cdiag
-        if not np.all(np.isfinite(ab)):
+        cdiag = self.feedback_diag + sys_.damping_diagonal(a_values)
+        diag = self._scaled_band[0] + (sys_.M + 0.5 * dt * cdiag)
+        # one scalar test, as in _check_finite
+        if not math.isfinite(diag.sum()) and not np.all(np.isfinite(diag)):
             raise IntegrationError("non-finite effective matrix")
+        ab = self._factor
+        ab[...] = self._scaled_band
+        ab[0] = diag
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise IntegrationError(f"effective matrix factorization failed (dpbtrf info {info})")
@@ -203,8 +217,9 @@ class _Stepper:
         return q1, v1, a_values
 
 
-def _push_midpoint_traces(histories, t_mid, values):
-    """Record midpoint trace samples into the delay lines.
+def _push_midpoint_traces(histories, t_mid, values, slopes):
+    """Record midpoint trace samples into the delay lines, and their slopes
+    into ``slopes``.
 
     Midpoint sampling keeps the delayed feedback loop stable: the undamped
     grid-frequency modes of the conservative scheme average out at step
@@ -213,9 +228,32 @@ def _push_midpoint_traces(histories, t_mid, values):
     accelerations carry the unfiltered ringing and would reopen the loop
     through the Hermite terms).
     """
-    for hist, value in zip(histories, values):
+    for i, (hist, value) in enumerate(zip(histories, values)):
         slope = (value - hist.last_value) / (t_mid - hist.last_time)
         push(hist, t_mid, value, slope)
+        slopes[i] = slope
+
+
+def _delay_windows(histories, initial_samples, ledger, slopes, times, delays, betas):
+    """Delay energy, tilts and delayed traces at the record times, from one
+    ``window_integrals`` pass per delayed channel over its sample record."""
+    n_rec = len(times)
+    delay_energy = np.zeros(n_rec)
+    tilts = np.zeros((n_rec, 3))
+    z_series = np.zeros((n_rec, 3))
+    for i, (hist, (ts0, ys0, ms0)) in enumerate(zip(histories, initial_samples)):
+        if betas[i] == 0.0:
+            continue
+        ts = np.concatenate([ts0, ledger["t_mid"]])
+        ys = np.concatenate([ys0, ledger["trace_mid"][:, i]])
+        ms = np.concatenate([ms0, slopes[:, i]])
+        taus = [delays.tau(i, t) for t in times.tolist()]
+        retained = retained_first(ts, len(ts0), hist.retention)
+        i0, tilts[:, i], z_series[:, i] = window_integrals(
+            ts, ys, ms, times, taus, retained, hist.extension, i
+        )
+        delay_energy += 0.5 * abs(betas[i]) * i0
+    return delay_energy, tilts, z_series
 
 
 def _check_finite(q, v, step):
@@ -264,6 +302,8 @@ def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
                 f"dt = {dt} exceeds the smallest delay floor {delays.min_floor}; "
                 "delayed lookups would need current-step unknowns"
             )
+        if any(h.last_time > 0.0 for h, b in zip(histories, gains.betas) if b != 0.0):
+            raise ValueError("a delayed channel's trace history must end at t <= 0")
 
 
 def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, histories=None, controls=None):
@@ -298,14 +338,15 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     v = np.array(initial.p, dtype=float)
     times = dt * np.arange(n_steps + 1)
     field_energy = np.empty(n_steps + 1)
-    # the delay-line energy is the only part of E beyond the field energy
-    energy = np.empty(n_steps + 1) if delayed else field_energy
     tr_vel = np.empty((n_steps + 1, 3))
     slots = _sample_slots(n_steps, cfg.stride)
     sample_at = {s: k for k, s in enumerate(slots)}
     states_q = np.empty((len(slots), sys_.ndof))
     states_p = np.empty((len(slots), sys_.ndof))
-    tr_disp = z_series = tilts = ledger = None
+    tr_disp = z_series = tilts = ledger = slopes = None
+    if histories is not None:
+        initial_samples = [(hist.times, hist.values, hist.slopes) for hist in histories]
+        slopes = np.empty((n_steps, 3))
     if stabilized:
         z_series = np.zeros((n_steps + 1, 3))
         tilts = np.zeros((n_steps + 1, 3))
@@ -325,15 +366,6 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
         tr_vel[n] = sys_.traces(v)
         if tr_disp is not None:
             tr_disp[n] = sys_.traces(q)
-        if delayed:
-            t = times[n]
-            delay_energy = 0.0
-            for i in range(3):
-                if betas[i] != 0.0:
-                    tau = delays.tau(i, t)
-                    window, tilts[n, i], z_series[n, i] = delay_window(histories[i], t, tau)
-                    delay_energy += 0.5 * abs(betas[i]) * window
-            energy[n] = field_energy[n] + delay_energy
         k = sample_at.get(n)
         if k is not None:
             states_q[k] = q
@@ -367,9 +399,17 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             if delays is not None:
                 ledger["dtau_mid"][n] = [delays.dtau(i, t_mid) for i in range(3)]
             if histories is not None:
-                _push_midpoint_traces(histories, t_mid, trace_mid)
+                _push_midpoint_traces(histories, t_mid, trace_mid, slopes[n])
         q, v = q1, v1
         record(n + 1)
+
+    # the delay-line energy is the only part of E beyond the field energy
+    energy = field_energy
+    if delayed:
+        delay_energy, tilts, z_series = _delay_windows(
+            histories, initial_samples, ledger, slopes, times, delays, betas
+        )
+        energy = field_energy + delay_energy
 
     return SimOutput(
         variant=sys_.variant,

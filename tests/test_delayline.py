@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import sandwichbeam.delayline as delayline
 from sandwichbeam.delayline import (
     LookupBeforeHistory,
     TraceHistory,
@@ -13,6 +15,8 @@ from sandwichbeam.delayline import (
     eval_delayed,
     init_history,
     push,
+    retained_first,
+    window_integrals,
 )
 from sandwichbeam.params import ConstantDelay, DelaySpec, SinusoidalDelay
 
@@ -267,3 +271,66 @@ def test_lookups_match_searchsorted_reference_after_compaction(seed):
         delay_window(h, ts[-1] + h.extension + 1e-6, 0.5 * (ts[-1] - ts[0]))
     with pytest.raises(ValueError):
         delay_window(h, ts[-1] - 1e-6, 0.5 * (ts[-1] - ts[0]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=hs.integers(0, 2**32 - 1),
+    n_initial=hs.integers(2, 64),
+    n_push=hs.integers(150, 400),
+    retention=hs.floats(0.05, 0.3),
+    block=hs.sampled_from([1, 7, 1 << 12]),
+)
+def test_window_pass_matches_the_window_of_every_step(seed, n_initial, n_push, retention, block):
+    # a history under finite retention (so it evicts and compacts) serves one
+    # window after each push; one pass over the whole sample record, with the
+    # eviction replayed, gives the same (I0, I1, z) for every step, whatever
+    # the block size
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(-3.0, 3.0, 3)
+    # dense initial samples on [-tau0, 0], then the drawn stream
+    tau0 = rng.uniform(0.02, retention)
+    h = init_history(0, lambda s: a * math.sin(b * s + c), tau0, retention, n_initial)
+    gaps = rng.uniform(0.001, 0.02, n_push)
+    ts = np.concatenate([h.times, np.cumsum(gaps)])
+    ys = np.concatenate([h.values, rng.standard_normal(n_push)])
+    ms = np.concatenate([h.slopes, rng.standard_normal(n_push)])
+    # tail windows end past the newest sample, never at the next one
+    extension = h.extension = 0.5 * gaps.min()
+    ends, taus, windows, earliest = [], [], [], []
+    for k in range(n_initial - 1, len(ts)):
+        if k >= n_initial:
+            push(h, ts[k], ys[k], ms[k])
+        end = ts[k] + extension * rng.choice([0.0, 1.0, rng.uniform()])
+        # windows from a point just past their end back to the earliest
+        # retained sample itself
+        tau = (end - h.times[0]) * rng.choice([1.0, rng.uniform(0.01, 1.0)])
+        ends.append(end)
+        taus.append(tau)
+        windows.append(delay_window(h, end, tau))
+        earliest.append(h.times[0])
+    assert len(h) < len(ts) and len(h._t) < len(ts)
+    retained = retained_first(ts, n_initial, retention)
+    np.testing.assert_array_equal(ts[retained[n_initial - 1 :]], earliest)
+    with mock.patch.object(delayline, "_BLOCK", block):
+        got = window_integrals(ts, ys, ms, ends, taus, retained, extension)
+    for g, ref in zip(got, np.array(windows).T):
+        assert np.all(np.abs(g - ref) <= 1e-15 * np.abs(ref)), np.max(np.abs(g - ref))
+
+
+def test_window_pass_refuses_what_the_history_could_not_serve():
+    ts = 0.01 * np.arange(100.0)
+    ys, ms = np.sin(ts), np.cos(ts)
+    retained = retained_first(ts, 10, 0.2)
+    k = 80
+    t, start = ts[k], ts[retained[k]]
+    assert 0 < retained[k] < k
+    # a window back to the earliest sample retained at step k is served
+    window_integrals(ts, ys, ms, [t], [t - start], retained, 0.005)
+    # one that starts before it is not, though the record holds the sample
+    with pytest.raises(LookupBeforeHistory, match="before earliest retained sample"):
+        window_integrals(ts, ys, ms, [t, t], [t - start, t - start + 1e-6], retained, 0.005)
+    # nor one whose tail reaches more than the extension past the newest sample
+    window_integrals(ts, ys, ms, [t + 0.005], [0.05], retained, 0.005)
+    with pytest.raises(LookupBeforeHistory, match="beyond newest sample"):
+        window_integrals(ts, ys, ms, [t + 0.006], [0.05], retained, 0.005)

@@ -330,3 +330,17 @@ def test_observability_single_field_matches_continuum():
     cfg = SchemeConfig(dt=T / 1024, T=T, stride=1024)
     _, obs, _ = solve_adjoint(state, T, sys_, cfg)
     assert obs.norm_sq == pytest.approx(oracle, rel=0.10)
+
+
+def test_horizon_must_match_the_scheme():
+    # the run always covers [0, cfg.T]; a different T would be ignored
+    p, sys_ = controlled_system(N=16)
+    cfg = short_cfg(T=2.0, steps=128)
+    state = random_smooth_state(sys_, seed=1)
+    for T in (1.0, 2.0 * (1.0 + 1e-9)):
+        with pytest.raises(ValueError, match="differs from the scheme"):
+            compute_null_control(state, T, sys_, cfg)
+        with pytest.raises(ValueError, match="differs from the scheme"):
+            solve_adjoint(state, T, sys_, cfg)
+    # a horizon within roundoff of cfg.T is the same horizon
+    solve_adjoint(state, 2.0 * (1.0 + 1e-15), sys_, cfg)

@@ -1,8 +1,13 @@
+import dataclasses
+import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sandwichbeam.config import load_config
+from sandwichbeam.delayline import LookupBeforeHistory, push
 from sandwichbeam.discretize import (
     VARIANT_CONTROLLED,
     VARIANT_STABILIZED,
@@ -31,6 +36,22 @@ def stabilized(N=32, **kw):
 def controlled(N=32, **kw):
     p = unit_params(**kw)
     return p, build_system(Grid1D(N=N, L=p.L), p, VARIANT_CONTROLLED)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DECAY_INI = os.path.join(ROOT, "configs", "decay.ini")
+
+
+def decay_scenario(N, delays=None):
+    """configs/decay.ini on N cells: (system, initial state, simulate
+    keywords), optionally under other delay laws."""
+    cfg = load_config(DECAY_INI)
+    delays = cfg.delays if delays is None else delays
+    sys_ = build_system(Grid1D(N=N, L=cfg.params.L), cfg.params, cfg.variant)
+    state = cfg.build_initial(sys_)
+    histories = make_histories(sys_, state, delays, kind=cfg.initial["history"])
+    kwargs = dict(gains=cfg.gains, delays=delays, damping=cfg.damping, histories=histories)
+    return sys_, state, kwargs
 
 
 def test_scheme_config_validation():
@@ -208,6 +229,18 @@ def test_unit_slope_delay_refused():
     hist = make_histories(sys_, st, delays)
     with pytest.raises(ValueError):
         simulate(st, sys_, SchemeConfig(dt=0.05, T=0.5), gains=gains, delays=delays, histories=hist)
+
+
+def test_delayed_history_must_end_by_the_start():
+    # the window at t = 0 must read the history up to its newest sample
+    p, sys_ = stabilized(16)
+    delays = DelaySpec.constant(0.1)
+    gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
+    st = zero_state(sys_)
+    hist = make_histories(sys_, st, delays)
+    push(hist[0], 0.005, 0.0, 0.0)
+    with pytest.raises(ValueError, match="must end at t <= 0"):
+        simulate(st, sys_, SchemeConfig(dt=0.02, T=0.2), gains=gains, delays=delays, histories=hist)
 
 
 def test_nonfinite_state_detected():
@@ -414,3 +447,59 @@ def test_trace_ode_consistency_controlled():
     scale = 0.3  # control amplitude
     assert g2 <= 0.5 * dx * scale + 0.1 * g1
     assert g1 <= 0.05 * scale
+
+
+def test_nonfinite_effective_matrix_detected():
+    p, sys_ = stabilized(16)
+    st = random_smooth_state(sys_, seed=4, prepared=True)
+    cfg = SchemeConfig(dt=0.02, T=0.2)
+
+    class TurnsNan:
+        # finite damping weights for two steps, then NaN
+        def a(self, i, t):
+            return 1.0 if t < 0.05 else math.nan
+
+    with pytest.raises(IntegrationError, match="non-finite effective matrix"):
+        simulate(st, sys_, cfg, damping=TurnsNan())
+    band = sys_.band.copy()
+    band[1, 3] = np.inf
+    with pytest.raises(IntegrationError, match="non-finite effective matrix"):
+        simulate(st, dataclasses.replace(sys_, band=band), cfg)
+
+
+def test_delay_windows_computed_once_per_delayed_channel(monkeypatch):
+    import sandwichbeam.timestep as timestep
+
+    channels = []
+    real = timestep.window_integrals
+    monkeypatch.setattr(
+        timestep, "window_integrals", lambda *a, **kw: channels.append(a[-1]) or real(*a, **kw)
+    )
+    sys_, state, kwargs = decay_scenario(16)
+    out = simulate(state, sys_, SchemeConfig(dt=0.02, T=1.0), **kwargs)
+    assert out.n_steps == 50
+    assert sorted(channels) == [0, 1, 2]
+
+
+def test_delay_beyond_declared_cap_raises():
+    # tau(t) reaches 0.3, but the histories retain only the declared cap 0.2
+    class Undercapped(SinusoidalDelay):
+        cap = 0.2
+
+    sys_, state, kwargs = decay_scenario(16, DelaySpec((Undercapped(0.2, 0.1, 5.0),) * 3))
+    with pytest.raises(LookupBeforeHistory):
+        simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
+
+
+def test_delay_window_pass_memory_is_bounded():
+    # 4000 steps with 100-150 history segments per delay window: the window
+    # pass works in blocks, so its peak stays O(steps), not O(steps * tau/dt)
+    sys_, state, kwargs = decay_scenario(16)
+    tracemalloc.start()
+    try:
+        out = simulate(state, sys_, SchemeConfig(dt=0.001, T=4.0, stride=10), **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_steps == 4000
+    assert peak < 4 * 2**20, peak
