@@ -44,9 +44,9 @@ from .delayline import (
     TraceHistory,
     init_history,
     push,
+    checked_delay,
     eval_delayed,
     delay_window,
-    retained_first,
     window_integrals,
 )
 from .timestep import (

@@ -11,6 +11,7 @@ and seeds produce byte-identical files within one numpy/BLAS build.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -259,7 +260,7 @@ def cmd_decay_report(cfg, args):
             "zeta": rates.zeta,
             "rate": rates.rate,
         },
-        "decay_report": report.as_dict(),
+        "decay_report": dataclasses.asdict(report),
         "lyapunov_equivalence": equivalence_ok,
         "monotone_energy": _monotone_energy(out),
         "trace_estimates": traces,

@@ -37,18 +37,6 @@ class DecayReport:
     max_dissipation_residual: float
     window: tuple
 
-    def as_dict(self):
-        return {
-            "fitted_rate": self.fitted_rate,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "theoretical_rate": self.theoretical_rate,
-            "zeta": self.zeta,
-            "violations": self.violations,
-            "max_dissipation_residual": self.max_dissipation_residual,
-            "window": list(self.window),
-        }
-
 
 def check_dissipation_identity(out, params, gains, delays=None, damping=None):
     """|dE/dt - (interior damping power + boundary forms)| per step."""

@@ -3,9 +3,10 @@
 The delayed feedback needs trace velocities at t - tau_i(t), and the
 delay-line energy needs integrals of y_i(s)^2 over [t - tau_i(t), t].  Both
 read one (t, value, slope) sample stream per channel, interpolated by cubic
-Hermite polynomials with the slopes the integrator pushes.  Because
-tau' <= d < 1, the delayed argument is increasing, so samples older than
-the retention horizon can be evicted.
+Hermite polynomials with the slopes the integrator pushes.  A history
+keeps every sample it is given, so it is the one record of its channel
+that both readers read; a delay longer than its declared cap is refused
+at the lookup and in the window pass.
 
 The two readers differ in shape.  A lookup reads one point while the run
 steps, so ``TraceHistory`` keeps its samples as Python floats and the
@@ -30,9 +31,9 @@ __all__ = [
     "TraceHistory",
     "init_history",
     "push",
+    "checked_delay",
     "eval_delayed",
     "delay_window",
-    "retained_first",
     "window_integrals",
 ]
 
@@ -57,16 +58,15 @@ def _hermite(s, h, y0, m0, y1, m1):
 
 
 class LookupBeforeHistory(RuntimeError):
-    """A delayed lookup reached past the retained samples: a scheme bug."""
+    """A delayed lookup reached outside the recorded samples, or a delay
+    exceeded its declared cap: a scheme or delay-law bug."""
 
 
 class TraceHistory:
     """Ordered (t, value, slope) samples of one boundary trace.
 
-    The samples are plain float lists, live from index ``_start`` on; the
-    evicted prefix is deleted once it is more than half of them.  The
-    history holds samples only: point lookups read it directly, and
-    ``delay_window`` hands its live samples to ``window_integrals``.
+    The samples are plain float lists that only grow: point lookups read
+    them directly, and ``delay_window`` hands them to ``window_integrals``.
 
     ``extension`` permits constant continuation past the newest sample by
     at most that much; the integrator records samples at step midpoints
@@ -74,28 +74,26 @@ class TraceHistory:
     extension to half a step so endpoint lookups stay exact.
     """
 
-    def __init__(self, channel, retention, extension=0.0):
+    def __init__(self, channel, extension=0.0):
         self.channel = channel
-        self.retention = retention
         self.extension = extension
         self._t, self._y, self._m = [], [], []
-        self._start = 0
         self._last_primary_theta = -math.inf
 
     def __len__(self):
-        return len(self._t) - self._start
+        return len(self._t)
 
     @property
     def times(self):
-        return np.array(self._t[self._start :])
+        return np.array(self._t)
 
     @property
     def values(self):
-        return np.array(self._y[self._start :])
+        return np.array(self._y)
 
     @property
     def slopes(self):
-        return np.array(self._m[self._start :])
+        return np.array(self._m)
 
     @property
     def last_time(self):
@@ -110,33 +108,22 @@ class TraceHistory:
         self._y.append(float(value))
         self._m.append(float(slope))
 
-    def _evict(self, horizon):
-        """Skip the samples no lookup after ``horizon`` reaches; delete them past half."""
-        ts, start = self._t, self._start
-        while start < len(ts) - 1 and ts[start + 1] <= horizon:
-            start += 1
-        if start > len(ts) // 2:
-            for buf in (self._t, self._y, self._m):
-                del buf[:start]
-            start = 0
-        self._start = start
-
     def _segment(self, theta):
         """Segment j = [t_j, t_{j+1}] holding theta (the tail maps to the last),
-        once theta is checked to lie in the retained samples."""
+        once theta is checked to lie in the samples."""
         ts = self._t
-        if theta < ts[self._start] - 1e-12:
+        if theta < ts[0] - 1e-12:
             raise LookupBeforeHistory(
                 f"channel {self.channel}: lookup at t={theta:.6g} "
-                f"before earliest retained sample t={ts[self._start]:.6g}"
+                f"before earliest sample t={ts[0]:.6g}"
             )
         if theta > ts[-1] + self.extension + 1e-12:
             raise LookupBeforeHistory(
                 f"channel {self.channel}: lookup at t={theta:.6g} "
                 f"beyond newest sample t={ts[-1]:.6g} (+extension {self.extension:.3g})"
             )
-        j = bisect.bisect_right(ts, theta, self._start) - 1
-        return min(max(j, self._start), len(ts) - 2)
+        j = bisect.bisect_right(ts, theta) - 1
+        return min(max(j, 0), len(ts) - 2)
 
     def value_at(self, theta):
         """The trace at one past time theta."""
@@ -155,7 +142,7 @@ class TraceHistory:
         return np.array([self.value_at(theta) for theta in np.ravel(thetas).tolist()])
 
 
-def init_history(channel, initial_fn, tau0, retention=None, n_samples=64):
+def init_history(channel, initial_fn, tau0, n_samples=64):
     """Sample the initial trace function on [-tau0, 0] at uniform points.
 
     Slopes are recovered by second-order finite differences of the samples,
@@ -164,7 +151,7 @@ def init_history(channel, initial_fn, tau0, retention=None, n_samples=64):
     """
     if not tau0 > 0.0:
         raise ValueError(f"initial delay must be positive, got {tau0!r}")
-    hist = TraceHistory(channel, retention=tau0 if retention is None else retention)
+    hist = TraceHistory(channel)
     ts = np.linspace(-tau0, 0.0, n_samples)
     ys = np.array([float(initial_fn(t)) for t in ts])
     ms = np.gradient(ys, ts)
@@ -174,22 +161,32 @@ def init_history(channel, initial_fn, tau0, retention=None, n_samples=64):
 
 
 def push(history, t, value, slope):
-    """Append one sample; time must advance strictly; evict unreachable past."""
+    """Append one sample; time must advance strictly."""
     last = history.last_time if len(history) else -math.inf
     if not t > last:
         raise ValueError(f"non-monotone push: t={t!r} after t={last!r}")
     history._append(t, value, slope)
-    if math.isfinite(history.retention):
-        history._evict(t - history.retention - 2.0 * (t - last))
+
+
+def checked_delay(delays, channel, t):
+    """tau_i(t); LookupBeforeHistory when it exceeds the declared cap."""
+    tau = delays.tau(channel, t)
+    if tau > delays.cap(channel) + 1e-12:
+        raise LookupBeforeHistory(
+            f"channel {channel}: delay {tau:.6g} at t={t:.6g} "
+            f"exceeds its declared cap {delays.cap(channel):.6g}"
+        )
+    return tau
 
 
 def eval_delayed(history, channel, t, delays):
     """Trace value at the delayed argument theta = t - tau_i(t).
 
-    Asserts that theta increases from call to call (guaranteed when the
-    delay spec obeys tau' <= d < 1 and simulation time moves forward).
+    The delay is checked against its cap (``checked_delay``), and theta is
+    asserted to increase from call to call (guaranteed when the delay spec
+    obeys tau' <= d < 1 and simulation time moves forward).
     """
-    theta = float(t - delays.tau(channel, t))
+    theta = float(t - checked_delay(delays, channel, t))
     if theta < history._last_primary_theta - 1e-12:
         raise AssertionError(
             f"channel {channel}: delayed argument not increasing "
@@ -197,24 +194,6 @@ def eval_delayed(history, channel, t, delays):
         )
     history._last_primary_theta = theta
     return history.value_at(theta)
-
-
-def retained_first(ts, pushed_from, retention):
-    """Index of the earliest sample a history retains while sample k is its newest.
-
-    ``ts`` are a history's live sample times followed by the times pushed
-    after them, from index ``pushed_from`` on; the eviction of every
-    ``push`` is replayed, so ``window_integrals`` refuses each window that
-    the history could not have served when that sample was the newest.
-    """
-    ts = np.asarray(ts, dtype=float)
-    first = np.zeros(len(ts), dtype=np.intp)
-    k = np.arange(max(pushed_from, 1), len(ts))
-    if math.isfinite(retention) and k.size:
-        horizon = ts[k] - retention - 2.0 * (ts[k] - ts[k - 1])
-        reach = np.minimum(np.searchsorted(ts, horizon, side="right") - 1, k)
-        first[k] = np.maximum.accumulate(np.maximum(reach, 0))
-    return first
 
 
 def _segment_integrals(ts, ys, ms):
@@ -276,15 +255,15 @@ def _window_block(ts, ys, ms, e, f, ends, thetas, j, newest):
     return i0, i1, z
 
 
-def window_integrals(ts, ys, ms, ends, taus, retained=None, extension=0.0, channel=0):
+def window_integrals(ts, ys, ms, ends, taus, extension=0.0, channel=0):
     """(I0, I1, z) of the windows [ends - taus, ends] over one sample record, as arrays.
 
     The record is the (t, value, slope) samples of one trace, times strictly
     increasing.  Window k reads the samples up to n, the newest one at or
     before ends[k], plus the constant continuation of sample n, which may
-    reach at most ``extension`` past it; it must start at or after sample
-    ``retained[n]`` (``retained_first``; sample 0 by default), else
-    LookupBeforeHistory is raised, as it is for too long a tail.
+    reach at most ``extension`` past it; it must start at or after the
+    earliest sample, else LookupBeforeHistory is raised, as it is for too
+    long a tail.
 
     I0 = int y(s)^2 ds and I1 = int (1 - (t - s)/tau) y(s)^2 ds, which are
     tau * int z^2 drho and tau * int (1 - rho) z^2 drho for the rescaled
@@ -301,24 +280,22 @@ def window_integrals(ts, ys, ms, ends, taus, retained=None, extension=0.0, chann
     taus = np.asarray(taus, dtype=float)
     thetas = ends - taus
     newest = np.searchsorted(ts, ends, side="right") - 1
-    top = np.maximum(newest, 0)
-    first = np.zeros_like(newest) if retained is None else np.asarray(retained)[top]
-    early = (newest < first) | (thetas < ts[first] - 1e-12)
-    late = ends > ts[top] + extension + 1e-12
+    early = (newest < 0) | (thetas < ts[0] - 1e-12)
+    late = ends > ts[np.maximum(newest, 0)] + extension + 1e-12
     bad = np.flatnonzero(early | late)
     if bad.size:
         k = bad[0]
         if early[k]:
             raise LookupBeforeHistory(
                 f"channel {channel}: lookup at t={thetas[k]:.6g} "
-                f"before earliest retained sample t={ts[first[k]]:.6g}"
+                f"before earliest sample t={ts[0]:.6g}"
             )
         raise LookupBeforeHistory(
             f"channel {channel}: lookup at t={ends[k]:.6g} "
             f"beyond newest sample t={ts[newest[k]]:.6g} (+extension {extension:.3g})"
         )
     # segment j = [t_j, t_{j+1}] holds the window start (the tail maps to the last)
-    j = np.minimum(np.maximum(np.searchsorted(ts, thetas, side="right") - 1, first), newest - 1)
+    j = np.minimum(np.maximum(np.searchsorted(ts, thetas, side="right") - 1, 0), newest - 1)
     e, f = _segment_integrals(ts, ys, ms)
     i0, i1, z = (np.empty(len(ends)) for _ in range(3))
     size = max(1, _BLOCK // max(1, int((newest - j).max(initial=0))))
@@ -332,7 +309,7 @@ def window_integrals(ts, ys, ms, ends, taus, retained=None, extension=0.0, chann
 
 def delay_window(history, t, tau):
     """(I0, I1, z) over one window [t - tau, t], which must reach the newest
-    sample: ``window_integrals`` on the history's live samples."""
+    sample: ``window_integrals`` on the history's samples."""
     t = float(t)
     if t < history.last_time:
         raise ValueError(f"window end t={t!r} before the newest sample t={history.last_time!r}")

@@ -179,13 +179,6 @@ class SemiDiscreteSystem:
         kinetic terms are part of M."""
         return float(0.5 * (np.dot(p, self.M * p) + q @ dsbmv(KD, 1.0, self.band, q, lower=1)))
 
-    def velocity_norms_sq(self, p):
-        """Unweighted L2 norms squared (||u_t||^2, ||v_t||^2, ||w_t||^2)."""
-        return tuple(
-            float(np.dot(self.block_weights[name], p[self.block(name)] ** 2))
-            for name in ("u", "v", "w")
-        )
-
     def traces(self, x):
         """The three boundary-channel values of x: for velocities (u_t(L),
         v_t(L), w_tx(L) or w_t(L)), for displacements (u(L), v(L), w_x(L) or

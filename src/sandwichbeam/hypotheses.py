@@ -9,7 +9,6 @@ admissible delay slope d in [0, d_i].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -120,9 +119,6 @@ class HypothesisReport:
 
     def failing(self):
         return [c for c in self.conditions if not c.passed]
-
-    def to_json(self, indent=None):
-        return json.dumps({"conditions": [c.as_dict() for c in self.conditions]}, indent=indent)
 
 
 def validate_gains(params, gains, delays):

@@ -205,7 +205,5 @@ def make_histories(sys_, state, delays, kind="constant_trace"):
             fn = lambda s: 0.0
         else:
             raise ValueError(f"unknown history preset {kind!r}")
-        histories.append(
-            init_history(i, fn, delays.tau(i, 0.0), retention=delays.cap(i))
-        )
+        histories.append(init_history(i, fn, delays.tau(i, 0.0)))
     return tuple(histories)

@@ -16,11 +16,11 @@ step rule dt <= min tau0 keeps them behind the current step), so every
 step is one symmetric positive definite solve.
 
 A delayed run pushes one midpoint trace sample per channel and step into
-the delay lines, which serve the delayed lookups, and records every sample
-it pushes.  Nothing in a step reads the delay-window integrals, so the
-delay energy, the Lyapunov tilts and the delayed traces z_i at the record
-times are computed after the loop, in one ``window_integrals`` pass per
-delayed channel over the history's initial samples and the recorded ones.
+the delay lines, which keep every sample and serve the delayed lookups.
+Nothing in a step reads the delay-window integrals, so the delay energy,
+the Lyapunov tilts and the delayed traces z_i at the record times are
+computed after the loop, in one ``window_integrals`` pass per delayed
+channel over its history's samples.
 
 That solve and the stiffness product work on the banded stiffness
 (``SemiDiscreteSystem.band``), in the node-by-node order of the state
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .delayline import eval_delayed, push, retained_first, window_integrals
+from .delayline import checked_delay, eval_delayed, push, window_integrals
 from .discretize import KD, VARIANT_STABILIZED, DiscreteState
 from .params import GainConfig
 
@@ -217,9 +217,8 @@ class _Stepper:
         return q1, v1, a_values
 
 
-def _push_midpoint_traces(histories, t_mid, values, slopes):
-    """Record midpoint trace samples into the delay lines, and their slopes
-    into ``slopes``.
+def _push_midpoint_traces(histories, t_mid, values):
+    """Record midpoint trace samples into the delay lines.
 
     Midpoint sampling keeps the delayed feedback loop stable: the undamped
     grid-frequency modes of the conservative scheme average out at step
@@ -228,29 +227,25 @@ def _push_midpoint_traces(histories, t_mid, values, slopes):
     accelerations carry the unfiltered ringing and would reopen the loop
     through the Hermite terms).
     """
-    for i, (hist, value) in enumerate(zip(histories, values)):
+    for hist, value in zip(histories, values):
         slope = (value - hist.last_value) / (t_mid - hist.last_time)
         push(hist, t_mid, value, slope)
-        slopes[i] = slope
 
 
-def _delay_windows(histories, initial_samples, ledger, slopes, times, delays, betas):
+def _delay_windows(histories, times, delays, betas):
     """Delay energy, tilts and delayed traces at the record times, from one
-    ``window_integrals`` pass per delayed channel over its sample record."""
+    ``window_integrals`` pass per delayed channel over its history's
+    samples; a delay past its declared cap raises LookupBeforeHistory."""
     n_rec = len(times)
     delay_energy = np.zeros(n_rec)
     tilts = np.zeros((n_rec, 3))
     z_series = np.zeros((n_rec, 3))
-    for i, (hist, (ts0, ys0, ms0)) in enumerate(zip(histories, initial_samples)):
+    for i, hist in enumerate(histories):
         if betas[i] == 0.0:
             continue
-        ts = np.concatenate([ts0, ledger["t_mid"]])
-        ys = np.concatenate([ys0, ledger["trace_mid"][:, i]])
-        ms = np.concatenate([ms0, slopes[:, i]])
-        taus = [delays.tau(i, t) for t in times.tolist()]
-        retained = retained_first(ts, len(ts0), hist.retention)
+        taus = [checked_delay(delays, i, t) for t in times.tolist()]
         i0, tilts[:, i], z_series[:, i] = window_integrals(
-            ts, ys, ms, times, taus, retained, hist.extension, i
+            hist.times, hist.values, hist.slopes, times, taus, hist.extension, i
         )
         delay_energy += 0.5 * abs(betas[i]) * i0
     return delay_energy, tilts, z_series
@@ -343,10 +338,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     sample_at = {s: k for k, s in enumerate(slots)}
     states_q = np.empty((len(slots), sys_.ndof))
     states_p = np.empty((len(slots), sys_.ndof))
-    tr_disp = z_series = tilts = ledger = slopes = None
-    if histories is not None:
-        initial_samples = [(hist.times, hist.values, hist.slopes) for hist in histories]
-        slopes = np.empty((n_steps, 3))
+    tr_disp = z_series = tilts = ledger = None
     if stabilized:
         z_series = np.zeros((n_steps + 1, 3))
         tilts = np.zeros((n_steps + 1, 3))
@@ -373,6 +365,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
 
     record(0)
     channels = sys_.channel_index
+    field_weights = sys_.field_weights
     force = np.zeros(sys_.ndof)
     zs = np.zeros(3)
     for n in range(n_steps):
@@ -391,7 +384,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             v_mid = 0.5 * (v + v1)
             ledger["t_mid"][n] = t_mid
             ledger["a_mid"][n] = a_values
-            ledger["vel_norms_mid"][n] = sys_.velocity_norms_sq(v_mid)
+            ledger["vel_norms_mid"][n] = field_weights @ (v_mid * v_mid)
             trace_mid = sys_.traces(v_mid)
             ledger["trace_mid"][n] = trace_mid
             if delayed:
@@ -399,16 +392,14 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             if delays is not None:
                 ledger["dtau_mid"][n] = [delays.dtau(i, t_mid) for i in range(3)]
             if histories is not None:
-                _push_midpoint_traces(histories, t_mid, trace_mid, slopes[n])
+                _push_midpoint_traces(histories, t_mid, trace_mid)
         q, v = q1, v1
         record(n + 1)
 
     # the delay-line energy is the only part of E beyond the field energy
     energy = field_energy
     if delayed:
-        delay_energy, tilts, z_series = _delay_windows(
-            histories, initial_samples, ledger, slopes, times, delays, betas
-        )
+        delay_energy, tilts, z_series = _delay_windows(histories, times, delays, betas)
         energy = field_energy + delay_energy
 
     return SimOutput(

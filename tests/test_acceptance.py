@@ -187,7 +187,7 @@ def test_criterion_04_theoretical_bound_and_equivalence():
 def test_criterion_05_delay_fidelity():
     # linear history with exact slopes is exact
     delays = DelaySpec.constant(0.3)
-    hist = init_history(0, lambda s: 2.0 * s + 1.0, 0.3, retention=np.inf)
+    hist = init_history(0, lambda s: 2.0 * s + 1.0, 0.3)
     t = 0.0
     worst = 0.0
     for k in range(1, 60):
@@ -205,7 +205,7 @@ def test_criterion_05_delay_fidelity():
     slope = lambda s: 2.0 * math.cos(2.0 * s) - 1.5 * math.sin(5.0 * s)
 
     def residual(dt):
-        h = init_history(0, trace, tdel.tau(0, 0.0), retention=10.0)
+        h = init_history(0, trace, tdel.tau(0, 0.0))
         s = 0.0
         while s < 3.0:
             s += dt

@@ -131,7 +131,7 @@ def test_lyapunov_equivalence_random_states():
         taus = [delays.tau(i, t) for i in range(3)]
         windows = []
         for i in range(3):
-            hist = TraceHistory(i, retention=np.inf)
+            hist = TraceHistory(i)
             for s, y, m in zip(np.linspace(t - taus[i], t, 33), *rng.standard_normal((2, 33))):
                 push(hist, s, y, m)
             windows.append(delay_window(hist, t, taus[i])[:2])

@@ -15,10 +15,12 @@ from sandwichbeam.delayline import (
     eval_delayed,
     init_history,
     push,
-    retained_first,
     window_integrals,
 )
 from sandwichbeam.params import ConstantDelay, DelaySpec, SinusoidalDelay
+from sandwichbeam.timestep import SchemeConfig, simulate
+
+from test_timestep import decay_scenario
 
 
 def test_init_history_zero_and_linear():
@@ -54,7 +56,7 @@ def test_eval_delayed_constant_and_linear_exact():
         push(h, t, v, 0.0)
     assert eval_delayed(h, 0, 0.05, delays) == pytest.approx(5.0)
 
-    h = init_history(1, lambda s: s, 0.3, retention=np.inf)
+    h = init_history(1, lambda s: s, 0.3)
     t = 0.0
     for k in range(1, 40):
         t = 0.01 * k
@@ -69,7 +71,7 @@ def test_eval_delayed_sine_second_order():
     delays = DelaySpec.constant(0.4)
     errs = []
     for dt in (0.02, 0.01):
-        h = init_history(0, math.sin, 0.4, retention=np.inf)
+        h = init_history(0, math.sin, 0.4)
         t = 0.0
         while t < 1.0:
             t += dt
@@ -89,6 +91,35 @@ def test_monotone_theta_assertion():
     eval_delayed(h, 0, 0.2, delays)
     with pytest.raises(AssertionError):
         eval_delayed(h, 0, 0.1, delays)
+
+
+def test_eval_delayed_refuses_a_delay_past_its_cap():
+    # tau(t) = 0.2 + 0.1 sin(5t) under a declared cap of 0.2: the history
+    # holds the delayed argument, but the delay itself is out of bounds
+    class Undercapped(SinusoidalDelay):
+        cap = 0.2
+
+    delays = DelaySpec((Undercapped(0.2, 0.1, 5.0),) * 3)
+    h = init_history(0, lambda s: 0.0, 0.3)
+    push(h, 0.1, 1.0, 0.0)
+    eval_delayed(h, 0, 0.0, delays)
+    with pytest.raises(LookupBeforeHistory, match="exceeds its declared cap"):
+        eval_delayed(h, 0, 0.1, delays)
+
+
+def test_delayed_run_keeps_every_sample():
+    # a run ten times longer than the delay cap: each history holds its
+    # initial samples and the midpoint sample of every step
+    sys_, state, kwargs = decay_scenario(16)
+    histories = kwargs["histories"]
+    n_initial = [len(h) for h in histories]
+    cfg = SchemeConfig(dt=0.02, T=3.0)
+    assert cfg.T > 10.0 * max(kwargs["delays"].cap(i) for i in range(3))
+    out = simulate(state, sys_, cfg, **kwargs)
+    for i, (h, n0) in enumerate(zip(histories, n_initial)):
+        assert len(h) == n0 + out.n_steps
+        np.testing.assert_array_equal(h.times[n0:], out.ledger["t_mid"])
+        np.testing.assert_array_equal(h.values[n0:], out.ledger["trace_mid"][:, i])
 
 
 def test_lookup_before_history_raises():
@@ -122,23 +153,6 @@ def test_constant_trace_constant_profile():
     assert np.max(np.abs(prof - 2.5)) <= np.spacing(2.5)
 
 
-def test_eviction_preserves_reachable_lookups():
-    delays = DelaySpec((SinusoidalDelay(0.3, 0.1, 2.0),) * 3)
-    hist_evict = init_history(0, math.sin, delays.tau(0, 0.0), retention=delays.cap(0))
-    hist_keep = init_history(0, math.sin, delays.tau(0, 0.0), retention=np.inf)
-    t = 0.0
-    vals_evict, vals_keep = [], []
-    for k in range(1, 400):
-        t = 0.01 * k
-        push(hist_evict, t, math.sin(t), math.cos(t))
-        push(hist_keep, t, math.sin(t), math.cos(t))
-        theta = t - delays.tau(0, t)
-        vals_evict.append(hist_evict.interpolate(theta)[0])
-        vals_keep.append(hist_keep.interpolate(theta)[0])
-    assert len(hist_evict) < len(hist_keep)
-    assert np.max(np.abs(np.array(vals_evict) - np.array(vals_keep))) == 0.0
-
-
 def test_transport_equation_residual_second_order():
     # z(rho,t) = trace(t - tau(t) rho) solves tau z_t + (1 - tau' rho) z_rho = 0;
     # check the finite-difference residual on profile outputs halves-squared
@@ -147,7 +161,7 @@ def test_transport_equation_residual_second_order():
     slope = lambda t: 2.0 * math.cos(2.0 * t) - 1.5 * math.sin(5.0 * t)
 
     def residual(dt_hist, n_panels=64):
-        h = init_history(0, trace, delays.tau(0, 0.0), retention=10.0)
+        h = init_history(0, trace, delays.tau(0, 0.0))
         t = 0.0
         while t < 3.0:
             t += dt_hist
@@ -184,7 +198,7 @@ def _cubic_integrals(c, a, b, theta, tau):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(seed=hs.integers(0, 2**32 - 1), case=hs.sampled_from(["initial", "tail", "compacted"]))
+@given(seed=hs.integers(0, 2**32 - 1), case=hs.sampled_from(["initial", "tail", "long"]))
 def test_delay_integrals_exact_on_cubic_histories(seed, case):
     # a cubic trace pushed with exact slopes is its own Hermite interpolant,
     # so both window integrals must match the closed form to roundoff
@@ -192,17 +206,14 @@ def test_delay_integrals_exact_on_cubic_histories(seed, case):
     c = [Fraction(x) for x in rng.uniform(-2.0, 2.0, 4)]
     p = lambda s: c[0] + s * (c[1] + s * (c[2] + s * c[3]))
     dp = lambda s: c[1] + s * (2 * c[2] + s * 3 * c[3])
-    compacted = case == "compacted"
-    n_push = 1500 if compacted else int(rng.integers(8, 60))
-    gaps = rng.uniform(0.002, 0.01, n_push) if compacted else rng.uniform(0.01, 0.2, n_push)
+    long = case == "long"
+    n_push = 1500 if long else int(rng.integers(8, 60))
+    gaps = rng.uniform(0.002, 0.01, n_push) if long else rng.uniform(0.01, 0.2, n_push)
     times = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
-    h = TraceHistory(0, retention=0.2 if compacted else np.inf)
+    h = TraceHistory(0)
     for t in times:
         push(h, t, float(p(Fraction(t))), float(dp(Fraction(t))))
     ts = h.times
-    if compacted:
-        # samples were evicted, and the buffer compacted at least once
-        assert len(h) < n_push and len(h._t) < n_push
     # windows end at the newest sample, or past it in the constant tail
     h.extension = ts[-1] - ts[-2]
     t = ts[-1] + (rng.uniform(0.0, 1.0) * h.extension if case == "tail" else 0.0)
@@ -241,19 +252,16 @@ def _reference_value(ts, ys, ms, theta):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=hs.integers(0, 2**32 - 1))
-def test_lookups_match_searchsorted_reference_after_compaction(seed):
-    # random samples under finite retention: the history evicts and compacts,
-    # and every lookup still equals the searchsorted reference on what it kept
+def test_lookups_match_searchsorted_reference(seed):
+    # random samples: every lookup equals the searchsorted reference on the
+    # samples the history holds
     rng = np.random.default_rng(seed)
     n_push = int(rng.integers(200, 600))
-    times = np.cumsum(rng.uniform(0.001, 0.02, n_push))
+    ts = np.cumsum(rng.uniform(0.001, 0.02, n_push))
     ys, ms = rng.standard_normal((2, n_push))
-    h = TraceHistory(0, retention=float(rng.uniform(0.05, 0.3)), extension=0.01)
-    for t, y, m in zip(times, ys, ms):
+    h = TraceHistory(0, extension=0.01)
+    for t, y, m in zip(ts, ys, ms):
         push(h, float(t), float(y), float(m))
-    assert len(h) < n_push and len(h._t) < n_push
-    kept = slice(n_push - len(h), n_push)
-    ts, ys, ms = times[kept], ys[kept], ms[kept]
     np.testing.assert_array_equal(h.times, ts)
     thetas = rng.uniform(ts[0], ts[-1] + h.extension, 50)
     thetas[:3] = ts[0], ts[-1], ts[int(rng.integers(1, len(ts) - 1))]
@@ -262,7 +270,7 @@ def test_lookups_match_searchsorted_reference_after_compaction(seed):
     assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
     for theta, r in zip(thetas, ref):
         assert abs(h.value_at(float(theta)) - r) <= np.spacing(abs(r))
-    # both sides of the retained span are checked, the window end included
+    # both sides of the recorded span are checked, the window end included
     with pytest.raises(LookupBeforeHistory):
         h.value_at(ts[0] - 1e-6)
     with pytest.raises(LookupBeforeHistory):
@@ -278,42 +286,37 @@ def test_lookups_match_searchsorted_reference_after_compaction(seed):
     seed=hs.integers(0, 2**32 - 1),
     n_initial=hs.integers(2, 64),
     n_push=hs.integers(150, 400),
-    retention=hs.floats(0.05, 0.3),
     block=hs.sampled_from([1, 7, 1 << 12]),
 )
-def test_window_pass_matches_the_window_of_every_step(seed, n_initial, n_push, retention, block):
-    # a history under finite retention (so it evicts and compacts) serves one
-    # window after each push; one pass over the whole sample record, with the
-    # eviction replayed, gives the same (I0, I1, z) for every step, whatever
-    # the block size
+def test_window_pass_matches_the_window_of_every_step(seed, n_initial, n_push, block):
+    # a history serves one window after each push; one pass over the whole
+    # sample record gives the same (I0, I1, z) for every step, whatever the
+    # block size
     rng = np.random.default_rng(seed)
     a, b, c = rng.uniform(-3.0, 3.0, 3)
     # dense initial samples on [-tau0, 0], then the drawn stream
-    tau0 = rng.uniform(0.02, retention)
-    h = init_history(0, lambda s: a * math.sin(b * s + c), tau0, retention, n_initial)
+    tau0 = rng.uniform(0.02, 0.3)
+    h = init_history(0, lambda s: a * math.sin(b * s + c), tau0, n_initial)
     gaps = rng.uniform(0.001, 0.02, n_push)
     ts = np.concatenate([h.times, np.cumsum(gaps)])
     ys = np.concatenate([h.values, rng.standard_normal(n_push)])
     ms = np.concatenate([h.slopes, rng.standard_normal(n_push)])
     # tail windows end past the newest sample, never at the next one
     extension = h.extension = 0.5 * gaps.min()
-    ends, taus, windows, earliest = [], [], [], []
+    ends, taus, windows = [], [], []
     for k in range(n_initial - 1, len(ts)):
         if k >= n_initial:
             push(h, ts[k], ys[k], ms[k])
         end = ts[k] + extension * rng.choice([0.0, 1.0, rng.uniform()])
         # windows from a point just past their end back to the earliest
-        # retained sample itself
-        tau = (end - h.times[0]) * rng.choice([1.0, rng.uniform(0.01, 1.0)])
+        # sample itself
+        tau = (end - ts[0]) * rng.choice([1.0, rng.uniform(0.01, 1.0)])
         ends.append(end)
         taus.append(tau)
         windows.append(delay_window(h, end, tau))
-        earliest.append(h.times[0])
-    assert len(h) < len(ts) and len(h._t) < len(ts)
-    retained = retained_first(ts, n_initial, retention)
-    np.testing.assert_array_equal(ts[retained[n_initial - 1 :]], earliest)
+    np.testing.assert_array_equal(h.times, ts)
     with mock.patch.object(delayline, "_BLOCK", block):
-        got = window_integrals(ts, ys, ms, ends, taus, retained, extension)
+        got = window_integrals(ts, ys, ms, ends, taus, extension)
     for g, ref in zip(got, np.array(windows).T):
         assert np.all(np.abs(g - ref) <= 1e-15 * np.abs(ref)), np.max(np.abs(g - ref))
 
@@ -321,16 +324,13 @@ def test_window_pass_matches_the_window_of_every_step(seed, n_initial, n_push, r
 def test_window_pass_refuses_what_the_history_could_not_serve():
     ts = 0.01 * np.arange(100.0)
     ys, ms = np.sin(ts), np.cos(ts)
-    retained = retained_first(ts, 10, 0.2)
-    k = 80
-    t, start = ts[k], ts[retained[k]]
-    assert 0 < retained[k] < k
-    # a window back to the earliest sample retained at step k is served
-    window_integrals(ts, ys, ms, [t], [t - start], retained, 0.005)
-    # one that starts before it is not, though the record holds the sample
-    with pytest.raises(LookupBeforeHistory, match="before earliest retained sample"):
-        window_integrals(ts, ys, ms, [t, t], [t - start, t - start + 1e-6], retained, 0.005)
+    t = ts[80]
+    # a window back to the earliest sample is served
+    window_integrals(ts, ys, ms, [t], [t - ts[0]], 0.005)
+    # one that starts before it is not
+    with pytest.raises(LookupBeforeHistory, match="before earliest sample"):
+        window_integrals(ts, ys, ms, [t, t], [t - ts[0], t - ts[0] + 1e-6], 0.005)
     # nor one whose tail reaches more than the extension past the newest sample
-    window_integrals(ts, ys, ms, [t + 0.005], [0.05], retained, 0.005)
+    window_integrals(ts, ys, ms, [t + 0.005], [0.05], 0.005)
     with pytest.raises(LookupBeforeHistory, match="beyond newest sample"):
-        window_integrals(ts, ys, ms, [t + 0.006], [0.05], retained, 0.005)
+        window_integrals(ts, ys, ms, [t + 0.006], [0.05], 0.005)

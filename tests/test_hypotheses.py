@@ -231,7 +231,4 @@ def test_decay_bound_examples_and_properties():
 def test_report_json_shape():
     p = unit_params()
     rep = validate_gains(p, gains(), DelaySpec.constant(0.2))
-    import json
-
-    data = json.loads(rep.to_json())
-    assert set(data["conditions"][0]) == {"condition_id", "lhs", "rhs", "margin", "pass"}
+    assert set(rep.conditions[0].as_dict()) == {"condition_id", "lhs", "rhs", "margin", "pass"}

@@ -1,5 +1,5 @@
-"""Package hygiene: every exported name exists and no module imports a name
-it never uses."""
+"""Package hygiene: every exported name exists, no module imports a name it
+never uses, and no module defines a private function it never references."""
 
 import ast
 import importlib
@@ -41,4 +41,25 @@ def test_no_unused_imports(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used.update(getattr(module, "__all__", []))
     unused = [(alias, line) for alias, line in imported_names(tree) if alias not in used]
+    assert not unused, unused
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_no_unused_private_functions(name):
+    # a module-level _private function is the module's own, so the module
+    # must reference it by name or as an attribute
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    private = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+    ]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    unused = [fn for fn in private if fn not in used]
     assert not unused, unused

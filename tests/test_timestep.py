@@ -15,7 +15,14 @@ from sandwichbeam.discretize import (
     Grid1D,
     build_system,
 )
-from sandwichbeam.params import DampingSpec, DelaySpec, ExponentialDamping, GainConfig, SinusoidalDelay
+from sandwichbeam.params import (
+    ConstantDelay,
+    DampingSpec,
+    DelaySpec,
+    ExponentialDamping,
+    GainConfig,
+    SinusoidalDelay,
+)
 from sandwichbeam.presets import (
     eigen_mode_state,
     make_histories,
@@ -488,6 +495,18 @@ def test_delay_beyond_declared_cap_raises():
 
     sys_, state, kwargs = decay_scenario(16, DelaySpec((Undercapped(0.2, 0.1, 5.0),) * 3))
     with pytest.raises(LookupBeforeHistory):
+        simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
+
+
+def test_window_pass_refuses_a_delay_past_its_cap():
+    # tau(t) overshoots its cap only at the final record time, after the
+    # last lookup, so the window pass is the one to refuse it
+    class LateOvershoot(ConstantDelay):
+        def tau(self, t):
+            return self.value + (0.05 if t > 1.995 else 0.0)
+
+    sys_, state, kwargs = decay_scenario(16, DelaySpec((LateOvershoot(0.1),) * 3))
+    with pytest.raises(LookupBeforeHistory, match="exceeds its declared cap"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
 
 
