@@ -44,8 +44,7 @@ from .delayline import (
     TraceHistory,
     init_history,
     push,
-    checked_delay,
-    eval_delayed,
+    delay_samples,
     delay_window,
     window_integrals,
 )

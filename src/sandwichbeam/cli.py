@@ -230,7 +230,7 @@ def cmd_decay_report(cfg, args):
     except IntegrationError as exc:
         _say(args, f"integration failed: {exc}")
         return EXIT_SOLVER
-    resid = check_dissipation_identity(out, cfg.params, cfg.gains, cfg.delays, cfg.damping)
+    resid = check_dissipation_identity(out, cfg.params, cfg.gains)
     window = (cfg.fit_window[0] * cfg.scheme.T, cfg.fit_window[1] * cfg.scheme.T)
     report = check_theoretical_bound(out, rates, window=window, dissipation_residual=resid)
     lyap = lyapunov_trace(out, sys_, rates, cfg.gains)

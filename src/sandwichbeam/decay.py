@@ -38,7 +38,7 @@ class DecayReport:
     window: tuple
 
 
-def check_dissipation_identity(out, params, gains, delays=None, damping=None):
+def check_dissipation_identity(out, params, gains):
     """|dE/dt - (interior damping power + boundary forms)| per step."""
     if out.variant != VARIANT_STABILIZED or out.ledger is None:
         raise ValueError("dissipation check needs a stabilized run with a ledger")

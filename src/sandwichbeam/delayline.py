@@ -5,18 +5,18 @@ delay-line energy needs integrals of y_i(s)^2 over [t - tau_i(t), t].  Both
 read one (t, value, slope) sample stream per channel, interpolated by cubic
 Hermite polynomials with the slopes the integrator pushes.  A history
 keeps every sample it is given, so it is the one record of its channel
-that both readers read; a delay longer than its declared cap is refused
-at the lookup and in the window pass.
+that both readers read; ``delay_samples`` samples the delays on a whole
+time grid and refuses one longer than its declared cap.
 
-The two readers differ in shape.  A lookup reads one point while the run
-steps, so ``TraceHistory`` keeps its samples as Python floats and the
-lookup kernel is scalar Python: a bisection finds the segment, and numpy's
-per-call overhead would cost more than the arithmetic it saves.  The window
-integrals are diagnostics that nothing in a step reads, so
-``window_integrals`` computes them for every window of a run in one numpy
-pass over the whole sample record, after the run.  On a cubic segment the
-integrands have degree <= 7, so 4-point Gauss-Legendre integrates them
-exactly.
+The two readers differ in shape.  A lookup reads one point per step, at a
+delayed argument sampled before the run, so ``TraceHistory`` keeps its
+samples as Python floats and the lookup kernel is scalar Python: a
+bisection finds the segment, and numpy's per-call overhead would cost more
+than the arithmetic it saves.  The window integrals are diagnostics that
+nothing in a step reads, so ``window_integrals`` computes them for every
+window of a run in one numpy pass over the whole sample record, after the
+run.  On a cubic segment the integrands have degree <= 7, so 4-point
+Gauss-Legendre integrates them exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ __all__ = [
     "TraceHistory",
     "init_history",
     "push",
-    "checked_delay",
-    "eval_delayed",
+    "delay_samples",
     "delay_window",
     "window_integrals",
 ]
@@ -58,8 +57,8 @@ def _hermite(s, h, y0, m0, y1, m1):
 
 
 class LookupBeforeHistory(RuntimeError):
-    """A delayed lookup reached outside the recorded samples, or a delay
-    exceeded its declared cap: a scheme or delay-law bug."""
+    """A delayed lookup or window reached outside the recorded samples, or a
+    sampled delay exceeded its declared cap: a scheme or delay-law bug."""
 
 
 class TraceHistory:
@@ -78,7 +77,6 @@ class TraceHistory:
         self.channel = channel
         self.extension = extension
         self._t, self._y, self._m = [], [], []
-        self._last_primary_theta = -math.inf
 
     def __len__(self):
         return len(self._t)
@@ -168,32 +166,18 @@ def push(history, t, value, slope):
     history._append(t, value, slope)
 
 
-def checked_delay(delays, channel, t):
-    """tau_i(t); LookupBeforeHistory when it exceeds the declared cap."""
-    tau = delays.tau(channel, t)
-    if tau > delays.cap(channel) + 1e-12:
+def delay_samples(delays, channel, times):
+    """tau_i at each of ``times``, as an array; LookupBeforeHistory names the
+    first sample past the channel's declared cap."""
+    taus = np.array([delays.tau(channel, t) for t in np.asarray(times, dtype=float).tolist()])
+    over = np.flatnonzero(taus > delays.cap(channel) + 1e-12)
+    if over.size:
+        k = over[0]
         raise LookupBeforeHistory(
-            f"channel {channel}: delay {tau:.6g} at t={t:.6g} "
+            f"channel {channel}: delay {taus[k]:.6g} at t={times[k]:.6g} "
             f"exceeds its declared cap {delays.cap(channel):.6g}"
         )
-    return tau
-
-
-def eval_delayed(history, channel, t, delays):
-    """Trace value at the delayed argument theta = t - tau_i(t).
-
-    The delay is checked against its cap (``checked_delay``), and theta is
-    asserted to increase from call to call (guaranteed when the delay spec
-    obeys tau' <= d < 1 and simulation time moves forward).
-    """
-    theta = float(t - checked_delay(delays, channel, t))
-    if theta < history._last_primary_theta - 1e-12:
-        raise AssertionError(
-            f"channel {channel}: delayed argument not increasing "
-            f"({theta} after {history._last_primary_theta})"
-        )
-    history._last_primary_theta = theta
-    return history.value_at(theta)
+    return taus
 
 
 def _segment_integrals(ts, ys, ms):

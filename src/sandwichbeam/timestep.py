@@ -15,8 +15,10 @@ records.  Delayed boundary terms are evaluated at known past times (the
 step rule dt <= min tau0 keeps them behind the current step), so every
 step is one symmetric positive definite solve.
 
-A delayed run pushes one midpoint trace sample per channel and step into
-the delay lines, which keep every sample and serve the delayed lookups.
+Every time law (damping weights, delays and their slopes, callable
+controls) is sampled and checked once, on the midpoint grid t_n + dt/2,
+before the first step.  A delayed run pushes one midpoint trace sample
+per channel and step into the delay lines, which keep every sample.
 Nothing in a step reads the delay-window integrals, so the delay energy,
 the Lyapunov tilts and the delayed traces z_i at the record times are
 computed after the loop, in one ``window_integrals`` pass per delayed
@@ -41,7 +43,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .delayline import checked_delay, eval_delayed, push, window_integrals
+from .delayline import delay_samples, push, window_integrals
 from .discretize import KD, VARIANT_STABILIZED, DiscreteState
 from .params import GainConfig
 
@@ -130,16 +132,15 @@ class SimOutput:
 _NO_GAINS = GainConfig(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _control_midpoints(controls, n_steps, dt):
-    """Sample controls at step midpoints; arrays are averaged endpoint pairs.
+def _control_midpoints(controls, t_mid):
+    """Controls at the midpoints ``t_mid``; arrays are averaged endpoint pairs.
 
     A non-finite sample raises IntegrationError naming the first step it
     would drive, so the loop itself never checks the controls again.
     """
+    n_steps = len(t_mid)
     if callable(controls):
-        f_mid = np.array(
-            [np.asarray(controls((n + 0.5) * dt), dtype=float) for n in range(n_steps)]
-        )
+        f_mid = np.array([np.asarray(controls(t), dtype=float) for t in t_mid.tolist()])
     else:
         arr = np.asarray(controls, dtype=float)
         if arr.shape != (n_steps + 1, 3):
@@ -154,16 +155,16 @@ def _control_midpoints(controls, n_steps, dt):
 class _Stepper:
     """One factorization of the effective matrix, reused while C(t) is steady.
 
-    The effective damping diagonal (boundary feedback plus interior damping)
-    and its factorization are rebuilt only when the damping weights change,
-    in place: the scaled stiffness band is checked for finiteness once, and
-    each rebuild checks only the diagonal it changes.
+    Each step is given its damping weights; the effective damping diagonal
+    (boundary feedback plus interior damping) and its factorization are
+    rebuilt only when they change, in place: the scaled stiffness band is
+    checked for finiteness once, and each rebuild checks only the diagonal
+    it changes.
     """
 
-    def __init__(self, sys_, dt, gains, damping):
+    def __init__(self, sys_, dt, gains):
         self.sys = sys_
         self.dt = dt
-        self.damping = damping
         self.feedback_diag = np.zeros(sys_.ndof)
         cs = np.asarray(sys_.params.boundary_stiffness)
         coeff = sys_.channel_coeff
@@ -175,11 +176,6 @@ class _Stepper:
         # the effective matrix, then its factor: dpbtrf works in this buffer
         self._factor = np.empty_like(self._scaled_band)
         self._a_values = None
-
-    def _damping_values(self, t):
-        if self.damping is None:
-            return (0.0, 0.0, 0.0)
-        return tuple(self.damping.a(i, t) for i in range(3))
 
     def _refactor(self, a_values):
         sys_, dt = self.sys, self.dt
@@ -198,10 +194,9 @@ class _Stepper:
         self.cdiag = cdiag
         self._a_values = a_values
 
-    def advance(self, q0, v0, t, force_mid):
-        """One midpoint step from t to t + dt; returns (q1, v1, damping weights)."""
+    def advance(self, q0, v0, a_values, force_mid):
+        """One midpoint step under the damping weights ``a_values``; returns (q1, v1)."""
         dt = self.dt
-        a_values = self._damping_values(t + 0.5 * dt)
         if a_values != self._a_values:
             self._refactor(a_values)
         rhs = force_mid - self.cdiag * v0
@@ -214,7 +209,7 @@ class _Stepper:
             raise IntegrationError(f"linear solve failed (dpbtrs info {info})")
         v1 = v0 + dt * a
         q1 = q0 + dt * v0 + 0.5 * dt * dt * a
-        return q1, v1, a_values
+        return q1, v1
 
 
 def _push_midpoint_traces(histories, t_mid, values):
@@ -232,6 +227,26 @@ def _push_midpoint_traces(histories, t_mid, values):
         push(hist, t_mid, value, slope)
 
 
+def _sample_laws(law, t_mid):
+    """law(i, t) of the three channels at every midpoint, as an (n_steps, 3) array."""
+    return np.array([[law(i, t) for i in range(3)] for t in t_mid.tolist()]).reshape(-1, 3)
+
+
+def _delayed_arguments(delays, betas, t_mid):
+    """theta_i = t - tau_i(t) at every midpoint, (n_steps, 3), zero on the undelayed
+    channels; a delay past its cap or a decreasing theta_i is refused here."""
+    thetas = np.zeros((len(t_mid), 3))
+    for i in np.flatnonzero(betas):
+        theta = thetas[:, i] = t_mid - delay_samples(delays, i, t_mid)
+        back = np.flatnonzero(theta[1:] < theta[:-1] - 1e-12)
+        if back.size:
+            k = back[0]
+            raise AssertionError(
+                f"channel {i}: delayed argument not increasing ({theta[k + 1]} after {theta[k]})"
+            )
+    return thetas
+
+
 def _delay_windows(histories, times, delays, betas):
     """Delay energy, tilts and delayed traces at the record times, from one
     ``window_integrals`` pass per delayed channel over its history's
@@ -243,7 +258,7 @@ def _delay_windows(histories, times, delays, betas):
     for i, hist in enumerate(histories):
         if betas[i] == 0.0:
             continue
-        taus = [checked_delay(delays, i, t) for t in times.tolist()]
+        taus = delay_samples(delays, i, times)
         i0, tilts[:, i], z_series[:, i] = window_integrals(
             hist.times, hist.values, hist.slopes, times, taus, hist.extension, i
         )
@@ -318,20 +333,24 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     gains = gains if gains is not None else _NO_GAINS
     betas = gains.betas
     delayed = gains.any_delayed
-    stepper = _Stepper(sys_, dt, gains, damping)
+    stepper = _Stepper(sys_, dt, gains)
     if histories is not None:
         # the newest midpoint sample trails the step end by dt/2
         for hist in histories:
             hist.extension = 0.5 * dt * (1.0 + 1e-9)
+    times = dt * np.arange(n_steps + 1)
+    t_mid = times[:-1] + 0.5 * dt
+    a_mid = np.zeros((n_steps, 3)) if damping is None else _sample_laws(damping.a, t_mid)
+    dtau_mid = np.zeros((n_steps, 3)) if delays is None else _sample_laws(delays.dtau, t_mid)
+    thetas = _delayed_arguments(delays, betas, t_mid) if delayed else None
     channel_force = None
     if controls is not None and n_steps:
-        channel_force = _control_midpoints(controls, n_steps, dt) * sys_.params.trace_masses
+        channel_force = _control_midpoints(controls, t_mid) * sys_.params.trace_masses
     # delayed feedback on channel i: -c_i * beta_i * z_i * coeff_i
     feedback_weights = np.asarray(sys_.params.boundary_stiffness) * betas
 
     q = np.array(initial.q, dtype=float)
     v = np.array(initial.p, dtype=float)
-    times = dt * np.arange(n_steps + 1)
     field_energy = np.empty(n_steps + 1)
     tr_vel = np.empty((n_steps + 1, 3))
     slots = _sample_slots(n_steps, cfg.stride)
@@ -343,12 +362,12 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
         z_series = np.zeros((n_steps + 1, 3))
         tilts = np.zeros((n_steps + 1, 3))
         ledger = {
-            "t_mid": np.empty(n_steps),
-            "a_mid": np.zeros((n_steps, 3)),
+            "t_mid": t_mid,
+            "a_mid": a_mid,
             "vel_norms_mid": np.zeros((n_steps, 3)),
             "trace_mid": np.zeros((n_steps, 3)),
             "z_mid": np.zeros((n_steps, 3)),
-            "dtau_mid": np.zeros((n_steps, 3)),
+            "dtau_mid": dtau_mid,
         }
     else:
         tr_disp = np.empty((n_steps + 1, 3))
@@ -369,30 +388,26 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     force = np.zeros(sys_.ndof)
     zs = np.zeros(3)
     for n in range(n_steps):
-        t_mid = times[n] + 0.5 * dt
         if channel_force is not None:
             force[channels] = channel_force[n]
         elif delayed:
+            theta = thetas[n].tolist()
             for i in range(3):
                 if betas[i] != 0.0:
-                    zs[i] = eval_delayed(histories[i], i, t_mid, delays)
+                    zs[i] = histories[i].value_at(theta[i])
             # 0.0 - x, not -x: an undelayed channel keeps a +0.0 force
             force[channels] = 0.0 - feedback_weights * zs * sys_.channel_coeff
-        q1, v1, a_values = stepper.advance(q, v, times[n], force)
+        q1, v1 = stepper.advance(q, v, a_mid[n].tolist(), force)
         _check_finite(q1, v1, n + 1)
         if ledger is not None:
             v_mid = 0.5 * (v + v1)
-            ledger["t_mid"][n] = t_mid
-            ledger["a_mid"][n] = a_values
             ledger["vel_norms_mid"][n] = field_weights @ (v_mid * v_mid)
             trace_mid = sys_.traces(v_mid)
             ledger["trace_mid"][n] = trace_mid
             if delayed:
                 ledger["z_mid"][n] = zs
-            if delays is not None:
-                ledger["dtau_mid"][n] = [delays.dtau(i, t_mid) for i in range(3)]
             if histories is not None:
-                _push_midpoint_traces(histories, t_mid, trace_mid)
+                _push_midpoint_traces(histories, t_mid[n], trace_mid)
         q, v = q1, v1
         record(n + 1)
 

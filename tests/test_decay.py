@@ -70,7 +70,7 @@ def test_dissipation_identity_zero_solution():
         st, sys_, SchemeConfig(dt=0.02, T=0.4),
         gains=gains, delays=delays, damping=damping, histories=hist,
     )
-    resid = check_dissipation_identity(out, p, gains, delays, damping)
+    resid = check_dissipation_identity(out, p, gains)
     assert np.max(resid) <= 1e-14
 
 
@@ -92,7 +92,7 @@ def test_dissipation_residual_halves_squared():
     maxima = []
     for dt in (0.04, 0.02):
         p, sys_, delays, damping, gains, out = run_crit3(dt=dt, T=6.0)
-        resid = check_dissipation_identity(out, p, gains, delays, damping)
+        resid = check_dissipation_identity(out, p, gains)
         late = resid[out.ledger["t_mid"] >= 1.5]
         maxima.append(np.max(late))
     ratio = maxima[0] / maxima[1]
@@ -185,7 +185,7 @@ def test_check_theoretical_bound_counting():
 def test_full_decay_report_passes():
     p, sys_, delays, damping, gains, out = run_crit3(dt=0.02, T=10.0, N=32)
     rates = select_mus(p, delays, damping, gains)
-    resid = check_dissipation_identity(out, p, gains, delays, damping)
+    resid = check_dissipation_identity(out, p, gains)
     rep = check_theoretical_bound(out, rates, window=(2.0, 9.0), dissipation_residual=resid)
     assert rep.violations == 0
     assert rep.fitted_rate >= 0.95 * rates.rate

@@ -11,8 +11,8 @@ import sandwichbeam.delayline as delayline
 from sandwichbeam.delayline import (
     LookupBeforeHistory,
     TraceHistory,
+    delay_samples,
     delay_window,
-    eval_delayed,
     init_history,
     push,
     window_integrals,
@@ -54,7 +54,8 @@ def test_eval_delayed_constant_and_linear_exact():
     h = init_history(0, lambda s: 5.0, 0.3)
     for t, v in ((0.05, 5.0), (0.1, 5.0)):
         push(h, t, v, 0.0)
-    assert eval_delayed(h, 0, 0.05, delays) == pytest.approx(5.0)
+    tau = delay_samples(delays, 0, [0.05])[0]
+    assert h.value_at(0.05 - tau) == pytest.approx(5.0)
 
     h = init_history(1, lambda s: s, 0.3)
     t = 0.0
@@ -62,8 +63,9 @@ def test_eval_delayed_constant_and_linear_exact():
         t = 0.01 * k
         push(h, t, t, 1.0)
     # linear history with exact slopes: exact to roundoff
-    for t_eval in (0.05, 0.17, 0.33):
-        got = eval_delayed(h, 1, t_eval, delays)
+    t_evals = [0.05, 0.17, 0.33]
+    for t_eval, tau in zip(t_evals, delay_samples(delays, 1, t_evals)):
+        got = h.value_at(t_eval - tau)
         assert abs(got - (t_eval - 0.3)) <= 1e-14
 
 
@@ -77,20 +79,29 @@ def test_eval_delayed_sine_second_order():
             t += dt
             push(h, t, math.sin(t), math.cos(t))
         err = 0.0
-        for t_eval in np.linspace(0.5, 1.0, 101):
-            err = max(err, abs(eval_delayed(h, 0, t_eval, delays) - math.sin(t_eval - 0.4)))
+        t_evals = np.linspace(0.5, 1.0, 101)
+        for t_eval, tau in zip(t_evals, delay_samples(delays, 0, t_evals)):
+            err = max(err, abs(h.value_at(t_eval - tau) - math.sin(t_eval - 0.4)))
         errs.append(err)
         h2 = h
     assert errs[0] / errs[1] > 3.0
 
 
 def test_monotone_theta_assertion():
-    delays = DelaySpec.constant(0.3)
-    h = init_history(0, lambda s: 0.0, 0.3)
-    push(h, 0.2, 1.0, 0.0)
-    eval_delayed(h, 0, 0.2, delays)
-    with pytest.raises(AssertionError):
-        eval_delayed(h, 0, 0.1, delays)
+    # the declared slope bound is 0, but tau jumps from 0.1 to 0.15 at
+    # t = 0.5, so t - tau(t) falls by more than dt there: the run is refused
+    # before any step, with nothing pushed into the histories
+    class Jumping(ConstantDelay):
+        cap = 0.15
+
+        def tau(self, t):
+            return self.value + (0.05 if t > 0.5 else 0.0)
+
+    sys_, state, kwargs = decay_scenario(16, DelaySpec((Jumping(0.1),) * 3))
+    n_initial = [len(h) for h in kwargs["histories"]]
+    with pytest.raises(AssertionError, match="delayed argument not increasing"):
+        simulate(state, sys_, SchemeConfig(dt=0.02, T=1.0), **kwargs)
+    assert [len(h) for h in kwargs["histories"]] == n_initial
 
 
 def test_eval_delayed_refuses_a_delay_past_its_cap():
@@ -100,11 +111,9 @@ def test_eval_delayed_refuses_a_delay_past_its_cap():
         cap = 0.2
 
     delays = DelaySpec((Undercapped(0.2, 0.1, 5.0),) * 3)
-    h = init_history(0, lambda s: 0.0, 0.3)
-    push(h, 0.1, 1.0, 0.0)
-    eval_delayed(h, 0, 0.0, delays)
+    assert delay_samples(delays, 0, [0.0])[0] == 0.2
     with pytest.raises(LookupBeforeHistory, match="exceeds its declared cap"):
-        eval_delayed(h, 0, 0.1, delays)
+        delay_samples(delays, 0, [0.0, 0.05, 0.1])
 
 
 def test_delayed_run_keeps_every_sample():

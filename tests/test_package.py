@@ -63,3 +63,22 @@ def test_no_unused_private_functions(name):
             used.add(node.attr)
     unused = [fn for fn in private if fn not in used]
     assert not unused, unused
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_no_unused_parameters(name):
+    # every module-level function reads each of its parameters; methods are
+    # exempt, since the delay and damping laws share a (self, t) protocol
+    # that constant laws satisfy without reading t
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        unused += [(node.name, a.arg) for a in params if a.arg not in read]
+    assert not unused, unused

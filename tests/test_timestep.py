@@ -277,13 +277,13 @@ def test_injected_nan_reported_at_its_step(monkeypatch):
     advance = timestep._Stepper.advance
     calls = []
 
-    def poisoned(self, q0, v0, t, force_mid):
-        q1, v1, a_values = advance(self, q0, v0, t, force_mid)
-        calls.append(t)
+    def poisoned(self, q0, v0, a_values, force_mid):
+        q1, v1 = advance(self, q0, v0, a_values, force_mid)
+        calls.append(1)
         if len(calls) == 4:
             v1 = v1.copy()
             v1[3] = np.nan
-        return q1, v1, a_values
+        return q1, v1
 
     monkeypatch.setattr(timestep._Stepper, "advance", poisoned)
     p, sys_ = controlled(16)
@@ -493,9 +493,16 @@ def test_delay_beyond_declared_cap_raises():
     class Undercapped(SinusoidalDelay):
         cap = 0.2
 
-    sys_, state, kwargs = decay_scenario(16, DelaySpec((Undercapped(0.2, 0.1, 5.0),) * 3))
-    with pytest.raises(LookupBeforeHistory):
-        simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
+    # with amplitude -0.1 the delay stays under its cap until t = pi/5, so
+    # the refusal comes before the first step, not at step 32: in both
+    # cases nothing is pushed
+    for amplitude in (0.1, -0.1):
+        delays = DelaySpec((Undercapped(0.2, amplitude, 5.0),) * 3)
+        sys_, state, kwargs = decay_scenario(16, delays)
+        n_initial = [len(h) for h in kwargs["histories"]]
+        with pytest.raises(LookupBeforeHistory):
+            simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
+        assert [len(h) for h in kwargs["histories"]] == n_initial
 
 
 def test_window_pass_refuses_a_delay_past_its_cap():
@@ -522,3 +529,62 @@ def test_delay_window_pass_memory_is_bounded():
         tracemalloc.stop()
     assert out.n_steps == 4000
     assert peak < 4 * 2**20, peak
+
+
+def test_time_laws_sampled_once_on_the_midpoint_grid(monkeypatch):
+    # recording laws and a counting stepper: every law call lands before the
+    # first step or after the last, and the midpoints a law receives are
+    # out.times[:-1] + dt/2 bit for bit
+    import sandwichbeam.timestep as timestep
+
+    events = []
+    advance = timestep._Stepper.advance
+
+    def counted(self, *args):
+        events.append(("advance", None))
+        return advance(self, *args)
+
+    monkeypatch.setattr(timestep._Stepper, "advance", counted)
+
+    class RecordedDelay(SinusoidalDelay):
+        def tau(self, t):
+            events.append(("tau", t))
+            return super().tau(t)
+
+        def dtau(self, t):
+            events.append(("dtau", t))
+            return super().dtau(t)
+
+    class RecordedDamping(ExponentialDamping):
+        def a(self, t):
+            events.append(("a", t))
+            return super().a(t)
+
+    def control(t):
+        events.append(("control", t))
+        return (math.sin(t), 0.0, 0.0)
+
+    def check(out, laws):
+        steps = [k for k, (name, _) in enumerate(events) if name == "advance"]
+        assert len(steps) == out.n_steps
+        assert all(name == "advance" for name, _ in events[steps[0] : steps[-1] + 1])
+        t_mid = out.times[:-1] + 0.5 * out.dt
+        for law in laws:
+            received = np.array([t for name, t in events[: steps[0]] if name == law])
+            assert received.size, law
+            np.testing.assert_array_equal(np.unique(received), t_mid)
+        return events[steps[-1] + 1 :]
+
+    sys_, state, kwargs = decay_scenario(16, DelaySpec((RecordedDelay(0.1, 0.05, 10.0),) * 3))
+    kwargs["damping"] = DampingSpec((RecordedDamping(0.5, 1.5, 2.0),) * 3)
+    events.clear()
+    out = simulate(state, sys_, SchemeConfig(dt=0.01, T=1.0), **kwargs)
+    after = check(out, ("tau", "dtau", "a"))
+    # after the loop, the window pass reads tau at the record times only
+    assert {name for name, _ in after} == {"tau"}
+    np.testing.assert_array_equal(np.unique([t for _, t in after]), out.times)
+
+    p, sysc = controlled(16)
+    events.clear()
+    out = simulate(random_smooth_state(sysc, seed=2), sysc, SchemeConfig(dt=0.01, T=1.0), controls=control)
+    assert check(out, ("control",)) == []
