@@ -43,9 +43,8 @@ from .delayline import (
     LookupBeforeHistory,
     TraceHistory,
     init_history,
-    push,
+    hermite_stencil,
     delay_samples,
-    delay_window,
     window_integrals,
 )
 from .timestep import (

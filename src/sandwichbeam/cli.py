@@ -34,7 +34,7 @@ from .discretize import (
     Grid1D,
     build_system,
 )
-from .hypotheses import InfeasibleRates, decay_bound, select_mus, validate_gains
+from .hypotheses import HypothesisCheck, InfeasibleRates, decay_bound, select_mus, validate_gains
 from .hum import compute_null_control, observability
 from .timestep import IntegrationError, SchemeConfig, simulate
 
@@ -106,26 +106,12 @@ def cmd_validate(cfg, args):
     for i in range(3):
         if cfg.delays is not None:
             d = cfg.delays.slope_bound(i)
-            checks.append(
-                {
-                    "condition_id": f"delay_slope_channel_{i + 1}",
-                    "lhs": d,
-                    "rhs": 1.0,
-                    "margin": 1.0 - d,
-                    "pass": d < 1.0,
-                }
-            )
+            check = HypothesisCheck(f"delay_slope_channel_{i + 1}", d, 1.0, 1.0 - d, d < 1.0)
+            checks.append(check.as_dict())
         if cfg.damping is not None:
             floor = cfg.damping.floor(i)
-            checks.append(
-                {
-                    "condition_id": f"damping_floor_channel_{i + 1}",
-                    "lhs": floor,
-                    "rhs": 0.0,
-                    "margin": floor,
-                    "pass": floor > 0.0,
-                }
-            )
+            check = HypothesisCheck(f"damping_floor_channel_{i + 1}", floor, 0.0, floor, floor > 0.0)
+            checks.append(check.as_dict())
     payload = {"conditions": checks, "all_pass": all(c["pass"] for c in checks)}
     os.makedirs(cfg.outdir, exist_ok=True)
     path = _write_json(os.path.join(cfg.outdir, "hypotheses.json"), _manifest(cfg, payload))

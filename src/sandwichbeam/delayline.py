@@ -1,28 +1,26 @@
-"""Boundary-trace history with delayed lookups and exact delay-line integrals.
+"""Boundary-trace sample records with delayed lookups and exact delay-line integrals.
 
 The delayed feedback needs trace velocities at t - tau_i(t), and the
 delay-line energy needs integrals of y_i(s)^2 over [t - tau_i(t), t].  Both
-read one (t, value, slope) sample stream per channel, interpolated by cubic
-Hermite polynomials with the slopes the integrator pushes.  A history
-keeps every sample it is given, so it is the one record of its channel
-that both readers read; ``delay_samples`` samples the delays on a whole
-time grid and refuses one longer than its declared cap.
+read one (t, value, slope) sample record per channel, interpolated by cubic
+Hermite polynomials: the initial history on [-tau_i(0), 0], a read-only
+``TraceHistory``, followed by the one sample per step that the integrator
+writes.  The record's times are known before the run, and so are the
+delayed arguments, which ``delay_samples`` samples on a whole time grid,
+refusing a delay longer than its declared cap.  So ``hermite_stencil``
+fixes the segment and the four Hermite weights of every lookup before the
+first step, and a step only applies them to stored values.
 
-The two readers differ in shape.  A lookup reads one point per step, at a
-delayed argument sampled before the run, so ``TraceHistory`` keeps its
-samples as Python floats and the lookup kernel is scalar Python: a
-bisection finds the segment, and numpy's per-call overhead would cost more
-than the arithmetic it saves.  The window integrals are diagnostics that
-nothing in a step reads, so ``window_integrals`` computes them for every
-window of a run in one numpy pass over the whole sample record, after the
-run.  On a cubic segment the integrands have degree <= 7, so 4-point
-Gauss-Legendre integrates them exactly.
+The window integrals are diagnostics that nothing in a step reads, so
+``window_integrals`` computes them for every window of a run in one numpy
+pass over the whole sample record, after the run; the window starts z come
+from the same stencil.  On a cubic segment the integrands have degree
+<= 7, so 4-point Gauss-Legendre integrates them exactly.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +28,8 @@ __all__ = [
     "LookupBeforeHistory",
     "TraceHistory",
     "init_history",
-    "push",
+    "hermite_stencil",
     "delay_samples",
-    "delay_window",
     "window_integrals",
 ]
 
@@ -61,86 +58,34 @@ class LookupBeforeHistory(RuntimeError):
     sampled delay exceeded its declared cap: a scheme or delay-law bug."""
 
 
+@dataclass(frozen=True, eq=False)
 class TraceHistory:
-    """Ordered (t, value, slope) samples of one boundary trace.
+    """The initial history of one boundary trace: (t, value, slope) samples
+    at strictly increasing times, as read-only arrays.
 
-    The samples are plain float lists that only grow: point lookups read
-    them directly, and ``delay_window`` hands them to ``window_integrals``.
-
-    ``extension`` permits constant continuation past the newest sample by
-    at most that much; the integrator records samples at step midpoints
-    (which filters out the undamped grid-frequency modes) and sets the
-    extension to half a step so endpoint lookups stay exact.
+    A run reads it and never changes it: ``simulate`` copies it to the head
+    of the channel's sample record.
     """
 
-    def __init__(self, channel, extension=0.0):
-        self.channel = channel
-        self.extension = extension
-        self._t, self._y, self._m = [], [], []
+    times: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
 
-    def __len__(self):
-        return len(self._t)
-
-    @property
-    def times(self):
-        return np.array(self._t)
-
-    @property
-    def values(self):
-        return np.array(self._y)
-
-    @property
-    def slopes(self):
-        return np.array(self._m)
-
-    @property
-    def last_time(self):
-        return self._t[-1]
-
-    @property
-    def last_value(self):
-        return self._y[-1]
-
-    def _append(self, t, value, slope):
-        self._t.append(float(t))
-        self._y.append(float(value))
-        self._m.append(float(slope))
-
-    def _segment(self, theta):
-        """Segment j = [t_j, t_{j+1}] holding theta (the tail maps to the last),
-        once theta is checked to lie in the samples."""
-        ts = self._t
-        if theta < ts[0] - 1e-12:
-            raise LookupBeforeHistory(
-                f"channel {self.channel}: lookup at t={theta:.6g} "
-                f"before earliest sample t={ts[0]:.6g}"
-            )
-        if theta > ts[-1] + self.extension + 1e-12:
-            raise LookupBeforeHistory(
-                f"channel {self.channel}: lookup at t={theta:.6g} "
-                f"beyond newest sample t={ts[-1]:.6g} (+extension {self.extension:.3g})"
-            )
-        j = bisect.bisect_right(ts, theta) - 1
-        return min(max(j, 0), len(ts) - 2)
-
-    def value_at(self, theta):
-        """The trace at one past time theta."""
-        j = self._segment(theta)
-        ts, ys, ms = self._t, self._y, self._m
-        # exact passthrough at the newest sample; lookups inside the extension
-        # window clamp to it (keeps the delay line on the recorded stream)
-        if theta >= ts[-1]:
-            return ys[-1]
-        h = ts[j + 1] - ts[j]
-        s = min(max((theta - ts[j]) / h, 0.0), 1.0)
-        return _hermite(s, h, ys[j], ms[j], ys[j + 1], ms[j + 1])
-
-    def interpolate(self, thetas):
-        """Evaluate the trace at (an array of) past times."""
-        return np.array([self.value_at(theta) for theta in np.ravel(thetas).tolist()])
+    def __post_init__(self):
+        for name in ("times", "values", "slopes"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        ts = self.times
+        if ts.ndim != 1 or self.values.shape != ts.shape or self.slopes.shape != ts.shape:
+            raise ValueError("times, values and slopes must be 1-d arrays of one length")
+        back = np.flatnonzero(~(ts[1:] > ts[:-1]))
+        if back.size:
+            k = back[0]
+            raise ValueError(f"non-monotone history: t={ts[k + 1]!r} after t={ts[k]!r}")
 
 
-def init_history(channel, initial_fn, tau0, n_samples=64):
+def init_history(initial_fn, tau0, n_samples=64):
     """Sample the initial trace function on [-tau0, 0] at uniform points.
 
     Slopes are recovered by second-order finite differences of the samples,
@@ -149,21 +94,56 @@ def init_history(channel, initial_fn, tau0, n_samples=64):
     """
     if not tau0 > 0.0:
         raise ValueError(f"initial delay must be positive, got {tau0!r}")
-    hist = TraceHistory(channel)
     ts = np.linspace(-tau0, 0.0, n_samples)
     ys = np.array([float(initial_fn(t)) for t in ts])
-    ms = np.gradient(ys, ts)
-    for t, y, m in zip(ts, ys, ms):
-        hist._append(t, y, m)
-    return hist
+    return TraceHistory(ts, ys, np.gradient(ys, ts))
 
 
-def push(history, t, value, slope):
-    """Append one sample; time must advance strictly."""
-    last = history.last_time if len(history) else -math.inf
-    if not t > last:
-        raise ValueError(f"non-monotone push: t={t!r} after t={last!r}")
-    history._append(t, value, slope)
+def hermite_stencil(ts, thetas, newest, extension=0.0, channel=0):
+    """Segments and cubic Hermite weights of lookups at ``thetas`` in one
+    sample record with times ``ts``, as arrays.
+
+    Lookup k reads the samples up to index newest[k] and the constant
+    continuation of that sample, which may reach at most ``extension`` past
+    it; one before the earliest sample or beyond that reach raises
+    LookupBeforeHistory.  Returns (j, weights, tail): with the record's
+    values y and slopes m, the value at thetas[k] is
+    w0*y[j] + w1*m[j] + w2*y[j+1] + w3*m[j+1], summed left to right, with
+    (w0, w1, w2, w3) = weights[k] and j = j[k]; where tail[k], theta is at
+    or past its newest sample, y[j+1], and the value is that sample itself.
+    """
+    ts = np.asarray(ts, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    newest = np.asarray(newest)
+    tn = ts[np.maximum(newest, 0)]
+    early = (newest < 0) | (thetas < ts[0] - 1e-12)
+    late = thetas > tn + extension + 1e-12
+    bad = np.flatnonzero(early | late)
+    if bad.size:
+        k = bad[0]
+        if early[k]:
+            raise LookupBeforeHistory(
+                f"channel {channel}: lookup at t={thetas[k]:.6g} "
+                f"before earliest sample t={ts[0]:.6g}"
+            )
+        raise LookupBeforeHistory(
+            f"channel {channel}: lookup at t={thetas[k]:.6g} "
+            f"beyond newest sample t={tn[k]:.6g} (+extension {extension:.3g})"
+        )
+    # segment j = [t_j, t_{j+1}] holds theta (the tail maps to the last one)
+    j = np.minimum(np.maximum(np.searchsorted(ts, thetas, side="right") - 1, 0), newest - 1)
+    t0 = ts[j]
+    h = ts[j + 1] - t0
+    s = np.clip((thetas - t0) / h, 0.0, 1.0)
+    s2 = s * s
+    s3 = s2 * s
+    # _hermite's basis terms, each in its order of operations
+    weights = np.empty((len(thetas), 4))
+    weights[:, 0] = 2.0 * s3 - 3.0 * s2 + 1.0
+    weights[:, 1] = (s3 - 2.0 * s2 + s) * h
+    weights[:, 2] = -2.0 * s3 + 3.0 * s2
+    weights[:, 3] = (s3 - s2) * h
+    return j, weights, thetas >= tn
 
 
 def delay_samples(delays, channel, times):
@@ -195,8 +175,8 @@ def _segment_integrals(ts, ys, ms):
 
 
 def _window_block(ts, ys, ms, e, f, ends, thetas, j, newest):
-    """Unscaled (I0, I1) and z of a block of windows whose start segments j
-    and newest samples are known; every sum runs left to right."""
+    """Unscaled (I0, I1) of a block of windows whose start segments j and
+    newest samples are known; every sum runs left to right."""
     t0, t1 = ts[j], ts[j + 1]
     h = t1 - t0
     y0, m0, y1, m1 = ys[j], ms[j], ys[j + 1], ms[j + 1]
@@ -228,15 +208,13 @@ def _window_block(ts, ys, ms, e, f, ends, thetas, j, newest):
         row[:, 1:] = np.where(whole, (ts[k - 1] - thetas[:, None]) * ek + f[k], 0.0)
         i1 = np.cumsum(row, axis=1)[:, -1]
     # the constant tail past the newest sample
-    tn, yn = ts[newest], ys[newest]
-    start = np.maximum(thetas, tn)
+    yn = ys[newest]
+    start = np.maximum(thetas, ts[newest])
     y2 = yn * yn
     i0 += y2 * (ends - start)
     d_end, d_start = ends - thetas, start - thetas
     i1 += 0.5 * y2 * (d_end * d_end - d_start * d_start)
-    s = np.clip((thetas - t0) / h, 0.0, 1.0)
-    z = np.where(thetas >= tn, yn, _hermite(s, h, y0, m0, y1, m1))
-    return i0, i1, z
+    return i0, i1
 
 
 def window_integrals(ts, ys, ms, ends, taus, extension=0.0, channel=0):
@@ -262,48 +240,25 @@ def window_integrals(ts, ys, ms, ends, taus, extension=0.0, channel=0):
     ts, ys, ms = (np.asarray(a, dtype=float) for a in (ts, ys, ms))
     ends = np.asarray(ends, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    thetas = ends - taus
     newest = np.searchsorted(ts, ends, side="right") - 1
-    early = (newest < 0) | (thetas < ts[0] - 1e-12)
-    late = ends > ts[np.maximum(newest, 0)] + extension + 1e-12
-    bad = np.flatnonzero(early | late)
-    if bad.size:
-        k = bad[0]
-        if early[k]:
-            raise LookupBeforeHistory(
-                f"channel {channel}: lookup at t={thetas[k]:.6g} "
-                f"before earliest sample t={ts[0]:.6g}"
-            )
+    late = np.flatnonzero(ends > ts[np.maximum(newest, 0)] + extension + 1e-12)
+    if late.size:
+        k = late[0]
         raise LookupBeforeHistory(
             f"channel {channel}: lookup at t={ends[k]:.6g} "
             f"beyond newest sample t={ts[newest[k]]:.6g} (+extension {extension:.3g})"
         )
-    # segment j = [t_j, t_{j+1}] holds the window start (the tail maps to the last)
-    j = np.minimum(np.maximum(np.searchsorted(ts, thetas, side="right") - 1, 0), newest - 1)
+    # the stencil refuses a window that starts before the earliest sample
+    thetas = ends - taus
+    j, weights, tail = hermite_stencil(ts, thetas, newest, extension, channel)
     e, f = _segment_integrals(ts, ys, ms)
-    i0, i1, z = (np.empty(len(ends)) for _ in range(3))
+    i0, i1 = np.empty(len(ends)), np.empty(len(ends))
     size = max(1, _BLOCK // max(1, int((newest - j).max(initial=0))))
     for b in range(0, len(ends), size):
         blk = slice(b, b + size)
-        i0[blk], i1[blk], z[blk] = _window_block(
+        i0[blk], i1[blk] = _window_block(
             ts, ys, ms, e, f, ends[blk], thetas[blk], j[blk], newest[blk]
         )
+    w0, w1, w2, w3 = weights.T
+    z = np.where(tail, ys[j + 1], w0 * ys[j] + w1 * ms[j] + w2 * ys[j + 1] + w3 * ms[j + 1])
     return i0, i1 / taus, z
-
-
-def delay_window(history, t, tau):
-    """(I0, I1, z) over one window [t - tau, t], which must reach the newest
-    sample: ``window_integrals`` on the history's samples."""
-    t = float(t)
-    if t < history.last_time:
-        raise ValueError(f"window end t={t!r} before the newest sample t={history.last_time!r}")
-    i0, i1, z = window_integrals(
-        history.times,
-        history.values,
-        history.slopes,
-        [t],
-        [tau],
-        extension=history.extension,
-        channel=history.channel,
-    )
-    return float(i0[0]), float(i1[0]), float(z[0])

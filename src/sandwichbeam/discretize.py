@@ -40,6 +40,7 @@ KD = 6
 __all__ = [
     "VARIANT_STABILIZED",
     "VARIANT_CONTROLLED",
+    "KD",
     "Grid1D",
     "DofLayout",
     "SemiDiscreteSystem",

@@ -123,7 +123,7 @@ class ConstantDelay:
         return self.value
 
     def dtau(self, t):
-        return 0.0 * t if hasattr(t, "shape") else 0.0
+        return 0.0
 
     @property
     def floor(self):

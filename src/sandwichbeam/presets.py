@@ -20,6 +20,7 @@ __all__ = [
     "zero_state",
     "single_mode_state",
     "random_smooth_state",
+    "eigen_mode_state",
     "make_histories",
 ]
 
@@ -205,5 +206,5 @@ def make_histories(sys_, state, delays, kind="constant_trace"):
             fn = lambda s: 0.0
         else:
             raise ValueError(f"unknown history preset {kind!r}")
-        histories.append(init_history(i, fn, delays.tau(i, 0.0)))
+        histories.append(init_history(fn, delays.tau(i, 0.0)))
     return tuple(histories)

@@ -17,12 +17,16 @@ step is one symmetric positive definite solve.
 
 Every time law (damping weights, delays and their slopes, callable
 controls) is sampled and checked once, on the midpoint grid t_n + dt/2,
-before the first step.  A delayed run pushes one midpoint trace sample
-per channel and step into the delay lines, which keep every sample.
-Nothing in a step reads the delay-window integrals, so the delay energy,
-the Lyapunov tilts and the delayed traces z_i at the record times are
-computed after the loop, in one ``window_integrals`` pass per delayed
-channel over its history's samples.
+before the first step.  So is every delay line: each delayed channel's
+sample record is its initial history followed by one slot per step
+midpoint, a time grid fixed before the run, and the segment and Hermite
+weights of every step's lookup are computed then too.  A step applies
+its stencil to the stored samples and writes its midpoint trace sample
+into the record; the caller's histories are never changed.  Nothing in a
+step reads the delay-window integrals, so the delay energy, the Lyapunov
+tilts and the delayed traces z_i at the record times are computed after
+the loop, in one ``window_integrals`` pass per delayed channel over its
+record.
 
 That solve and the stiffness product work on the banded stiffness
 (``SemiDiscreteSystem.band``), in the node-by-node order of the state
@@ -43,7 +47,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .delayline import delay_samples, push, window_integrals
+from .delayline import delay_samples, hermite_stencil, window_integrals
 from .discretize import KD, VARIANT_STABILIZED, DiscreteState
 from .params import GainConfig
 
@@ -212,56 +216,53 @@ class _Stepper:
         return q1, v1
 
 
-def _push_midpoint_traces(histories, t_mid, values):
-    """Record midpoint trace samples into the delay lines.
-
-    Midpoint sampling keeps the delayed feedback loop stable: the undamped
-    grid-frequency modes of the conservative scheme average out at step
-    midpoints, so they never re-enter through the history.  Slopes are
-    backward differences of the recorded values themselves (the raw
-    accelerations carry the unfiltered ringing and would reopen the loop
-    through the Hermite terms).
-    """
-    for hist, value in zip(histories, values):
-        slope = (value - hist.last_value) / (t_mid - hist.last_time)
-        push(hist, t_mid, value, slope)
-
-
 def _sample_laws(law, t_mid):
     """law(i, t) of the three channels at every midpoint, as an (n_steps, 3) array."""
     return np.array([[law(i, t) for i in range(3)] for t in t_mid.tolist()]).reshape(-1, 3)
 
 
-def _delayed_arguments(delays, betas, t_mid):
-    """theta_i = t - tau_i(t) at every midpoint, (n_steps, 3), zero on the undelayed
-    channels; a delay past its cap or a decreasing theta_i is refused here."""
-    thetas = np.zeros((len(t_mid), 3))
-    for i in np.flatnonzero(betas):
-        theta = thetas[:, i] = t_mid - delay_samples(delays, i, t_mid)
+def _delay_lines(histories, delays, betas, t_mid, extension):
+    """The delay line of each delayed channel, on a time grid fixed before
+    the run: (channel, first, times, values, slopes, j, weights, tail).
+
+    The sample record is the channel's initial history, then one slot per
+    step midpoint from index ``first`` on, which the loop fills.  Step n
+    looks up theta = t - tau(t) at its midpoint in the samples up to the
+    previous step's, and (j, weights, tail) is the ``hermite_stencil`` of
+    every step's lookup.  A delay past its cap, a decreasing theta or a
+    lookup outside the record is refused here.
+    """
+    n_steps = len(t_mid)
+    lines = []
+    for i in np.flatnonzero(betas).tolist():
+        theta = t_mid - delay_samples(delays, i, t_mid)
         back = np.flatnonzero(theta[1:] < theta[:-1] - 1e-12)
         if back.size:
             k = back[0]
             raise AssertionError(
                 f"channel {i}: delayed argument not increasing ({theta[k + 1]} after {theta[k]})"
             )
-    return thetas
+        hist = histories[i]
+        first = len(hist.times)
+        ts = np.concatenate([hist.times, t_mid])
+        ys = np.concatenate([hist.values, np.zeros(n_steps)])
+        ms = np.concatenate([hist.slopes, np.zeros(n_steps)])
+        newest = first - 1 + np.arange(n_steps)
+        lines.append((i, first, ts, ys, ms) + hermite_stencil(ts, theta, newest, extension, i))
+    return lines
 
 
-def _delay_windows(histories, times, delays, betas):
+def _delay_windows(lines, times, delays, betas, extension):
     """Delay energy, tilts and delayed traces at the record times, from one
-    ``window_integrals`` pass per delayed channel over its history's
-    samples; a delay past its declared cap raises LookupBeforeHistory."""
+    ``window_integrals`` pass per delay line over its sample record; a delay
+    past its declared cap raises LookupBeforeHistory."""
     n_rec = len(times)
     delay_energy = np.zeros(n_rec)
     tilts = np.zeros((n_rec, 3))
     z_series = np.zeros((n_rec, 3))
-    for i, hist in enumerate(histories):
-        if betas[i] == 0.0:
-            continue
+    for i, _, ts, ys, ms, *_ in lines:
         taus = delay_samples(delays, i, times)
-        i0, tilts[:, i], z_series[:, i] = window_integrals(
-            hist.times, hist.values, hist.slopes, times, taus, hist.extension, i
-        )
+        i0, tilts[:, i], z_series[:, i] = window_integrals(ts, ys, ms, times, taus, extension, i)
         delay_energy += 0.5 * abs(betas[i]) * i0
     return delay_energy, tilts, z_series
 
@@ -312,7 +313,7 @@ def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
                 f"dt = {dt} exceeds the smallest delay floor {delays.min_floor}; "
                 "delayed lookups would need current-step unknowns"
             )
-        if any(h.last_time > 0.0 for h, b in zip(histories, gains.betas) if b != 0.0):
+        if any(h.times[-1] > 0.0 for h, b in zip(histories, gains.betas) if b != 0.0):
             raise ValueError("a delayed channel's trace history must end at t <= 0")
 
 
@@ -323,7 +324,8 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     controls and records the boundary displacement traces.  A stabilized run
     may carry gains, delays, interior damping and trace histories, and
     records the delayed traces, the delay-window tilts and the dissipation
-    ledger.  Arguments the variant has no use for raise ValueError.
+    ledger.  Arguments the variant has no use for raise ValueError; none of
+    the arguments is changed.
     """
     n_steps = cfg.n_steps
     dt = cfg.step
@@ -334,15 +336,15 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     betas = gains.betas
     delayed = gains.any_delayed
     stepper = _Stepper(sys_, dt, gains)
-    if histories is not None:
-        # the newest midpoint sample trails the step end by dt/2
-        for hist in histories:
-            hist.extension = 0.5 * dt * (1.0 + 1e-9)
     times = dt * np.arange(n_steps + 1)
     t_mid = times[:-1] + 0.5 * dt
     a_mid = np.zeros((n_steps, 3)) if damping is None else _sample_laws(damping.a, t_mid)
     dtau_mid = np.zeros((n_steps, 3)) if delays is None else _sample_laws(delays.dtau, t_mid)
-    thetas = _delayed_arguments(delays, betas, t_mid) if delayed else None
+    lines = []
+    if delayed:
+        # the newest midpoint sample trails the step end by dt/2
+        extension = 0.5 * dt * (1.0 + 1e-9)
+        lines = _delay_lines(histories, delays, betas, t_mid, extension)
     channel_force = None
     if controls is not None and n_steps:
         channel_force = _control_midpoints(controls, t_mid) * sys_.params.trace_masses
@@ -391,10 +393,16 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
         if channel_force is not None:
             force[channels] = channel_force[n]
         elif delayed:
-            theta = thetas[n].tolist()
-            for i in range(3):
-                if betas[i] != 0.0:
-                    zs[i] = histories[i].value_at(theta[i])
+            # the step's stencil on the stored samples, in Python floats:
+            # numpy scalars would cost more than the arithmetic
+            for i, _, _, ys, ms, js, weights, tails in lines:
+                k = js.item(n)
+                if tails.item(n):
+                    zs[i] = ys.item(k + 1)
+                else:
+                    w0, w1, w2, w3 = weights[n].tolist()
+                    y0, m0, y1, m1 = ys.item(k), ms.item(k), ys.item(k + 1), ms.item(k + 1)
+                    zs[i] = w0 * y0 + w1 * m0 + w2 * y1 + w3 * m1
             # 0.0 - x, not -x: an undelayed channel keeps a +0.0 force
             force[channels] = 0.0 - feedback_weights * zs * sys_.channel_coeff
         q1, v1 = stepper.advance(q, v, a_mid[n].tolist(), force)
@@ -406,15 +414,24 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             ledger["trace_mid"][n] = trace_mid
             if delayed:
                 ledger["z_mid"][n] = zs
-            if histories is not None:
-                _push_midpoint_traces(histories, t_mid[n], trace_mid)
+            for i, first, ts, ys, ms, *_ in lines:
+                k = first + n
+                ys[k] = trace_mid[i]
+                # Midpoint samples keep the delayed feedback loop stable: the
+                # undamped grid-frequency modes of the conservative scheme
+                # average out at step midpoints, so they never re-enter
+                # through the delay line.  Slopes are backward differences
+                # of the recorded values themselves (the raw accelerations
+                # carry the unfiltered ringing and would reopen the loop
+                # through the Hermite terms).
+                ms[k] = (ys.item(k) - ys.item(k - 1)) / (ts.item(k) - ts.item(k - 1))
         q, v = q1, v1
         record(n + 1)
 
     # the delay-line energy is the only part of E beyond the field energy
     energy = field_energy
     if delayed:
-        delay_energy, tilts, z_series = _delay_windows(histories, times, delays, betas)
+        delay_energy, tilts, z_series = _delay_windows(lines, times, delays, betas, extension)
         energy = field_energy + delay_energy
 
     return SimOutput(

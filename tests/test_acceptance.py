@@ -17,7 +17,7 @@ from sandwichbeam.decay import (
     check_trace_estimates,
     lyapunov_trace,
 )
-from sandwichbeam.delayline import delay_samples, init_history, push
+from sandwichbeam.delayline import delay_samples, init_history
 from sandwichbeam.discretize import (
     VARIANT_CONTROLLED,
     VARIANT_STABILIZED,
@@ -53,6 +53,8 @@ from sandwichbeam.presets import (
     single_mode_state,
 )
 from sandwichbeam.timestep import SchemeConfig, simulate
+
+from test_delayline import extend, lookup
 
 UNIT = PhysicalParams(
     rho1h1=1.0, E1h1=1.0, rho3h3=1.0, E3h3=1.0, rhoh=1.0, EI=1.0, k=1.0, alpha=1.0, L=1.0
@@ -185,16 +187,15 @@ def test_criterion_04_theoretical_bound_and_equivalence():
 
 
 def test_criterion_05_delay_fidelity():
-    # linear history with exact slopes is exact
+    # linear history with exact slopes is exact; each lookup reads the
+    # samples up to the one recorded at its own time
     delays = DelaySpec.constant(0.3)
-    hist = init_history(0, lambda s: 2.0 * s + 1.0, 0.3)
-    t = 0.0
-    worst = 0.0
-    for k in range(1, 60):
-        t = 0.01 * k
-        push(hist, t, 2.0 * t + 1.0, 2.0)
-        got = hist.value_at(t - delay_samples(delays, 0, [t])[0])
-        worst = max(worst, abs(got - (2.0 * (t - 0.3) + 1.0)))
+    hist = init_history(lambda s: 2.0 * s + 1.0, 0.3)
+    ts = 0.01 * np.arange(1, 60)
+    record = extend(hist, ts, 2.0 * ts + 1.0, np.full(len(ts), 2.0))
+    newest = len(hist.times) + np.arange(len(ts))
+    got = lookup(*record, ts - delay_samples(delays, 0, ts), newest)
+    worst = np.max(np.abs(got - (2.0 * (ts - 0.3) + 1.0)))
     exact = worst <= 1e-14
 
     # transport-equation residual is second order under refinement
@@ -205,13 +206,15 @@ def test_criterion_05_delay_fidelity():
     slope = lambda s: 2.0 * math.cos(2.0 * s) - 1.5 * math.sin(5.0 * s)
 
     def residual(dt):
-        h = init_history(0, trace, tdel.tau(0, 0.0))
+        h = init_history(trace, tdel.tau(0, 0.0))
+        ss = []
         s = 0.0
         while s < 3.0:
             s += dt
-            push(h, s, trace(s), slope=slope(s))
+            ss.append(s)
+        record = extend(h, ss, [trace(s) for s in ss], [slope(s) for s in ss])
         rho = np.linspace(0.0, 1.0, 65)
-        prof = {d: h.interpolate(2.0 + d * dt - tdel.tau(0, 2.0 + d * dt) * rho) for d in (-1, 0, 1)}
+        prof = {d: lookup(*record, 2.0 + d * dt - tdel.tau(0, 2.0 + d * dt) * rho) for d in (-1, 0, 1)}
         z_t = (prof[1] - prof[-1]) / (2.0 * dt)
         z_rho = np.gradient(prof[0], 1.0 / 64)
         res = tdel.tau(0, 2.0) * z_t + (1.0 - tdel.dtau(0, 2.0) * rho) * z_rho

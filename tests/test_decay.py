@@ -8,7 +8,7 @@ from sandwichbeam.decay import (
     fit_decay_rate,
     lyapunov_trace,
 )
-from sandwichbeam.delayline import TraceHistory, delay_window, push
+from sandwichbeam.delayline import window_integrals
 from sandwichbeam.discretize import Grid1D, VARIANT_STABILIZED, build_system
 from sandwichbeam.hypotheses import TheoreticalRates, compute_mu4, compute_zeta, select_mus
 from sandwichbeam.params import DampingSpec, DelaySpec, GainConfig, SinusoidalDelay
@@ -131,10 +131,10 @@ def test_lyapunov_equivalence_random_states():
         taus = [delays.tau(i, t) for i in range(3)]
         windows = []
         for i in range(3):
-            hist = TraceHistory(i)
-            for s, y, m in zip(np.linspace(t - taus[i], t, 33), *rng.standard_normal((2, 33))):
-                push(hist, s, y, m)
-            windows.append(delay_window(hist, t, taus[i])[:2])
+            ts = np.linspace(t - taus[i], t, 33)
+            ys, ms = rng.standard_normal((2, 33))
+            i0, i1, _ = window_integrals(ts, ys, ms, [t], [taus[i]])
+            windows.append((i0[0], i1[0]))
         e_field = 0.5 * (np.dot(v, sys_.M * v) + q @ sys_.K @ q)
         e = e_field + sum(0.5 * abs(b) * i0 for b, (i0, _) in zip(gains.betas, windows))
         cross = 0.0

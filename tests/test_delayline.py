@@ -12,85 +12,101 @@ from sandwichbeam.delayline import (
     LookupBeforeHistory,
     TraceHistory,
     delay_samples,
-    delay_window,
+    hermite_stencil,
     init_history,
-    push,
     window_integrals,
 )
 from sandwichbeam.params import ConstantDelay, DelaySpec, SinusoidalDelay
 from sandwichbeam.timestep import SchemeConfig, simulate
 
-from test_timestep import decay_scenario
+from test_timestep import assert_histories_unchanged, decay_scenario, history_copies
+
+
+def lookup(ts, ys, ms, thetas, newest=None, extension=0.0):
+    """The record (ts, ys, ms) at ``thetas``: the ``hermite_stencil`` of the
+    lookups, applied point by point as the step loop applies it.  Lookup k
+    reads the samples up to newest[k], by default the whole record."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if newest is None:
+        newest = np.full(len(thetas), len(ts) - 1)
+    js, weights, tails = hermite_stencil(ts, thetas, newest, extension)
+    got = np.empty(len(thetas))
+    for n, k in enumerate(js):
+        if tails[n]:
+            got[n] = ys[k + 1]
+        else:
+            w0, w1, w2, w3 = weights[n]
+            got[n] = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
+    return got
+
+
+def extend(history, ts, ys, ms):
+    """The sample record of ``history`` followed by the samples (ts, ys, ms)."""
+    return tuple(
+        np.concatenate([a, np.asarray(b, dtype=float)])
+        for a, b in zip((history.times, history.values, history.slopes), (ts, ys, ms))
+    )
 
 
 def test_init_history_zero_and_linear():
-    h = init_history(0, lambda s: 0.0, 0.5)
+    h = init_history(lambda s: 0.0, 0.5)
     assert np.all(h.values == 0.0)
-    h = init_history(0, lambda s: s, 0.5)
-    assert h.interpolate(-0.25)[0] == pytest.approx(-0.25, abs=1e-14)
+    # the record is read-only
     with pytest.raises(ValueError):
-        init_history(0, lambda s: 0.0, 0.0)
-
-
-def test_push_monotone_and_eval_at_push():
-    h = init_history(0, lambda s: 1.0, 0.2)
-    push(h, 0.1, 3.0, 0.0)
-    assert h.interpolate(0.1)[0] == 3.0
+        h.values[0] = 1.0
+    h = init_history(lambda s: s, 0.5)
+    assert lookup(h.times, h.values, h.slopes, -0.25)[0] == pytest.approx(-0.25, abs=1e-14)
     with pytest.raises(ValueError):
-        push(h, 0.1, 4.0, 0.0)
-    with pytest.raises(ValueError):
-        push(h, 0.05, 4.0, 0.0)
+        init_history(lambda s: 0.0, 0.0)
 
 
-def test_hermite_needs_slope():
-    h = init_history(0, lambda s: 0.0, 0.2)
-    with pytest.raises(TypeError):
-        push(h, 0.1, 1.0)
-    push(h, 0.1, 1.0, slope=0.0)
+def test_history_times_advance_and_newest_sample_reads_back():
+    h = init_history(lambda s: 1.0, 0.2)
+    assert lookup(*extend(h, [0.1], [3.0], [0.0]), 0.1)[0] == 3.0
+    # a repeated or a backward time is refused when the history is built
+    for last in (0.1, 0.05):
+        ts, ys, ms = extend(h, [0.1, last], [3.0, 4.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="non-monotone"):
+            TraceHistory(ts, ys, ms)
 
 
 def test_eval_delayed_constant_and_linear_exact():
     delays = DelaySpec.constant(0.3)
-    h = init_history(0, lambda s: 5.0, 0.3)
-    for t, v in ((0.05, 5.0), (0.1, 5.0)):
-        push(h, t, v, 0.0)
+    h = init_history(lambda s: 5.0, 0.3)
+    record = extend(h, [0.05, 0.1], [5.0, 5.0], [0.0, 0.0])
     tau = delay_samples(delays, 0, [0.05])[0]
-    assert h.value_at(0.05 - tau) == pytest.approx(5.0)
+    assert lookup(*record, 0.05 - tau)[0] == pytest.approx(5.0)
 
-    h = init_history(1, lambda s: s, 0.3)
-    t = 0.0
-    for k in range(1, 40):
-        t = 0.01 * k
-        push(h, t, t, 1.0)
+    h = init_history(lambda s: s, 0.3)
+    ts = 0.01 * np.arange(1, 40)
+    record = extend(h, ts, ts, np.ones(len(ts)))
     # linear history with exact slopes: exact to roundoff
-    t_evals = [0.05, 0.17, 0.33]
-    for t_eval, tau in zip(t_evals, delay_samples(delays, 1, t_evals)):
-        got = h.value_at(t_eval - tau)
-        assert abs(got - (t_eval - 0.3)) <= 1e-14
+    t_evals = np.array([0.05, 0.17, 0.33])
+    got = lookup(*record, t_evals - delay_samples(delays, 1, t_evals))
+    assert np.all(np.abs(got - (t_evals - 0.3)) <= 1e-14)
 
 
 def test_eval_delayed_sine_second_order():
     delays = DelaySpec.constant(0.4)
     errs = []
     for dt in (0.02, 0.01):
-        h = init_history(0, math.sin, 0.4)
+        h = init_history(math.sin, 0.4)
+        ts = []
         t = 0.0
         while t < 1.0:
             t += dt
-            push(h, t, math.sin(t), math.cos(t))
-        err = 0.0
+            ts.append(t)
+        record = extend(h, ts, [math.sin(t) for t in ts], [math.cos(t) for t in ts])
         t_evals = np.linspace(0.5, 1.0, 101)
-        for t_eval, tau in zip(t_evals, delay_samples(delays, 0, t_evals)):
-            err = max(err, abs(h.value_at(t_eval - tau) - math.sin(t_eval - 0.4)))
-        errs.append(err)
-        h2 = h
+        got = lookup(*record, t_evals - delay_samples(delays, 0, t_evals))
+        errs.append(np.max(np.abs(got - np.array([math.sin(t - 0.4) for t in t_evals]))))
     assert errs[0] / errs[1] > 3.0
 
 
 def test_monotone_theta_assertion():
     # the declared slope bound is 0, but tau jumps from 0.1 to 0.15 at
     # t = 0.5, so t - tau(t) falls by more than dt there: the run is refused
-    # before any step, with nothing pushed into the histories
+    # before any step, and the histories are left as they were
     class Jumping(ConstantDelay):
         cap = 0.15
 
@@ -98,10 +114,10 @@ def test_monotone_theta_assertion():
             return self.value + (0.05 if t > 0.5 else 0.0)
 
     sys_, state, kwargs = decay_scenario(16, DelaySpec((Jumping(0.1),) * 3))
-    n_initial = [len(h) for h in kwargs["histories"]]
+    copies = history_copies(kwargs["histories"])
     with pytest.raises(AssertionError, match="delayed argument not increasing"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=1.0), **kwargs)
-    assert [len(h) for h in kwargs["histories"]] == n_initial
+    assert_histories_unchanged(kwargs["histories"], copies)
 
 
 def test_eval_delayed_refuses_a_delay_past_its_cap():
@@ -117,47 +133,57 @@ def test_eval_delayed_refuses_a_delay_past_its_cap():
 
 
 def test_delayed_run_keeps_every_sample():
-    # a run ten times longer than the delay cap: each history holds its
-    # initial samples and the midpoint sample of every step
+    # a run ten times longer than the delay cap: each delay line is the
+    # initial history followed by the midpoint sample of every step, with
+    # backward-difference slopes; the step lookups, the delayed traces and
+    # the tilts all read that record, and the histories are unchanged
     sys_, state, kwargs = decay_scenario(16)
-    histories = kwargs["histories"]
-    n_initial = [len(h) for h in histories]
+    histories, delays = kwargs["histories"], kwargs["delays"]
+    copies = history_copies(histories)
     cfg = SchemeConfig(dt=0.02, T=3.0)
-    assert cfg.T > 10.0 * max(kwargs["delays"].cap(i) for i in range(3))
+    assert cfg.T > 10.0 * max(delays.cap(i) for i in range(3))
     out = simulate(state, sys_, cfg, **kwargs)
-    for i, (h, n0) in enumerate(zip(histories, n_initial)):
-        assert len(h) == n0 + out.n_steps
-        np.testing.assert_array_equal(h.times[n0:], out.ledger["t_mid"])
-        np.testing.assert_array_equal(h.values[n0:], out.ledger["trace_mid"][:, i])
+    assert_histories_unchanged(histories, copies)
+    t_mid = out.ledger["t_mid"]
+    for i, h in enumerate(histories):
+        n0 = len(h.times)
+        ts, ys, ms = extend(h, t_mid, out.ledger["trace_mid"][:, i], np.zeros(out.n_steps))
+        for k in range(n0, len(ts)):
+            ms[k] = (ys[k] - ys[k - 1]) / (ts[k] - ts[k - 1])
+        # step n reads the samples up to the previous step's
+        thetas = t_mid - delay_samples(delays, i, t_mid)
+        newest = n0 - 1 + np.arange(out.n_steps)
+        np.testing.assert_array_equal(lookup(ts, ys, ms, thetas, newest), out.ledger["z_mid"][:, i])
+        taus = delay_samples(delays, i, out.times)
+        _, tilts, z = window_integrals(ts, ys, ms, out.times, taus, 0.5 * out.dt * (1.0 + 1e-9))
+        np.testing.assert_array_equal(tilts, out.delay_tilts[:, i])
+        np.testing.assert_array_equal(z, out.delayed_traces[:, i])
 
 
 def test_lookup_before_history_raises():
-    h = init_history(0, lambda s: 0.0, 0.2)
+    h = init_history(lambda s: 0.0, 0.2)
     with pytest.raises(LookupBeforeHistory):
-        h.interpolate(-0.5)
+        lookup(h.times, h.values, h.slopes, -0.5)
     with pytest.raises(LookupBeforeHistory):
-        h.interpolate(1.0)
+        lookup(h.times, h.values, h.slopes, 1.0)
 
 
 def test_z_profile_at_zero_matches_initial_function():
     tau0 = 0.6
-    h = init_history(2, lambda s: math.cos(3.0 * s), tau0)
+    h = init_history(lambda s: math.cos(3.0 * s), tau0)
     rho = np.linspace(0.0, 1.0, 17)
-    prof = h.interpolate(0.0 - tau0 * rho)
+    prof = lookup(h.times, h.values, h.slopes, 0.0 - tau0 * rho)
     assert np.max(np.abs(prof - np.cos(3.0 * (-tau0 * rho)))) < 2e-4
-    # rho = 0 entry equals the newest pushed value exactly
-    push(h, 0.05, 7.5, 0.0)
-    prof = h.interpolate(0.05 - tau0 * np.linspace(0.0, 1.0, 9))
+    # rho = 0 entry equals the newest recorded value exactly
+    prof = lookup(*extend(h, [0.05], [7.5], [0.0]), 0.05 - tau0 * np.linspace(0.0, 1.0, 9))
     assert prof[0] == 7.5
 
 
 def test_constant_trace_constant_profile():
-    h = init_history(0, lambda s: 2.5, 0.3)
-    t = 0.0
-    for k in range(1, 30):
-        t = 0.02 * k
-        push(h, t, 2.5, 0.0)
-    prof = h.interpolate(t - 0.3 * np.linspace(0.0, 1.0, 33))
+    h = init_history(lambda s: 2.5, 0.3)
+    ts = 0.02 * np.arange(1, 30)
+    record = extend(h, ts, np.full(len(ts), 2.5), np.zeros(len(ts)))
+    prof = lookup(*record, ts[-1] - 0.3 * np.linspace(0.0, 1.0, 33))
     # the Hermite sum of four basis terms may round the constant by one ulp
     assert np.max(np.abs(prof - 2.5)) <= np.spacing(2.5)
 
@@ -170,16 +196,18 @@ def test_transport_equation_residual_second_order():
     slope = lambda t: 2.0 * math.cos(2.0 * t) - 1.5 * math.sin(5.0 * t)
 
     def residual(dt_hist, n_panels=64):
-        h = init_history(0, trace, delays.tau(0, 0.0))
+        h = init_history(trace, delays.tau(0, 0.0))
+        ts = []
         t = 0.0
         while t < 3.0:
             t += dt_hist
-            push(h, t, trace(t), slope=slope(t))
+            ts.append(t)
+        record = extend(h, ts, [trace(t) for t in ts], [slope(t) for t in ts])
         t0 = 2.0
         drho = 1.0 / n_panels
         rho = np.linspace(0.0, 1.0, n_panels + 1)
         prof = {
-            s: h.interpolate(t0 + s * dt_hist - delays.tau(0, t0 + s * dt_hist) * rho)
+            s: lookup(*record, t0 + s * dt_hist - delays.tau(0, t0 + s * dt_hist) * rho)
             for s in (-1, 0, 1)
         }
         z_t = (prof[1] - prof[-1]) / (2.0 * dt_hist)
@@ -218,23 +246,21 @@ def test_delay_integrals_exact_on_cubic_histories(seed, case):
     long = case == "long"
     n_push = 1500 if long else int(rng.integers(8, 60))
     gaps = rng.uniform(0.002, 0.01, n_push) if long else rng.uniform(0.01, 0.2, n_push)
-    times = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
-    h = TraceHistory(0)
-    for t in times:
-        push(h, t, float(p(Fraction(t))), float(dp(Fraction(t))))
-    ts = h.times
+    ts = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
+    ys = np.array([float(p(Fraction(t))) for t in ts])
+    ms = np.array([float(dp(Fraction(t))) for t in ts])
     # windows end at the newest sample, or past it in the constant tail
-    h.extension = ts[-1] - ts[-2]
-    t = ts[-1] + (rng.uniform(0.0, 1.0) * h.extension if case == "tail" else 0.0)
+    extension = ts[-1] - ts[-2]
+    t = ts[-1] + (rng.uniform(0.0, 1.0) * extension if case == "tail" else 0.0)
     if case == "initial":
         theta = ts[0] + rng.uniform(0.0, 1.0) * (ts[1] - ts[0])
     else:
         theta = rng.uniform(ts[0], ts[-1])
     tau = t - theta
-    theta = t - tau  # the window start as the history rounds it
-    i0, i1 = delay_window(h, t, tau)[:2]
+    theta = t - tau  # the window start as the record rounds it
+    i0, i1 = (x[0] for x in window_integrals(ts, ys, ms, [t], [tau], extension)[:2])
     ref0, ref1 = _cubic_integrals(c, theta, ts[-1], theta, tau)
-    y2 = Fraction(h.last_value) ** 2
+    y2 = Fraction(ys[-1]) ** 2
     span = Fraction(t) - Fraction(ts[-1])
     ref0 += y2 * span
     ref1 += y2 * span * (Fraction(t) + Fraction(ts[-1]) - 2 * Fraction(theta)) / 2 / Fraction(tau)
@@ -262,32 +288,25 @@ def _reference_value(ts, ys, ms, theta):
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=hs.integers(0, 2**32 - 1))
 def test_lookups_match_searchsorted_reference(seed):
-    # random samples: every lookup equals the searchsorted reference on the
-    # samples the history holds
+    # random samples: every lookup through the stencil equals the
+    # searchsorted reference on the record
     rng = np.random.default_rng(seed)
     n_push = int(rng.integers(200, 600))
     ts = np.cumsum(rng.uniform(0.001, 0.02, n_push))
     ys, ms = rng.standard_normal((2, n_push))
-    h = TraceHistory(0, extension=0.01)
-    for t, y, m in zip(ts, ys, ms):
-        push(h, float(t), float(y), float(m))
-    np.testing.assert_array_equal(h.times, ts)
-    thetas = rng.uniform(ts[0], ts[-1] + h.extension, 50)
+    extension = 0.01
+    thetas = rng.uniform(ts[0], ts[-1] + extension, 50)
     thetas[:3] = ts[0], ts[-1], ts[int(rng.integers(1, len(ts) - 1))]
     ref = np.array([_reference_value(ts, ys, ms, theta) for theta in thetas])
-    got = h.interpolate(thetas)
+    got = lookup(ts, ys, ms, thetas, extension=extension)
     assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
-    for theta, r in zip(thetas, ref):
-        assert abs(h.value_at(float(theta)) - r) <= np.spacing(abs(r))
     # both sides of the recorded span are checked, the window end included
-    with pytest.raises(LookupBeforeHistory):
-        h.value_at(ts[0] - 1e-6)
-    with pytest.raises(LookupBeforeHistory):
-        h.value_at(ts[-1] + h.extension + 1e-6)
-    with pytest.raises(LookupBeforeHistory):
-        delay_window(h, ts[-1] + h.extension + 1e-6, 0.5 * (ts[-1] - ts[0]))
-    with pytest.raises(ValueError):
-        delay_window(h, ts[-1] - 1e-6, 0.5 * (ts[-1] - ts[0]))
+    with pytest.raises(LookupBeforeHistory, match="before earliest sample"):
+        lookup(ts, ys, ms, ts[0] - 1e-6, extension=extension)
+    with pytest.raises(LookupBeforeHistory, match="beyond newest sample"):
+        lookup(ts, ys, ms, ts[-1] + extension + 1e-6, extension=extension)
+    with pytest.raises(LookupBeforeHistory, match="beyond newest sample"):
+        window_integrals(ts, ys, ms, [ts[-1] + extension + 1e-6], [0.5 * (ts[-1] - ts[0])], extension)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -298,32 +317,32 @@ def test_lookups_match_searchsorted_reference(seed):
     block=hs.sampled_from([1, 7, 1 << 12]),
 )
 def test_window_pass_matches_the_window_of_every_step(seed, n_initial, n_push, block):
-    # a history serves one window after each push; one pass over the whole
-    # sample record gives the same (I0, I1, z) for every step, whatever the
-    # block size
+    # a record serves one window after each new sample; one pass over the
+    # whole sample record gives the same (I0, I1, z) for every step as the
+    # window alone on the record up to its newest sample, whatever the block
+    # size
     rng = np.random.default_rng(seed)
     a, b, c = rng.uniform(-3.0, 3.0, 3)
     # dense initial samples on [-tau0, 0], then the drawn stream
     tau0 = rng.uniform(0.02, 0.3)
-    h = init_history(0, lambda s: a * math.sin(b * s + c), tau0, n_initial)
+    h = init_history(lambda s: a * math.sin(b * s + c), tau0, n_initial)
     gaps = rng.uniform(0.001, 0.02, n_push)
     ts = np.concatenate([h.times, np.cumsum(gaps)])
     ys = np.concatenate([h.values, rng.standard_normal(n_push)])
     ms = np.concatenate([h.slopes, rng.standard_normal(n_push)])
     # tail windows end past the newest sample, never at the next one
-    extension = h.extension = 0.5 * gaps.min()
+    extension = 0.5 * gaps.min()
     ends, taus, windows = [], [], []
     for k in range(n_initial - 1, len(ts)):
-        if k >= n_initial:
-            push(h, ts[k], ys[k], ms[k])
         end = ts[k] + extension * rng.choice([0.0, 1.0, rng.uniform()])
         # windows from a point just past their end back to the earliest
         # sample itself
         tau = (end - ts[0]) * rng.choice([1.0, rng.uniform(0.01, 1.0)])
         ends.append(end)
         taus.append(tau)
-        windows.append(delay_window(h, end, tau))
-    np.testing.assert_array_equal(h.times, ts)
+        prefix = slice(0, k + 1)
+        window = window_integrals(ts[prefix], ys[prefix], ms[prefix], [end], [tau], extension)
+        windows.append([x[0] for x in window])
     with mock.patch.object(delayline, "_BLOCK", block):
         got = window_integrals(ts, ys, ms, ends, taus, extension)
     for g, ref in zip(got, np.array(windows).T):

@@ -14,7 +14,7 @@ from sandwichbeam.discretize import (
     export_matrices,
     hspace_norm,
 )
-from sandwichbeam.delayline import delay_window, init_history
+from sandwichbeam.delayline import init_history, window_integrals
 from sandwichbeam.presets import state_from_functions
 
 from test_params import unit_params
@@ -191,7 +191,8 @@ def test_energy_zero_state_and_constant_history():
     assert sys_.field_energy(st.q, st.p) == 0.0
     # constant history c on one delayed channel: I0 = tau*c^2, I1 = tau*c^2/2,
     # so the delay energy is (|b|/2)*tau*c^2
-    i0, i1 = delay_window(init_history(0, lambda s: 2.0, 0.4), 0.0, 0.4)[:2]
+    h = init_history(lambda s: 2.0, 0.4)
+    i0, i1 = (x[0] for x in window_integrals(h.times, h.values, h.slopes, [0.0], [0.4])[:2])
     assert 0.5 * abs(-0.3) * i0 == pytest.approx(0.5 * 0.3 * 0.4 * 4.0)
     assert i0 == pytest.approx(0.4 * 4.0)
     assert i1 == pytest.approx(0.5 * 0.4 * 4.0)

@@ -1,5 +1,6 @@
-"""Package hygiene: every exported name exists, no module imports a name it
-never uses, and no module defines a private function it never references."""
+"""Package hygiene: every exported name exists, every name a module imports
+from a sibling is exported there, no module imports a name it never uses,
+and no module defines a private function it never references."""
 
 import ast
 import importlib
@@ -20,6 +21,20 @@ def test_exported_names_exist(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_sibling_imports_are_exported(name):
+    # ``from .x import name`` reads only names that x exports
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            sibling = importlib.import_module(f"{sandwichbeam.__name__}.{node.module}")
+            exported = getattr(sibling, "__all__", [])
+            private += [(node.module, a.name) for a in node.names if a.name not in exported]
+    assert not private, private
 
 
 def imported_names(tree):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sandwichbeam.config import load_config
-from sandwichbeam.delayline import LookupBeforeHistory, push
+from sandwichbeam.delayline import LookupBeforeHistory, TraceHistory
 from sandwichbeam.discretize import (
     VARIANT_CONTROLLED,
     VARIANT_STABILIZED,
@@ -30,7 +30,7 @@ from sandwichbeam.presets import (
     state_from_functions,
     zero_state,
 )
-from sandwichbeam.timestep import IntegrationError, SchemeConfig, simulate
+from sandwichbeam.timestep import IntegrationError, SchemeConfig, SimOutput, simulate
 
 from test_params import unit_params
 
@@ -59,6 +59,16 @@ def decay_scenario(N, delays=None):
     histories = make_histories(sys_, state, delays, kind=cfg.initial["history"])
     kwargs = dict(gains=cfg.gains, delays=delays, damping=cfg.damping, histories=histories)
     return sys_, state, kwargs
+
+
+def history_copies(histories):
+    return [(h.times.copy(), h.values.copy(), h.slopes.copy()) for h in histories]
+
+
+def assert_histories_unchanged(histories, copies):
+    for h, arrays in zip(histories, copies):
+        for got, kept in zip((h.times, h.values, h.slopes), arrays):
+            assert got.tobytes() == kept.tobytes()
 
 
 def test_scheme_config_validation():
@@ -142,7 +152,7 @@ def test_one_stabilized_step_pushes_history():
     gains = GainConfig(1.0, 0.1, 1.0, 0.1, 1.0, 0.05)
     st = random_smooth_state(sys_, seed=5, prepared=True)
     hist = make_histories(sys_, st, delays)
-    n_before = [len(h) for h in hist]
+    copies = history_copies(hist)
     cfg = SchemeConfig(dt=0.02, T=0.02)
     out = simulate(
         st, sys_, cfg,
@@ -150,8 +160,10 @@ def test_one_stabilized_step_pushes_history():
     )
     new = out.final_state()
     assert new.t == pytest.approx(0.02)
-    assert all(len(h) == m + 1 for h, m in zip(hist, n_before))
-    assert hist[0].last_time == pytest.approx(0.01)  # midpoint sample
+    # one midpoint sample per channel, at t = 0.01; the histories are unchanged
+    assert out.ledger["t_mid"] == pytest.approx([0.01])
+    np.testing.assert_array_equal(out.ledger["trace_mid"], [sys_.traces(0.5 * (st.p + new.p))])
+    assert_histories_unchanged(hist, copies)
 
 
 def test_one_stabilized_step_matches_dense_oracle():
@@ -245,7 +257,11 @@ def test_delayed_history_must_end_by_the_start():
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
     st = zero_state(sys_)
     hist = make_histories(sys_, st, delays)
-    push(hist[0], 0.005, 0.0, 0.0)
+    h = hist[0]
+    ends_late = TraceHistory(
+        np.append(h.times, 0.005), np.append(h.values, 0.0), np.append(h.slopes, 0.0)
+    )
+    hist = (ends_late,) + hist[1:]
     with pytest.raises(ValueError, match="must end at t <= 0"):
         simulate(st, sys_, SchemeConfig(dt=0.02, T=0.2), gains=gains, delays=delays, histories=hist)
 
@@ -495,14 +511,35 @@ def test_delay_beyond_declared_cap_raises():
 
     # with amplitude -0.1 the delay stays under its cap until t = pi/5, so
     # the refusal comes before the first step, not at step 32: in both
-    # cases nothing is pushed
+    # cases the histories are left as they were
     for amplitude in (0.1, -0.1):
         delays = DelaySpec((Undercapped(0.2, amplitude, 5.0),) * 3)
         sys_, state, kwargs = decay_scenario(16, delays)
-        n_initial = [len(h) for h in kwargs["histories"]]
+        copies = history_copies(kwargs["histories"])
         with pytest.raises(LookupBeforeHistory):
             simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
-        assert [len(h) for h in kwargs["histories"]] == n_initial
+        assert_histories_unchanged(kwargs["histories"], copies)
+
+
+def test_simulate_twice_on_the_same_histories():
+    # simulate changes none of its arguments, so a second run on the same
+    # initial state and histories gives the same output bit for bit
+    sys_, state, kwargs = decay_scenario(16)
+    q0, p0 = state.q.copy(), state.p.copy()
+    copies = history_copies(kwargs["histories"])
+    cfg = SchemeConfig(dt=0.02, T=1.0)
+    runs = [simulate(state, sys_, cfg, **kwargs) for _ in range(2)]
+    assert_histories_unchanged(kwargs["histories"], copies)
+    assert state.q.tobytes() == q0.tobytes() and state.p.tobytes() == p0.tobytes()
+    for field in dataclasses.fields(SimOutput):
+        first, second = (getattr(out, field.name) for out in runs)
+        if field.name == "ledger":
+            assert first.keys() == second.keys()
+            pairs = [(first[key], second[key]) for key in first]
+        else:
+            pairs = [(first, second)]
+        for a, b in pairs:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_window_pass_refuses_a_delay_past_its_cap():
