@@ -149,11 +149,13 @@ def _monotone_energy(out):
     return bool(out.max_energy_increase() <= 1e-10 * max(out.energy[0], 1e-300))
 
 
-def _order_rows(errors):
-    """(observed order, non-monotone flag) for each level of an error ladder;
-    the finest level has no successor, so its order is nan."""
-    pairs = zip(errors, errors[1:])
-    return [(np.log2(a / b), int(not a > b)) for a, b in pairs] + [(float("nan"), 0)]
+def _order_rows(errors, steps):
+    """(observed order, non-monotone flag) for each level of an error ladder
+    with mesh sizes ``steps``: log(e_i / e_i+1) / log(h_i / h_i+1); the
+    finest level has no successor, so its order is nan."""
+    pairs = zip(errors, errors[1:], steps, steps[1:])
+    rows = [(np.log2(a / b) / np.log2(ha / hb), int(not a > b)) for a, b, ha, hb in pairs]
+    return rows + [(float("nan"), 0)]
 
 
 def _trajectory_columns(out):
@@ -344,12 +346,7 @@ def cmd_observability(cfg, args):
 def _state_l2_norm(state, sys_):
     """Mass-weighted L2 norm of a state difference (no derivative weights:
     order estimates should not be polluted by marginally resolved modes)."""
-    total = 0.0
-    for name in ("u", "v", "w"):
-        blk = sys_.block(name)
-        wts = sys_.block_weights[name]
-        total += float(np.dot(wts, state.q[blk] ** 2) + np.dot(wts, state.p[blk] ** 2))
-    return float(np.sqrt(total))
+    return float(np.sqrt(sys_.field_weights.sum(axis=0) @ (state.q ** 2 + state.p ** 2)))
 
 
 def _restrict_state(fine_state, fine_sys, coarse_sys):
@@ -382,6 +379,12 @@ def cmd_convergence(cfg, args):
         # reference four refinements past the finest measured level keeps the
         # finite-reference bias of the order estimates below 0.1
         ref_n = 4 * ladder[-1]
+        # the restriction to a level reads every (ref_n / n)-th reference node
+        if len(set(ladder)) < len(ladder) or any(n < 8 or ref_n % n for n in ladder):
+            raise ConfigError(
+                f"spatial resolutions must be distinct, >= 8 and divide {ref_n} "
+                f"(4 x the finest), got {ladder}"
+            )
         ref_sys, ref_state = run_at(ref_n, conv["dt"], conv["T"])
         errors = []
         for n in ladder:
@@ -389,13 +392,19 @@ def cmd_convergence(cfg, args):
             restricted = _restrict_state(ref_state, ref_sys, sys_n)
             diff = DiscreteState(q=final.q - restricted.q, p=final.p - restricted.p)
             errors.append(_state_l2_norm(diff, sys_n))
-        for n, err, (order, flag) in zip(ladder, errors, _order_rows(errors)):
-            rows.append(("spatial", n, cfg.params.L / n, err, order, flag))
+        hs = [cfg.params.L / n for n in ladder]
+        for n, h, err, (order, flag) in zip(ladder, hs, errors, _order_rows(errors, hs)):
+            rows.append(("spatial", n, h, err, order, flag))
 
     if conv["mode"] in ("temporal", "both"):
         dts = sorted(conv["dts"], reverse=True)
         if len(dts) < 2:
             raise ConfigError("temporal convergence needs at least 2 steps")
+        # the steps taken, which differ from the requested ones when they do
+        # not divide T
+        hs = [_endpoint_scheme(dt, conv["T"]).step for dt in dts]
+        if any(not a > b for a, b in zip(hs, hs[1:])):
+            raise ConfigError(f"temporal convergence needs distinct steps, got {hs}")
         ref_dt = dts[-1] / conv["reference_divide"]
         _, ref_state = run_at(conv["n"], ref_dt, conv["T"])
         errors = []
@@ -403,8 +412,8 @@ def cmd_convergence(cfg, args):
             sys_n, final = run_at(conv["n"], dt, conv["T"])
             diff = DiscreteState(q=final.q - ref_state.q, p=final.p - ref_state.p)
             errors.append(_state_l2_norm(diff, sys_n))
-        for dt, err, (order, flag) in zip(dts, errors, _order_rows(errors)):
-            rows.append(("temporal", conv["n"], dt, err, order, flag))
+        for h, err, (order, flag) in zip(hs, errors, _order_rows(errors, hs)):
+            rows.append(("temporal", conv["n"], h, err, order, flag))
 
     path = os.path.join(cfg.outdir, "convergence.csv")
     with open(path, "w", newline="\n") as fh:

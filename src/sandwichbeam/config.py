@@ -49,7 +49,7 @@ _SCHEMA = {
     "damping": {"a1", "a2", "a3"},
     "grid": {"n"},
     "scheme": {"dt", "t", "stride"},
-    "initial": {"preset", "field", "mode", "amplitude", "seed", "cutoff", "prepared", "history"},
+    "initial": {"preset", "field", "mode", "amplitude", "seed", "cutoff", "prepared"},
     "fit": {"window_start", "window_end"},
     "hum": {"t", "dt", "cg_tol", "terminal_tol"},
     # the observability constant is exact, so nothing reads ``seed`` any
@@ -151,7 +151,7 @@ class ScenarioConfig:
     def build_histories(self, sys_, state):
         if self.delays is None:
             return None
-        return make_histories(sys_, state, self.delays, kind=self.initial["history"])
+        return make_histories(sys_, state, self.delays)
 
 
 def _get_float(sec, key, default=None):
@@ -300,14 +300,11 @@ def load_config(path, overrides=None):
         "seed": _get_int(isec, "seed", 0),
         "cutoff": _get_int(isec, "cutoff", 6),
         "prepared": _get_bool(isec, "prepared", True) if isec else True,
-        "history": isec.get("history", "constant_trace") if isec else "constant_trace",
     }
     if initial["preset"] not in ("zero", "single_mode", "random_smooth", "eigen_mode"):
         _fail(f"unknown initial preset {initial['preset']!r}")
     if initial["field"] not in ("u", "v", "w"):
         _fail(f"unknown initial field {initial['field']!r}")
-    if initial["history"] not in ("constant_trace", "zero"):
-        _fail(f"unknown history preset {initial['history']!r}")
 
     fsec = parser["fit"] if "fit" in parser else {}
     fit_window = (_get_float(fsec, "window_start", 0.2), _get_float(fsec, "window_end", 0.9))
@@ -367,11 +364,17 @@ def load_config(path, overrides=None):
         if overrides.get("seed") is not None:
             cfg.initial["seed"] = int(overrides["seed"])
         if overrides.get("stride") is not None:
-            cfg.scheme = SchemeConfig(
-                dt=cfg.scheme.dt, T=cfg.scheme.T, stride=int(overrides["stride"])
-            )
+            try:
+                cfg.scheme = SchemeConfig(
+                    dt=cfg.scheme.dt, T=cfg.scheme.T, stride=int(overrides["stride"])
+                )
+            except ValueError as exc:
+                raise ConfigError(str(exc))
         if overrides.get("outdir") is not None:
             cfg.outdir = overrides["outdir"]
+    # a document's seed and the command-line one
+    if cfg.initial["seed"] < 0:
+        _fail(f"initial seed must be >= 0, got {cfg.initial['seed']}")
     return cfg
 
 

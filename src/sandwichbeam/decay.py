@@ -56,20 +56,15 @@ def lyapunov_trace(out, sys_, rates, gains):
     if out.variant != VARIANT_STABILIZED:
         raise ValueError("lyapunov trace is defined for the stabilized variant")
     idx = np.searchsorted(out.times, out.sample_times)
-    energies = out.energy[idx]
-    masses = sys_.params.mass_coefficients
+    # the cross term's weights: rho_f times field f's L2 weights
+    cross_weights = np.asarray(sys_.params.mass_coefficients) @ sys_.field_weights
     # delay tilts are zero on undelayed channels
     tilt_weights = 0.5 * np.array([rates.mu1, rates.mu2, rates.mu3]) * np.abs(gains.betas)
-    values = np.empty(len(idx))
-    for k, (n, e) in enumerate(zip(idx, energies)):
-        q = out.states_q[k]
-        p = out.states_p[k]
-        cross = 0.0
-        for m, name in zip(masses, ("u", "v", "w")):
-            blk = sys_.block(name)
-            cross += m * float(np.dot(sys_.block_weights[name], q[blk] * p[blk]))
-        values[k] = e + rates.mu0 * cross + float(np.dot(tilt_weights, out.delay_tilts[n]))
-    return values
+    return (
+        out.energy[idx]
+        + rates.mu0 * ((out.states_q * out.states_p) @ cross_weights)
+        + out.delay_tilts[idx] @ tilt_weights
+    )
 
 
 def fit_decay_rate(times, energies, window, floor_ratio=1e-14):

@@ -40,17 +40,19 @@ _GAUSS = tuple(zip((0.5 * (_GAUSS_X + 1.0)).tolist(), (0.5 * _GAUSS_W).tolist())
 _BLOCK = 1 << 12
 
 
-def _hermite(s, h, y0, m0, y1, m1):
-    """Cubic Hermite value at local coordinate s in [0, 1] of a segment of
-    length h; floats or arrays."""
+def _hermite_weights(s, h):
+    """Cubic Hermite weights on (y0, m0, y1, m1) at local coordinate s in
+    [0, 1] of a segment of length h; floats or arrays."""
     s2 = s * s
     s3 = s2 * s
-    return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * y0
-        + (s3 - 2.0 * s2 + s) * h * m0
-        + (-2.0 * s3 + 3.0 * s2) * y1
-        + (s3 - s2) * h * m1
-    )
+    return (2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h)
+
+
+def _hermite(s, h, y0, m0, y1, m1):
+    """Cubic Hermite value at local coordinate s of a segment of length h,
+    summed left to right."""
+    w0, w1, w2, w3 = _hermite_weights(s, h)
+    return w0 * y0 + w1 * m0 + w2 * y1 + w3 * m1
 
 
 class LookupBeforeHistory(RuntimeError):
@@ -135,15 +137,7 @@ def hermite_stencil(ts, thetas, newest, extension=0.0, channel=0):
     t0 = ts[j]
     h = ts[j + 1] - t0
     s = np.clip((thetas - t0) / h, 0.0, 1.0)
-    s2 = s * s
-    s3 = s2 * s
-    # _hermite's basis terms, each in its order of operations
-    weights = np.empty((len(thetas), 4))
-    weights[:, 0] = 2.0 * s3 - 3.0 * s2 + 1.0
-    weights[:, 1] = (s3 - 2.0 * s2 + s) * h
-    weights[:, 2] = -2.0 * s3 + 3.0 * s2
-    weights[:, 3] = (s3 - s2) * h
-    return j, weights, thetas >= tn
+    return j, np.column_stack(_hermite_weights(s, h)), thetas >= tn
 
 
 def delay_samples(delays, channel, times):

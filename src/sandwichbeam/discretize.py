@@ -81,7 +81,6 @@ class DofLayout:
     an essential condition fixes it; ``iu``, ``iv``, ``iw`` are its columns.
     """
 
-    variant: str
     nodal: np.ndarray
     ndof: int
 
@@ -101,19 +100,23 @@ def _layout(grid, variant):
     ndof = int(np.count_nonzero(live))
     nodal = np.full((N + 1, 3), -1)
     nodal[live] = np.arange(ndof)  # row-major: node by node
-    return DofLayout(variant=variant, nodal=nodal, ndof=ndof)
+    return DofLayout(nodal=nodal, ndof=ndof)
 
 
 @dataclass
 class SemiDiscreteSystem:
     """Assembled matrices and helper vectors for one variant.
 
-    M is stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
+    ``field_weights`` is the (3, n) weight table W: row f holds field f's
+    trapezoid L2 weights on its unknowns (u, v, w in that order) and zeros
+    elsewhere, so W[f] @ (x * y) is the L2 product of field f.  It weights
+    the interior damping, the velocity norms of the ledger and the
+    Lyapunov cross term, and M is built from it: the mass coefficients
+    times W, plus the boundary inertia of the controlled variant.  M is
+    stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
     lower band of K in LAPACK storage: ``band[d, i] = K[i + d, i]``.  ``K``
     is the dense view, built from the band on first use for ``modes``,
-    the only reader; time stepping never builds it.  ``blocks`` holds the indices of each field's unknowns and
-    ``block_weights`` their plain trapezoid L2 weights, used for the
-    interior damping matrix and for unweighted velocity norms.
+    the only reader; time stepping never builds it.
 
     The three boundary channels at x = L (feedback traces of the stabilized
     variant, controls and observations of the controlled one) are the map
@@ -127,8 +130,7 @@ class SemiDiscreteSystem:
     layout: DofLayout
     M: np.ndarray
     band: np.ndarray
-    blocks: dict
-    block_weights: dict
+    field_weights: np.ndarray
     channel_index: np.ndarray
     channel_coeff: np.ndarray
 
@@ -157,19 +159,6 @@ class SemiDiscreteSystem:
         diagonal."""
         d, i = np.nonzero(self.band)
         return i + d, i, self.band[d, i]
-
-    def block(self, name):
-        """Indices of one field's unknowns ('u', 'v' or 'w'), node by node."""
-        return self.blocks[name]
-
-    @cached_property
-    def field_weights(self):
-        """(3, n) matrix whose row f holds field f's L2 weights on its
-        unknowns and zeros elsewhere."""
-        W = np.zeros((3, self.ndof))
-        for row, name in zip(W, ("u", "v", "w")):
-            row[self.block(name)] = self.block_weights[name]
-        return W
 
     def damping_diagonal(self, a_values):
         """Diagonal of the interior damping matrix for weights (a1, a2, a3)."""
@@ -254,27 +243,28 @@ def build_system(grid, params, variant):
         ],
     )
 
-    M = np.zeros(n)
+    # the weight table W: trapezoid L2 weights of each field on its unknowns;
+    # u and v are fixed at x=0 and have half a cell at x=L
+    W = np.zeros((3, n))
     wts = np.full(N, dx)
     wts[-1] = dx / 2.0
-    M[iu[1:]] = params.rho1h1 * wts
-    M[iv[1:]] = params.rho3h3 * wts
-
-    block_weights = {"u": wts.copy(), "v": wts.copy()}
+    W[0, iu[1:]] = wts
+    W[1, iv[1:]] = wts
     if variant == VARIANT_STABILIZED:
-        M[iw[1:N]] = params.rhoh * dx
-        block_weights["w"] = np.full(N - 1, dx)
+        # w is fixed at both ends
+        W[2, iw[1:N]] = dx
         # w_x(L) with w(L)=0 eliminated
         channel_index = np.array([iu[N], iv[N], iw[N - 1]])
         channel_coeff = np.array([1.0, 1.0, -inv])
     else:
-        wtw = np.full(N + 1, dx)
-        wtw[0] = wtw[-1] = dx / 2.0
-        M[iw] = params.rhoh * wtw
-        block_weights["w"] = wtw
-        # the boundary values are dynamic unknowns with their own inertia
+        W[2, iw] = dx
+        W[2, iw[[0, N]]] = dx / 2.0
         channel_index = np.array([iu[N], iv[N], iw[N]])
         channel_coeff = np.ones(3)
+    # each entry of the product has one nonzero term, rho_f * weight
+    M = np.asarray(params.mass_coefficients) @ W
+    if variant == VARIANT_CONTROLLED:
+        # the boundary values are dynamic unknowns with their own inertia
         M[channel_index] += params.trace_masses
 
     return SemiDiscreteSystem(
@@ -284,8 +274,7 @@ def build_system(grid, params, variant):
         layout=layout,
         M=M,
         band=band,
-        blocks={name: idx[idx >= 0] for name, idx in (("u", iu), ("v", iv), ("w", iw))},
-        block_weights=block_weights,
+        field_weights=W,
         channel_index=channel_index,
         channel_coeff=channel_coeff,
     )

@@ -193,7 +193,9 @@ def _state_metric(sys_):
         raise ValueError("HUM needs a controlled_conservative system")
     p = sys_.params
     omega_sq, phi = sys_.modes
-    c = sys_.block_weights["w"] @ phi[sys_.block("w")]
+    iw = sys_.layout.iw
+    iw = iw[iw >= 0]
+    c = sys_.field_weights[2, iw] @ phi[iw]
     # energy-scaled completion of the transverse-mean direction; backed
     # by the bending stiffness so it survives shear-free reductions
     gamma = (p.k + p.EI / p.L ** 4) / p.L

@@ -41,7 +41,6 @@ class BoundaryQuadForm:
     m11: float
     m12: float
     m22: float
-    channel: int
 
     @property
     def det(self):
@@ -75,7 +74,6 @@ def phi_matrix(i, d, params, gains):
         m11=-2.0 * c * a + abs(b),
         m12=-c * b,
         m22=abs(b) * (d - 1.0),
-        channel=i,
     )
 
 
@@ -207,7 +205,6 @@ def perturbed_form(i, params, gains, delays, mu0, mu_i, eps=0.5):
         m11=phi.m11 + mu0 * ceps * a * a + mu_i * abs(b),
         m12=phi.m12 + mu0 * ceps * a * b,
         m22=phi.m22 + mu0 * ceps * b * b,
-        channel=i,
     )
 
 

@@ -190,21 +190,8 @@ def eigen_mode_state(sys_, index, amplitude=1.0, velocity=False):
     return DiscreteState(q=q, p=p, t=0.0)
 
 
-def make_histories(sys_, state, delays, kind="constant_trace"):
-    """Initial trace histories on [-tau_i(0), 0] for the delayed channels.
-
-    ``constant_trace`` extends the initial trace velocity backwards (the
-    compatible choice); ``zero`` starts from rest.
-    """
+def make_histories(sys_, state, delays):
+    """Initial trace histories on [-tau_i(0), 0] for the delayed channels:
+    the initial trace velocity extended backwards, the compatible choice."""
     traces = sys_.traces(state.p)
-    histories = []
-    for i in range(3):
-        if kind == "constant_trace":
-            c = traces[i]
-            fn = lambda s, c=c: c
-        elif kind == "zero":
-            fn = lambda s: 0.0
-        else:
-            raise ValueError(f"unknown history preset {kind!r}")
-        histories.append(init_history(fn, delays.tau(i, 0.0)))
-    return tuple(histories)
+    return tuple(init_history(lambda s, c=c: c, delays.tau(i, 0.0)) for i, c in enumerate(traces))

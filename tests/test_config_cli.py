@@ -305,3 +305,62 @@ def test_convergence_cli(tmp_path):
 
 def test_missing_config_file():
     assert main(["validate", "--config", "/nonexistent/x.ini", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    [
+        "mode = spatial\nresolutions = 12,16,32",
+        "mode = spatial\nresolutions = 16,24,32",
+        "mode = spatial\nresolutions = 4,16,32",
+        "mode = spatial\nresolutions = 16,16,32",
+        "mode = temporal\ndts = 0.02,0.02,0.01",
+    ],
+)
+def test_convergence_ladder_must_nest_in_the_reference(tmp_path, ladder):
+    # the spatial reference runs at 4 x the finest level and each level reads
+    # every (4 x finest / n)-th of its nodes: a level that does not divide it,
+    # one below 8 cells, or a repeated level is refused before anything runs;
+    # so is a repeated step, which has no order
+    doc = CONTROLLED_DOC.replace("mode = temporal", ladder).replace("dts = 0.02,0.01\n", "")
+    path = write_doc(tmp_path, doc)
+    assert main(["convergence", "--config", path, "--quiet"]) == 2
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+def test_temporal_orders_use_the_steps_taken(tmp_path):
+    # 0.03 does not divide t = 0.5: the run takes 17 steps of 0.5/17, so the
+    # first level refines by 0.5/17/0.01, not by 2, and the row says so
+    doc = (
+        CONTROLLED_DOC.replace("preset = single_mode", "preset = eigen_mode")
+        .replace("dts = 0.02,0.01", "dts = 0.03,0.01,0.005")
+    )
+    path = write_doc(tmp_path, doc)
+    assert main(["convergence", "--config", path, "--quiet"]) == 0
+    rows = [r.split(",") for r in (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]]
+    assert [float(r[2]) for r in rows] == [0.5 / 17, 0.01, 0.005]
+    orders = [float(r[4]) for r in rows[:-1]]
+    assert all(1.8 <= o <= 2.2 for o in orders), orders
+
+
+def test_bad_overrides_and_negative_seed_are_config_errors(tmp_path):
+    path = write_doc(tmp_path, STABILIZED_DOC)
+    assert main(["simulate", "--config", path, "--quiet", "--stride", "0"]) == 2
+    assert main(["decay-report", "--config", path, "--quiet", "--seed", "-1"]) == 2
+    with pytest.raises(ConfigError):
+        load_config(path, overrides={"seed": -1})
+    negative = write_doc(tmp_path, STABILIZED_DOC.replace("seed = 7", "seed = -1"), "negative.ini")
+    with pytest.raises(ConfigError):
+        load_config(negative)
+    assert main(["simulate", "--config", negative, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_history_key_is_unknown(tmp_path):
+    # the initial trace history is always the constant extension of the
+    # initial trace velocity; the former preset key is refused
+    doc = STABILIZED_DOC.replace("prepared = true", "prepared = true\nhistory = zero")
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(ConfigError, match="history"):
+        load_config(path)
+    assert main(["simulate", "--config", path, "--quiet"]) == 2

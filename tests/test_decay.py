@@ -138,9 +138,9 @@ def test_lyapunov_equivalence_random_states():
         e_field = 0.5 * (np.dot(v, sys_.M * v) + q @ sys_.K @ q)
         e = e_field + sum(0.5 * abs(b) * i0 for b, (i0, _) in zip(gains.betas, windows))
         cross = 0.0
-        for m, name in zip(p.mass_coefficients, ("u", "v", "w")):
-            blk = sys_.block(name)
-            cross += m * float(np.dot(sys_.block_weights[name], q[blk] * v[blk]))
+        for m, col, row in zip(p.mass_coefficients, sys_.layout.nodal.T, sys_.field_weights):
+            blk = col[col >= 0]
+            cross += m * float(np.dot(row[blk], q[blk] * v[blk]))
         tilt = 0.0
         for i in range(3):
             b = gains.betas[i]

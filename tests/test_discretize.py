@@ -20,11 +20,18 @@ from sandwichbeam.presets import state_from_functions
 from test_params import unit_params
 
 
+def field_order(sys_):
+    """Indices of all unknowns field by field (all u, then all v, then all
+    w), node by node within each field."""
+    cols = sys_.layout.nodal.T
+    return np.concatenate([col[col >= 0] for col in cols])
+
+
 def block_draw(rng, sys_):
     """Standard normal state vector drawn field block by field block (all u,
     then all v, then all w) and placed at the layout's indices."""
     x = np.empty(sys_.ndof)
-    x[np.concatenate([sys_.block(name) for name in "uvw"])] = rng.standard_normal(sys_.ndof)
+    x[field_order(sys_)] = rng.standard_normal(sys_.ndof)
     return x
 
 

@@ -31,6 +31,8 @@ from sandwichbeam.params import (
 from sandwichbeam.presets import make_histories, random_smooth_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
+from test_discretize import field_order
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "simulate_n16.json")
 RTOL = 1e-6
 
@@ -80,7 +82,7 @@ RUNS = {
 
 
 def _series(sys_, out):
-    blocks = np.concatenate([sys_.block(name) for name in "uvw"])
+    blocks = field_order(sys_)
     series = {
         "energy": out.energy,
         "field_energy": out.field_energy,

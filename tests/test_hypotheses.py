@@ -83,9 +83,9 @@ def test_phi_matrix_entries():
 def test_is_negative_definite_cases():
     from sandwichbeam.hypotheses import BoundaryQuadForm
 
-    assert not is_negative_definite(BoundaryQuadForm(-2, 0, 0, 1))
-    assert is_negative_definite(BoundaryQuadForm(-1, 0, -1, 1))
-    assert not is_negative_definite(BoundaryQuadForm(-1, 2, -1, 1))
+    assert not is_negative_definite(BoundaryQuadForm(-2, 0, 0))
+    assert is_negative_definite(BoundaryQuadForm(-1, 0, -1))
+    assert not is_negative_definite(BoundaryQuadForm(-1, 2, -1))
 
 
 def test_passing_gains_imply_negative_definite_phi():

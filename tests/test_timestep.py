@@ -56,7 +56,7 @@ def decay_scenario(N, delays=None):
     delays = cfg.delays if delays is None else delays
     sys_ = build_system(Grid1D(N=N, L=cfg.params.L), cfg.params, cfg.variant)
     state = cfg.build_initial(sys_)
-    histories = make_histories(sys_, state, delays, kind=cfg.initial["history"])
+    histories = make_histories(sys_, state, delays)
     kwargs = dict(gains=cfg.gains, delays=delays, damping=cfg.damping, histories=histories)
     return sys_, state, kwargs
 
