@@ -1,15 +1,20 @@
 """Scenario configuration: a strict key = value document.
 
-The format is INI-style with a fixed schema; unknown sections or keys are
-hard errors so typos never silently fall back to defaults.  Physical
-coefficients are given either as composites (rho1h1, E1h1, ...) or per
-layer (rho1, h1, E1, ...); when both appear they must agree.
+The format is INI-style.  One table, ``_KEYS``, lists every key with its
+parser, its default and the range it must lie in; one loop reads the
+document through it, and the few rules that span keys are checked next to
+the table.  Unknown sections or keys, values that do not parse and values
+out of range are all ``ConfigError`` naming the section, the key and the
+requirement, so typos never silently fall back to defaults.  Physical
+coefficients are given either as composites (rho1h1, e1h1, ...) or per
+layer (rho1, h1, e1, ...); when both appear they must agree.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .discretize import Grid1D, VARIANT_CONTROLLED, VARIANT_STABILIZED, build_system
@@ -39,65 +44,185 @@ class ConfigError(ValueError):
     """Malformed configuration document."""
 
 
-_COMPOSITE_KEYS = ("rho1h1", "e1h1", "rho3h3", "e3h3", "rhoh", "ei", "k", "alpha", "l")
-_LAYER_KEYS = ("rho1", "rho2", "rho3", "h1", "h2", "h3", "e1", "e3", "i1", "i3", "k", "l")
-
-_SCHEMA = {
-    "model": {"variant"} | set(_COMPOSITE_KEYS) | set(_LAYER_KEYS),
-    "gains": {"alpha1", "beta1", "alpha2", "beta2", "alpha3", "beta3"},
-    "delays": {"tau1", "tau2", "tau3"},
-    "damping": {"a1", "a2", "a3"},
-    "grid": {"n"},
-    "scheme": {"dt", "t", "stride"},
-    "initial": {"preset", "field", "mode", "amplitude", "seed", "cutoff", "prepared"},
-    "fit": {"window_start", "window_end"},
-    "hum": {"t", "dt", "cg_tol", "terminal_tol"},
-    # the observability constant is exact, so nothing reads ``seed`` any
-    # more; it stays accepted for documents that still set it
-    "observability": {"t", "dt", "seed", "cutoff"},
-    "convergence": {"mode", "resolutions", "dts", "reference_divide", "t", "dt", "n"},
-    "output": {"dir"},
-}
-
-_VARIANTS = {
-    "stabilized_delayed": VARIANT_STABILIZED,
-    "controlled_conservative": VARIANT_CONTROLLED,
-}
-
-
 def _fail(msg):
     raise ConfigError(msg)
 
 
-def _parse_law(text, kind):
-    """Parse 'constant 0.5' / 'sinusoidal base=.1 amplitude=.05 frequency=10'
-    / 'exp_floor floor=.5 initial=1.5 rate=2' delay or damping laws."""
-    tokens = text.split()
-    if not tokens:
-        _fail(f"empty {kind} specification")
-    name, args = tokens[0], tokens[1:]
-    kv = {}
-    positional = []
-    for tok in args:
-        if "=" in tok:
-            key, _, val = tok.partition("=")
-            kv[key] = float(val)
-        else:
-            positional.append(float(tok))
+# PhysicalParams' field order
+_COMPOSITE_KEYS = ("rho1h1", "e1h1", "rho3h3", "e3h3", "rhoh", "ei", "k", "alpha", "l")
+_LAYER_KEYS = ("rho1", "rho2", "rho3", "h1", "h2", "h3", "e1", "e3", "i1", "i3", "k", "l")
+# GainConfig's field order
+_GAIN_KEYS = ("alpha1", "beta1", "alpha2", "beta2", "alpha3", "beta3")
+_DELAY_KEYS = ("tau1", "tau2", "tau3")
+_DAMPING_KEYS = ("a1", "a2", "a3")
+
+
+def _law(laws):
+    """Parser and syntax of one family of time laws: the law's name, then
+    each of its parameters exactly once as name=value; a bare number is
+    the value of a constant law."""
+
+    def parse(text):
+        name, *tokens = text.split() or [""]
+        if name not in laws:
+            raise ValueError(f"unknown law {name!r}")
+        cls, params = laws[name]
+        args = dict(tok.split("=", 1) if "=" in tok else ("value", tok) for tok in tokens)
+        if len(args) != len(tokens) or set(args) != set(params):
+            raise ValueError(f"{name} takes exactly {', '.join(params)}")
+        return cls(*(float(args[p]) for p in params))
+
+    syntax = " | ".join(law + "".join(f" {p}=" for p in ps) for law, (_, ps) in laws.items())
+    return parse, syntax
+
+
+_DELAY_LAW = _law(
+    {
+        "constant": (ConstantDelay, ("value",)),
+        "sinusoidal": (SinusoidalDelay, ("base", "amplitude", "frequency")),
+    }
+)
+_DAMPING_LAW = _law(
+    {
+        "constant": (ConstantDamping, ("value",)),
+        "exp_floor": (ExponentialDamping, ("floor", "initial", "rate")),
+    }
+)
+
+
+def _integer(text):
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
+
+
+def _boolean(text):
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"{text!r} is not a boolean")
+    return text.lower() in ("true", "yes", "1")
+
+
+def _list_of(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok.strip())
+
+
+def _one_of(*names):
+    return names.__contains__, "one of " + ", ".join(names)
+
+
+def _at_least(low):
+    return (lambda n: n >= low), f"an integer >= {low}"
+
+
+_FINITE = math.isfinite, "a finite number"
+_POSITIVE = (lambda x: 0.0 < x < math.inf), "a finite number > 0"
+_NONNEGATIVE = (lambda x: 0.0 <= x < math.inf), "a finite number >= 0"
+
+
+def _hum_horizon(values):
+    """Eight crossings of the slower wave layer: 8 L / c."""
+    params = _physical_params(values)
+    c1 = (params.E1h1 / params.rho1h1) ** 0.5
+    c3 = (params.E3h3 / params.rho3h3) ** 0.5
+    return 8.0 * params.L / min(c1, c3)
+
+
+# (section, key, parser, default, predicate, requirement).  A default of
+# None means absent; a callable default is derived from the keys above it
+# and passes its predicate whenever they pass theirs.
+_KEYS = (
+    ("model", "variant", str, VARIANT_STABILIZED, *_one_of(VARIANT_STABILIZED, VARIANT_CONTROLLED)),
+    *(
+        ("model", key, float, None, *_POSITIVE)
+        for key in dict.fromkeys(_COMPOSITE_KEYS + _LAYER_KEYS)
+    ),
+    *(("gains", key, float, 0.0, *_FINITE) for key in _GAIN_KEYS),
+    *(("delays", key, _DELAY_LAW[0], None, None, _DELAY_LAW[1]) for key in _DELAY_KEYS),
+    *(("damping", key, _DAMPING_LAW[0], None, None, _DAMPING_LAW[1]) for key in _DAMPING_KEYS),
+    ("grid", "n", _integer, 64, *_at_least(8)),
+    ("scheme", "dt", float, 0.01, *_POSITIVE),
+    ("scheme", "t", float, 1.0, *_NONNEGATIVE),
+    ("scheme", "stride", _integer, 1, *_at_least(1)),
+    (
+        "initial", "preset", str, "zero",
+        *_one_of("zero", "single_mode", "random_smooth", "eigen_mode"),
+    ),
+    ("initial", "field", str, "u", *_one_of("u", "v", "w")),
+    ("initial", "mode", _integer, 1, *_at_least(0)),
+    ("initial", "amplitude", float, 1.0, *_FINITE),
+    ("initial", "seed", _integer, 0, *_at_least(0)),
+    ("initial", "cutoff", _integer, 6, *_at_least(1)),
+    ("initial", "prepared", _boolean, True, None, "true or false"),
+    ("fit", "window_start", float, 0.2, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"),
+    ("fit", "window_end", float, 0.9, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"),
+    ("hum", "t", float, _hum_horizon, *_POSITIVE),
+    # dt = 0 derives the step from t
+    ("hum", "dt", float, 0.0, *_NONNEGATIVE),
+    ("hum", "cg_tol", float, 1e-8, *_NONNEGATIVE),
+    ("hum", "terminal_tol", float, 1e-3, *_POSITIVE),
+    ("observability", "t", float, lambda v: v["hum", "t"] / 2.0, *_POSITIVE),
+    ("observability", "dt", float, 0.0, *_NONNEGATIVE),
+    # the observability constant is exact, so nothing reads the seed; it
+    # stays accepted for documents that still set it
+    ("observability", "seed", _integer, 0, *_at_least(0)),
+    ("observability", "cutoff", _integer, 8, *_at_least(1)),
+    ("convergence", "mode", str, "both", *_one_of("spatial", "temporal", "both")),
+    (
+        "convergence", "resolutions", _list_of(_integer), (16, 32, 64),
+        lambda ns: min(ns, default=8) >= 8, "a comma list of integers >= 8",
+    ),
+    (
+        "convergence", "dts", _list_of(float), (0.02, 0.01, 0.005),
+        lambda hs: all(0.0 < h < math.inf for h in hs), "a comma list of finite numbers > 0",
+    ),
+    ("convergence", "reference_divide", _integer, 16, *_at_least(1)),
+    ("convergence", "t", float, lambda v: v["scheme", "t"], *_NONNEGATIVE),
+    ("convergence", "dt", float, lambda v: v["scheme", "dt"], *_POSITIVE),
+    ("convergence", "n", _integer, lambda v: v["grid", "n"], *_at_least(8)),
+    ("output", "dir", str, "out", bool, "a non-empty path"),
+)
+_KNOWN = {(section, key) for section, key, *_ in _KEYS}
+# command-line flags and the keys they set
+_FLAGS = {"seed": ("initial", "seed"), "stride": ("scheme", "stride"), "outdir": ("output", "dir")}
+
+
+def _physical_params(values):
+    """[model] as PhysicalParams, from composites, layer data or both."""
+    given = {key for (sec, key), value in values.items() if sec == "model" and value is not None}
+    groups = [keys for keys in (_COMPOSITE_KEYS, _LAYER_KEYS) if given & (set(keys) - {"k", "l"})]
+    if not groups:
+        _fail("[model] needs composite coefficients (rho1h1, ...) or layer data (rho1, ...)")
+    missing = [key for keys in groups for key in keys if key not in given]
+    if missing:
+        _fail(f"[model] is missing {', '.join(dict.fromkeys(missing))}")
+    rho1, rho2, rho3, h1, h2, h3, e1, e3, i1, i3, k, L = (values["model", x] for x in _LAYER_KEYS)
+    layers = dict(rho=(rho1, rho2, rho3), h=(h1, h2, h3), E=(e1, 0.0, e3), I=(i1, 0.0, i3))
     try:
-        if kind == "delay":
-            if name == "constant":
-                return ConstantDelay(positional[0] if positional else kv["value"])
-            if name == "sinusoidal":
-                return SinusoidalDelay(kv["base"], kv["amplitude"], kv["frequency"])
-        else:
-            if name == "constant":
-                return ConstantDamping(positional[0] if positional else kv["value"])
-            if name == "exp_floor":
-                return ExponentialDamping(kv["floor"], kv["initial"], kv["rate"])
-    except (KeyError, IndexError) as exc:
-        _fail(f"{kind} law {name!r} missing parameter: {exc}")
-    _fail(f"unknown {kind} law {name!r}")
+        if groups == [_LAYER_KEYS]:
+            return PhysicalParams.from_layers(k=k, L=L, **layers)
+        params = PhysicalParams(*(values["model", key] for key in _COMPOSITE_KEYS))
+        bad = params.check_layer_consistency(**layers) if len(groups) == 2 else []
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from None
+    if bad:
+        _fail(f"layer data contradicts composites: {bad}")
+    return params
+
+
+def _laws(values, section, keys, spec):
+    """The section's three laws as ``spec``, or None when it sets none of them."""
+    laws = tuple(values[section, key] for key in keys)
+    if all(law is None for law in laws):
+        return None
+    if None in laws:
+        _fail(f"[{section}] needs all of {', '.join(keys)}")
+    return spec(laws)
+
+
+def _section(values, name):
+    """One section's values by key, the horizon t under the name T."""
+    return {"T" if key == "t" else key: v for (sec, key), v in values.items() if sec == name}
 
 
 @dataclass
@@ -126,27 +251,23 @@ class ScenarioConfig:
         return build_system(Grid1D(N=self.n, L=self.params.L), self.params, self.variant)
 
     def build_initial(self, sys_):
-        preset = self.initial["preset"]
-        if preset == "zero":
+        init = self.initial
+        if init["preset"] == "zero":
             return zero_state(sys_)
-        if preset == "single_mode":
-            return single_mode_state(
-                sys_,
-                self.initial["field"],
-                self.initial["mode"],
-                self.initial["amplitude"],
-            )
-        if preset == "eigen_mode":
-            return eigen_mode_state(sys_, self.initial["mode"], self.initial["amplitude"])
-        if preset == "random_smooth":
-            return random_smooth_state(
-                sys_,
-                seed=self.initial["seed"],
-                cutoff=self.initial["cutoff"],
-                amplitude=self.initial["amplitude"],
-                prepared=self.initial["prepared"],
-            )
-        _fail(f"unknown initial preset {preset!r}")
+        if init["preset"] == "single_mode":
+            return single_mode_state(sys_, init["field"], init["mode"], init["amplitude"])
+        if init["preset"] == "eigen_mode":
+            # the mode is a 0-based index into the eigenvectors of (K, M)
+            if not init["mode"] < sys_.ndof:
+                _fail(f"[initial] mode = {init['mode']}: eigen_mode needs a mode below {sys_.ndof}")
+            return eigen_mode_state(sys_, init["mode"], init["amplitude"])
+        return random_smooth_state(
+            sys_,
+            seed=init["seed"],
+            cutoff=init["cutoff"],
+            amplitude=init["amplitude"],
+            prepared=init["prepared"],
+        )
 
     def build_histories(self, sys_, state):
         if self.delays is None:
@@ -154,39 +275,12 @@ class ScenarioConfig:
         return make_histories(sys_, state, self.delays)
 
 
-def _get_float(sec, key, default=None):
-    if key not in sec:
-        if default is None:
-            _fail(f"missing key {key!r}")
-        return default
-    try:
-        return float(sec[key])
-    except ValueError:
-        _fail(f"key {key!r} is not a number: {sec[key]!r}")
-
-
-def _get_int(sec, key, default=None):
-    v = _get_float(sec, key, default)
-    if v != int(v):
-        _fail(f"key {key!r} must be an integer")
-    return int(v)
-
-
-def _get_bool(sec, key, default):
-    if key not in sec:
-        return default
-    v = sec[key].strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    _fail(f"key {key!r} must be a boolean")
-
-
 def load_config(path, overrides=None):
     """Parse and validate a scenario document; overrides is a dict like
-    {'seed': 3, 'stride': 5, 'outdir': 'elsewhere'} from command-line flags."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    {'seed': 3, 'stride': 5, 'outdir': 'elsewhere'} from command-line flags,
+    read as the values of the keys they set."""
+    # values are literal text: a % in a path is not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -194,205 +288,61 @@ def load_config(path, overrides=None):
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
 
+    sections = {section for section, _ in _KNOWN}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             _fail(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                _fail(f"unknown key {key!r} in section [{section}]")
+    texts = {(sec, key): parser[sec][key] for sec in parser.sections() for key in parser[sec]}
+    for section, key in texts:
+        if (section, key) not in _KNOWN:
+            _fail(f"unknown key {key!r} in section [{section}]")
+    for flag, value in (overrides or {}).items():
+        if value is not None:
+            texts[_FLAGS[flag]] = str(value)
 
-    if "model" not in parser:
-        _fail("missing [model] section")
-    model = parser["model"]
-    variant_name = model.get("variant", "stabilized_delayed")
-    if variant_name not in _VARIANTS:
-        _fail(f"unknown variant {variant_name!r}")
-    variant = _VARIANTS[variant_name]
-
-    has_composite = "rho1h1" in model
-    has_layers = "rho1" in model
-    if not has_composite and not has_layers:
-        _fail("[model] needs composite coefficients (rho1h1, ...) or layer data (rho1, ...)")
-    layer_args = None
-    if has_layers:
-        layer_args = dict(
-            rho=(_get_float(model, "rho1"), _get_float(model, "rho2"), _get_float(model, "rho3")),
-            h=(_get_float(model, "h1"), _get_float(model, "h2"), _get_float(model, "h3")),
-            E=(_get_float(model, "e1"), 0.0, _get_float(model, "e3")),
-            I=(_get_float(model, "i1"), 0.0, _get_float(model, "i3")),
-        )
-    try:
-        if has_composite:
-            params = PhysicalParams(
-                rho1h1=_get_float(model, "rho1h1"),
-                E1h1=_get_float(model, "e1h1"),
-                rho3h3=_get_float(model, "rho3h3"),
-                E3h3=_get_float(model, "e3h3"),
-                rhoh=_get_float(model, "rhoh"),
-                EI=_get_float(model, "ei"),
-                k=_get_float(model, "k"),
-                alpha=_get_float(model, "alpha"),
-                L=_get_float(model, "l"),
-            )
-            if has_layers:
-                bad = params.check_layer_consistency(**layer_args)
-                if bad:
-                    _fail(f"layer data contradicts composites: {bad}")
+    values = {}
+    for section, key, parse, default, ok, needs in _KEYS:
+        text = texts.get((section, key))
+        if text is None:
+            value = default(values) if callable(default) else default
         else:
-            params = PhysicalParams.from_layers(
-                k=_get_float(model, "k"), L=_get_float(model, "l"), **layer_args
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {text!r}: needs {needs} ({exc})") from None
+        if value is not None and ok is not None and not ok(value):
+            _fail(f"[{section}] {key} = {value if text is None else text!r}: needs {needs}")
+        values[section, key] = value
 
-    gains_sec = parser["gains"] if "gains" in parser else {}
-    gains = GainConfig(
-        alpha1=_get_float(gains_sec, "alpha1", 0.0),
-        beta1=_get_float(gains_sec, "beta1", 0.0),
-        alpha2=_get_float(gains_sec, "alpha2", 0.0),
-        beta2=_get_float(gains_sec, "beta2", 0.0),
-        alpha3=_get_float(gains_sec, "alpha3", 0.0),
-        beta3=_get_float(gains_sec, "beta3", 0.0),
-    )
+    # the rules that span keys
+    variant = values["model", "variant"]
+    gains = GainConfig(*(values["gains", key] for key in _GAIN_KEYS))
+    delays = _laws(values, "delays", _DELAY_KEYS, DelaySpec)
+    if delays is None and variant == VARIANT_STABILIZED and gains.any_delayed:
+        _fail("delayed gains need [delays] tau1, tau2 and tau3")
+    damping = _laws(values, "damping", _DAMPING_KEYS, DampingSpec)
+    fit_window = (values["fit", "window_start"], values["fit", "window_end"])
+    if not fit_window[0] < fit_window[1]:
+        _fail(f"[fit] needs window_start < window_end, got {fit_window}")
+    initial = _section(values, "initial")
+    n = values["grid", "n"]
+    if initial["preset"] == "single_mode" and not 1 <= initial["mode"] <= n:
+        _fail(f"[initial] single_mode needs 1 <= mode <= [grid] n = {n}, got {initial['mode']}")
 
-    delays = None
-    if "delays" in parser:
-        dsec = parser["delays"]
-        try:
-            delays = DelaySpec(
-                tuple(_parse_law(dsec.get(f"tau{i}", None) or _fail(f"missing tau{i}"), "delay") for i in (1, 2, 3))
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    elif variant == VARIANT_STABILIZED and gains.any_delayed:
-        _fail("delayed gains need a [delays] section")
-
-    damping = None
-    if "damping" in parser:
-        dsec = parser["damping"]
-        try:
-            damping = DampingSpec(
-                tuple(_parse_law(dsec.get(f"a{i}", None) or _fail(f"missing a{i}"), "damping") for i in (1, 2, 3))
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-
-    n = _get_int(parser["grid"], "n") if "grid" in parser else 64
-    if n < 8:
-        _fail("grid n must be >= 8")
-
-    ssec = parser["scheme"] if "scheme" in parser else {}
-    try:
-        scheme = SchemeConfig(
-            dt=_get_float(ssec, "dt", 0.01),
-            T=_get_float(ssec, "t", 1.0),
-            stride=_get_int(ssec, "stride", 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    isec = parser["initial"] if "initial" in parser else {}
-    initial = {
-        "preset": isec.get("preset", "zero") if isec else "zero",
-        "field": isec.get("field", "u") if isec else "u",
-        "mode": _get_int(isec, "mode", 1),
-        "amplitude": _get_float(isec, "amplitude", 1.0),
-        "seed": _get_int(isec, "seed", 0),
-        "cutoff": _get_int(isec, "cutoff", 6),
-        "prepared": _get_bool(isec, "prepared", True) if isec else True,
-    }
-    if initial["preset"] not in ("zero", "single_mode", "random_smooth", "eigen_mode"):
-        _fail(f"unknown initial preset {initial['preset']!r}")
-    if initial["field"] not in ("u", "v", "w"):
-        _fail(f"unknown initial field {initial['field']!r}")
-
-    fsec = parser["fit"] if "fit" in parser else {}
-    fit_window = (_get_float(fsec, "window_start", 0.2), _get_float(fsec, "window_end", 0.9))
-
-    hsec = parser["hum"] if "hum" in parser else {}
-    hum = {
-        "T": _get_float(hsec, "t", 8.0 * params.L / _slowest_wave_speed(params)),
-        "dt": _get_float(hsec, "dt", 0.0) or None,
-        "cg_tol": _get_float(hsec, "cg_tol", 1e-8),
-        "terminal_tol": _get_float(hsec, "terminal_tol", 1e-3),
-    }
-
-    osec = parser["observability"] if "observability" in parser else {}
-    observability = {
-        "T": _get_float(osec, "t", hum["T"] / 2.0),
-        "dt": _get_float(osec, "dt", 0.0) or None,
-        "cutoff": _get_int(osec, "cutoff", 8),
-    }
-    for name, sec in (("hum", hum), ("observability", observability)):
-        # dt = 0 (the default, stored as None) derives the step from t
-        if not sec["T"] > 0.0 or (sec["dt"] is not None and not sec["dt"] > 0.0):
-            _fail(f"[{name}] needs t > 0 and dt >= 0, got t = {sec['T']!r}, dt = {sec['dt']!r}")
-
-    csec = parser["convergence"] if "convergence" in parser else {}
-    convergence = {
-        "mode": csec.get("mode", "both") if csec else "both",
-        "resolutions": _parse_int_list(csec.get("resolutions", "16,32,64")) if csec else [16, 32, 64],
-        "dts": _parse_float_list(csec.get("dts", "0.02,0.01,0.005")) if csec else [0.02, 0.01, 0.005],
-        "reference_divide": _get_int(csec, "reference_divide", 16),
-        "T": _get_float(csec, "t", scheme.T),
-        "dt": _get_float(csec, "dt", scheme.dt),
-        "n": _get_int(csec, "n", n),
-    }
-    if convergence["mode"] not in ("spatial", "temporal", "both"):
-        _fail(f"unknown convergence mode {convergence['mode']!r}")
-
-    outdir = parser["output"].get("dir", "out") if "output" in parser else "out"
-
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         path=path,
         raw_text=raw,
         variant=variant,
-        params=params,
+        params=_physical_params(values),
         gains=gains,
         delays=delays,
         damping=damping,
         n=n,
-        scheme=scheme,
+        scheme=SchemeConfig(*(values["scheme", key] for key in ("dt", "t", "stride"))),
         initial=initial,
         fit_window=fit_window,
-        hum=hum,
-        observability=observability,
-        convergence=convergence,
-        outdir=outdir,
+        hum=_section(values, "hum"),
+        observability=_section(values, "observability"),
+        convergence=_section(values, "convergence"),
+        outdir=values["output", "dir"],
     )
-    if overrides:
-        if overrides.get("seed") is not None:
-            cfg.initial["seed"] = int(overrides["seed"])
-        if overrides.get("stride") is not None:
-            try:
-                cfg.scheme = SchemeConfig(
-                    dt=cfg.scheme.dt, T=cfg.scheme.T, stride=int(overrides["stride"])
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-        if overrides.get("outdir") is not None:
-            cfg.outdir = overrides["outdir"]
-    # a document's seed and the command-line one
-    if cfg.initial["seed"] < 0:
-        _fail(f"initial seed must be >= 0, got {cfg.initial['seed']}")
-    return cfg
-
-
-def _slowest_wave_speed(params):
-    c1 = (params.E1h1 / params.rho1h1) ** 0.5
-    c3 = (params.E3h3 / params.rho3h3) ** 0.5
-    return min(c1, c3)
-
-
-def _parse_int_list(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        _fail(f"not an integer list: {text!r}")
-
-
-def _parse_float_list(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        _fail(f"not a number list: {text!r}")

@@ -9,7 +9,7 @@ lives in :mod:`sandwichbeam.hypotheses`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "PhysicalParams",
@@ -23,6 +23,14 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+
+
+def _require_finite(obj):
+    """Refuse a value object with a nan or infinite number in any field."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__} {field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,7 @@ class ConstantDelay:
     value: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.value > 0.0:
             raise ValueError(f"delay must be positive, got {self.value!r}")
 
@@ -151,6 +160,7 @@ class SinusoidalDelay:
     frequency: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.base - abs(self.amplitude) > 0.0:
             raise ValueError("delay floor base - |amplitude| must be positive")
         # a slope bound >= 1 is representable so the validator can report it
@@ -229,6 +239,7 @@ class ConstantDamping:
     value: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.value > 0.0:
             raise ValueError("damping weight must be positive")
 
@@ -249,6 +260,7 @@ class ExponentialDamping:
     rate: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.floor_value > 0.0:
             raise ValueError("damping floor must be positive")
         if self.initial < self.floor_value:
@@ -301,6 +313,9 @@ class GainConfig:
     beta2: float
     alpha3: float
     beta3: float
+
+    def __post_init__(self):
+        _require_finite(self)
 
     @property
     def alphas(self):

@@ -88,3 +88,38 @@ def test_gain_config_helpers():
     assert g.betas == (0.0, -0.1, 0.0)
     assert g.any_delayed
     assert not GainConfig(1, 0, 1, 0, 1, 0).any_delayed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: ConstantDelay(x),
+        lambda x: SinusoidalDelay(base=x, amplitude=0.05, frequency=10.0),
+        lambda x: SinusoidalDelay(base=0.1, amplitude=x, frequency=10.0),
+        lambda x: SinusoidalDelay(base=0.1, amplitude=0.05, frequency=x),
+        lambda x: ConstantDamping(x),
+        lambda x: ExponentialDamping(floor_value=x, initial=1.5, rate=2.0),
+        lambda x: ExponentialDamping(floor_value=0.5, initial=x, rate=2.0),
+        lambda x: ExponentialDamping(floor_value=0.5, initial=1.5, rate=x),
+        lambda x: GainConfig(1.0, 0.2, 1.0, -0.15, 1.0, x),
+        lambda x: GainConfig(x, 0.0, 1.0, 0.0, 1.0, 0.0),
+    ],
+    ids=[
+        "constant_delay",
+        "sinusoidal_base",
+        "sinusoidal_amplitude",
+        "sinusoidal_frequency",
+        "constant_damping",
+        "exp_floor_floor",
+        "exp_floor_initial",
+        "exp_floor_rate",
+        "gain_beta3",
+        "gain_alpha1",
+    ],
+)
+def test_laws_and_gains_refuse_non_finite_numbers(make, bad):
+    # a law or gain built outside a scenario document is refused as well:
+    # an infinite delay or base passed as valid, a nan weight failed a run
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
