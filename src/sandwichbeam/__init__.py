@@ -37,7 +37,6 @@ from .discretize import (
     DiscreteState,
     build_system,
     hspace_norm,
-    export_matrices,
 )
 from .delayline import (
     LookupBeforeHistory,

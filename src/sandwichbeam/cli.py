@@ -378,7 +378,11 @@ def cmd_convergence(cfg, args):
         sys_, _, out = _run_simulation(cfg, n, _endpoint_scheme(dt, T))
         return sys_, out.final_state()
 
-    if conv["mode"] in ("spatial", "both"):
+    # every ladder is checked before anything runs
+    spatial = conv["mode"] in ("spatial", "both")
+    temporal = conv["mode"] in ("temporal", "both")
+    levels = []
+    if spatial:
         ladder = sorted(conv["resolutions"])
         if len(ladder) < 3:
             raise ConfigError("spatial convergence needs at least 3 resolutions")
@@ -391,6 +395,21 @@ def cmd_convergence(cfg, args):
                 f"spatial resolutions must be distinct and divide {ref_n} "
                 f"(4 x the finest), got {ladder}"
             )
+        levels += ladder
+    if temporal:
+        dts = sorted(conv["dts"], reverse=True)
+        if len(dts) < 2:
+            raise ConfigError("temporal convergence needs at least 2 steps")
+        # the steps taken, which differ from the requested ones when they do
+        # not divide T
+        steps = [_endpoint_scheme(dt, conv["T"]).step for dt in dts]
+        if any(not a > b for a, b in zip(steps, steps[1:])):
+            raise ConfigError(f"temporal convergence needs distinct steps, got {steps}")
+        levels.append(conv["n"])
+    # every level starts from the preset, and the coarsest has the fewest modes
+    cfg.check_mode(build_system(Grid1D(N=min(levels), L=cfg.params.L), cfg.params, cfg.variant))
+
+    if spatial:
         ref_sys, ref_state = run_at(ref_n, conv["dt"], conv["T"])
         errors = []
         for n in ladder:
@@ -402,15 +421,7 @@ def cmd_convergence(cfg, args):
         for n, h, err, (order, flag) in zip(ladder, hs, errors, _order_rows(errors, hs)):
             rows.append(("spatial", n, h, err, order, flag))
 
-    if conv["mode"] in ("temporal", "both"):
-        dts = sorted(conv["dts"], reverse=True)
-        if len(dts) < 2:
-            raise ConfigError("temporal convergence needs at least 2 steps")
-        # the steps taken, which differ from the requested ones when they do
-        # not divide T
-        hs = [_endpoint_scheme(dt, conv["T"]).step for dt in dts]
-        if any(not a > b for a, b in zip(hs, hs[1:])):
-            raise ConfigError(f"temporal convergence needs distinct steps, got {hs}")
+    if temporal:
         ref_dt = dts[-1] / conv["reference_divide"]
         _, ref_state = run_at(conv["n"], ref_dt, conv["T"])
         errors = []
@@ -418,7 +429,7 @@ def cmd_convergence(cfg, args):
             sys_n, final = run_at(conv["n"], dt, conv["T"])
             diff = DiscreteState(q=final.q - ref_state.q, p=final.p - ref_state.p)
             errors.append(_state_l2_norm(diff, sys_n))
-        for h, err, (order, flag) in zip(hs, errors, _order_rows(errors, hs)):
+        for h, err, (order, flag) in zip(steps, errors, _order_rows(errors, steps)):
             rows.append(("temporal", conv["n"], h, err, order, flag))
 
     path = os.path.join(cfg.outdir, "convergence.csv")

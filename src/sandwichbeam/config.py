@@ -250,16 +250,24 @@ class ScenarioConfig:
     def build_system(self):
         return build_system(Grid1D(N=self.n, L=self.params.L), self.params, self.variant)
 
+    def check_mode(self, sys_):
+        """Refuse an ``[initial] mode`` that names no mode of ``sys_``."""
+        init = self.initial
+        N = sys_.grid.N
+        if init["preset"] == "single_mode" and not 1 <= init["mode"] <= N:
+            _fail(f"[initial] single_mode needs 1 <= mode <= {N}, the cells of the grid, got {init['mode']}")
+        # the eigen_mode mode is a 0-based index into the eigenvectors of (K, M)
+        if init["preset"] == "eigen_mode" and not init["mode"] < sys_.ndof:
+            _fail(f"[initial] mode = {init['mode']}: eigen_mode needs a mode below {sys_.ndof}")
+
     def build_initial(self, sys_):
         init = self.initial
+        self.check_mode(sys_)
         if init["preset"] == "zero":
             return zero_state(sys_)
         if init["preset"] == "single_mode":
             return single_mode_state(sys_, init["field"], init["mode"], init["amplitude"])
         if init["preset"] == "eigen_mode":
-            # the mode is a 0-based index into the eigenvectors of (K, M)
-            if not init["mode"] < sys_.ndof:
-                _fail(f"[initial] mode = {init['mode']}: eigen_mode needs a mode below {sys_.ndof}")
             return eigen_mode_state(sys_, init["mode"], init["amplitude"])
         return random_smooth_state(
             sys_,

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.blas import dsbmv
+
+from .lapack import dsbmv, eigh
 
 VARIANT_STABILIZED = "stabilized_delayed"
 VARIANT_CONTROLLED = "controlled_conservative"
@@ -47,7 +47,6 @@ __all__ = [
     "DiscreteState",
     "build_system",
     "hspace_norm",
-    "export_matrices",
 ]
 
 
@@ -296,26 +295,3 @@ def hspace_norm(state, sys_):
     """State-space norm sqrt(p'Mp + q'Kq) (no delay terms)."""
     return float(np.sqrt(2.0 * sys_.field_energy(state.q, state.p)))
 
-
-def export_matrices(sys_, directory):
-    """Dump M (diagonal) and K in MatrixMarket text format for debugging.
-
-    K is written from the band's nonzeros, without the dense view."""
-    import os
-
-    from scipy import sparse
-    from scipy.io import mmwrite
-
-    os.makedirs(directory, exist_ok=True)
-    row, col, val = sys_._lower_entries()
-    off = row != col
-    K = sparse.coo_matrix(
-        (
-            np.concatenate([val, val[off]]),
-            (np.concatenate([row, col[off]]), np.concatenate([col, row[off]])),
-        ),
-        shape=(sys_.ndof, sys_.ndof),
-    )
-    mmwrite(os.path.join(directory, "mass"), sparse.diags(sys_.M).tocoo())
-    mmwrite(os.path.join(directory, "stiffness"), K)
-    return [os.path.join(directory, "mass.mtx"), os.path.join(directory, "stiffness.mtx")]

@@ -46,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .discretize import VARIANT_CONTROLLED, DiscreteState, hspace_norm
+from .lapack import eigh
 from .timestep import simulate
 
 # steps per block of the cosine/sine tables of ``_ModalPropagator``

@@ -9,6 +9,8 @@ import pytest
 from sandwichbeam.cli import main
 from sandwichbeam.config import ConfigError, load_config
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 STABILIZED_DOC = """
 [model]
 variant = stabilized_delayed
@@ -150,19 +152,25 @@ def test_nonpositive_hum_and_observability_horizon_is_config_error(tmp_path, old
         assert main([command, "--config", path, "--quiet"]) == 2
 
 
-def test_cli_import_leaves_sparse_and_io_unloaded():
-    # scipy.sparse and scipy.io serve only export_matrices, which imports them
+def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
+    # the package binds its BLAS and LAPACK routines through sandwichbeam.lapack,
+    # so neither importing the CLI nor running the commands that solve the
+    # dense eigenproblems loads scipy.linalg or, through it, numpy.f2py;
+    # nothing loads scipy.sparse or scipy.io
+    config = os.path.join(ROOT, "configs", "control.ini")
     code = (
-        "import sys, sandwichbeam.cli; "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.io') if m in sys.modules))"
+        "import sys, sandwichbeam.cli\n"
+        "for command in ('hum', 'observability'):\n"
+        f"    sandwichbeam.cli.main([command, '--config', {config!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'scipy.sparse', 'scipy.io') if m in sys.modules))"
     )
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+    assert (tmp_path / "hum.json").exists() and (tmp_path / "observability.json").exists()
 
 
 def test_unknown_section_is_config_error(tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from sandwichbeam import config
+from sandwichbeam import cli, config
 from sandwichbeam.cli import main
 from sandwichbeam.config import ConfigError, load_config
 
@@ -219,6 +219,50 @@ def test_rules_that_span_keys(tmp_path, edits, message):
 def test_single_mode_accepts_every_mode_up_to_n(tmp_path):
     edits = {**SINGLE_MODE, ("initial", "mode"): "64"}
     assert load_config(edited("decay.ini", edits, str(tmp_path))).initial["mode"] == 64
+
+
+class _Ran(Exception):
+    """Raised by the stand-in for a simulation run."""
+
+
+@pytest.mark.parametrize(
+    "shipped, edits, message",
+    [
+        # [grid] n = 32, but the spatial ladder starts at 16 cells
+        ("control.ini", {("initial", "mode"): "20", ("convergence", "mode"): "spatial",
+                         ("convergence", "resolutions"): "16,32,64"}, "1 <= mode <= 16,"),
+        # the temporal ladder runs on [convergence] n cells
+        ("control.ini", {("initial", "mode"): "20", ("convergence", "mode"): "temporal",
+                         ("convergence", "n"): "16"}, "1 <= mode <= 16,"),
+        # 16 cells of the controlled variant carry 49 unknowns
+        ("convergence.ini", {("initial", "mode"): "60", ("convergence", "mode"): "spatial"},
+         "eigen_mode needs a mode below 49"),
+    ],
+)  # fmt: skip
+def test_convergence_checks_the_mode_on_its_coarsest_level_before_any_run(
+    tmp_path, monkeypatch, shipped, edits, message
+):
+    runs = []
+    monkeypatch.setattr(cli, "_run_simulation", lambda *args: runs.append(args))
+    path = edited(shipped, edits, str(tmp_path))
+    code, stderr = run(["convergence", "--config", path, "--out", str(tmp_path / "out")])
+    assert (code, runs) == (2, [])
+    assert message in stderr
+
+
+@pytest.mark.parametrize(
+    "shipped, mode", [("control.ini", "16"), ("convergence.ini", "48")]
+)  # fmt: skip
+def test_convergence_runs_the_highest_mode_of_its_coarsest_level(tmp_path, monkeypatch, shipped, mode):
+    def ran(*args):
+        raise _Ran
+
+    monkeypatch.setattr(cli, "_run_simulation", ran)
+    edits = {("initial", "mode"): mode, ("convergence", "mode"): "spatial",
+             ("convergence", "resolutions"): "16,32,64"}  # fmt: skip
+    path = edited(shipped, edits, str(tmp_path))
+    with pytest.raises(_Ran):
+        main(["convergence", "--config", path, "--out", str(tmp_path / "out"), "--quiet"])
 
 
 def test_layer_data_must_match_the_composites(tmp_path):

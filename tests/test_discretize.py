@@ -11,7 +11,6 @@ from sandwichbeam.discretize import (
     DiscreteState,
     Grid1D,
     build_system,
-    export_matrices,
     hspace_norm,
 )
 from sandwichbeam.delayline import init_history, window_integrals
@@ -279,15 +278,6 @@ def test_standing_wave_energy_matches_continuum():
         errs.append(abs(sys_.field_energy(st.q, st.p) - exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.7 <= o <= 2.3 for o in orders), orders
-
-
-def test_matrix_market_export(tmp_path):
-    p = unit_params()
-    sys_ = build_system(Grid1D(N=8, L=1.0), p, VARIANT_STABILIZED)
-    files = export_matrices(sys_, str(tmp_path))
-    for f in files:
-        with open(f) as fh:
-            assert fh.readline().startswith("%%MatrixMarket")
 
 
 def _panel_energy(sys_, q):

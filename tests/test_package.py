@@ -97,3 +97,10 @@ def test_no_unused_parameters(name):
         read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         unused += [(node.name, a.arg) for a in params if a.arg not in read]
     assert not unused, unused
+
+
+def test_only_lapack_names_scipy_linalg():
+    # importing scipy.linalg costs about 0.3 s of package set-up per command;
+    # sandwichbeam.lapack binds the compiled routines without it
+    naming = [name for name in MODULES if "scipy.linalg" in inspect.getsource(importlib.import_module(name))]
+    assert naming == [f"{sandwichbeam.__name__}.lapack"]
