@@ -17,7 +17,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, load_config
@@ -36,6 +35,7 @@ from .discretize import (
 )
 from .hypotheses import HypothesisCheck, InfeasibleRates, decay_bound, select_mus, validate_gains
 from .hum import compute_null_control, observability
+from .lapack import SCIPY_VERSION
 from .timestep import IntegrationError, SchemeConfig, simulate
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _manifest(cfg, extra):
         "versions": {
             "sandwichbeam": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": SCIPY_VERSION,
         },
     }
     payload.update(extra)

@@ -334,8 +334,19 @@ def load_config(path, overrides=None):
         _fail(f"[fit] needs window_start < window_end, got {fit_window}")
     initial = _section(values, "initial")
     n = values["grid", "n"]
-    if initial["preset"] == "single_mode" and not 1 <= initial["mode"] <= n:
-        _fail(f"[initial] single_mode needs 1 <= mode <= [grid] n = {n}, got {initial['mode']}")
+    # refuse here only a mode that no grid of the document holds;
+    # ``check_mode`` refuses a mode on each grid a command runs
+    largest, source = max(
+        (n, "[grid] n"),
+        (max(values["convergence", "resolutions"], default=n), "the finest of [convergence] resolutions"),
+        (values["convergence", "n"], "[convergence] n"),
+        key=lambda bound: bound[0],
+    )
+    if initial["preset"] == "single_mode" and not 1 <= initial["mode"] <= largest:
+        _fail(
+            f"[initial] single_mode needs 1 <= mode <= {source} = {largest}, "
+            f"the largest grid a command runs, got {initial['mode']}"
+        )
 
     return ScenarioConfig(
         path=path,

@@ -33,9 +33,15 @@ __all__ = [
     "window_integrals",
 ]
 
-# 4-point Gauss-Legendre on [0, 1]: exact for polynomials of degree <= 7
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
-_GAUSS = tuple(zip((0.5 * (_GAUSS_X + 1.0)).tolist(), (0.5 * _GAUSS_W).tolist()))
+# 4-point Gauss-Legendre on [0, 1], (node, weight): exact for polynomials
+# of degree <= 7; numpy's leggauss(4) mapped to [0, 1], written out so that
+# no command imports numpy.polynomial
+_GAUSS = (
+    (0.06943184420297371, 0.17392742256872679),
+    (0.33000947820757187, 0.3260725774312732),
+    (0.6699905217924281, 0.3260725774312732),
+    (0.9305681557970262, 0.17392742256872679),
+)
 # window-by-segment entries one block of ``window_integrals`` holds at most
 _BLOCK = 1 << 12
 

@@ -39,6 +39,17 @@ variant has no essential condition on w itself).  The metrics complete it
 to A = diag(omega^2) + gamma*c*c', with c = phi'm the modal coordinates of
 the transverse mean m.  The right side D b, and so the controls of a
 full-rank solve, do not depend on the completion.
+
+The eigenbasis of ``compute_null_control`` is that of the pencil (G, D)
+with the dual metric D = blockdiag(I, A^-1), and it is computed in
+standard form.  One Cholesky factor A = R R' gives D = S^-T S^-1 for
+S = blockdiag(I, R), so G x = lam D x is the standard problem
+(S'GS) y = lam y with x = S y: S'GS is formed in place on the right and
+bottom blocks of G and solved by one divide-and-conquer eigensolve
+(``dsyevd``).  Neither D nor A^-1 is ever formed, and the D-products
+of the eigenvectors with the right side are y'S'(D b).
+``observability`` keeps the pencil (G, blockdiag(A, I)) of the state
+metric.
 """
 
 from __future__ import annotations
@@ -185,10 +196,10 @@ class _ModalPropagator:
         return series
 
 
-def _state_metric(sys_):
-    """The completed state product on modal data, blockdiag(A, I) with
-    A = diag(omega^2) + gamma*c*c' and c = phi'm the modal coordinates of
-    the transverse mean m."""
+def _displacement_metric(sys_):
+    """The displacement block of the completed state product on modal data,
+    A = diag(omega^2) + gamma*c*c' with c = phi'm the modal coordinates of
+    the transverse mean m; the velocity block is I."""
     if sys_.variant != VARIANT_CONTROLLED:
         raise ValueError("HUM needs a controlled_conservative system")
     p = sys_.params
@@ -199,10 +210,19 @@ def _state_metric(sys_):
     # energy-scaled completion of the transverse-mean direction; backed
     # by the bending stiffness so it survives shear-free reductions
     gamma = (p.k + p.EI / p.L ** 4) / p.L
-    n = len(c)
-    metric = np.eye(2 * n)
-    metric[:n, :n] = np.diag(omega_sq) + gamma * np.outer(c, c)
-    return metric
+    return np.diag(omega_sq) + gamma * np.outer(c, c)
+
+
+def _standard_form(G, A):
+    """Turn the pencil (G, D), D = blockdiag(I, A^-1), into one standard
+    problem, in place: with A = R R' and S = blockdiag(I, R), D = S^-T S^-1,
+    so G x = lam D x is (S'GS) y = lam y with x = S y.  Overwrites G with
+    S'GS and returns R."""
+    n = len(A)
+    R = np.linalg.cholesky(A)
+    G[:, n:] = G[:, n:] @ R
+    G[n:, :] = R.T @ G[n:, :]
+    return R
 
 
 def gramian(sys_, cfg):
@@ -237,7 +257,8 @@ def gramian(sys_, cfg):
 
 
 def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
-    """Solve G x = D b in the eigenbasis of (G, D) and verify the controls.
+    """Solve G x = D b in the eigenbasis of (G, D), computed in standard
+    form (see the module docstring), and verify the controls.
 
     On modal data the dual metric D = blockdiag(I, A^-1) is the pullback
     of the state metric blockdiag(A, I) through the duality pairing, and
@@ -256,17 +277,17 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
     ``terminal_rel_norm``.  The horizon T must be cfg.T.
     """
     _check_horizon(T, cfg)
-    n = sys_.ndof
-    dual_metric = np.eye(2 * n)
-    dual_metric[n:, n:] = np.linalg.inv(_state_metric(sys_)[:n, :n])
+    A = _displacement_metric(sys_)
+    G = gramian(sys_, cfg)
+    R = _standard_form(G, A)
     prop = _ModalPropagator(sys_, cfg)
     x0 = np.concatenate([prop.to_modal @ initial.q, prop.to_modal @ initial.p])
     a_T, b_T = np.split(prop.free_state(x0), 2)
-    dual_b = np.concatenate([-b_T, a_T])
-    # dsygv: a fraction of the workspace of the divide-and-conquer default
-    lam, vecs = eigh(gramian(sys_, cfg), dual_metric, driver="gv")
+    # the eigenvectors of (G, D) are S y, so their products with D b are
+    # y'S'(D b), and S'(D b) = (-b_T, R'a_T)
+    lam, vecs = eigh(G)
     lam, vecs = lam[::-1], vecs[:, ::-1]
-    beta = vecs.T @ dual_b
+    beta = vecs.T @ np.concatenate([-b_T, R.T @ a_T])
     # residual norm with the first r directions kept, r = 0..2n
     tail = np.sqrt(np.cumsum(beta[::-1] ** 2)[::-1])
     resolved = int(np.count_nonzero(lam > 2 * len(beta) * np.finfo(float).eps * lam[0]))
@@ -274,7 +295,8 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
     met = np.flatnonzero(residuals <= tol * residuals[0])
     converged = met.size > 0
     rank = int(met[0]) if converged else resolved
-    x = vecs[:, :rank] @ (beta[:rank] / lam[:rank])
+    y_a, y_b = np.split(vecs[:, :rank] @ (beta[:rank] / lam[:rank]), 2)
+    x = np.concatenate([y_a, R @ y_b])
 
     controls = prop.adjoint_traces(x)
     verification = simulate(initial, sys_, cfg, controls=controls)
@@ -307,7 +329,8 @@ def observability(sys_, cfg, cutoff=8):
     and that constant is stable under grid refinement.
     """
     n = sys_.ndof
-    metric = _state_metric(sys_)
+    metric = np.eye(2 * n)
+    metric[:n, :n] = _displacement_metric(sys_)
     G = gramian(sys_, cfg)
     full = eigh(G, metric, eigvals_only=True)
     low = np.ix_(*2 * [np.r_[:cutoff, n : n + cutoff]])

@@ -9,13 +9,19 @@ loads those two extensions from their files under their full dotted names
 (``scipy.linalg._fblas``, ``scipy.linalg._flapack``), so
 ``scipy/linalg/__init__.py`` never runs, and a later ``import
 scipy.linalg`` finds them in ``sys.modules`` and reuses the same objects.
-It is the one module of the package that touches scipy's compiled linear
-algebra.
+It finds scipy's directory with ``importlib.util.find_spec``, which does
+not import scipy either, so ``scipy/__init__.py`` does not run (about
+18 ms and 1.3 MB of every command), and reads the version from
+``scipy/version.py`` into a plain namespace, leaving ``sys.modules`` as
+it was.  It is the one module of the package that imports anything of
+scipy.
 
-``dsbmv``, ``dpbtrf`` and ``dpbtrs`` are the f2py routines themselves.
-``eigh`` solves the generalized symmetric-definite problem a x = w b x
-from the lower triangles, through ``dsygvd`` or ``dsygv`` exactly as
-``scipy.linalg.eigh`` calls them, and with its checks: non-finite input
+``dsbmv``, ``dpbtrf`` and ``dpbtrs`` are the f2py routines themselves,
+``SCIPY_VERSION`` the version of the scipy they come from.  ``eigh``
+solves the standard symmetric problem a x = w x through ``dsyevd``, or
+the generalized symmetric-definite problem a x = w b x through
+``dsygvd`` or ``dsygv``, from the lower triangles and exactly as
+``scipy.linalg.eigh`` calls them, with its checks: non-finite input
 raises ``ValueError``, a LAPACK failure ``LinAlgError``.
 """
 
@@ -27,9 +33,26 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
-__all__ = ["dsbmv", "dpbtrf", "dpbtrs", "eigh"]
+__all__ = ["SCIPY_VERSION", "dsbmv", "dpbtrf", "dpbtrs", "eigh"]
+
+_SCIPY_SPEC = importlib.util.find_spec("scipy")
+if _SCIPY_SPEC is None:
+    raise ImportError("sandwichbeam needs scipy, which is not installed")
+_SCIPY_DIR = _SCIPY_SPEC.submodule_search_locations[0]
+
+
+def _version(directory):
+    """The ``version`` string of ``<directory>/version.py``, run in a plain
+    namespace and not registered as a module."""
+    path = os.path.join(directory, "version.py")
+    namespace = {}
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), namespace)
+    return namespace["version"]
+
+
+SCIPY_VERSION = _version(_SCIPY_DIR)
 
 
 def _extension(name):
@@ -38,11 +61,11 @@ def _extension(name):
     full_name = f"scipy.linalg.{name}"
     if full_name in sys.modules:
         return sys.modules[full_name]
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    directory = os.path.join(_SCIPY_DIR, "linalg")
     paths = [os.path.join(directory, name + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.exists(p)), None)
     if path is None:
-        raise ImportError(f"scipy {scipy.__version__} has no {name} extension: none of {paths} exists")
+        raise ImportError(f"scipy {SCIPY_VERSION} has no {name} extension: none of {paths} exists")
     spec = importlib.util.spec_from_file_location(full_name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[full_name] = module
@@ -57,27 +80,45 @@ dpbtrf = _flapack.dpbtrf
 dpbtrs = _flapack.dpbtrs
 
 
-def eigh(a, b, eigvals_only=False, driver="gvd"):
-    """Eigenvalues w (ascending) and, unless ``eigvals_only``, b-orthonormal
-    eigenvectors v of a v = w b v, for symmetric a and positive definite b.
+def _lwork(query, *args, **kwargs):
+    """The workspace sizes a LAPACK ``*_lwork`` query returns, as integers,
+    the way scipy's ``_compute_lwork`` rounds them."""
+    *sizes, info = query(*args, **kwargs)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return [int(size) for size in sizes]
 
-    ``driver`` is ``"gvd"`` (divide and conquer) or ``"gv"`` (QR iteration,
-    a fraction of the workspace)."""
+
+def eigh(a, b=None, eigvals_only=False, driver=None):
+    """Eigenvalues w (ascending) and, unless ``eigvals_only``, eigenvectors v
+    of a v = w v, orthonormal, or, given b, of a v = w b v, b-orthonormal,
+    for symmetric a and positive definite b.
+
+    ``driver`` is ``"evd"`` (the default without b) for the standard
+    problem; ``"gvd"`` (divide and conquer, the default with b) or
+    ``"gv"`` (QR iteration, a fraction of the workspace) for the
+    generalized one."""
     a = np.asarray_chkfinite(a)
-    b = np.asarray_chkfinite(b)
+    n = a.shape[0]
     jobz = "N" if eigvals_only else "V"
-    if driver == "gvd":
-        w, v, info = _flapack.dsygvd(a=a, b=b, itype=1, uplo="L", jobz=jobz)
-    elif driver == "gv":
-        work, info = _flapack.dsygv_lwork(a.shape[0], uplo="L")
-        if info != 0:
-            raise ValueError(f"Internal work array size computation failed: {info}")
-        w, v, info = _flapack.dsygv(a=a, b=b, itype=1, uplo="L", jobz=jobz, lwork=int(work))
+    driver = driver or ("evd" if b is None else "gvd")
+    if driver not in ("evd", "gvd", "gv"):
+        raise ValueError(f"unknown driver {driver!r}, expected 'evd', 'gvd' or 'gv'")
+    if (driver == "evd") != (b is None):
+        raise ValueError(f"driver {driver!r} " + ("needs b" if b is None else "takes no b"))
+    if driver == "evd":
+        compute_v = int(not eigvals_only)
+        lwork, liwork = _lwork(_flapack.dsyevd_lwork, n, compute_v=compute_v, lower=1)
+        w, v, info = _flapack.dsyevd(a=a, compute_v=compute_v, lower=1, lwork=lwork, liwork=liwork)
     else:
-        raise ValueError(f"unknown driver {driver!r}, expected 'gvd' or 'gv'")
-    if info > a.shape[0]:
-        order = info - a.shape[0]
-        raise np.linalg.LinAlgError(f"the leading minor of order {order} of b is not positive definite")
+        b = np.asarray_chkfinite(b)
+        if driver == "gvd":
+            w, v, info = _flapack.dsygvd(a=a, b=b, itype=1, uplo="L", jobz=jobz)
+        else:
+            (lwork,) = _lwork(_flapack.dsygv_lwork, n, uplo="L")
+            w, v, info = _flapack.dsygv(a=a, b=b, itype=1, uplo="L", jobz=jobz, lwork=lwork)
+        if info > n:
+            raise np.linalg.LinAlgError(f"the leading minor of order {info - n} of b is not positive definite")
     if info != 0:
         raise np.linalg.LinAlgError(f"dsy{driver} did not converge: info = {info}")
     return w if eigvals_only else (w, v)

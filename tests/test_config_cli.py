@@ -155,14 +155,15 @@ def test_nonpositive_hum_and_observability_horizon_is_config_error(tmp_path, old
 def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
     # the package binds its BLAS and LAPACK routines through sandwichbeam.lapack,
     # so neither importing the CLI nor running the commands that solve the
-    # dense eigenproblems loads scipy.linalg or, through it, numpy.f2py;
-    # nothing loads scipy.sparse or scipy.io
+    # dense eigenproblems loads scipy itself, scipy.linalg or, through it,
+    # numpy.f2py; nothing loads scipy.sparse, scipy.io or numpy.polynomial
     config = os.path.join(ROOT, "configs", "control.ini")
     code = (
         "import sys, sandwichbeam.cli\n"
         "for command in ('hum', 'observability'):\n"
         f"    sandwichbeam.cli.main([command, '--config', {config!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"
-        "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'scipy.sparse', 'scipy.io') if m in sys.modules))"
+        "loaded = ('scipy', 'scipy.linalg', 'numpy.f2py', 'scipy.sparse', 'scipy.io', 'numpy.polynomial')\n"
+        "print(sorted(m for m in loaded if m in sys.modules))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
@@ -273,6 +274,19 @@ def test_hum_cli_and_failure_exit(tmp_path):
     doc = CONTROLLED_DOC.replace("terminal_tol = 0.05", "terminal_tol = 1e-12")
     path = write_doc(tmp_path, doc, "strict.ini")
     assert main(["hum", "--config", path, "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("cg_tol, rank, converged", [("1e-8", 179, False), ("5e-4", 123, True)])
+def test_hum_rank_on_the_shipped_control_document(tmp_path, cg_tol, rank, converged):
+    # control.ini as shipped, and at the tolerance of the benchmark's control run
+    with open(os.path.join(ROOT, "configs", "control.ini")) as fh:
+        doc = fh.read()
+    assert doc.count("cg_tol = 1e-8") == 1
+    path = tmp_path / "control.ini"
+    path.write_text(doc.replace("cg_tol = 1e-8", f"cg_tol = {cg_tol}"))
+    assert main(["hum", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "out" / "hum.json").read_text())
+    assert (payload["rank"], payload["converged"]) == (rank, converged)
 
 
 def test_hum_and_observability_report_the_step_taken(tmp_path):

@@ -265,6 +265,28 @@ def test_convergence_runs_the_highest_mode_of_its_coarsest_level(tmp_path, monke
         main(["convergence", "--config", path, "--out", str(tmp_path / "out"), "--quiet"])
 
 
+# [grid] n = 8, but the spatial ladder runs 16, 32 and 64 cells
+COARSE_GRID_SINGLE_MODE = {
+    **SINGLE_MODE, ("grid", "n"): "8", ("convergence", "n"): "8",
+    ("initial", "mode"): "12", ("convergence", "mode"): "spatial",
+}  # fmt: skip
+
+
+def test_single_mode_is_bounded_by_the_largest_grid_a_command_runs(tmp_path, monkeypatch):
+    path = edited("convergence.ini", COARSE_GRID_SINGLE_MODE, str(tmp_path))
+    assert load_config(path).initial["mode"] == 12
+    assert run(["convergence", "--config", path, "--out", str(tmp_path / "conv")])[0] == 0
+    # simulate runs [grid] n = 8 cells, so check_mode refuses the mode there
+    steps = []
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: steps.append(args))
+    code, stderr = run(["simulate", "--config", path, "--out", str(tmp_path / "sim")])
+    assert (code, steps) == (2, [])
+    assert "1 <= mode <= 8, the cells of the grid" in stderr
+    edits = {**COARSE_GRID_SINGLE_MODE, ("initial", "mode"): "65"}
+    with pytest.raises(ConfigError, match=re.escape("mode <= the finest of [convergence] resolutions = 64")):
+        load_config(edited("convergence.ini", edits, str(tmp_path)))
+
+
 def test_layer_data_must_match_the_composites(tmp_path):
     # decay.ini's unit composites against layer data with rho1 h1 = 0.2
     composites = {key: "1.0" for key in config._COMPOSITE_KEYS}

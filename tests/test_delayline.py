@@ -234,6 +234,13 @@ def _cubic_integrals(c, a, b, theta, tau):
     return i0, i1
 
 
+def test_gauss_rule_is_numpys_four_point_rule_on_the_unit_interval():
+    # the rule is written out so that no command imports numpy.polynomial;
+    # it stays leggauss(4) mapped to [0, 1], bit for bit
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert delayline._GAUSS == tuple(zip((0.5 * (x + 1.0)).tolist(), (0.5 * w).tolist()))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=hs.integers(0, 2**32 - 1), case=hs.sampled_from(["initial", "tail", "long"]))
 def test_delay_integrals_exact_on_cubic_histories(seed, case):

@@ -20,6 +20,7 @@ from sandwichbeam.hum import (
     observability,
     solve_adjoint,
 )
+from sandwichbeam.lapack import eigh
 from sandwichbeam.presets import random_smooth_state, single_mode_state, zero_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
@@ -243,6 +244,27 @@ def test_rhs_duality_identity():
         assert abs(total) <= 1e-6 * scale
     # linearity and the zero case
     assert np.all(rhs(zero_state(sys_)) == 0.0)
+
+
+@pytest.mark.parametrize("N", [16, 24, 32])
+def test_standard_form_solves_the_dual_pencil(N):
+    # compute_null_control solves G x = lam D x, D = blockdiag(I, A^-1), as
+    # the standard problem S'GS y = lam y with x = S y, S = blockdiag(I, R)
+    p, sys_ = controlled_system(N=N)
+    n = sys_.ndof
+    G = gramian(sys_, short_cfg())
+    A = hum._displacement_metric(sys_)
+    D = np.eye(2 * n)
+    D[n:, n:] = np.linalg.inv(A)
+    reference = eigh(G, D, eigvals_only=True, driver="gv")
+    standard = G.copy()
+    R = hum._standard_form(standard, A)
+    lam, Y = eigh(standard)
+    X = np.concatenate([Y[:n], R @ Y[n:]])
+    scale = lam[-1]
+    assert np.max(np.abs(lam - reference)) <= 1e-12 * scale
+    assert np.max(np.abs(X.T @ D @ X - np.eye(2 * n))) <= 1e-13
+    assert np.max(np.linalg.norm(G @ X - (D @ X) * lam, axis=0)) <= 1e-12 * scale
 
 
 def test_null_control_zero_data():

@@ -1,7 +1,8 @@
-"""sandwichbeam.lapack against scipy.linalg: the same routines, the same results."""
+"""sandwichbeam.lapack against scipy: the same routines, the same results."""
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
@@ -15,18 +16,24 @@ def test_routines_are_scipys_own_objects():
     assert lapack.dsbmv is scipy.linalg.blas.dsbmv
 
 
+def test_version_is_scipys_own():
+    assert lapack.SCIPY_VERSION == scipy.__version__
+
+
 def definite_pair(rng, n):
     """A random symmetric a and a random symmetric positive definite b."""
     x, y = rng.standard_normal((2, n, n))
     return x + x.T, y @ y.T + n * np.eye(n)
 
 
-@pytest.mark.parametrize("driver", ["gv", "gvd"])
+@pytest.mark.parametrize("driver", ["gv", "gvd", "evd"])
 @pytest.mark.parametrize("eigvals_only", [False, True])
-@pytest.mark.parametrize("n", [1, 7, 40, 97])
+@pytest.mark.parametrize("n", [1, 7, 40, 97, 192])
 def test_eigh_is_bitwise_scipys(driver, eigvals_only, n):
     rng = np.random.default_rng(n)
     a, b = definite_pair(rng, n)
+    if driver == "evd":
+        b = None  # the standard problem a v = w v
     ours = lapack.eigh(a, b, eigvals_only=eigvals_only, driver=driver)
     theirs = scipy.linalg.eigh(a, b, eigvals_only=eigvals_only, driver=driver)
     if eigvals_only:
@@ -46,3 +53,18 @@ def test_eigh_refuses_what_scipy_refuses(driver):
         lapack.eigh(a, np.where(b > 1.0, np.inf, b), driver=driver)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         lapack.eigh(a, a, driver=driver)
+
+
+def test_standard_eigh_refuses_what_scipy_refuses():
+    a, b = definite_pair(np.random.default_rng(0), 6)
+    for bad in (np.nan, np.inf):
+        refused = a.copy()
+        refused[2, 3] = bad
+        with pytest.raises(ValueError):
+            lapack.eigh(refused)
+    # the standard driver takes no b, the generalized ones need it
+    with pytest.raises(ValueError, match="takes no b"):
+        lapack.eigh(a, b, driver="evd")
+    for driver in ("gv", "gvd"):
+        with pytest.raises(ValueError, match="needs b"):
+            lapack.eigh(a, driver=driver)

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -103,4 +104,25 @@ def test_only_lapack_names_scipy_linalg():
     # importing scipy.linalg costs about 0.3 s of package set-up per command;
     # sandwichbeam.lapack binds the compiled routines without it
     naming = [name for name in MODULES if "scipy.linalg" in inspect.getsource(importlib.import_module(name))]
+    assert naming == [f"{sandwichbeam.__name__}.lapack"]
+
+
+def test_only_lapack_names_scipy():
+    # importing scipy runs its package set-up, about 18 ms of every command;
+    # sandwichbeam.lapack finds scipy's files without it, and no other module
+    # imports or looks up a scipy module (a manifest's "scipy" key is a
+    # dictionary key naming a version, not a module)
+    naming = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys}
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        names += [
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys
+        ]
+        if any(re.match(r"scipy(\.|$)", text) for text in names):
+            naming.append(name)
     assert naming == [f"{sandwichbeam.__name__}.lapack"]
