@@ -119,13 +119,12 @@ def cmd_validate(cfg, args):
     return EXIT_OK if payload["all_pass"] else EXIT_HYPOTHESIS
 
 
-def _run_simulation(cfg, n, scheme):
-    """Build the scenario's system on n cells and run it under ``scheme``."""
-    sys_ = build_system(Grid1D(N=n, L=cfg.params.L), cfg.params, cfg.variant)
+def _run_simulation(cfg, sys_, scheme):
+    """The run of the scenario on ``sys_`` under ``scheme``."""
     state = cfg.build_initial(sys_)
     if cfg.variant == VARIANT_STABILIZED:
         histories = cfg.build_histories(sys_, state) if cfg.gains.any_delayed else None
-        out = simulate(
+        return simulate(
             state,
             sys_,
             scheme,
@@ -134,9 +133,7 @@ def _run_simulation(cfg, n, scheme):
             damping=cfg.damping,
             histories=histories,
         )
-    else:
-        out = simulate(state, sys_, scheme)
-    return sys_, state, out
+    return simulate(state, sys_, scheme)
 
 
 def _endpoint_scheme(dt, T):
@@ -178,9 +175,12 @@ def _trajectory_columns(out):
 
 
 def cmd_simulate(cfg, args):
+    # a mode the grid does not hold is refused before anything is written
+    sys_ = cfg.build_system()
+    cfg.check_mode(sys_)
     os.makedirs(cfg.outdir, exist_ok=True)
     try:
-        sys_, state, out = _run_simulation(cfg, cfg.n, cfg.scheme)
+        out = _run_simulation(cfg, sys_, cfg.scheme)
     except IntegrationError as exc:
         _write_json(
             os.path.join(cfg.outdir, "manifest.json"),
@@ -212,6 +212,9 @@ def cmd_decay_report(cfg, args):
     times = cfg.scheme.step * np.arange(cfg.scheme.n_steps + 1)
     if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 2:
         raise ConfigError(f"the [fit] window {window} holds fewer than two step times")
+    # a mode the grid does not hold is refused before anything is written or searched
+    sys_ = cfg.build_system()
+    cfg.check_mode(sys_)
     os.makedirs(cfg.outdir, exist_ok=True)
     try:
         rates = select_mus(cfg.params, cfg.delays, cfg.damping, cfg.gains)
@@ -219,7 +222,7 @@ def cmd_decay_report(cfg, args):
         _say(args, f"rate search infeasible: {exc}")
         return EXIT_HYPOTHESIS
     try:
-        sys_, state, out = _run_simulation(cfg, cfg.n, cfg.scheme)
+        out = _run_simulation(cfg, sys_, cfg.scheme)
     except IntegrationError as exc:
         _say(args, f"integration failed: {exc}")
         return EXIT_SOLVER
@@ -275,9 +278,9 @@ def cmd_decay_report(cfg, args):
 def cmd_hum(cfg, args):
     if cfg.variant != VARIANT_CONTROLLED:
         raise ConfigError("hum needs variant = controlled_conservative")
-    os.makedirs(cfg.outdir, exist_ok=True)
     sys_ = cfg.build_system()
     state = cfg.build_initial(sys_)
+    os.makedirs(cfg.outdir, exist_ok=True)
     T = cfg.hum["T"]
     dt = cfg.hum["dt"] or T / (16 * cfg.n)
     run_cfg = _endpoint_scheme(dt, T)
@@ -375,7 +378,8 @@ def cmd_convergence(cfg, args):
     rows = []
 
     def run_at(n, dt, T):
-        sys_, _, out = _run_simulation(cfg, n, _endpoint_scheme(dt, T))
+        sys_ = build_system(Grid1D(N=n, L=cfg.params.L), cfg.params, cfg.variant)
+        out = _run_simulation(cfg, sys_, _endpoint_scheme(dt, T))
         return sys_, out.final_state()
 
     # every ladder is checked before anything runs

@@ -20,7 +20,7 @@ scipy.
 ``SCIPY_VERSION`` the version of the scipy they come from.  ``eigh``
 solves the standard symmetric problem a x = w x through ``dsyevd``, or
 the generalized symmetric-definite problem a x = w b x through
-``dsygvd`` or ``dsygv``, from the lower triangles and exactly as
+``dsygvd``, from the lower triangles and exactly as
 ``scipy.linalg.eigh`` calls them, with its checks: non-finite input
 raises ``ValueError``, a LAPACK failure ``LinAlgError``.
 """
@@ -80,45 +80,29 @@ dpbtrf = _flapack.dpbtrf
 dpbtrs = _flapack.dpbtrs
 
 
-def _lwork(query, *args, **kwargs):
-    """The workspace sizes a LAPACK ``*_lwork`` query returns, as integers,
-    the way scipy's ``_compute_lwork`` rounds them."""
-    *sizes, info = query(*args, **kwargs)
-    if info != 0:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    return [int(size) for size in sizes]
-
-
-def eigh(a, b=None, eigvals_only=False, driver=None):
+def eigh(a, b=None, eigvals_only=False):
     """Eigenvalues w (ascending) and, unless ``eigvals_only``, eigenvectors v
-    of a v = w v, orthonormal, or, given b, of a v = w b v, b-orthonormal,
-    for symmetric a and positive definite b.
-
-    ``driver`` is ``"evd"`` (the default without b) for the standard
-    problem; ``"gvd"`` (divide and conquer, the default with b) or
-    ``"gv"`` (QR iteration, a fraction of the workspace) for the
-    generalized one."""
+    of a v = w v, orthonormal, through ``dsyevd``, or, given b, of
+    a v = w b v, b-orthonormal, through ``dsygvd``, for symmetric a and
+    positive definite b."""
     a = np.asarray_chkfinite(a)
     n = a.shape[0]
-    jobz = "N" if eigvals_only else "V"
-    driver = driver or ("evd" if b is None else "gvd")
-    if driver not in ("evd", "gvd", "gv"):
-        raise ValueError(f"unknown driver {driver!r}, expected 'evd', 'gvd' or 'gv'")
-    if (driver == "evd") != (b is None):
-        raise ValueError(f"driver {driver!r} " + ("needs b" if b is None else "takes no b"))
-    if driver == "evd":
+    if b is None:
         compute_v = int(not eigvals_only)
-        lwork, liwork = _lwork(_flapack.dsyevd_lwork, n, compute_v=compute_v, lower=1)
+        # the workspace scipy.linalg.eigh queries and rounds, so the results agree bitwise
+        lwork, liwork, info = _flapack.dsyevd_lwork(n, compute_v=compute_v, lower=1)
+        if info != 0:
+            raise ValueError(f"Internal work array size computation failed: {info}")
+        lwork, liwork = int(lwork), int(liwork)
         w, v, info = _flapack.dsyevd(a=a, compute_v=compute_v, lower=1, lwork=lwork, liwork=liwork)
+        routine = "dsyevd"
     else:
         b = np.asarray_chkfinite(b)
-        if driver == "gvd":
-            w, v, info = _flapack.dsygvd(a=a, b=b, itype=1, uplo="L", jobz=jobz)
-        else:
-            (lwork,) = _lwork(_flapack.dsygv_lwork, n, uplo="L")
-            w, v, info = _flapack.dsygv(a=a, b=b, itype=1, uplo="L", jobz=jobz, lwork=lwork)
+        jobz = "N" if eigvals_only else "V"
+        w, v, info = _flapack.dsygvd(a=a, b=b, itype=1, uplo="L", jobz=jobz)
+        routine = "dsygvd"
         if info > n:
             raise np.linalg.LinAlgError(f"the leading minor of order {info - n} of b is not positive definite")
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsy{driver} did not converge: info = {info}")
+        raise np.linalg.LinAlgError(f"{routine} did not converge: info = {info}")
     return w if eigvals_only else (w, v)

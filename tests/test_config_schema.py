@@ -272,19 +272,32 @@ COARSE_GRID_SINGLE_MODE = {
 }  # fmt: skip
 
 
-def test_single_mode_is_bounded_by_the_largest_grid_a_command_runs(tmp_path, monkeypatch):
+def test_single_mode_is_bounded_by_the_largest_grid_a_command_runs(tmp_path):
     path = edited("convergence.ini", COARSE_GRID_SINGLE_MODE, str(tmp_path))
     assert load_config(path).initial["mode"] == 12
     assert run(["convergence", "--config", path, "--out", str(tmp_path / "conv")])[0] == 0
-    # simulate runs [grid] n = 8 cells, so check_mode refuses the mode there
-    steps = []
-    monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: steps.append(args))
-    code, stderr = run(["simulate", "--config", path, "--out", str(tmp_path / "sim")])
-    assert (code, steps) == (2, [])
-    assert "1 <= mode <= 8, the cells of the grid" in stderr
     edits = {**COARSE_GRID_SINGLE_MODE, ("initial", "mode"): "65"}
     with pytest.raises(ConfigError, match=re.escape("mode <= the finest of [convergence] resolutions = 64")):
         load_config(edited("convergence.ini", edits, str(tmp_path)))
+
+
+@pytest.mark.parametrize(
+    "command, shipped, stand_in",
+    [
+        ("simulate", "convergence.ini", "simulate"),
+        ("hum", "convergence.ini", "compute_null_control"),
+        ("decay-report", "decay.ini", "select_mus"),
+    ],
+)
+def test_a_command_refuses_a_mode_its_grid_lacks_before_it_starts(tmp_path, monkeypatch, command, shipped, stand_in):
+    # [grid] n = 8 holds no mode 12, which the document's spatial ladder does
+    path = edited(shipped, COARSE_GRID_SINGLE_MODE, str(tmp_path))
+    calls = []
+    monkeypatch.setattr(cli, stand_in, lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out"
+    code, stderr = run([command, "--config", path, "--out", str(out)])
+    assert (code, calls, out.exists()) == (2, [], False)
+    assert "1 <= mode <= 8, the cells of the grid" in stderr
 
 
 def test_layer_data_must_match_the_composites(tmp_path):

@@ -100,29 +100,43 @@ def test_no_unused_parameters(name):
     assert not unused, unused
 
 
-def test_only_lapack_names_scipy_linalg():
-    # importing scipy.linalg costs about 0.3 s of package set-up per command;
-    # sandwichbeam.lapack binds the compiled routines without it
-    naming = [name for name in MODULES if "scipy.linalg" in inspect.getsource(importlib.import_module(name))]
-    assert naming == [f"{sandwichbeam.__name__}.lapack"]
+def _source(module):
+    return [inspect.getsource(module)]
 
 
-def test_only_lapack_names_scipy():
-    # importing scipy runs its package set-up, about 18 ms of every command;
-    # sandwichbeam.lapack finds scipy's files without it, and no other module
-    # imports or looks up a scipy module (a manifest's "scipy" key is a
-    # dictionary key naming a version, not a module)
-    naming = []
-    for name in MODULES:
-        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
-        keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys}
-        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
-        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-        names += [
-            node.value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys
-        ]
-        if any(re.match(r"scipy(\.|$)", text) for text in names):
-            naming.append(name)
+def _looked_up(module):
+    """The modules ``module`` imports, and its string constants other than
+    dictionary keys: the names it could look a module up by (a manifest's
+    "scipy" key names a version, not a module)."""
+    tree = ast.parse(inspect.getsource(module))
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys}
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names += [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys
+    ]
+    return names
+
+
+@pytest.mark.parametrize(
+    "pattern, texts",
+    [
+        # importing scipy.linalg costs about 0.3 s of package set-up per command,
+        # so no other module so much as mentions it
+        (r"scipy\.linalg", _source),
+        # importing scipy runs its package set-up, about 18 ms of every command,
+        # so no other module imports or looks up any scipy module
+        (r"^scipy(\.|$)", _looked_up),
+    ],
+    ids=["scipy.linalg", "scipy"],
+)
+def test_only_lapack_names_scipy(pattern, texts):
+    # sandwichbeam.lapack binds the compiled routines without either
+    naming = [
+        name
+        for name in MODULES
+        if any(re.search(pattern, text) for text in texts(importlib.import_module(name)))
+    ]
     assert naming == [f"{sandwichbeam.__name__}.lapack"]
