@@ -326,11 +326,11 @@ def cmd_hum(cfg, args):
 def cmd_observability(cfg, args):
     if cfg.variant != VARIANT_CONTROLLED:
         raise ConfigError("observability needs variant = controlled_conservative")
-    os.makedirs(cfg.outdir, exist_ok=True)
     sys_ = cfg.build_system()
     cutoff = cfg.observability["cutoff"]
     if not cutoff <= sys_.ndof:
         raise ConfigError(f"[observability] cutoff must be at most {sys_.ndof}, got {cutoff}")
+    os.makedirs(cfg.outdir, exist_ok=True)
     T = cfg.observability["T"]
     scheme = _endpoint_scheme(cfg.observability["dt"] or T / (16 * cfg.n), T)
     qmin, unfiltered, qmax = observability(sys_, scheme, cutoff=cutoff)
@@ -373,7 +373,6 @@ def _restrict_state(fine_state, fine_sys, coarse_sys):
 
 
 def cmd_convergence(cfg, args):
-    os.makedirs(cfg.outdir, exist_ok=True)
     conv = cfg.convergence
     rows = []
 
@@ -412,6 +411,7 @@ def cmd_convergence(cfg, args):
         levels.append(conv["n"])
     # every level starts from the preset, and the coarsest has the fewest modes
     cfg.check_mode(build_system(Grid1D(N=min(levels), L=cfg.params.L), cfg.params, cfg.variant))
+    os.makedirs(cfg.outdir, exist_ok=True)
 
     if spatial:
         ref_sys, ref_state = run_at(ref_n, conv["dt"], conv["T"])

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lapack import dsbmv, eigh
+from .lapack import dsbmv
 
 VARIANT_STABILIZED = "stabilized_delayed"
 VARIANT_CONTROLLED = "controlled_conservative"
@@ -150,8 +150,15 @@ class SemiDiscreteSystem:
     @cached_property
     def modes(self):
         """Vibration modes: eigenpairs (omega^2, phi) of (K, M), eigenvalues
-        ascending and eigenvectors M-normalized (phi' M phi = I)."""
-        return eigh(self.K, np.diag(self.M))
+        ascending and eigenvectors M-normalized (phi' M phi = I).
+
+        M is diagonal, so with s = M^-1/2 the pencil is the standard problem
+        (sKs) v = omega^2 v, and phi = s v.  A non-finite K or M, or an M
+        that is not positive, raises ``ValueError`` before the solve:
+        numpy's ``eigh`` returns NaN for infinite input without an error."""
+        s = 1.0 / np.sqrt(np.asarray_chkfinite(self.M))
+        omega_sq, v = np.linalg.eigh(np.asarray_chkfinite(s[:, None] * self.K * s))
+        return omega_sq, s[:, None] * v
 
     def _lower_entries(self):
         """(row, col, value) of the nonzero entries of K on and below the

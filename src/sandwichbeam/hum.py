@@ -40,16 +40,18 @@ to A = diag(omega^2) + gamma*c*c', with c = phi'm the modal coordinates of
 the transverse mean m.  The right side D b, and so the controls of a
 full-rank solve, do not depend on the completion.
 
-The eigenbasis of ``compute_null_control`` is that of the pencil (G, D)
-with the dual metric D = blockdiag(I, A^-1), and it is computed in
-standard form.  One Cholesky factor A = R R' gives D = S^-T S^-1 for
-S = blockdiag(I, R), so G x = lam D x is the standard problem
-(S'GS) y = lam y with x = S y: S'GS is formed in place on the right and
-bottom blocks of G and solved by one divide-and-conquer eigensolve
-(``dsyevd``).  Neither D nor A^-1 is ever formed, and the D-products
-of the eigenvectors with the right side are y'S'(D b).
-``observability`` keeps the pencil (G, blockdiag(A, I)) of the state
-metric.
+Both eigenproblems are solved in standard form, from one Cholesky factor
+A = R R' of the displacement block.  ``compute_null_control`` needs the
+eigenbasis of the pencil (G, D) with the dual metric D = blockdiag(I, A^-1):
+D = S^-T S^-1 for S = blockdiag(I, R), so G x = lam D x is the standard
+problem (S'GS) y = lam y with x = S y.  S'GS is formed in place on the
+right and bottom blocks of G, and neither D nor A^-1 is ever formed; the
+D-products of the eigenvectors with the right side are y'S'(D b).
+``observability`` needs the spectrum of (G, blockdiag(A, I)), which is
+that of H = T^-1 G T^-T for T = blockdiag(R, I).  R^-1 is lower
+triangular and the leading block of R is the Cholesky factor of the
+leading block of A, so the class constant is the spectrum of the
+principal submatrix of H on the class indices.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import VARIANT_CONTROLLED, DiscreteState, hspace_norm
-from .lapack import eigh
 from .timestep import simulate
 
 # steps per block of the cosine/sine tables of ``_ModalPropagator``
@@ -196,10 +197,11 @@ class _ModalPropagator:
         return series
 
 
-def _displacement_metric(sys_):
-    """The displacement block of the completed state product on modal data,
-    A = diag(omega^2) + gamma*c*c' with c = phi'm the modal coordinates of
-    the transverse mean m; the velocity block is I."""
+def _metric_factor(sys_):
+    """The lower Cholesky factor R of the displacement block A = R R' of the
+    completed state product on modal data, A = diag(omega^2) + gamma*c*c'
+    with c = phi'm the modal coordinates of the transverse mean m; the
+    velocity block is I."""
     if sys_.variant != VARIANT_CONTROLLED:
         raise ValueError("HUM needs a controlled_conservative system")
     p = sys_.params
@@ -210,19 +212,7 @@ def _displacement_metric(sys_):
     # energy-scaled completion of the transverse-mean direction; backed
     # by the bending stiffness so it survives shear-free reductions
     gamma = (p.k + p.EI / p.L ** 4) / p.L
-    return np.diag(omega_sq) + gamma * np.outer(c, c)
-
-
-def _standard_form(G, A):
-    """Turn the pencil (G, D), D = blockdiag(I, A^-1), into one standard
-    problem, in place: with A = R R' and S = blockdiag(I, R), D = S^-T S^-1,
-    so G x = lam D x is (S'GS) y = lam y with x = S y.  Overwrites G with
-    S'GS and returns R."""
-    n = len(A)
-    R = np.linalg.cholesky(A)
-    G[:, n:] = G[:, n:] @ R
-    G[n:, :] = R.T @ G[n:, :]
-    return R
+    return np.linalg.cholesky(np.diag(omega_sq) + gamma * np.outer(c, c))
 
 
 def gramian(sys_, cfg):
@@ -277,15 +267,18 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
     ``terminal_rel_norm``.  The horizon T must be cfg.T.
     """
     _check_horizon(T, cfg)
-    A = _displacement_metric(sys_)
+    R = _metric_factor(sys_)
     G = gramian(sys_, cfg)
-    R = _standard_form(G, A)
+    n = len(R)
+    # the standard form S'GS, S = blockdiag(I, R), in place
+    G[:, n:] = G[:, n:] @ R
+    G[n:, :] = R.T @ G[n:, :]
     prop = _ModalPropagator(sys_, cfg)
     x0 = np.concatenate([prop.to_modal @ initial.q, prop.to_modal @ initial.p])
     a_T, b_T = np.split(prop.free_state(x0), 2)
     # the eigenvectors of (G, D) are S y, so their products with D b are
     # y'S'(D b), and S'(D b) = (-b_T, R'a_T)
-    lam, vecs = eigh(G)
+    lam, vecs = np.linalg.eigh(G)
     lam, vecs = lam[::-1], vecs[:, ::-1]
     beta = vecs.T @ np.concatenate([-b_T, R.T @ a_T])
     # residual norm with the first r directions kept, r = 0..2n
@@ -320,7 +313,8 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
 def observability(sys_, cfg, cutoff=8):
     """Exact observability quotients x'Gx / x'(metric)x for the steps of ``cfg``.
 
-    On modal data the completed state metric is blockdiag(A, I).  Returns
+    On modal data the completed state metric is blockdiag(A, I), and both
+    spectra are computed in standard form (see the module docstring).  Returns
     (minimum on the span of the lowest ``cutoff`` modes of (K, M), in
     displacement and in velocity, which are the first ``cutoff`` indices
     of each block; minimum over all data; maximum over all data).  The
@@ -328,11 +322,13 @@ def observability(sys_, cfg, cutoff=8):
     uniformly observable, its constant on a fixed class of low modes is,
     and that constant is stable under grid refinement.
     """
-    n = sys_.ndof
-    metric = np.eye(2 * n)
-    metric[:n, :n] = _displacement_metric(sys_)
+    R = _metric_factor(sys_)
     G = gramian(sys_, cfg)
-    full = eigh(G, metric, eigvals_only=True)
+    n = len(R)
+    # H = T^-1 G T^-T, T = blockdiag(R, I), in place
+    G[:n] = np.linalg.solve(R, G[:n])
+    G[:, :n] = np.linalg.solve(R, G[:, :n].T).T
+    full = np.linalg.eigvalsh(G)
     low = np.ix_(*2 * [np.r_[:cutoff, n : n + cutoff]])
-    restricted = eigh(G[low], metric[low], eigvals_only=True)
+    restricted = np.linalg.eigvalsh(G[low])
     return float(restricted[0]), float(full[0]), float(full[-1])

@@ -3,8 +3,11 @@
 ``import scipy.linalg`` runs scipy's package initialisation, which loads
 its array-API compatibility layer and through it ``numpy.f2py`` and
 ``numpy.testing``: about 0.3 s at the start of every command, none of it
-linear algebra.  The package calls five compiled routines, all of them in
-scipy's f2py extension modules ``_fblas`` and ``_flapack``.  This module
+linear algebra.  The package needs three compiled routines that numpy
+lacks, the band product and the band Cholesky factor and solve of the
+time step, all of them in scipy's f2py extension modules ``_fblas`` and
+``_flapack``; its eigensolves are numpy's own (``numpy.linalg.eigh`` and
+``eigvalsh`` on standard problems).  This module
 loads those two extensions from their files under their full dotted names
 (``scipy.linalg._fblas``, ``scipy.linalg._flapack``), so
 ``scipy/linalg/__init__.py`` never runs, and a later ``import
@@ -17,12 +20,7 @@ it was.  It is the one module of the package that imports anything of
 scipy.
 
 ``dsbmv``, ``dpbtrf`` and ``dpbtrs`` are the f2py routines themselves,
-``SCIPY_VERSION`` the version of the scipy they come from.  ``eigh``
-solves the standard symmetric problem a x = w x through ``dsyevd``, or
-the generalized symmetric-definite problem a x = w b x through
-``dsygvd``, from the lower triangles and exactly as
-``scipy.linalg.eigh`` calls them, with its checks: non-finite input
-raises ``ValueError``, a LAPACK failure ``LinAlgError``.
+``SCIPY_VERSION`` the version of the scipy they come from.
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ import importlib.util
 import os
 import sys
 
-import numpy as np
-
-__all__ = ["SCIPY_VERSION", "dsbmv", "dpbtrf", "dpbtrs", "eigh"]
+__all__ = ["SCIPY_VERSION", "dsbmv", "dpbtrf", "dpbtrs"]
 
 _SCIPY_SPEC = importlib.util.find_spec("scipy")
 if _SCIPY_SPEC is None:
@@ -78,31 +74,3 @@ _flapack = _extension("_flapack")
 dsbmv = _fblas.dsbmv
 dpbtrf = _flapack.dpbtrf
 dpbtrs = _flapack.dpbtrs
-
-
-def eigh(a, b=None, eigvals_only=False):
-    """Eigenvalues w (ascending) and, unless ``eigvals_only``, eigenvectors v
-    of a v = w v, orthonormal, through ``dsyevd``, or, given b, of
-    a v = w b v, b-orthonormal, through ``dsygvd``, for symmetric a and
-    positive definite b."""
-    a = np.asarray_chkfinite(a)
-    n = a.shape[0]
-    if b is None:
-        compute_v = int(not eigvals_only)
-        # the workspace scipy.linalg.eigh queries and rounds, so the results agree bitwise
-        lwork, liwork, info = _flapack.dsyevd_lwork(n, compute_v=compute_v, lower=1)
-        if info != 0:
-            raise ValueError(f"Internal work array size computation failed: {info}")
-        lwork, liwork = int(lwork), int(liwork)
-        w, v, info = _flapack.dsyevd(a=a, compute_v=compute_v, lower=1, lwork=lwork, liwork=liwork)
-        routine = "dsyevd"
-    else:
-        b = np.asarray_chkfinite(b)
-        jobz = "N" if eigvals_only else "V"
-        w, v, info = _flapack.dsygvd(a=a, b=b, itype=1, uplo="L", jobz=jobz)
-        routine = "dsygvd"
-        if info > n:
-            raise np.linalg.LinAlgError(f"the leading minor of order {info - n} of b is not positive definite")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine} did not converge: info = {info}")
-    return w if eigvals_only else (w, v)

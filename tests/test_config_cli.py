@@ -325,6 +325,27 @@ def test_convergence_cli(tmp_path):
     assert all(1.5 <= o <= 2.5 for o in orders)
 
 
+# the exit code of every command on every shipped document
+SHIPPED_EXIT_CODES = {
+    "control.ini": {"validate": 0, "simulate": 0, "decay-report": 2, "hum": 0,
+                    "observability": 0, "convergence": 2},
+    "convergence.ini": {"validate": 0, "simulate": 0, "decay-report": 2, "hum": 0,
+                        "observability": 0, "convergence": 0},
+    "decay.ini": {"validate": 0, "simulate": 0, "decay-report": 0, "hum": 2,
+                  "observability": 2, "convergence": 0},
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("shipped", sorted(os.listdir(os.path.join(ROOT, "configs"))))
+def test_every_command_on_every_shipped_document(tmp_path, shipped):
+    path = os.path.join(ROOT, "configs", shipped)
+    codes = {
+        command: main([command, "--config", path, "--out", str(tmp_path / command), "--quiet"])
+        for command in SHIPPED_EXIT_CODES[shipped]
+    }
+    assert codes == SHIPPED_EXIT_CODES[shipped]
+
+
 def test_missing_config_file():
     assert main(["validate", "--config", "/nonexistent/x.ini", "--quiet"]) == 2
 

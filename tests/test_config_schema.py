@@ -300,6 +300,26 @@ def test_a_command_refuses_a_mode_its_grid_lacks_before_it_starts(tmp_path, monk
     assert "1 <= mode <= 8, the cells of the grid" in stderr
 
 
+@pytest.mark.parametrize(
+    "command, shipped, edits, message",
+    [
+        # 32 cells of the controlled variant carry 97 unknowns
+        ("observability", "control.ini", {("observability", "cutoff"): "500"}, "at most 97, got 500"),
+        # 24 does not divide the reference's 256 cells
+        ("convergence", "convergence.ini", {("convergence", "resolutions"): "16,24,64"}, "divide 256"),
+        # control.ini as shipped: its spatial ladder has two levels
+        ("convergence", "control.ini", {}, "at least 3 resolutions"),
+    ],
+    ids=["observability-cutoff", "convergence-resolutions", "convergence-shipped-control"],
+)  # fmt: skip
+def test_a_refused_command_leaves_no_output_directory(tmp_path, command, shipped, edits, message):
+    path = edited(shipped, edits, str(tmp_path))
+    out = tmp_path / "out"
+    code, stderr = run([command, "--config", path, "--out", str(out)])
+    assert (code, out.exists()) == (2, False)
+    assert message in stderr
+
+
 def test_layer_data_must_match_the_composites(tmp_path):
     # decay.ini's unit composites against layer data with rho1 h1 = 0.2
     composites = {key: "1.0" for key in config._COMPOSITE_KEYS}

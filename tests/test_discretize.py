@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy.linalg import eigh
 from scipy.linalg.blas import dsbmv
 
 from sandwichbeam.discretize import (
@@ -109,6 +110,41 @@ def test_band_assembly_equals_loop_reference_bitwise():
     for N in (8, 17, 33):
         for sys_ in both_systems(N, E3h3=2.0, EI=0.7, k=1.3, alpha=0.8, L=1.7):
             assert np.array_equal(sys_.K, _loop_stiffness(sys_))
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_modes_match_the_generalized_reference(N):
+    # modes solves the standard problem (sKs) v = omega^2 v, s = M^-1/2; the
+    # reference solves the pencil (K, M) itself.  Measured on both variants
+    # at these N: eigenvalues within 7.9e-16 * lambda_max, phi'M phi - I
+    # within 2.9e-15, residuals K phi - M phi omega^2 within 3.3e-16 * lambda_max
+    for sys_ in both_systems(N):
+        omega_sq, phi = sys_.modes
+        reference = eigh(sys_.K, np.diag(sys_.M), eigvals_only=True)
+        scale = reference[-1]
+        assert np.max(np.abs(omega_sq - reference)) <= 1e-12 * scale
+        assert np.max(np.abs(phi.T @ (sys_.M[:, None] * phi) - np.eye(sys_.ndof))) <= 1e-13
+        residuals = sys_.K @ phi - sys_.M[:, None] * phi * omega_sq
+        assert np.max(np.linalg.norm(residuals, axis=0)) <= 1e-12 * scale
+
+
+# the square root and the division of a non-positive mass warn before the refusal
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "entry, bad",
+    [("K", np.nan), ("K", np.inf), ("M", np.nan), ("M", np.inf), ("M", 0.0), ("M", -1.0)],
+)
+def test_modes_refuse_what_the_eigensolver_would_turn_into_nan(entry, bad):
+    # numpy's eigh returns NaN for an infinite entry and raises nothing, and
+    # stops with LinAlgError (a ValueError) on a NaN only after solving
+    sys_ = both_systems(8)[1]
+    if entry == "K":
+        sys_.band[0, 3] = bad  # the diagonal entry K[3, 3]
+    else:
+        sys_.M[3] = bad
+    with pytest.raises(ValueError) as refused:
+        sys_.modes
+    assert refused.type is ValueError
 
 
 def test_elastic_energy_linear_profile():

@@ -21,7 +21,6 @@ from sandwichbeam.hum import (
     observability,
     solve_adjoint,
 )
-from sandwichbeam.lapack import eigh
 from sandwichbeam.presets import random_smooth_state, single_mode_state, zero_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
@@ -253,20 +252,26 @@ def test_standard_form_solves_the_dual_pencil(N):
     # the standard problem S'GS y = lam y with x = S y, S = blockdiag(I, R)
     p, sys_ = controlled_system(N=N)
     n = sys_.ndof
-    G = gramian(sys_, short_cfg())
-    A = hum._displacement_metric(sys_)
+    cfg = short_cfg()
+    G = gramian(sys_, cfg)
+    R = hum._metric_factor(sys_)
+    assert np.array_equal(R, np.tril(R))
     D = np.eye(2 * n)
-    D[n:, n:] = np.linalg.inv(A)
+    D[n:, n:] = np.linalg.inv(R @ R.T)
     # the reference: the generalized problem (G, D) itself, by QR iteration
     reference = scipy.linalg.eigh(G, D, eigvals_only=True, driver="gv")
-    standard = G.copy()
-    R = hum._standard_form(standard, A)
-    lam, Y = eigh(standard)
-    X = np.concatenate([Y[:n], R @ Y[n:]])
+    S = np.eye(2 * n)
+    S[n:, n:] = R
+    lam, Y = np.linalg.eigh(S.T @ G @ S)
+    X = S @ Y
     scale = lam[-1]
     assert np.max(np.abs(lam - reference)) <= 1e-12 * scale
     assert np.max(np.abs(X.T @ D @ X - np.eye(2 * n))) <= 1e-13
     assert np.max(np.linalg.norm(G @ X - (D @ X) * lam, axis=0)) <= 1e-12 * scale
+    # the solve reports the largest eigenvalue of the same pencil (measured
+    # within 4.7e-16 relative)
+    sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), cfg.T, sys_, cfg)
+    assert abs(sol.max_rayleigh - reference[-1]) <= 1e-12 * scale
 
 
 def test_null_control_zero_data():
@@ -326,6 +331,36 @@ def test_observability_quotients_positive_and_stable():
         assert unfiltered <= qmin and abs(unfiltered) <= 1e-12 * qmax
     assert abs(vals[32][0] - vals[16][0]) <= 0.2 * vals[16][0]
     assert abs(vals[32][2] - vals[16][2]) <= 0.2 * vals[16][2]
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_observability_matches_the_generalized_pencils(N):
+    # observability solves the standard problems of H = T^-1 G T^-T,
+    # T = blockdiag(R, I), and of its class block H[low, low]; the
+    # references are the pencils (G, metric) and (G[low], metric[low]) of
+    # the state metric blockdiag(A, I), A = R R'.  Measured at these N: the
+    # unfiltered extremes within 1.5e-16 * the largest eigenvalue, the class
+    # minimum within 2.4e-17 * the class's largest eigenvalue and, for
+    # cutoff 1 and 8, within 1.6e-13 relative.
+    p, sys_ = controlled_system(N=N)
+    n = sys_.ndof
+    T = 4.0
+    cfg = SchemeConfig(dt=T / (16 * N), T=T, stride=16 * N)
+    G = gramian(sys_, cfg)
+    R = hum._metric_factor(sys_)
+    metric = np.eye(2 * n)
+    metric[:n, :n] = R @ R.T
+    full = scipy.linalg.eigh(G, metric, eigvals_only=True)
+    for cutoff in (1, 8, n):
+        low = np.ix_(*2 * [np.r_[:cutoff, n : n + cutoff]])
+        restricted = scipy.linalg.eigh(G[low], metric[low], eigvals_only=True)
+        qmin, unfiltered, qmax = observability(sys_, cfg, cutoff=cutoff)
+        assert abs(qmin - restricted[0]) <= 1e-13 * restricted[-1]
+        assert abs(unfiltered - full[0]) <= 1e-13 * full[-1]
+        assert abs(qmax - full[-1]) <= 1e-13 * full[-1]
+        if cutoff < n:
+            # the class constant is well above roundoff, so it is pinned relatively
+            assert abs(qmin - restricted[0]) <= 1e-11 * restricted[0]
 
 
 def test_observability_single_field_matches_continuum():
