@@ -119,9 +119,11 @@ def cmd_validate(cfg, args):
     return EXIT_OK if payload["all_pass"] else EXIT_HYPOTHESIS
 
 
-def _run_simulation(cfg, sys_, scheme):
-    """The run of the scenario on ``sys_`` under ``scheme``."""
-    state = cfg.build_initial(sys_)
+def _run_simulation(cfg, sys_, scheme, state=None):
+    """The run of the scenario on ``sys_`` under ``scheme``, from ``state`` or
+    the scenario's initial data."""
+    if state is None:
+        state = cfg.build_initial(sys_)
     if cfg.variant == VARIANT_STABILIZED:
         histories = cfg.build_histories(sys_, state) if cfg.gains.any_delayed else None
         return simulate(
@@ -212,9 +214,14 @@ def cmd_decay_report(cfg, args):
     times = cfg.scheme.step * np.arange(cfg.scheme.n_steps + 1)
     if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 2:
         raise ConfigError(f"the [fit] window {window} holds fewer than two step times")
-    # a mode the grid does not hold is refused before anything is written or searched
+    # a mode the grid does not hold, or initial data of zero energy, is
+    # refused before anything is written or searched; the initial histories
+    # extend the initial trace velocities, so E(0) > 0 exactly when the
+    # field energy is
     sys_ = cfg.build_system()
-    cfg.check_mode(sys_)
+    state = cfg.build_initial(sys_)
+    if not sys_.field_energy(state.q, state.p) > 0.0:
+        raise ConfigError("decay-report needs initial data of positive energy")
     os.makedirs(cfg.outdir, exist_ok=True)
     try:
         rates = select_mus(cfg.params, cfg.delays, cfg.damping, cfg.gains)
@@ -222,12 +229,10 @@ def cmd_decay_report(cfg, args):
         _say(args, f"rate search infeasible: {exc}")
         return EXIT_HYPOTHESIS
     try:
-        out = _run_simulation(cfg, sys_, cfg.scheme)
+        out = _run_simulation(cfg, sys_, cfg.scheme, state)
     except IntegrationError as exc:
         _say(args, f"integration failed: {exc}")
         return EXIT_SOLVER
-    if not out.energy[0] > 0.0:
-        raise ConfigError("decay-report needs initial data of positive energy")
     resid = check_dissipation_identity(out, cfg.params, cfg.gains)
     report = check_theoretical_bound(out, rates, window=window, dissipation_residual=resid)
     lyap = lyapunov_trace(out, sys_, rates, cfg.gains)

@@ -29,8 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .lapack import dsbmv
-
 VARIANT_STABILIZED = "stabilized_delayed"
 VARIANT_CONTROLLED = "controlled_conservative"
 # half-bandwidth of K in node order: the curvature panel couples w_{j-1}
@@ -171,15 +169,31 @@ class SemiDiscreteSystem:
         return np.dot(a_values, self.field_weights)
 
     def field_energy(self, q, p):
-        """Field energy 0.5*(p'Mp + q'Kq); the controlled variant's boundary
-        kinetic terms are part of M."""
-        return float(0.5 * (np.dot(p, self.M * p) + q @ dsbmv(KD, 1.0, self.band, q, lower=1)))
+        """Field energy 0.5*(p'Mp + q'Kq) of one state, or of a stack of
+        states (one per row) as an array; the controlled variant's boundary
+        kinetic terms are part of M.
+
+        q'Kq is the symmetric band sum over the lower band, grouped by row:
+        the sum over i of q_i * (band[0, i] q_i + 2 sum_d band[d, i] q_{i+d}),
+        one array product per diagonal over the whole stack.  The terms of
+        one row cancel before the rows are added, which keeps the digits a
+        sum over whole diagonals would lose to the large diagonal terms.
+        """
+        band = self.band
+        n = band.shape[1]
+        kinetic = np.dot(p * p, self.M)
+        twice = 2.0 * band
+        y = band[0] * q
+        for d in range(1, KD + 1):
+            y[..., : n - d] += twice[d, : n - d] * q[..., d:]
+        energy = 0.5 * (kinetic + np.vecdot(q, y))
+        return float(energy) if np.ndim(energy) == 0 else energy
 
     def traces(self, x):
-        """The three boundary-channel values of x: for velocities (u_t(L),
-        v_t(L), w_tx(L) or w_t(L)), for displacements (u(L), v(L), w_x(L) or
-        w(L))."""
-        return self.channel_coeff * x[self.channel_index]
+        """The three boundary-channel values of x, or of each row of a stack:
+        for velocities (u_t(L), v_t(L), w_tx(L) or w_t(L)), for displacements
+        (u(L), v(L), w_x(L) or w(L))."""
+        return self.channel_coeff * x[..., self.channel_index]
 
 
 def _band_from_panels(n, panels):

@@ -28,12 +28,23 @@ tilts and the delayed traces z_i at the record times are computed after
 the loop, in one ``window_integrals`` pass per delayed channel over its
 record.
 
+The step loop does only what the next step reads: the delayed lookups
+or the control force, the step itself, the finiteness check of the new
+state and the delayed channels' midpoint samples.  Each step writes its
+state into a buffer that holds one block of steps, and the recorded
+series are filled once per block from the whole block: the field
+energies (one ``SemiDiscreteSystem.field_energy`` call on the stack of
+states), the boundary traces, the ledger's midpoint velocity norms and
+traces, and the decimated states.  The damping and effective diagonals
+of the block's refactoring steps are tabulated at its start.
+
 That solve and the stiffness product work on the banded stiffness
 (``SemiDiscreteSystem.band``), in the node-by-node order of the state
 vectors themselves: the effective matrix
 M + dt^2/4 K + dt/2 C is written into one Fortran-order band buffer and
 factored there by LAPACK ``dpbtrf``, each step solves with ``dpbtrs`` and
-multiplies with BLAS ``dsbmv``, so a step costs O(n) in time and memory.
+multiplies with BLAS ``dsbmv``, so a step costs O(n) in time and memory;
+the energies never go through ``dsbmv``.
 The routines are the f2py objects of scipy's compiled BLAS and LAPACK,
 called directly because scipy's Python wrappers cost several times the
 O(n) work at the grid sizes in use.  They come from ``lapack``, which
@@ -161,11 +172,12 @@ def _control_midpoints(controls, t_mid):
 class _Stepper:
     """One factorization of the effective matrix, reused while C(t) is steady.
 
-    Each step is given its damping weights; the effective damping diagonal
-    (boundary feedback plus interior damping) and its factorization are
-    rebuilt only when they change, in place: the scaled stiffness band is
-    checked for finiteness once, and each rebuild checks only the diagonal
-    it changes.
+    A step refactors only when its damping weights differ from the previous
+    step's.  The damping and effective diagonals of those steps come from a
+    table built once per block of steps (``tabulate``): one product of
+    their weights with the weight table and one finiteness check.  A
+    refactor copies its diagonal into the scaled stiffness band in place;
+    the scaled band is checked for finiteness once.
     """
 
     def __init__(self, sys_, dt, gains):
@@ -182,14 +194,26 @@ class _Stepper:
         # the effective matrix, then its factor: dpbtrf works in this buffer
         self._factor = np.empty_like(self._scaled_band)
         self._a_values = None
+        self._table = {}
 
-    def _refactor(self, a_values):
+    def tabulate(self, rows):
+        """Tabulate the damping and effective diagonals of ``rows``, the
+        (R, 3) damping weights of a block's refactoring steps, keyed by the
+        weights: one product and one finiteness check per block."""
         sys_, dt = self.sys, self.dt
-        cdiag = self.feedback_diag + sys_.damping_diagonal(a_values)
-        diag = self._scaled_band[0] + (sys_.M + 0.5 * dt * cdiag)
+        # in place, with the association of scaled_band[0] + (M + dt/2 * cdiag)
+        cdiag = sys_.damping_diagonal(rows)
+        cdiag += self.feedback_diag
+        diag = 0.5 * dt * cdiag
+        diag += sys_.M
+        diag += self._scaled_band[0]
         # one scalar test, as in _check_finite
         if not math.isfinite(diag.sum()) and not np.all(np.isfinite(diag)):
             raise IntegrationError("non-finite effective matrix")
+        self._table = dict(zip(map(tuple, rows.tolist()), zip(cdiag, diag)))
+
+    def _refactor(self, a_values):
+        cdiag, diag = self._table[tuple(a_values)]
         ab = self._factor
         ab[...] = self._scaled_band
         ab[0] = diag
@@ -201,14 +225,16 @@ class _Stepper:
         self._a_values = a_values
 
     def advance(self, q0, v0, a_values, force_mid):
-        """One midpoint step under the damping weights ``a_values``; returns (q1, v1)."""
+        """One midpoint step under the damping weights ``a_values``, which
+        the last ``tabulate`` holds if they differ from the previous step's;
+        returns (q1, v1)."""
         dt = self.dt
         if a_values != self._a_values:
             self._refactor(a_values)
         rhs = force_mid - self.cdiag * v0
         x = q0 + 0.5 * dt * v0
         rhs = dsbmv(KD, -1.0, self.sys.band, x, beta=1.0, y=rhs, lower=1, overwrite_y=1)
-        # finiteness: the factor is checked when built, the controls when
+        # finiteness: the factor is checked when tabulated, the controls when
         # sampled and the state after every step
         a, info = dpbtrs(self._factor, rhs, lower=1, overwrite_b=1)
         if info != 0:  # pragma: no cover - only for invalid arguments
@@ -216,6 +242,16 @@ class _Stepper:
         v1 = v0 + dt * a
         q1 = q0 + dt * v0 + 0.5 * dt * dt * a
         return q1, v1
+
+
+def _block_steps(ndof):
+    """Steps per block of the recording pass: at most 32, since the pass
+    costs several times less per state on a block than on one state at a
+    time, and few enough that a buffer of the block's states, (steps + 1)
+    x ndof doubles, stays under 128 KiB (9 steps at N = 512, 4 at
+    N = 1024).  Larger arrays are served from fresh pages by glibc's malloc
+    (its default threshold), at a page fault per 4 KiB on every block."""
+    return max(1, min(32, 2**17 // (8 * ndof) - 1))
 
 
 def _sample_laws(law, t_mid):
@@ -283,7 +319,7 @@ def _sample_slots(n_steps, stride):
     slots = list(range(0, n_steps + 1, stride))
     if slots[-1] != n_steps:
         slots.append(n_steps)
-    return slots
+    return np.array(slots)
 
 
 def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
@@ -353,12 +389,9 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     # delayed feedback on channel i: -c_i * beta_i * z_i * coeff_i
     feedback_weights = np.asarray(sys_.params.boundary_stiffness) * betas
 
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.p, dtype=float)
     field_energy = np.empty(n_steps + 1)
     tr_vel = np.empty((n_steps + 1, 3))
     slots = _sample_slots(n_steps, cfg.stride)
-    sample_at = {s: k for k, s in enumerate(slots)}
     states_q = np.empty((len(slots), sys_.ndof))
     states_p = np.empty((len(slots), sys_.ndof))
     tr_disp = z_series = tilts = ledger = None
@@ -376,49 +409,81 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     else:
         tr_disp = np.empty((n_steps + 1, 3))
 
-    def record(n):
-        field_energy[n] = sys_.field_energy(q, v)
-        tr_vel[n] = sys_.traces(v)
-        if tr_disp is not None:
-            tr_disp[n] = sys_.traces(q)
-        k = sample_at.get(n)
-        if k is not None:
-            states_q[k] = q
-            states_p[k] = v
+    # the states of one block of steps: row 0 holds the state the block
+    # starts from, row r the state after its r-th step
+    block = max(1, min(n_steps, _block_steps(sys_.ndof)))
+    q_block = np.empty((block + 1, sys_.ndof))
+    v_block = np.empty((block + 1, sys_.ndof))
 
-    record(0)
-    channels = sys_.channel_index
-    field_weights = sys_.field_weights
-    force = np.zeros(sys_.ndof)
-    zs = np.zeros(3)
-    for n in range(n_steps):
-        if channel_force is not None:
-            force[channels] = channel_force[n]
-        elif delayed:
-            # the step's stencil on the stored samples, in Python floats:
-            # numpy scalars would cost more than the arithmetic
-            for i, _, _, ys, ms, js, weights, tails in lines:
-                k = js.item(n)
-                if tails.item(n):
-                    zs[i] = ys.item(k + 1)
-                else:
-                    w0, w1, w2, w3 = weights[n].tolist()
-                    y0, m0, y1, m1 = ys.item(k), ms.item(k), ys.item(k + 1), ms.item(k + 1)
-                    zs[i] = w0 * y0 + w1 * m0 + w2 * y1 + w3 * m1
-            # 0.0 - x, not -x: an undelayed channel keeps a +0.0 force
-            force[channels] = 0.0 - feedback_weights * zs * sys_.channel_coeff
-        q1, v1 = stepper.advance(q, v, a_mid[n].tolist(), force)
-        _check_finite(q1, v1, n + 1)
+    def record(base, first, last):
+        """Fill the series at the block's states base + first .. base + last
+        (rows first..last) and at the step midpoints that end in them."""
+        rows = slice(first, last + 1)
+        at = slice(base + first, base + last + 1)
+        field_energy[at] = sys_.field_energy(q_block[rows], v_block[rows])
+        tr_vel[at] = sys_.traces(v_block[rows])
+        if tr_disp is not None:
+            tr_disp[at] = sys_.traces(q_block[rows])
         if ledger is not None:
-            v_mid = 0.5 * (v + v1)
-            ledger["vel_norms_mid"][n] = field_weights @ (v_mid * v_mid)
-            trace_mid = sys_.traces(v_mid)
-            ledger["trace_mid"][n] = trace_mid
-            if delayed:
-                ledger["z_mid"][n] = zs
-            for i, first, ts, ys, ms, *_ in lines:
+            v_mid = v_block[:last] + v_block[1 : last + 1]
+            v_mid *= 0.5
+            ledger["trace_mid"][base : base + last] = sys_.traces(v_mid)
+            v_mid *= v_mid
+            ledger["vel_norms_mid"][base : base + last] = np.dot(v_mid, sys_.field_weights.T)
+        lo, hi = np.searchsorted(slots, (base + first, base + last + 1))
+        if hi > lo:
+            states_q[lo:hi] = q_block[slots[lo:hi] - base]
+            states_p[lo:hi] = v_block[slots[lo:hi] - base]
+
+    q = np.array(initial.q, dtype=float)
+    v = np.array(initial.p, dtype=float)
+    q_block[0] = q
+    v_block[0] = v
+    record(0, 0, 0)
+    channels = sys_.channel_index
+    force = np.zeros(sys_.ndof)
+    z_mid = ledger["z_mid"] if stabilized else None
+    # the steps whose damping weights differ from the previous step's
+    changes = np.ones(n_steps, dtype=bool)
+    changes[1:] = np.any(a_mid[1:] != a_mid[:-1], axis=1)
+    refactors = np.flatnonzero(changes)
+    for base in range(0, n_steps, block):
+        stop = min(base + block, n_steps)
+        lo, hi = np.searchsorted(refactors, (base, stop))
+        if hi > lo:
+            stepper.tabulate(a_mid[refactors[lo:hi]])
+        a_rows = a_mid[base:stop].tolist()
+        # each delayed channel's stencils for the block, as Python lists:
+        # numpy scalars would cost more than the arithmetic
+        stencils = [
+            (i, first, ts, ys, ms, js[base:stop].tolist(), tails[base:stop].tolist(),
+             weights[base:stop].tolist(), channels.item(i), sys_.channel_coeff.item(i),
+             feedback_weights.item(i))
+            for i, first, ts, ys, ms, js, weights, tails in lines
+        ]
+        for n in range(base, stop):
+            j = n - base
+            if channel_force is not None:
+                force[channels] = channel_force[n]
+            for i, _, _, ys, ms, js, tails, weights, c, coeff, fw in stencils:
+                k = js[j]
+                if tails[j]:
+                    z = ys.item(k + 1)
+                else:
+                    w0, w1, w2, w3 = weights[j]
+                    z = w0 * ys.item(k) + w1 * ms.item(k) + w2 * ys.item(k + 1) + w3 * ms.item(k + 1)
+                z_mid[n, i] = z
+                # the delayed feedback -c_i * beta_i * z_i * coeff_i, as
+                # 0.0 - x so that a zero feedback is +0.0
+                force[c] = 0.0 - fw * z * coeff
+            q1, v1 = stepper.advance(q, v, a_rows[j], force)
+            _check_finite(q1, v1, n + 1)
+            q_block[j + 1] = q1
+            v_block[j + 1] = v1
+            for i, first, ts, ys, ms, _, _, _, c, coeff, _ in stencils:
                 k = first + n
-                ys[k] = trace_mid[i]
+                y = coeff * (0.5 * (v.item(c) + v1.item(c)))
+                ys[k] = y
                 # Midpoint samples keep the delayed feedback loop stable: the
                 # undamped grid-frequency modes of the conservative scheme
                 # average out at step midpoints, so they never re-enter
@@ -426,9 +491,11 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
                 # of the recorded values themselves (the raw accelerations
                 # carry the unfiltered ringing and would reopen the loop
                 # through the Hermite terms).
-                ms[k] = (ys.item(k) - ys.item(k - 1)) / (ts.item(k) - ts.item(k - 1))
-        q, v = q1, v1
-        record(n + 1)
+                ms[k] = (y - ys.item(k - 1)) / (ts.item(k) - ts.item(k - 1))
+            q, v = q1, v1
+        record(base, 1, stop - base)
+        q_block[0] = q
+        v_block[0] = v
 
     # the delay-line energy is the only part of E beyond the field energy
     energy = field_energy

@@ -246,6 +246,22 @@ def test_simulate_zero_preset_all_zero(tmp_path):
     assert np.all(values[:, 1:] == 0.0)
 
 
+def test_decay_report_refuses_zero_energy_before_writing(tmp_path, monkeypatch):
+    # zero initial data has nothing to decay: exit 2 before the output
+    # directory, the rate search or the run
+    import sandwichbeam.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("decay-report ran past its configuration checks")
+
+    monkeypatch.setattr(cli, "select_mus", must_not_run)
+    monkeypatch.setattr(cli, "simulate", must_not_run)
+    doc = STABILIZED_DOC.replace("preset = random_smooth", "preset = zero")
+    path = write_doc(tmp_path, doc)
+    assert main(["decay-report", "--config", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_decay_report_cli(tmp_path):
     doc = STABILIZED_DOC.replace("t = 2.0", "t = 6.0")
     path = write_doc(tmp_path, doc)

@@ -341,6 +341,44 @@ def test_factorization_reused_until_damping_weights_change(monkeypatch):
     assert len(calls) == cfg.n_steps
 
 
+def test_one_dsbmv_per_step_and_none_for_energies(monkeypatch):
+    # the step's K x is the run's only banded product: the recorded field
+    # energies never go through dsbmv, in whatever module it is bound
+    import sys
+
+    from sandwichbeam import lapack
+
+    calls = []
+    real = lapack.dsbmv
+    counted = lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sandwichbeam") and getattr(module, "dsbmv", None) is real:
+            monkeypatch.setattr(module, "dsbmv", counted)
+    for sys_, state, cfg, kwargs in block_edge_runs(41):
+        calls.clear()
+        out = simulate(state, sys_, cfg, **kwargs)
+        assert len(calls) == out.n_steps == 41
+
+
+def test_block_buffers_add_little_memory():
+    # the grid-ladder document at N = 1024, 100 steps in blocks of 4: the
+    # run peaks at about 1.05 MiB, of which the block buffers and the block
+    # pass's temporaries are about 0.35 MiB; the bound keeps them a small
+    # share of the 40 MB a command's process holds
+    cfg = load_config(os.path.join(ROOT, "configs", "control.ini"))
+    sys_ = build_system(Grid1D(N=1024, L=cfg.params.L), cfg.params, cfg.variant)
+    state = cfg.build_initial(sys_)
+    scheme = SchemeConfig(dt=0.001, T=0.1, stride=100)
+    tracemalloc.start()
+    try:
+        out = simulate(state, sys_, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_steps == 100
+    assert peak < 1.5 * 2**20, peak
+
+
 def test_large_grid_steps_without_dense_stiffness():
     # the dense K alone would be 3073^2 * 8 bytes = 75.5 MB
     p = unit_params()
@@ -358,6 +396,62 @@ def test_large_grid_steps_without_dense_stiffness():
             tracemalloc.stop()
         assert out.n_steps == 5
         assert peak < 10 * 2 ** 20, (variant, peak)
+
+
+def block_edge_runs(n_steps, stride=1):
+    """(system, state, scheme, simulate keywords) of a controlled run with
+    controls and of a stabilized run with exponential damping and delays,
+    each over ``n_steps`` steps."""
+    cfg = SchemeConfig(dt=0.02, T=0.02 * n_steps, stride=stride)
+    p, sys_c = controlled(16)
+    controls = lambda t: (math.sin(3.0 * t), 0.5 * math.cos(2.0 * t), -0.2 * t)
+    sys_s, state_s, kwargs = decay_scenario(16)
+    kwargs["damping"] = DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)
+    return [
+        (sys_c, random_smooth_state(sys_c, seed=2), cfg, {"controls": controls}),
+        (sys_s, state_s, cfg, kwargs),
+    ]
+
+
+def test_block_edges_record_every_state():
+    # the recorded series are filled one block of steps at a time; at every
+    # block edge they must equal a recomputation state by state.  Energies
+    # go through one evaluator on a stack or on one state, whose sums may
+    # round differently: over these runs (and 200-step ones) they differ by
+    # at most 4.4e-16 relative, and 4e-15 is asked.  Velocity norms differ
+    # by at most 4.0e-16, and 2e-15 is asked.  Everything else is bit for
+    # bit.
+    import sandwichbeam.timestep as timestep
+
+    block = timestep._block_steps(controlled(16)[1].ndof)
+    assert block == timestep._block_steps(stabilized(16)[1].ndof) == 32
+    for n_steps in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        for (sys_, state, cfg, kwargs), (_, _, cfg_strided, _) in zip(
+            block_edge_runs(n_steps), block_edge_runs(n_steps, stride=5)
+        ):
+            out = simulate(state, sys_, cfg, **kwargs)
+            assert out.n_steps == n_steps and len(out.states_q) == n_steps + 1
+            qs, ps = out.states_q, out.states_p
+            for n in range(n_steps + 1):
+                assert out.trace_velocities[n].tobytes() == sys_.traces(ps[n]).tobytes()
+                if out.displacement_traces is not None:
+                    assert out.displacement_traces[n].tobytes() == sys_.traces(qs[n]).tobytes()
+                energy = sys_.field_energy(qs[n], ps[n])
+                assert abs(out.field_energy[n] - energy) <= 4e-15 * energy, (n_steps, n)
+            if out.ledger is not None:
+                for n in range(n_steps):
+                    v_mid = 0.5 * (ps[n] + ps[n + 1])
+                    assert out.ledger["trace_mid"][n].tobytes() == sys_.traces(v_mid).tobytes()
+                    norms = sys_.field_weights @ (v_mid * v_mid)
+                    np.testing.assert_allclose(out.ledger["vel_norms_mid"][n], norms, rtol=2e-15)
+            # a stride that does not divide the block samples the same states
+            strided = simulate(state, sys_, cfg_strided, **kwargs)
+            slots = sorted(set(range(0, n_steps + 1, 5)) | {n_steps})
+            assert strided.sample_times.tobytes() == out.times[slots].tobytes()
+            assert strided.states_q.tobytes() == qs[slots].tobytes()
+            assert strided.states_p.tobytes() == ps[slots].tobytes()
+            for name in ("energy", "trace_velocities", "displacement_traces", "delayed_traces"):
+                assert np.asarray(getattr(strided, name)).tobytes() == np.asarray(getattr(out, name)).tobytes()
 
 
 def test_decimation_stride_honored():
