@@ -44,6 +44,7 @@ from .delayline import (
     init_history,
     hermite_stencil,
     delay_samples,
+    delay_windows,
     window_integrals,
 )
 from .timestep import (

@@ -49,11 +49,12 @@ def _fmt(x):
 
 
 def _write_csv(path, header, columns):
-    rows = len(columns[0])
+    # each column becomes Python floats once, written as _fmt writes them
+    columns = [np.asarray(col, dtype=float).tolist() for col in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(repr, row)) + "\n")
     return path
 
 

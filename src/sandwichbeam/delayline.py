@@ -6,20 +6,26 @@ read one (t, value, slope) sample record per channel, interpolated by cubic
 Hermite polynomials: the initial history on [-tau_i(0), 0], a read-only
 ``TraceHistory``, followed by the one sample per step that the integrator
 writes.  The record's times are known before the run, and so are the
-delayed arguments, which ``delay_samples`` samples on a whole time grid,
-refusing a delay longer than its declared cap.  So ``hermite_stencil``
-fixes the segment and the four Hermite weights of every lookup before the
-first step, and a step only applies them to stored values.
+delayed arguments, which ``delay_samples`` samples on a whole time grid in
+one call of the delay law, refusing a delay longer than its declared cap.
+So ``hermite_stencil`` fixes the segment and the four Hermite weights of
+every lookup before the first step, and a step only applies them to
+stored values.
 
-The window integrals are diagnostics that nothing in a step reads, so
-``window_integrals`` computes them for every window of a run in one numpy
-pass over the whole sample record, after the run; the window starts z come
-from the same stencil.  On a cubic segment the integrands have degree
-<= 7, so 4-point Gauss-Legendre integrates them exactly.
+The window integrals are diagnostics that nothing in a step reads.
+``delay_windows`` checks every window of a run against the record's times
+before the run, and returns the integrator that computes them all in one
+numpy pass over the filled record, whenever a caller asks;
+``window_integrals`` does both at once.  The window starts z come from the
+same stencil.  On a cubic segment the integrands have degree <= 7, so
+4-point Gauss-Legendre integrates them exactly.  The pass goes through
+the windows in blocks, each sized by its own widest window, and no block
+changes the order of any sum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +36,7 @@ __all__ = [
     "init_history",
     "hermite_stencil",
     "delay_samples",
+    "delay_windows",
     "window_integrals",
 ]
 
@@ -147,9 +154,11 @@ def hermite_stencil(ts, thetas, newest, extension=0.0, channel=0):
 
 
 def delay_samples(delays, channel, times):
-    """tau_i at each of ``times``, as an array; LookupBeforeHistory names the
-    first sample past the channel's declared cap."""
-    taus = np.array([delays.tau(channel, t) for t in np.asarray(times, dtype=float).tolist()])
+    """tau_i at each of ``times``, as an array, from one call of the law on
+    the whole array; LookupBeforeHistory names the first sample past the
+    channel's declared cap."""
+    times = np.asarray(times, dtype=float)
+    taus = np.asarray(delays.tau(channel, times), dtype=float)
     over = np.flatnonzero(taus > delays.cap(channel) + 1e-12)
     if over.size:
         k = over[0]
@@ -217,27 +226,52 @@ def _window_block(ts, ys, ms, e, f, ends, thetas, j, newest):
     return i0, i1
 
 
-def window_integrals(ts, ys, ms, ends, taus, extension=0.0, channel=0):
-    """(I0, I1, z) of the windows [ends - taus, ends] over one sample record, as arrays.
+def _block_starts(widths):
+    """Start of each block of windows, one pass: a block grows while its
+    windows times its widest window's segments stay within ``_BLOCK`` (it
+    always holds one window), so a few wide windows do not shrink every
+    other block."""
+    starts = [0]
+    start = widest = 0
+    for k, width in enumerate(widths.tolist()):
+        if width > widest:
+            widest = width
+        if widest * (k + 1 - start) > _BLOCK and k > start:
+            start, widest = k, width
+            starts.append(k)
+    return starts + [len(widths)]
 
-    The record is the (t, value, slope) samples of one trace, times strictly
-    increasing.  Window k reads the samples up to n, the newest one at or
-    before ends[k], plus the constant continuation of sample n, which may
-    reach at most ``extension`` past it; it must start at or after the
-    earliest sample, else LookupBeforeHistory is raised, as it is for too
-    long a tail.
 
-    I0 = int y(s)^2 ds and I1 = int (1 - (t - s)/tau) y(s)^2 ds, which are
-    tau * int z^2 drho and tau * int (1 - rho) z^2 drho for the rescaled
-    profile: the partial first segment by 4-point Gauss-Legendre on its
-    Hermite cubic, the whole segments from their integrals by the same
-    rule, and the tail in closed form, summed left to right.
-    z = y(t - tau) is the window's start value, read from the same segment.
-    The windows go through in blocks of at most about ``_BLOCK`` window
-    segments, so the pass holds O(n + _BLOCK) values for n samples and
-    windows.
+def _integrals(ts, ends, taus, thetas, newest, j, weights, tail, ys, ms):
+    """(I0, I1, z) of windows checked by ``delay_windows``, over the record's
+    values ``ys`` and slopes ``ms``."""
+    ys, ms = np.asarray(ys, dtype=float), np.asarray(ms, dtype=float)
+    e, f = _segment_integrals(ts, ys, ms)
+    i0, i1 = np.empty(len(ends)), np.empty(len(ends))
+    starts = _block_starts(newest - j)
+    for b, stop in zip(starts, starts[1:]):
+        blk = slice(b, stop)
+        i0[blk], i1[blk] = _window_block(
+            ts, ys, ms, e, f, ends[blk], thetas[blk], j[blk], newest[blk]
+        )
+    w0, w1, w2, w3 = weights.T
+    z = np.where(tail, ys[j + 1], w0 * ys[j] + w1 * ms[j] + w2 * ys[j + 1] + w3 * ms[j + 1])
+    return i0, i1 / taus, z
+
+
+def delay_windows(ts, ends, taus, extension=0.0, channel=0):
+    """Check the windows [ends - taus, ends] against a sample record with
+    times ``ts`` and return ``integrals(ys, ms)``, their (I0, I1, z) over the
+    record's values and slopes.
+
+    Window k reads the samples up to n, the newest one at or before
+    ends[k], plus the constant continuation of sample n, which may reach at
+    most ``extension`` past it; a window that starts before the earliest
+    sample, or whose tail reaches further, raises LookupBeforeHistory here.
+    So a run checks its windows before its first step, and integrates them
+    only if its caller reads them.
     """
-    ts, ys, ms = (np.asarray(a, dtype=float) for a in (ts, ys, ms))
+    ts = np.asarray(ts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     taus = np.asarray(taus, dtype=float)
     newest = np.searchsorted(ts, ends, side="right") - 1
@@ -250,15 +284,25 @@ def window_integrals(ts, ys, ms, ends, taus, extension=0.0, channel=0):
         )
     # the stencil refuses a window that starts before the earliest sample
     thetas = ends - taus
-    j, weights, tail = hermite_stencil(ts, thetas, newest, extension, channel)
-    e, f = _segment_integrals(ts, ys, ms)
-    i0, i1 = np.empty(len(ends)), np.empty(len(ends))
-    size = max(1, _BLOCK // max(1, int((newest - j).max(initial=0))))
-    for b in range(0, len(ends), size):
-        blk = slice(b, b + size)
-        i0[blk], i1[blk] = _window_block(
-            ts, ys, ms, e, f, ends[blk], thetas[blk], j[blk], newest[blk]
-        )
-    w0, w1, w2, w3 = weights.T
-    z = np.where(tail, ys[j + 1], w0 * ys[j] + w1 * ms[j] + w2 * ys[j + 1] + w3 * ms[j + 1])
-    return i0, i1 / taus, z
+    stencil = hermite_stencil(ts, thetas, newest, extension, channel)
+    return functools.partial(_integrals, ts, ends, taus, thetas, newest, *stencil)
+
+
+def window_integrals(ts, ys, ms, ends, taus, extension=0.0, channel=0):
+    """(I0, I1, z) of the windows [ends - taus, ends] over one sample record, as arrays.
+
+    The record is the (t, value, slope) samples of one trace, times strictly
+    increasing; ``delay_windows`` states which windows it serves.
+
+    I0 = int y(s)^2 ds and I1 = int (1 - (t - s)/tau) y(s)^2 ds, which are
+    tau * int z^2 drho and tau * int (1 - rho) z^2 drho for the rescaled
+    profile: the partial first segment by 4-point Gauss-Legendre on its
+    Hermite cubic, the whole segments from their integrals by the same
+    rule, and the tail in closed form, summed left to right.
+    z = y(t - tau) is the window's start value, read from the same segment.
+    The windows go through in consecutive blocks, each of at most about
+    ``_BLOCK`` window segments counted by its own widest window, so the
+    pass holds O(n + _BLOCK) values for n samples and windows, and every
+    window sums in the same order whatever the blocks.
+    """
+    return delay_windows(ts, ends, taus, extension, channel)(ys, ms)

@@ -3,13 +3,17 @@
 The model couples two longitudinal wave fields u, v (outer layers) to one
 transverse bending field w through the shear strain -u + v + alpha*w_x.
 Everything here is a plain immutable value object; all hypothesis checking
-lives in :mod:`sandwichbeam.hypotheses`.
+lives in :mod:`sandwichbeam.hypotheses`.  The time laws (``tau``, ``dtau``
+and ``a``) take a float or an array of times and return the same shape, so
+a run samples each law on its whole time grid in one numpy expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 __all__ = [
     "PhysicalParams",
@@ -31,6 +35,11 @@ def _require_finite(obj):
         value = getattr(obj, field.name)
         if not math.isfinite(value):
             raise ValueError(f"{type(obj).__name__} {field.name} must be finite, got {value!r}")
+
+
+def _constant(value, t):
+    """``value`` in the shape of ``t``: a scalar for a scalar, an array for an array."""
+    return np.full(np.shape(t), value)[()]
 
 
 @dataclass(frozen=True)
@@ -129,10 +138,10 @@ class ConstantDelay:
             raise ValueError(f"delay must be positive, got {self.value!r}")
 
     def tau(self, t):
-        return self.value
+        return _constant(self.value, t)
 
     def dtau(self, t):
-        return 0.0
+        return _constant(0.0, t)
 
     @property
     def floor(self):
@@ -167,10 +176,10 @@ class SinusoidalDelay:
         # as a failed hypothesis; the integrator refuses to run with it
 
     def tau(self, t):
-        return self.base + self.amplitude * math.sin(self.frequency * t)
+        return self.base + self.amplitude * np.sin(self.frequency * t)
 
     def dtau(self, t):
-        return self.amplitude * self.frequency * math.cos(self.frequency * t)
+        return self.amplitude * self.frequency * np.cos(self.frequency * t)
 
     @property
     def floor(self):
@@ -216,14 +225,16 @@ class DelaySpec:
 
     def check_sampled(self, horizon, n=257):
         """Assert the declared bounds hold on a sample grid of [0, horizon]."""
+        ts = horizon * np.arange(n) / (n - 1)
         for i, c in enumerate(self.channels):
-            for j in range(n):
-                t = horizon * j / (n - 1)
-                tau = c.tau(t)
-                if not (c.floor - 1e-12 <= tau <= c.cap + 1e-12):
-                    raise AssertionError(f"channel {i+1}: tau({t}) = {tau} outside bounds")
-                if not c.dtau(t) <= c.slope_bound + 1e-12:
-                    raise AssertionError(f"channel {i+1}: dtau({t}) above declared bound")
+            taus = c.tau(ts)
+            tau_ok = (c.floor - 1e-12 <= taus) & (taus <= c.cap + 1e-12)
+            bad = np.flatnonzero(~(tau_ok & (c.dtau(ts) <= c.slope_bound + 1e-12)))
+            if bad.size:
+                k = bad[0]
+                if not tau_ok[k]:
+                    raise AssertionError(f"channel {i+1}: tau({ts[k]}) = {taus[k]} outside bounds")
+                raise AssertionError(f"channel {i+1}: dtau({ts[k]}) above declared bound")
 
     @classmethod
     def constant(cls, tau1, tau2=None, tau3=None):
@@ -244,7 +255,7 @@ class ConstantDamping:
             raise ValueError("damping weight must be positive")
 
     def a(self, t):
-        return self.value
+        return _constant(self.value, t)
 
     @property
     def floor(self):
@@ -269,7 +280,7 @@ class ExponentialDamping:
             raise ValueError("decay rate must be nonnegative")
 
     def a(self, t):
-        return self.floor_value + (self.initial - self.floor_value) * math.exp(-self.rate * t)
+        return self.floor_value + (self.initial - self.floor_value) * np.exp(-self.rate * t)
 
     @property
     def floor(self):

@@ -17,21 +17,26 @@ step is one symmetric positive definite solve.
 
 Every time law (damping weights, delays and their slopes, callable
 controls) is sampled and checked once, on the midpoint grid t_n + dt/2,
-before the first step.  So is every delay line: each delayed channel's
-sample record is its initial history followed by one slot per step
-midpoint, a time grid fixed before the run, and the segment and Hermite
-weights of every step's lookup are computed then too.  A step applies
-its stencil to the stored samples and writes its midpoint trace sample
-into the record; the caller's histories are never changed.  Nothing in a
-step reads the delay-window integrals, so the delay energy, the Lyapunov
-tilts and the delayed traces z_i at the record times are computed after
-the loop, in one ``window_integrals`` pass per delayed channel over its
-record.
+before the first step: the laws take arrays, so each channel's law is
+one call on the whole grid.  So is every delay line: each delayed
+channel's sample record is its initial history followed by one slot per
+step midpoint, a time grid fixed before the run, and the segment and
+Hermite weights of every step's lookup are computed then too, as are
+the delay windows at the record times, which ``delay_windows`` checks.
+A step applies its stencil to the stored samples, Python floats in
+lists, and writes its midpoint trace sample into the record; the
+caller's histories are never changed.  Nothing in a step reads the
+delay-window integrals, so the delay energy, the Lyapunov tilts and the
+delayed traces z_i at the record times are computed from the filled
+records, one window pass per delayed channel, when ``SimOutput`` is
+first asked for ``energy``, ``delay_tilts`` or ``delayed_traces``; a
+caller that reads only the states never runs it.
 
 The step loop does only what the next step reads: the delayed lookups
 or the control force, the step itself, the finiteness check of the new
-state and the delayed channels' midpoint samples.  Each step writes its
-state into a buffer that holds one block of steps, and the recorded
+state and the delayed channels' midpoint samples.  The stepper works in
+preallocated buffers and writes each new state straight into a buffer
+that holds one block of steps, and the recorded
 series are filled once per block from the whole block: the field
 energies (one ``SemiDiscreteSystem.field_energy`` call on the stack of
 states), the boundary traces, the ledger's midpoint velocity norms and
@@ -55,11 +60,12 @@ about 0.3 s of every command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
-from .delayline import delay_samples, hermite_stencil, window_integrals
+from .delayline import delay_samples, delay_windows, hermite_stencil
 from .discretize import KD, VARIANT_STABILIZED, DiscreteState
 from .lapack import dpbtrf, dpbtrs, dsbmv
 from .params import GainConfig
@@ -105,22 +111,56 @@ class SchemeConfig:
 
 @dataclass
 class SimOutput:
-    """Trajectory record: per-step series, decimated states, dissipation ledger."""
+    """Trajectory record: per-step series, decimated states, dissipation ledger.
+
+    ``energy``, ``delay_tilts`` and ``delayed_traces`` are computed on first
+    read, by the window pass that ``windows`` holds, so a caller that reads
+    only the states never pays for it.
+    """
 
     variant: str
     dt: float
     times: np.ndarray
-    energy: np.ndarray
     trace_velocities: np.ndarray
     field_energy: np.ndarray = None
     displacement_traces: np.ndarray = None
-    delayed_traces: np.ndarray = None
     sample_times: np.ndarray = None
     states_q: np.ndarray = None
     states_p: np.ndarray = None
-    # per step and channel: int (1 - (t - s)/tau) y(s)^2 ds over the delay window
-    delay_tilts: np.ndarray = None
     ledger: dict = None
+    # (channel, |beta_i|/2, integrals) per delayed channel, where integrals()
+    # gives the channel's (I0, I1, z) at the record times; None for a
+    # controlled run
+    windows: tuple = field(default=None, repr=False)
+
+    @cached_property
+    def _delay_series(self):
+        """(delay energy, tilts, delayed traces) at the record times."""
+        n_rec = len(self.times)
+        delay_energy = np.zeros(n_rec)
+        tilts = np.zeros((n_rec, 3))
+        z_series = np.zeros((n_rec, 3))
+        for i, weight, integrals in self.windows:
+            i0, tilts[:, i], z_series[:, i] = integrals()
+            delay_energy += weight * i0
+        return delay_energy, tilts, z_series
+
+    @cached_property
+    def energy(self):
+        """The field energy, plus the delay-line energy of a delayed run."""
+        if not self.windows:
+            return self.field_energy
+        return self.field_energy + self._delay_series[0]
+
+    @cached_property
+    def delay_tilts(self):
+        """Per step and channel: int (1 - (t - s)/tau) y(s)^2 ds over the delay window."""
+        return None if self.windows is None else self._delay_series[1]
+
+    @cached_property
+    def delayed_traces(self):
+        """Per step and channel: the delayed trace z_i = y_i(t - tau_i(t))."""
+        return None if self.windows is None else self._delay_series[2]
 
     @property
     def n_steps(self):
@@ -195,6 +235,10 @@ class _Stepper:
         self._factor = np.empty_like(self._scaled_band)
         self._a_values = None
         self._table = {}
+        # the step's work buffers: the right-hand side, then the acceleration
+        # (dpbtrs solves in place), and the stiffness argument
+        self._rhs = np.empty(sys_.ndof)
+        self._x = np.empty(sys_.ndof)
 
     def tabulate(self, rows):
         """Tabulate the damping and effective diagonals of ``rows``, the
@@ -224,24 +268,33 @@ class _Stepper:
         self.cdiag = cdiag
         self._a_values = a_values
 
-    def advance(self, q0, v0, a_values, force_mid):
+    def advance(self, q0, v0, a_values, force_mid, q1, v1):
         """One midpoint step under the damping weights ``a_values``, which
         the last ``tabulate`` holds if they differ from the previous step's;
-        returns (q1, v1)."""
+        writes the new state into ``q1`` and ``v1``."""
         dt = self.dt
         if a_values != self._a_values:
             self._refactor(a_values)
-        rhs = force_mid - self.cdiag * v0
-        x = q0 + 0.5 * dt * v0
+        rhs, x = self._rhs, self._x
+        # force_mid - cdiag * v0
+        np.multiply(self.cdiag, v0, out=rhs)
+        np.subtract(force_mid, rhs, out=rhs)
+        # q0 + 0.5 * dt * v0
+        np.multiply(0.5 * dt, v0, out=x)
+        np.add(q0, x, out=x)
         rhs = dsbmv(KD, -1.0, self.sys.band, x, beta=1.0, y=rhs, lower=1, overwrite_y=1)
         # finiteness: the factor is checked when tabulated, the controls when
         # sampled and the state after every step
         a, info = dpbtrs(self._factor, rhs, lower=1, overwrite_b=1)
         if info != 0:  # pragma: no cover - only for invalid arguments
             raise IntegrationError(f"linear solve failed (dpbtrs info {info})")
-        v1 = v0 + dt * a
-        q1 = q0 + dt * v0 + 0.5 * dt * dt * a
-        return q1, v1
+        # v0 + dt * a, then q0 + dt * v0 + 0.5 * dt * dt * a
+        np.multiply(dt, a, out=v1)
+        np.add(v0, v1, out=v1)
+        np.multiply(dt, v0, out=q1)
+        np.add(q0, q1, out=q1)
+        np.multiply(0.5 * dt * dt, a, out=x)
+        np.add(q1, x, out=q1)
 
 
 def _block_steps(ndof):
@@ -255,20 +308,26 @@ def _block_steps(ndof):
 
 
 def _sample_laws(law, t_mid):
-    """law(i, t) of the three channels at every midpoint, as an (n_steps, 3) array."""
-    return np.array([[law(i, t) for i in range(3)] for t in t_mid.tolist()]).reshape(-1, 3)
+    """law(i, t) of the three channels at every midpoint, as an (n_steps, 3)
+    array: one call of the law per channel on the whole grid."""
+    return np.column_stack([law(i, t_mid) for i in range(3)])
 
 
-def _delay_lines(histories, delays, betas, t_mid, extension):
+def _delay_lines(histories, delays, betas, t_mid, times, extension):
     """The delay line of each delayed channel, on a time grid fixed before
-    the run: (channel, first, times, values, slopes, j, weights, tail).
+    the run: (channel, first, values, slopes, gaps, j, weights, tail,
+    windows).
 
     The sample record is the channel's initial history, then one slot per
-    step midpoint from index ``first`` on, which the loop fills.  Step n
-    looks up theta = t - tau(t) at its midpoint in the samples up to the
-    previous step's, and (j, weights, tail) is the ``hermite_stencil`` of
-    every step's lookup.  A delay past its cap, a decreasing theta or a
-    lookup outside the record is refused here.
+    step midpoint from index ``first`` on, which the loop fills; the values
+    and slopes are Python lists, and gaps[n] is the time from the sample
+    before slot first + n to it.  Step n looks up theta = t - tau(t) at
+    its midpoint in the samples up to the previous step's, and
+    (j, weights, tail) is the ``hermite_stencil`` of every step's lookup.
+    ``windows`` integrates the delay windows at the record ``times`` over
+    the filled record (``delay_windows``).  A delay past its cap, a
+    decreasing theta, or a lookup or window outside the record is refused
+    here, before the first step.
     """
     n_steps = len(t_mid)
     lines = []
@@ -283,26 +342,13 @@ def _delay_lines(histories, delays, betas, t_mid, extension):
         hist = histories[i]
         first = len(hist.times)
         ts = np.concatenate([hist.times, t_mid])
-        ys = np.concatenate([hist.values, np.zeros(n_steps)])
-        ms = np.concatenate([hist.slopes, np.zeros(n_steps)])
+        ys = hist.values.tolist() + [0.0] * n_steps
+        ms = hist.slopes.tolist() + [0.0] * n_steps
         newest = first - 1 + np.arange(n_steps)
-        lines.append((i, first, ts, ys, ms) + hermite_stencil(ts, theta, newest, extension, i))
+        stencil = hermite_stencil(ts, theta, newest, extension, i)
+        windows = delay_windows(ts, times, delay_samples(delays, i, times), extension, i)
+        lines.append((i, first, ys, ms, np.diff(ts[first - 1 :])) + stencil + (windows,))
     return lines
-
-
-def _delay_windows(lines, times, delays, betas, extension):
-    """Delay energy, tilts and delayed traces at the record times, from one
-    ``window_integrals`` pass per delay line over its sample record; a delay
-    past its declared cap raises LookupBeforeHistory."""
-    n_rec = len(times)
-    delay_energy = np.zeros(n_rec)
-    tilts = np.zeros((n_rec, 3))
-    z_series = np.zeros((n_rec, 3))
-    for i, _, ts, ys, ms, *_ in lines:
-        taus = delay_samples(delays, i, times)
-        i0, tilts[:, i], z_series[:, i] = window_integrals(ts, ys, ms, times, taus, extension, i)
-        delay_energy += 0.5 * abs(betas[i]) * i0
-    return delay_energy, tilts, z_series
 
 
 def _check_finite(q, v, step):
@@ -382,7 +428,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     if delayed:
         # the newest midpoint sample trails the step end by dt/2
         extension = 0.5 * dt * (1.0 + 1e-9)
-        lines = _delay_lines(histories, delays, betas, t_mid, extension)
+        lines = _delay_lines(histories, delays, betas, t_mid, times, extension)
     channel_force = None
     if controls is not None and n_steps:
         channel_force = _control_midpoints(controls, t_mid) * sys_.params.trace_masses
@@ -394,10 +440,8 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     slots = _sample_slots(n_steps, cfg.stride)
     states_q = np.empty((len(slots), sys_.ndof))
     states_p = np.empty((len(slots), sys_.ndof))
-    tr_disp = z_series = tilts = ledger = None
+    tr_disp = ledger = None
     if stabilized:
-        z_series = np.zeros((n_steps + 1, 3))
-        tilts = np.zeros((n_steps + 1, 3))
         ledger = {
             "t_mid": t_mid,
             "a_mid": a_mid,
@@ -410,10 +454,12 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
         tr_disp = np.empty((n_steps + 1, 3))
 
     # the states of one block of steps: row 0 holds the state the block
-    # starts from, row r the state after its r-th step
+    # starts from, row r the state after its r-th step, which the stepper
+    # writes in place
     block = max(1, min(n_steps, _block_steps(sys_.ndof)))
     q_block = np.empty((block + 1, sys_.ndof))
     v_block = np.empty((block + 1, sys_.ndof))
+    q_rows, v_rows = list(q_block), list(v_block)
 
     def record(base, first, last):
         """Fill the series at the block's states base + first .. base + last
@@ -435,14 +481,13 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             states_q[lo:hi] = q_block[slots[lo:hi] - base]
             states_p[lo:hi] = v_block[slots[lo:hi] - base]
 
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.p, dtype=float)
-    q_block[0] = q
-    v_block[0] = v
+    q_block[0] = initial.q
+    v_block[0] = initial.p
     record(0, 0, 0)
     channels = sys_.channel_index
     force = np.zeros(sys_.ndof)
-    z_mid = ledger["z_mid"] if stabilized else None
+    # each delayed channel's lookups z_i at the block's step midpoints
+    z_lists = [[0.0] * block for _ in lines]
     # the steps whose damping weights differ from the previous step's
     changes = np.ones(n_steps, dtype=bool)
     changes[1:] = np.any(a_mid[1:] != a_mid[:-1], axis=1)
@@ -456,32 +501,31 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
         # each delayed channel's stencils for the block, as Python lists:
         # numpy scalars would cost more than the arithmetic
         stencils = [
-            (i, first, ts, ys, ms, js[base:stop].tolist(), tails[base:stop].tolist(),
-             weights[base:stop].tolist(), channels.item(i), sys_.channel_coeff.item(i),
-             feedback_weights.item(i))
-            for i, first, ts, ys, ms, js, weights, tails in lines
+            (first + base, ys, ms, gaps[base:stop].tolist(), js[base:stop].tolist(),
+             tails[base:stop].tolist(), weights[base:stop].tolist(), zs, channels.item(i),
+             sys_.channel_coeff.item(i), feedback_weights.item(i))
+            for (i, first, ys, ms, gaps, js, weights, tails, _), zs in zip(lines, z_lists)
         ]
         for n in range(base, stop):
             j = n - base
             if channel_force is not None:
                 force[channels] = channel_force[n]
-            for i, _, _, ys, ms, js, tails, weights, c, coeff, fw in stencils:
+            for _, ys, ms, _, js, tails, weights, zs, c, coeff, fw in stencils:
                 k = js[j]
                 if tails[j]:
-                    z = ys.item(k + 1)
+                    z = ys[k + 1]
                 else:
                     w0, w1, w2, w3 = weights[j]
-                    z = w0 * ys.item(k) + w1 * ms.item(k) + w2 * ys.item(k + 1) + w3 * ms.item(k + 1)
-                z_mid[n, i] = z
+                    z = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
+                zs[j] = z
                 # the delayed feedback -c_i * beta_i * z_i * coeff_i, as
                 # 0.0 - x so that a zero feedback is +0.0
                 force[c] = 0.0 - fw * z * coeff
-            q1, v1 = stepper.advance(q, v, a_rows[j], force)
+            v, q1, v1 = v_rows[j], q_rows[j + 1], v_rows[j + 1]
+            stepper.advance(q_rows[j], v, a_rows[j], force, q1, v1)
             _check_finite(q1, v1, n + 1)
-            q_block[j + 1] = q1
-            v_block[j + 1] = v1
-            for i, first, ts, ys, ms, _, _, _, c, coeff, _ in stencils:
-                k = first + n
+            for slot, ys, ms, gaps, _, _, _, _, c, coeff, _ in stencils:
+                k = slot + j
                 y = coeff * (0.5 * (v.item(c) + v1.item(c)))
                 ys[k] = y
                 # Midpoint samples keep the delayed feedback loop stable: the
@@ -491,30 +535,32 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
                 # of the recorded values themselves (the raw accelerations
                 # carry the unfiltered ringing and would reopen the loop
                 # through the Hermite terms).
-                ms[k] = (y - ys.item(k - 1)) / (ts.item(k) - ts.item(k - 1))
-            q, v = q1, v1
+                ms[k] = (y - ys[k - 1]) / gaps[j]
+        for (i, *_), zs in zip(lines, z_lists):
+            ledger["z_mid"][base:stop, i] = zs[: stop - base]
         record(base, 1, stop - base)
-        q_block[0] = q
-        v_block[0] = v
+        q_block[0] = q_block[stop - base]
+        v_block[0] = v_block[stop - base]
 
-    # the delay-line energy is the only part of E beyond the field energy
-    energy = field_energy
-    if delayed:
-        delay_energy, tilts, z_series = _delay_windows(lines, times, delays, betas, extension)
-        energy = field_energy + delay_energy
+    # the window pass over each filled record, deferred until a caller
+    # reads a delay-line series
+    windows = None
+    if stabilized:
+        windows = tuple(
+            (i, 0.5 * abs(betas[i]), partial(integrals, np.array(ys), np.array(ms)))
+            for i, _, ys, ms, *_, integrals in lines
+        )
 
     return SimOutput(
         variant=sys_.variant,
         dt=dt,
         times=times,
-        energy=energy,
         field_energy=field_energy,
         trace_velocities=tr_vel,
         displacement_traces=tr_disp,
-        delayed_traces=z_series,
         sample_times=times[slots],
         states_q=states_q,
         states_p=states_p,
-        delay_tilts=tilts,
         ledger=ledger,
+        windows=windows,
     )

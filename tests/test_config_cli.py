@@ -273,6 +273,23 @@ def test_decay_report_cli(tmp_path):
     assert series[0] == "t,E,L,bound,residual"
 
 
+def test_convergence_on_a_delayed_document_skips_the_window_pass(tmp_path, monkeypatch):
+    # convergence reads only final states, so its delayed runs never
+    # integrate their delay windows; decay-report on the same document does
+    import sandwichbeam.delayline as delayline
+
+    passes = []
+    integrals = delayline._integrals
+    monkeypatch.setattr(delayline, "_integrals", lambda *a: passes.append(1) or integrals(*a))
+    doc = STABILIZED_DOC + "\n[convergence]\nmode = temporal\ndts = 0.02,0.01\nreference_divide = 2\nt = 0.5\nn = 16\n"
+    path = write_doc(tmp_path, doc)
+    assert main(["convergence", "--config", path, "--quiet"]) == 0
+    assert len((tmp_path / "out" / "convergence.csv").read_text().splitlines()) == 3
+    assert passes == []
+    assert main(["decay-report", "--config", path, "--quiet"]) == 0
+    assert len(passes) == 3
+
+
 def test_decay_report_infeasible_exit(tmp_path):
     doc = STABILIZED_DOC.replace("alpha1 = 1.0", "alpha1 = 0.0")
     path = write_doc(tmp_path, doc)

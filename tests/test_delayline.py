@@ -111,7 +111,7 @@ def test_monotone_theta_assertion():
         cap = 0.15
 
         def tau(self, t):
-            return self.value + (0.05 if t > 0.5 else 0.0)
+            return self.value + np.where(t > 0.5, 0.05, 0.0)
 
     sys_, state, kwargs = decay_scenario(16, DelaySpec((Jumping(0.1),) * 3))
     copies = history_copies(kwargs["histories"])
@@ -354,6 +354,52 @@ def test_window_pass_matches_the_window_of_every_step(seed, n_initial, n_push, b
         got = window_integrals(ts, ys, ms, ends, taus, extension)
     for g, ref in zip(got, np.array(windows).T):
         assert np.all(np.abs(g - ref) <= 1e-15 * np.abs(ref)), np.max(np.abs(g - ref))
+
+
+@pytest.mark.parametrize("block", [1, delayline._BLOCK, 2**20])
+def test_window_blocks_leave_every_window_bitwise_unchanged(block):
+    # a run's record: a 64-sample initial history on [-tau(0), 0], then one
+    # sample per step midpoint; the window at t = 0 spans the whole history,
+    # far wider than the later ones, and whatever the blocks each window
+    # sums in the same order
+    delays = DelaySpec((SinusoidalDelay(0.1, 0.05, 10.0),) * 3)
+    h = init_history(lambda s: math.sin(7.0 * s + 0.3), delays.tau(0, 0.0))
+    dt = 0.005
+    times = dt * np.arange(401)
+    t_mid = times[:-1] + 0.5 * dt
+    rng = np.random.default_rng(3)
+    record = extend(h, t_mid, rng.standard_normal(400), rng.standard_normal(400))
+    taus = delay_samples(delays, 0, times)
+    extension = 0.5 * dt * (1.0 + 1e-9)
+    assert window_integrals(*record, [0.0], taus[:1], extension)[0][0] > 0.0
+    reference = window_integrals(*record, times, taus, extension)
+    # the first window reads every history segment
+    newest = np.searchsorted(record[0], times, side="right") - 1
+    j = hermite_stencil(record[0], times - taus, newest, extension)[0]
+    assert j[0] == 0 and newest[0] == len(h.times) - 1
+    with mock.patch.object(delayline, "_BLOCK", block):
+        got = window_integrals(*record, times, taus, extension)
+        blocks = len(delayline._block_starts(newest - j)) - 1
+    for g, ref in zip(got, reference):
+        assert g.tobytes() == ref.tobytes()
+    # one window per block, one block, or several blocks in between
+    if block == 1:
+        assert blocks == len(times)
+    elif block == 2**20:
+        assert blocks == 1
+    else:
+        assert 1 < blocks < len(times)
+
+
+def test_window_blocks_are_sized_by_their_own_widest_window():
+    # one wide window no longer shrinks the blocks of the narrow ones
+    widths = np.array([63] + [6] * 500)
+    with mock.patch.object(delayline, "_BLOCK", 4096):
+        starts = delayline._block_starts(widths)
+    assert starts[:2] == [0, 65]
+    sizes = np.diff(starts)
+    assert all(widths[a:b].max() * (b - a) <= 4096 for a, b in zip(starts, starts[1:]))
+    assert len(sizes) == 2 and sizes[1] == 501 - 65
 
 
 def test_window_pass_refuses_what_the_history_could_not_serve():

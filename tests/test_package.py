@@ -7,6 +7,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +141,10 @@ def test_only_lapack_names_scipy(pattern, texts):
         if any(re.search(pattern, text) for text in texts(importlib.import_module(name)))
     ]
     assert naming == [f"{sandwichbeam.__name__}.lapack"]
+
+
+def test_declared_numpy_floor_has_what_the_package_calls():
+    # the package calls np.vecdot and np.trapezoid, which numpy 1.x lacks
+    pyproject = Path(sandwichbeam.__file__).parents[2] / "pyproject.toml"
+    floor = re.search(r'"numpy>=([0-9.]+)"', pyproject.read_text()).group(1)
+    assert tuple(int(part) for part in floor.split(".")) >= (2, 0), floor

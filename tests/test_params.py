@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sandwichbeam.params import (
@@ -67,6 +68,43 @@ def test_delay_spec_sampled_bounds():
     spec = DelaySpec((SinusoidalDelay(0.5, 0.25, 2.0), ConstantDelay(0.3), ConstantDelay(0.2)))
     spec.check_sampled(10.0)
     assert spec.min_floor == pytest.approx(0.2)
+    # the channel specs pass an array of times through
+    times = np.linspace(0.0, 1.0, 7)
+    assert spec.tau(1, times).shape == spec.dtau(0, times).shape == times.shape
+    assert DampingSpec.constant(1.0).a(2, times).shape == times.shape
+
+
+LAWS = {
+    "constant tau": (ConstantDelay(0.4).tau, lambda t: 0.4),
+    "constant dtau": (ConstantDelay(0.4).dtau, lambda t: 0.0),
+    "sinusoidal tau": (SinusoidalDelay(0.1, 0.05, 10.0).tau, lambda t: 0.1 + 0.05 * math.sin(10.0 * t)),
+    "sinusoidal dtau": (
+        SinusoidalDelay(0.1, 0.05, 10.0).dtau,
+        lambda t: 0.05 * 10.0 * math.cos(10.0 * t),
+    ),
+    "constant a": (ConstantDamping(1.5).a, lambda t: 1.5),
+    "exponential a": (
+        ExponentialDamping(0.5, 1.5, 2.0).a,
+        lambda t: 0.5 + (1.5 - 0.5) * math.exp(-2.0 * t),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_time_laws_take_arrays(name):
+    # a law on an array of times gives the array of its values on each time,
+    # within 1 ulp, and the closed form in math's functions within 1 ulp
+    law, closed_form = LAWS[name]
+    dt = 0.02
+    times = dt * np.arange(501)
+    for grid in (times, times[:-1] + 0.5 * dt, times[:40].reshape(8, 5)):
+        values = law(grid)
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape
+        scalars = [law(t) for t in grid.ravel().tolist()]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        np.testing.assert_array_max_ulp(values.ravel(), np.array(scalars), maxulp=1)
+        reference = np.array([closed_form(t) for t in grid.ravel().tolist()])
+        np.testing.assert_array_max_ulp(values.ravel(), reference, maxulp=1)
 
 
 def test_damping_laws():

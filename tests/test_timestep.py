@@ -293,13 +293,11 @@ def test_injected_nan_reported_at_its_step(monkeypatch):
     advance = timestep._Stepper.advance
     calls = []
 
-    def poisoned(self, q0, v0, a_values, force_mid):
-        q1, v1 = advance(self, q0, v0, a_values, force_mid)
+    def poisoned(self, q0, v0, a_values, force_mid, q1, v1):
+        advance(self, q0, v0, a_values, force_mid, q1, v1)
         calls.append(1)
         if len(calls) == 4:
-            v1 = v1.copy()
             v1[3] = np.nan
-        return q1, v1
 
     monkeypatch.setattr(timestep._Stepper, "advance", poisoned)
     p, sys_ = controlled(16)
@@ -574,7 +572,7 @@ def test_nonfinite_effective_matrix_detected():
     class TurnsNan:
         # finite damping weights for two steps, then NaN
         def a(self, i, t):
-            return 1.0 if t < 0.05 else math.nan
+            return np.where(t < 0.05, 1.0, math.nan)
 
     with pytest.raises(IntegrationError, match="non-finite effective matrix"):
         simulate(st, sys_, cfg, damping=TurnsNan())
@@ -585,17 +583,26 @@ def test_nonfinite_effective_matrix_detected():
 
 
 def test_delay_windows_computed_once_per_delayed_channel(monkeypatch):
+    # simulate checks every channel's windows and defers their integrals to
+    # the first read of a delay-line series, which runs one pass per channel
+    import sandwichbeam.delayline as delayline
     import sandwichbeam.timestep as timestep
 
-    channels = []
-    real = timestep.window_integrals
+    channels, passes = [], []
+    checks, integrals = timestep.delay_windows, delayline._integrals
     monkeypatch.setattr(
-        timestep, "window_integrals", lambda *a, **kw: channels.append(a[-1]) or real(*a, **kw)
+        timestep, "delay_windows", lambda *a: channels.append(a[-1]) or checks(*a)
     )
+    monkeypatch.setattr(delayline, "_integrals", lambda *a: passes.append(1) or integrals(*a))
     sys_, state, kwargs = decay_scenario(16)
     out = simulate(state, sys_, SchemeConfig(dt=0.02, T=1.0), **kwargs)
     assert out.n_steps == 50
     assert sorted(channels) == [0, 1, 2]
+    out.final_state()
+    assert passes == []
+    for name in ("delayed_traces", "energy", "delay_tilts", "energy"):
+        getattr(out, name)
+    assert len(passes) == 3
 
 
 def test_delay_beyond_declared_cap_raises():
@@ -625,26 +632,44 @@ def test_simulate_twice_on_the_same_histories():
     runs = [simulate(state, sys_, cfg, **kwargs) for _ in range(2)]
     assert_histories_unchanged(kwargs["histories"], copies)
     assert state.q.tobytes() == q0.tobytes() and state.p.tobytes() == p0.tobytes()
-    for field in dataclasses.fields(SimOutput):
-        first, second = (getattr(out, field.name) for out in runs)
-        if field.name == "ledger":
+    # the deferred series are compared in place of the window pass itself
+    names = [f.name for f in dataclasses.fields(SimOutput) if f.name != "windows"]
+    for name in names + ["energy", "delay_tilts", "delayed_traces"]:
+        first, second = (getattr(out, name) for out in runs)
+        if name == "ledger":
             assert first.keys() == second.keys()
             pairs = [(first[key], second[key]) for key in first]
         else:
             pairs = [(first, second)]
         for a, b in pairs:
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
-def test_window_pass_refuses_a_delay_past_its_cap():
+def test_window_pass_refuses_a_delay_past_its_cap(monkeypatch):
     # tau(t) overshoots its cap only at the final record time, after the
-    # last lookup, so the window pass is the one to refuse it
+    # last lookup, so the window check is the one to refuse it: inside
+    # simulate and before the first step, though the integrals are deferred
+    import sandwichbeam.timestep as timestep
+
+    def must_not_step(*args):
+        raise AssertionError("stepped past a refused window")
+
+    monkeypatch.setattr(timestep._Stepper, "advance", must_not_step)
+
     class LateOvershoot(ConstantDelay):
         def tau(self, t):
-            return self.value + (0.05 if t > 1.995 else 0.0)
+            return self.value + np.where(t > 1.995, 0.05, 0.0)
 
     sys_, state, kwargs = decay_scenario(16, DelaySpec((LateOvershoot(0.1),) * 3))
     with pytest.raises(LookupBeforeHistory, match="exceeds its declared cap"):
+        simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
+    # a history that serves every lookup but not the window at t = 0, which
+    # starts at -tau(0), before its earliest sample
+    sys_, state, kwargs = decay_scenario(16, DelaySpec.constant(0.1))
+    kwargs["histories"] = tuple(
+        TraceHistory(h.times[1:], h.values[1:], h.slopes[1:]) for h in kwargs["histories"]
+    )
+    with pytest.raises(LookupBeforeHistory, match="channel 0: lookup at t=-0.1 before earliest"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
 
 
@@ -655,6 +680,7 @@ def test_delay_window_pass_memory_is_bounded():
     tracemalloc.start()
     try:
         out = simulate(state, sys_, SchemeConfig(dt=0.001, T=4.0, stride=10), **kwargs)
+        out.energy
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -664,8 +690,9 @@ def test_delay_window_pass_memory_is_bounded():
 
 def test_time_laws_sampled_once_on_the_midpoint_grid(monkeypatch):
     # recording laws and a counting stepper: every law call lands before the
-    # first step or after the last, and the midpoints a law receives are
-    # out.times[:-1] + dt/2 bit for bit
+    # first step, and each takes a whole grid: the midpoints
+    # out.times[:-1] + dt/2 bit for bit, and for tau also the record times
+    # of the window check
     import sandwichbeam.timestep as timestep
 
     events = []
@@ -700,22 +727,26 @@ def test_time_laws_sampled_once_on_the_midpoint_grid(monkeypatch):
         assert len(steps) == out.n_steps
         assert all(name == "advance" for name, _ in events[steps[0] : steps[-1] + 1])
         t_mid = out.times[:-1] + 0.5 * out.dt
-        for law in laws:
-            received = np.array([t for name, t in events[: steps[0]] if name == law])
-            assert received.size, law
-            np.testing.assert_array_equal(np.unique(received), t_mid)
+        for law, grids in laws.items():
+            received = [np.atleast_1d(t) for name, t in events[: steps[0]] if name == law]
+            expected = [t_mid if grid is None else grid for grid in grids]
+            assert np.concatenate(received).tobytes() == np.concatenate(expected).tobytes(), law
         return events[steps[-1] + 1 :]
 
     sys_, state, kwargs = decay_scenario(16, DelaySpec((RecordedDelay(0.1, 0.05, 10.0),) * 3))
     kwargs["damping"] = DampingSpec((RecordedDamping(0.5, 1.5, 2.0),) * 3)
     events.clear()
     out = simulate(state, sys_, SchemeConfig(dt=0.01, T=1.0), **kwargs)
-    after = check(out, ("tau", "dtau", "a"))
-    # after the loop, the window pass reads tau at the record times only
-    assert {name for name, _ in after} == {"tau"}
-    np.testing.assert_array_equal(np.unique([t for _, t in after]), out.times)
+    # one call per channel and grid (None: the midpoints); tau also on the
+    # record times
+    laws = {"tau": [None, out.times] * 3, "dtau": [None] * 3, "a": [None] * 3}
+    assert check(out, laws) == []
+    # the deferred window pass samples no law
+    out.energy
+    assert events[-1][0] == "advance"
 
     p, sysc = controlled(16)
     events.clear()
     out = simulate(random_smooth_state(sysc, seed=2), sysc, SchemeConfig(dt=0.01, T=1.0), controls=control)
-    assert check(out, ("control",)) == []
+    # a callable control is called at each midpoint in turn
+    assert check(out, {"control": [None]}) == []
