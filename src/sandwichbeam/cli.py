@@ -5,7 +5,8 @@ convergence.  Exit codes: 0 ok, 1 hypothesis or criterion failure,
 2 configuration error, 3 solver failure or a null control that misses
 its terminal tolerance.  All
 numeric output uses shortest round-trip decimals, so identical configs
-and seeds produce byte-identical files within one numpy/BLAS build.
+and seeds produce byte-identical files within one numpy/BLAS build and
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .discretize import (
 )
 from .hypotheses import HypothesisCheck, InfeasibleRates, decay_bound, select_mus, validate_gains
 from .hum import compute_null_control, observability
-from .lapack import SCIPY_VERSION
+from .lapack import BLAS_CONFIG
 from .timestep import IntegrationError, SchemeConfig, simulate
 
 EXIT_OK = 0
@@ -83,7 +84,7 @@ def _manifest(cfg, extra):
         "versions": {
             "sandwichbeam": __version__,
             "numpy": np.__version__,
-            "scipy": SCIPY_VERSION,
+            "blas": BLAS_CONFIG,
         },
     }
     payload.update(extra)

@@ -111,7 +111,8 @@ class SemiDiscreteSystem:
     Lyapunov cross term, and M is built from it: the mass coefficients
     times W, plus the boundary inertia of the controlled variant.  M is
     stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
-    lower band of K in LAPACK storage: ``band[d, i] = K[i + d, i]``.  ``K``
+    lower band of K in LAPACK storage, in Fortran order:
+    ``band[d, i] = K[i + d, i]``.  ``K``
     is the dense view, built from the band on first use for ``modes``,
     the only reader; time stepping never builds it.
 

@@ -50,11 +50,10 @@ M + dt^2/4 K + dt/2 C is written into one Fortran-order band buffer and
 factored there by LAPACK ``dpbtrf``, each step solves with ``dpbtrs`` and
 multiplies with BLAS ``dsbmv``, so a step costs O(n) in time and memory;
 the energies never go through ``dsbmv``.
-The routines are the f2py objects of scipy's compiled BLAS and LAPACK,
-called directly because scipy's Python wrappers cost several times the
-O(n) work at the grid sizes in use.  They come from ``lapack``, which
-binds them without running the set-up of scipy's linear-algebra package,
-about 0.3 s of every command.
+The routines are numpy's own OpenBLAS, bound by ``lapack`` once per run
+to the stepper's fixed buffers (the stiffness band, the factor, the
+stiffness argument and the right-hand side), which are checked then: a
+step makes three prebuilt calls and builds no arguments.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .delayline import delay_samples, delay_windows, hermite_stencil
-from .discretize import KD, VARIANT_STABILIZED, DiscreteState
-from .lapack import dpbtrf, dpbtrs, dsbmv
+from .discretize import VARIANT_STABILIZED, DiscreteState
+from .lapack import bind_dpbtrf, bind_dpbtrs, bind_dsbmv
 from .params import GainConfig
 
 __all__ = [
@@ -239,6 +238,11 @@ class _Stepper:
         # (dpbtrs solves in place), and the stiffness argument
         self._rhs = np.empty(sys_.ndof)
         self._x = np.empty(sys_.ndof)
+        # the step's compiled calls, bound to these buffers once:
+        # rhs -= K x, the factor of the effective matrix, rhs := A^-1 rhs
+        self._product = bind_dsbmv(sys_.band, self._x, self._rhs, -1.0, 1.0)
+        self._factorize = bind_dpbtrf(self._factor)
+        self._solve = bind_dpbtrs(self._factor, self._rhs)
 
     def tabulate(self, rows):
         """Tabulate the damping and effective diagonals of ``rows``, the
@@ -261,10 +265,9 @@ class _Stepper:
         ab = self._factor
         ab[...] = self._scaled_band
         ab[0] = diag
-        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        info = self._factorize()
         if info != 0:
             raise IntegrationError(f"effective matrix factorization failed (dpbtrf info {info})")
-        self._factor = factor
         self.cdiag = cdiag
         self._a_values = a_values
 
@@ -282,12 +285,13 @@ class _Stepper:
         # q0 + 0.5 * dt * v0
         np.multiply(0.5 * dt, v0, out=x)
         np.add(q0, x, out=x)
-        rhs = dsbmv(KD, -1.0, self.sys.band, x, beta=1.0, y=rhs, lower=1, overwrite_y=1)
+        self._product()
         # finiteness: the factor is checked when tabulated, the controls when
         # sampled and the state after every step
-        a, info = dpbtrs(self._factor, rhs, lower=1, overwrite_b=1)
+        info = self._solve()
         if info != 0:  # pragma: no cover - only for invalid arguments
             raise IntegrationError(f"linear solve failed (dpbtrs info {info})")
+        a = rhs  # the acceleration, solved in place
         # v0 + dt * a, then q0 + dt * v0 + 0.5 * dt * dt * a
         np.multiply(dt, a, out=v1)
         np.add(v0, v1, out=v1)

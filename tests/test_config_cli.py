@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -153,25 +154,34 @@ def test_nonpositive_hum_and_observability_horizon_is_config_error(tmp_path, old
 
 
 def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
-    # the package binds its BLAS and LAPACK routines through sandwichbeam.lapack,
-    # so neither importing the CLI nor running the commands that solve the
-    # dense eigenproblems loads scipy itself, scipy.linalg or, through it,
-    # numpy.f2py; nothing loads scipy.sparse, scipy.io or numpy.polynomial
-    config = os.path.join(ROOT, "configs", "control.ini")
+    # the package binds its BLAS and LAPACK routines from the OpenBLAS numpy
+    # has loaded, so neither importing the CLI nor running the commands that
+    # step the beam or solve its dense eigenproblems loads any scipy module,
+    # numpy.f2py, numpy.polynomial or a second OpenBLAS
+    runs = [
+        (command, os.path.join(ROOT, "configs", name))
+        for command, name in (("hum", "control.ini"), ("observability", "control.ini"), ("decay-report", "decay.ini"))
+    ]
     code = (
         "import sys, sandwichbeam.cli\n"
-        "for command in ('hum', 'observability'):\n"
-        f"    sandwichbeam.cli.main([command, '--config', {config!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"
-        "loaded = ('scipy', 'scipy.linalg', 'numpy.f2py', 'scipy.sparse', 'scipy.io', 'numpy.polynomial')\n"
-        "print(sorted(m for m in loaded if m in sys.modules))"
+        f"for command, config in {runs!r}:\n"
+        f"    sandwichbeam.cli.main([command, '--config', config, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.polynomial')]\n"
+        "print(sorted(loaded))\n"
+        "with open('/proc/self/maps') as fh:\n"
+        "    paths = {line.split()[-1] for line in fh if len(line.split()) > 5}\n"
+        "print(sorted(p for p in paths if 'openblas' in p.rpartition('/')[2]))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
-    assert (tmp_path / "hum.json").exists() and (tmp_path / "observability.json").exists()
+    modules, libraries = result.stdout.strip().splitlines()
+    assert modules == "[]"
+    assert len(ast.literal_eval(libraries)) == 1, libraries
+    for name in ("hum.json", "observability.json", "decay_report.json"):
+        assert (tmp_path / name).exists()
 
 
 def test_unknown_section_is_config_error(tmp_path):

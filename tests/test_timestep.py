@@ -326,8 +326,13 @@ def test_factorization_reused_until_damping_weights_change(monkeypatch):
     from sandwichbeam.params import ExponentialDamping
 
     calls = []
-    real = timestep.dpbtrf
-    monkeypatch.setattr(timestep, "dpbtrf", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = timestep.bind_dpbtrf
+
+    def bind_counted(ab):
+        factor = real(ab)
+        return lambda: calls.append(1) or factor()
+
+    monkeypatch.setattr(timestep, "bind_dpbtrf", bind_counted)
     p, sys_ = stabilized(16)
     st = random_smooth_state(sys_, seed=4, prepared=True)
     cfg = SchemeConfig(dt=0.02, T=0.4)
@@ -347,11 +352,15 @@ def test_one_dsbmv_per_step_and_none_for_energies(monkeypatch):
     from sandwichbeam import lapack
 
     calls = []
-    real = lapack.dsbmv
-    counted = lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    real = lapack.bind_dsbmv
+
+    def bind_counted(*args):
+        product = real(*args)
+        return lambda: calls.append(1) or product()
+
     for name, module in list(sys.modules.items()):
-        if name.startswith("sandwichbeam") and getattr(module, "dsbmv", None) is real:
-            monkeypatch.setattr(module, "dsbmv", counted)
+        if name.startswith("sandwichbeam") and getattr(module, "bind_dsbmv", None) is real:
+            monkeypatch.setattr(module, "bind_dsbmv", bind_counted)
     for sys_, state, cfg, kwargs in block_edge_runs(41):
         calls.clear()
         out = simulate(state, sys_, cfg, **kwargs)
