@@ -13,9 +13,15 @@ layer (rho1, h1, e1, ...); when both appear they must agree.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass
+
+# CPython's builtin sha256 (``_sha2`` from 3.12, ``_sha256`` before) gives
+# hashlib's digest without loading OpenSSL's libcrypto into the process
+try:
+    from _sha2 import sha256
+except ImportError:
+    from _sha256 import sha256
 
 from .discretize import Grid1D, VARIANT_CONTROLLED, VARIANT_STABILIZED, build_system
 from .params import (
@@ -245,7 +251,7 @@ class ScenarioConfig:
 
     @property
     def config_hash(self):
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()
+        return sha256(self.raw_text.encode()).hexdigest()
 
     def build_system(self):
         return build_system(Grid1D(N=self.n, L=self.params.L), self.params, self.variant)
