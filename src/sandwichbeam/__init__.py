@@ -5,82 +5,69 @@ layer under (a) time-varying delayed boundary velocity feedback and (b)
 dynamic boundary controls, verifies the energy decay and observability
 structure at the discrete level, and synthesizes null controls from the
 assembled control Gramian.
-
-Importing the package loads none of its modules: each exported name is
-read from its module when it is read from the package (PEP 562).
 """
 
-import importlib
+from .params import (
+    PhysicalParams,
+    ConstantDelay,
+    SinusoidalDelay,
+    DelaySpec,
+    ConstantDamping,
+    ExponentialDamping,
+    DampingSpec,
+    GainConfig,
+)
+from .hypotheses import (
+    BoundaryQuadForm,
+    HypothesisReport,
+    TheoreticalRates,
+    InfeasibleRates,
+    phi_matrix,
+    is_negative_definite,
+    validate_gains,
+    select_mus,
+    decay_bound,
+)
+from .discretize import (
+    VARIANT_STABILIZED,
+    VARIANT_CONTROLLED,
+    Grid1D,
+    DofLayout,
+    SemiDiscreteSystem,
+    DiscreteState,
+    build_system,
+    hspace_norm,
+)
+from .delayline import (
+    LookupBeforeHistory,
+    TraceHistory,
+    init_history,
+    hermite_stencil,
+    delay_samples,
+    delay_windows,
+    window_integrals,
+)
+from .timestep import (
+    SchemeConfig,
+    SimOutput,
+    IntegrationError,
+    simulate,
+)
+from .decay import (
+    DecayReport,
+    check_dissipation_identity,
+    lyapunov_trace,
+    fit_decay_rate,
+    check_theoretical_bound,
+    check_trace_estimates,
+)
+from .hum import (
+    ObservationTriple,
+    HumSolution,
+    solve_adjoint,
+    gramian,
+    compute_null_control,
+    observability,
+)
 
 __version__ = "0.1.0"
-
-# module -> the names the package exports from it
-_EXPORTS = {
-    "params": (
-        "PhysicalParams",
-        "ConstantDelay",
-        "SinusoidalDelay",
-        "DelaySpec",
-        "ConstantDamping",
-        "ExponentialDamping",
-        "DampingSpec",
-        "GainConfig",
-    ),
-    "hypotheses": (
-        "BoundaryQuadForm",
-        "HypothesisReport",
-        "TheoreticalRates",
-        "InfeasibleRates",
-        "phi_matrix",
-        "is_negative_definite",
-        "validate_gains",
-        "select_mus",
-        "decay_bound",
-    ),
-    "discretize": (
-        "VARIANT_STABILIZED",
-        "VARIANT_CONTROLLED",
-        "Grid1D",
-        "DofLayout",
-        "SemiDiscreteSystem",
-        "DiscreteState",
-        "build_system",
-        "hspace_norm",
-    ),
-    "delayline": (
-        "LookupBeforeHistory",
-        "TraceHistory",
-        "init_history",
-        "hermite_stencil",
-        "delay_samples",
-        "delay_windows",
-        "window_integrals",
-    ),
-    "timestep": ("SchemeConfig", "SimOutput", "IntegrationError", "simulate"),
-    "decay": (
-        "DecayReport",
-        "check_dissipation_identity",
-        "lyapunov_trace",
-        "fit_decay_rate",
-        "check_theoretical_bound",
-        "check_trace_estimates",
-    ),
-    "hum": (
-        "ObservationTriple",
-        "HumSolution",
-        "solve_adjoint",
-        "gramian",
-        "compute_null_control",
-        "observability",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_HOME)
-
-
-def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

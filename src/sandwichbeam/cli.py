@@ -6,9 +6,7 @@ convergence.  Exit codes: 0 ok, 1 hypothesis or criterion failure,
 its terminal tolerance.  All
 numeric output uses shortest round-trip decimals, so identical configs
 and seeds produce byte-identical files within one numpy/BLAS build and
-BLAS thread count.  The modules that only some commands run (``hypotheses``,
-``decay``, ``hum``) are imported inside those commands, so a process loads
-only what its command needs.
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,6 +21,12 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
+from .decay import (
+    check_dissipation_identity,
+    check_theoretical_bound,
+    check_trace_estimates,
+    lyapunov_trace,
+)
 from .discretize import (
     VARIANT_CONTROLLED,
     VARIANT_STABILIZED,
@@ -30,6 +34,8 @@ from .discretize import (
     Grid1D,
     build_system,
 )
+from .hypotheses import HypothesisCheck, InfeasibleRates, decay_bound, select_mus, validate_gains
+from .hum import compute_null_control, observability
 from .lapack import BLAS_CONFIG
 from .timestep import IntegrationError, SchemeConfig, simulate
 
@@ -91,8 +97,6 @@ def _say(args, msg):
 
 
 def cmd_validate(cfg, args):
-    from .hypotheses import HypothesisCheck, validate_gains
-
     checks = []
     if cfg.delays is not None:
         try:
@@ -205,14 +209,6 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_decay_report(cfg, args):
-    from .decay import (
-        check_dissipation_identity,
-        check_theoretical_bound,
-        check_trace_estimates,
-        lyapunov_trace,
-    )
-    from .hypotheses import InfeasibleRates, decay_bound, select_mus
-
     if cfg.variant != VARIANT_STABILIZED:
         raise ConfigError("decay-report needs variant = stabilized_delayed")
     window = (cfg.fit_window[0] * cfg.scheme.T, cfg.fit_window[1] * cfg.scheme.T)
@@ -287,8 +283,6 @@ def cmd_decay_report(cfg, args):
 
 
 def cmd_hum(cfg, args):
-    from .hum import compute_null_control
-
     if cfg.variant != VARIANT_CONTROLLED:
         raise ConfigError("hum needs variant = controlled_conservative")
     sys_ = cfg.build_system()
@@ -337,8 +331,6 @@ def cmd_hum(cfg, args):
 
 
 def cmd_observability(cfg, args):
-    from .hum import observability
-
     if cfg.variant != VARIANT_CONTROLLED:
         raise ConfigError("observability needs variant = controlled_conservative")
     sys_ = cfg.build_system()

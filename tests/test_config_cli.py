@@ -158,22 +158,18 @@ def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
     # the package binds its BLAS and LAPACK routines from the OpenBLAS numpy
     # has loaded, so neither importing the CLI nor running the commands that
     # step the beam or solve its dense eigenproblems loads any scipy module,
-    # numpy.f2py, numpy.polynomial or a second OpenBLAS; importing the CLI
-    # loads none of the modules only some commands run, and simulate and hum
-    # load neither the decay checks nor OpenSSL (through hashlib)
+    # numpy.f2py, numpy.polynomial or a second OpenBLAS; simulate and hum
+    # hash their document without loading OpenSSL (through hashlib)
     def runs(*pairs):
         return [(command, os.path.join(ROOT, "configs", name)) for command, name in pairs]
 
     code = (
         "import sys, sandwichbeam.cli\n"
-        "def loaded(names):\n"
-        "    return sorted(m for m in names if m in sys.modules)\n"
-        "print(loaded(['sandwichbeam.hum', 'sandwichbeam.decay', 'sandwichbeam.hypotheses']))\n"
         "def run(runs):\n"
         "    for command, config in runs:\n"
         f"        sandwichbeam.cli.main([command, '--config', config, '--out', {str(tmp_path)!r}, '--quiet'])\n"
         f"run({runs(('simulate', 'control.ini'), ('hum', 'control.ini'))!r})\n"
-        "print(loaded(['_hashlib', 'sandwichbeam.decay', 'sandwichbeam.hypotheses']))\n"
+        "print('_hashlib' in sys.modules)\n"
         f"run({runs(('observability', 'control.ini'), ('decay-report', 'decay.ini'))!r})\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.polynomial')))\n"
         "with open('/proc/self/maps') as fh:\n"
@@ -185,8 +181,8 @@ def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    on_import, after_hum, modules, libraries = result.stdout.strip().splitlines()
-    assert (on_import, after_hum, modules) == ("[]", "[]", "[]")
+    hashlib_after_hum, modules, libraries = result.stdout.strip().splitlines()
+    assert (hashlib_after_hum, modules) == ("False", "[]")
     assert len(ast.literal_eval(libraries)) == 1, libraries
     for name in ("manifest.json", "hum.json", "observability.json", "decay_report.json"):
         assert (tmp_path / name).exists()
@@ -272,8 +268,7 @@ def test_decay_report_refuses_zero_energy_before_writing(tmp_path, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("decay-report ran past its configuration checks")
 
-    # decay-report imports the rate search from its module when it runs
-    monkeypatch.setattr("sandwichbeam.hypotheses.select_mus", must_not_run)
+    monkeypatch.setattr(cli, "select_mus", must_not_run)
     monkeypatch.setattr(cli, "simulate", must_not_run)
     doc = STABILIZED_DOC.replace("preset = random_smooth", "preset = zero")
     path = write_doc(tmp_path, doc)

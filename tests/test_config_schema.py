@@ -284,17 +284,16 @@ def test_single_mode_is_bounded_by_the_largest_grid_a_command_runs(tmp_path):
 @pytest.mark.parametrize(
     "command, shipped, stand_in",
     [
-        ("simulate", "convergence.ini", "sandwichbeam.cli.simulate"),
-        # hum and decay-report import these from their modules when they run
-        ("hum", "convergence.ini", "sandwichbeam.hum.compute_null_control"),
-        ("decay-report", "decay.ini", "sandwichbeam.hypotheses.select_mus"),
+        ("simulate", "convergence.ini", "simulate"),
+        ("hum", "convergence.ini", "compute_null_control"),
+        ("decay-report", "decay.ini", "select_mus"),
     ],
 )
 def test_a_command_refuses_a_mode_its_grid_lacks_before_it_starts(tmp_path, monkeypatch, command, shipped, stand_in):
     # [grid] n = 8 holds no mode 12, which the document's spatial ladder does
     path = edited(shipped, COARSE_GRID_SINGLE_MODE, str(tmp_path))
     calls = []
-    monkeypatch.setattr(stand_in, lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(cli, stand_in, lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "out"
     code, stderr = run([command, "--config", path, "--out", str(out)])
     assert (code, calls, out.exists()) == (2, [], False)
