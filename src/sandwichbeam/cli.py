@@ -212,8 +212,7 @@ def cmd_decay_report(cfg, args):
     if cfg.variant != VARIANT_STABILIZED:
         raise ConfigError("decay-report needs variant = stabilized_delayed")
     window = (cfg.fit_window[0] * cfg.scheme.T, cfg.fit_window[1] * cfg.scheme.T)
-    # the step times of the run, as simulate lays them out
-    times = cfg.scheme.step * np.arange(cfg.scheme.n_steps + 1)
+    times = cfg.scheme.times
     if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 2:
         raise ConfigError(f"the [fit] window {window} holds fewer than two step times")
     # a mode the grid does not hold, or initial data of zero energy, is
@@ -296,11 +295,10 @@ def cmd_hum(cfg, args):
     except IntegrationError as exc:
         _say(args, f"control synthesis failed: {exc}")
         return EXIT_SOLVER
-    tgrid = sol.dt * np.arange(sol.controls.shape[0])
     csv_path = _write_csv(
         os.path.join(cfg.outdir, "controls.csv"),
         ["t", "f1", "f2", "f3"],
-        [tgrid, sol.controls[:, 0], sol.controls[:, 1], sol.controls[:, 2]],
+        [run_cfg.times, sol.controls[:, 0], sol.controls[:, 1], sol.controls[:, 2]],
     )
     # the final relative residual squared is the share of the initial
     # (completed) energy left in the dropped eigen-directions

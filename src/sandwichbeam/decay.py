@@ -75,35 +75,32 @@ def fit_decay_rate(times, energies, window, floor_ratio=1e-14):
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    t0, t1 = window
-    mask = (times >= t0) & (times <= t1)
+    mask = (times >= window[0]) & (times <= window[1])
     if not np.any(mask):
         raise ValueError("empty fit window")
-    e = energies[mask]
-    t = times[mask]
+    t, e = times[mask], energies[mask]
     if np.any(e <= 0.0):
         raise ValueError("nonpositive energy inside the fit window")
     keep = e >= floor_ratio * energies[0]
     t, e = t[keep], e[keep]
     if len(t) < 2:
         raise ValueError("fewer than two usable samples in the fit window")
+    # the centred line; ln E taken relative to its first sample makes a
+    # constant series centre to exact zeros
     y = np.log(e)
-    A = np.vstack([t, np.ones_like(t)]).T
-    (slope, intercept), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    ybar = np.mean(y)
-    ss_tot = float(np.sum((y - ybar) ** 2))
-    ss_res = float(res[0]) if len(res) else float(np.sum((y - A @ [slope, intercept]) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return -slope, intercept, r2
+    tc, yc = t - np.mean(t), y - y[0]
+    yc_bar = np.mean(yc)
+    yc -= yc_bar
+    slope = float(tc @ yc / (tc @ tc))
+    resid, ss_tot = yc - slope * tc, float(yc @ yc)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    return -slope, float(y[0] + yc_bar - slope * np.mean(t)), r2
 
 
-def check_theoretical_bound(out, rates, window=None, slack=1.05, dissipation_residual=None):
+def check_theoretical_bound(out, rates, window, slack=1.05, dissipation_residual=None):
     """Count samples violating E(t) <= slack * zeta * exp(-rate t) * E(0)."""
     bound = slack * decay_bound(out.times, out.energy[0], rates)
     violations = int(np.sum(out.energy > bound))
-    if window is None:
-        t_end = out.times[-1]
-        window = (0.2 * t_end, 0.9 * t_end)
     omega, intercept, r2 = fit_decay_rate(out.times, out.energy, window)
     return DecayReport(
         fitted_rate=omega,

@@ -107,6 +107,11 @@ class SchemeConfig:
         n_steps = self.n_steps
         return self.T / n_steps if n_steps else self.dt
 
+    @property
+    def times(self):
+        """The step times 0, step, ..., T (T split into whole steps)."""
+        return self.step * np.arange(self.n_steps + 1)
+
 
 @dataclass
 class SimOutput:
@@ -424,7 +429,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     betas = gains.betas
     delayed = gains.any_delayed
     stepper = _Stepper(sys_, dt, gains)
-    times = dt * np.arange(n_steps + 1)
+    times = cfg.times
     t_mid = times[:-1] + 0.5 * dt
     a_mid = np.zeros((n_steps, 3)) if damping is None else _sample_laws(damping.a, t_mid)
     dtau_mid = np.zeros((n_steps, 3)) if delays is None else _sample_laws(delays.dtau, t_mid)

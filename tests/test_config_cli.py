@@ -159,18 +159,24 @@ def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
     # has loaded, so neither importing the CLI nor running the commands that
     # step the beam or solve its dense eigenproblems loads any scipy module,
     # numpy.f2py, numpy.polynomial or a second OpenBLAS; simulate and hum
-    # hash their document without loading OpenSSL (through hashlib)
+    # hash their document without loading OpenSSL (through hashlib); and
+    # decay-report runs with numpy.linalg's dense solvers made to raise
     def runs(*pairs):
         return [(command, os.path.join(ROOT, "configs", name)) for command, name in pairs]
 
     code = (
-        "import sys, sandwichbeam.cli\n"
+        "import sys, numpy, sandwichbeam.cli\n"
         "def run(runs):\n"
         "    for command, config in runs:\n"
-        f"        sandwichbeam.cli.main([command, '--config', config, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        f"        assert sandwichbeam.cli.main([command, '--config', config, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg called')\n"
         f"run({runs(('simulate', 'control.ini'), ('hum', 'control.ini'))!r})\n"
         "print('_hashlib' in sys.modules)\n"
-        f"run({runs(('observability', 'control.ini'), ('decay-report', 'decay.ini'))!r})\n"
+        f"run({runs(('observability', 'control.ini'))!r})\n"
+        "for name in ('lstsq', 'eigh', 'solve', 'cholesky'):\n"
+        "    setattr(numpy.linalg, name, refuse)\n"
+        f"run({runs(('decay-report', 'decay.ini'))!r})\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.polynomial')))\n"
         "with open('/proc/self/maps') as fh:\n"
         "    paths = {line.split()[-1] for line in fh if len(line.split()) > 5}\n"

@@ -55,6 +55,38 @@ def test_fit_decay_rate_examples():
         fit_decay_rate(t, np.exp(-t), (10.0, 11.0))
 
 
+def lstsq_fit(t, e):
+    """The reference: ln E fitted by np.linalg.lstsq on the design matrix [t, 1]."""
+    y = np.log(e)
+    A = np.vstack([t, np.ones_like(t)]).T
+    slope, intercept = np.linalg.lstsq(A, y, rcond=None)[0]
+    ss_tot = np.sum((y - np.mean(y)) ** 2)
+    r2 = 1.0 - np.sum((y - A @ (slope, intercept)) ** 2) / ss_tot if ss_tot else 1.0
+    return -slope, intercept, r2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fit_decay_rate_matches_lstsq_on_noisy_exponentials(seed):
+    rng = np.random.default_rng(seed)
+    # seed 0 fits the fewest samples a fit takes, two
+    t = np.sort(rng.uniform(0.0, 6.0, 2 if seed == 0 else rng.integers(3, 400)))
+    rate, e0, noise = rng.uniform(0.2, 3.0), rng.uniform(2.0, 50.0), rng.uniform(0.0, 0.3)
+    e = e0 * np.exp(-rate * t + noise * rng.standard_normal(len(t)))
+    fit = fit_decay_rate(t, e, (0.0, 6.0))
+    np.testing.assert_allclose(fit, lstsq_fit(t, e), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("level", [3.0, 0.1, 7.3e5, 1e-9])
+def test_fit_decay_rate_of_a_constant_series(level):
+    # ln E centres to exact zeros: slope 0 and R^2 1, whatever the level
+    t = np.linspace(0.0, 5.0, 200)
+    e = np.full_like(t, level)
+    omega, intercept, r2 = fit_decay_rate(t, e, (0.5, 4.5))
+    assert (omega, r2) == (0.0, 1.0)
+    window = (t >= 0.5) & (t <= 4.5)
+    assert intercept == pytest.approx(lstsq_fit(t[window], e[window])[1], rel=1e-12)
+
+
 def test_fit_excludes_roundoff_plateau():
     t = np.linspace(0.0, 10.0, 400)
     e = np.maximum(np.exp(-3.0 * t), 1e-15)
