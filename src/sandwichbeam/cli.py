@@ -34,10 +34,10 @@ from .discretize import (
     Grid1D,
     build_system,
 )
-from .hypotheses import HypothesisCheck, InfeasibleRates, decay_bound, select_mus, validate_gains
+from .hypotheses import InfeasibleRates, decay_bound, scenario_report, select_mus
 from .hum import compute_null_control, observability
 from .lapack import BLAS_CONFIG
-from .timestep import IntegrationError, SchemeConfig, simulate
+from .timestep import IntegrationError, SchemeConfig, delayed_step_error, simulate
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -97,28 +97,20 @@ def _say(args, msg):
 
 
 def cmd_validate(cfg, args):
-    checks = []
-    if cfg.delays is not None:
-        try:
-            report = validate_gains(cfg.params, cfg.gains, cfg.delays)
-            checks.extend(c.as_dict() for c in report.conditions)
-        except ValueError:
-            pass  # a slope bound >= 1 is reported through the slope rows below
-        cfg.delays.check_sampled(cfg.scheme.T)
-    for i in range(3):
-        if cfg.delays is not None:
-            d = cfg.delays.slope_bound(i)
-            check = HypothesisCheck(f"delay_slope_channel_{i + 1}", d, 1.0, 1.0 - d, d < 1.0)
-            checks.append(check.as_dict())
-        if cfg.damping is not None:
-            floor = cfg.damping.floor(i)
-            check = HypothesisCheck(f"damping_floor_channel_{i + 1}", floor, 0.0, floor, floor > 0.0)
-            checks.append(check.as_dict())
-    payload = {"conditions": checks, "all_pass": all(c["pass"] for c in checks)}
+    report = scenario_report(cfg.params, cfg.gains, cfg.delays, cfg.damping)
+    checks = [c.as_dict() for c in report.conditions]
+    payload = {"conditions": checks, "all_pass": report.all_passed}
     os.makedirs(cfg.outdir, exist_ok=True)
     path = _write_json(os.path.join(cfg.outdir, "hypotheses.json"), _manifest(cfg, payload))
     _say(args, f"wrote {path}; all_pass={payload['all_pass']}")
     return EXIT_OK if payload["all_pass"] else EXIT_HYPOTHESIS
+
+
+def _check_delayed_step(cfg, step):
+    """Refuse, before anything is written, a step the delayed feedback cannot take."""
+    if cfg.variant == VARIANT_STABILIZED and cfg.gains.any_delayed:
+        if reason := delayed_step_error(step, cfg.delays):
+            raise ConfigError(reason)
 
 
 def _run_simulation(cfg, sys_, scheme, state=None):
@@ -179,7 +171,8 @@ def _trajectory_columns(out):
 
 
 def cmd_simulate(cfg, args):
-    # a mode the grid does not hold is refused before anything is written
+    # a step or a mode the run cannot take is refused before anything is written
+    _check_delayed_step(cfg, cfg.scheme.step)
     sys_ = cfg.build_system()
     cfg.check_mode(sys_)
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -215,6 +208,7 @@ def cmd_decay_report(cfg, args):
     times = cfg.scheme.times
     if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 2:
         raise ConfigError(f"the [fit] window {window} holds fewer than two step times")
+    _check_delayed_step(cfg, cfg.scheme.step)
     # a mode the grid does not hold, or initial data of zero energy, is
     # refused before anything is written or searched; the initial histories
     # extend the initial trace velocities, so E(0) > 0 exactly when the
@@ -291,7 +285,7 @@ def cmd_hum(cfg, args):
     dt = cfg.hum["dt"] or T / (16 * cfg.n)
     run_cfg = _endpoint_scheme(dt, T)
     try:
-        sol = compute_null_control(state, T, sys_, run_cfg, tol=cfg.hum["cg_tol"])
+        sol = compute_null_control(state, sys_, run_cfg, tol=cfg.hum["cg_tol"])
     except IntegrationError as exc:
         _say(args, f"control synthesis failed: {exc}")
         return EXIT_SOLVER
@@ -390,6 +384,7 @@ def cmd_convergence(cfg, args):
     spatial = conv["mode"] in ("spatial", "both")
     temporal = conv["mode"] in ("temporal", "both")
     levels = []
+    largest_steps = []
     if spatial:
         ladder = sorted(conv["resolutions"])
         if len(ladder) < 3:
@@ -404,6 +399,7 @@ def cmd_convergence(cfg, args):
                 f"(4 x the finest), got {ladder}"
             )
         levels += ladder
+        largest_steps.append(_endpoint_scheme(conv["dt"], conv["T"]).step)
     if temporal:
         dts = sorted(conv["dts"], reverse=True)
         if len(dts) < 2:
@@ -414,8 +410,10 @@ def cmd_convergence(cfg, args):
         if any(not a > b for a, b in zip(steps, steps[1:])):
             raise ConfigError(f"temporal convergence needs distinct steps, got {steps}")
         levels.append(conv["n"])
+        largest_steps.append(steps[0])
     # every level starts from the preset, and the coarsest has the fewest modes
     cfg.check_mode(build_system(Grid1D(N=min(levels), L=cfg.params.L), cfg.params, cfg.variant))
+    _check_delayed_step(cfg, max(largest_steps))
     os.makedirs(cfg.outdir, exist_ok=True)
 
     if spatial:

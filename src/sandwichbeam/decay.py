@@ -16,6 +16,9 @@ import numpy as np
 from .discretize import VARIANT_STABILIZED
 from .hypotheses import decay_bound, phi_matrix
 
+_FLOOR_RATIO = 1e-14
+_BOUND_SLACK = 1.05
+
 __all__ = [
     "DecayReport",
     "check_dissipation_identity",
@@ -67,10 +70,10 @@ def lyapunov_trace(out, sys_, rates, gains):
     )
 
 
-def fit_decay_rate(times, energies, window, floor_ratio=1e-14):
+def fit_decay_rate(times, energies, window):
     """Least-squares slope of ln E over the window; returns (omega, intercept, R^2).
 
-    Samples below floor_ratio * E(0) are excluded (roundoff plateau); any
+    Samples below _FLOOR_RATIO * E(0) are excluded (roundoff plateau); any
     nonpositive energy inside the window is an error.
     """
     times = np.asarray(times, dtype=float)
@@ -81,7 +84,7 @@ def fit_decay_rate(times, energies, window, floor_ratio=1e-14):
     t, e = times[mask], energies[mask]
     if np.any(e <= 0.0):
         raise ValueError("nonpositive energy inside the fit window")
-    keep = e >= floor_ratio * energies[0]
+    keep = e >= _FLOOR_RATIO * energies[0]
     t, e = t[keep], e[keep]
     if len(t) < 2:
         raise ValueError("fewer than two usable samples in the fit window")
@@ -97,9 +100,9 @@ def fit_decay_rate(times, energies, window, floor_ratio=1e-14):
     return -slope, float(y[0] + yc_bar - slope * np.mean(t)), r2
 
 
-def check_theoretical_bound(out, rates, window, slack=1.05, dissipation_residual=None):
-    """Count samples violating E(t) <= slack * zeta * exp(-rate t) * E(0)."""
-    bound = slack * decay_bound(out.times, out.energy[0], rates)
+def check_theoretical_bound(out, rates, window, dissipation_residual=None):
+    """Count samples violating E(t) <= _BOUND_SLACK * zeta * exp(-rate t) * E(0)."""
+    bound = _BOUND_SLACK * decay_bound(out.times, out.energy[0], rates)
     violations = int(np.sum(out.energy > bound))
     omega, intercept, r2 = fit_decay_rate(out.times, out.energy, window)
     return DecayReport(

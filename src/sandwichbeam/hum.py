@@ -123,19 +123,12 @@ class HumSolution:
     max_rayleigh: float
 
 
-def _check_horizon(T, cfg):
-    """The run covers [0, cfg.T], so a horizon T that differs is refused."""
-    if abs(T - cfg.T) > 1e-12 * abs(cfg.T):
-        raise ValueError(f"horizon T = {T!r} differs from the scheme's T = {cfg.T!r}")
-
-
-def solve_adjoint(terminal, T, sys_, cfg):
-    """Adjoint solve backward from terminal data at T, which must be cfg.T.
+def solve_adjoint(terminal, sys_, cfg):
+    """Adjoint solve backward from terminal data at the horizon cfg.T.
 
     Returns (trajectory of the reversed solve, observation triple on the
     forward step grid, adjoint state at t = 0).
     """
-    _check_horizon(T, cfg)
     reversed_initial = DiscreteState(q=terminal.q.copy(), p=-terminal.p, t=0.0)
     out = simulate(reversed_initial, sys_, cfg)
     series = out.displacement_traces[::-1].copy()
@@ -246,7 +239,7 @@ def gramian(sys_, cfg):
     return G
 
 
-def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
+def compute_null_control(initial, sys_, cfg, tol=1e-8):
     """Solve G x = D b in the eigenbasis of (G, D), computed in standard
     form (see the module docstring), and verify the controls.
 
@@ -264,9 +257,8 @@ def compute_null_control(initial, T, sys_, cfg, tol=1e-8):
     The right side and the controls (the adjoint traces from x) come in
     closed form from the modes; the one run through the Newmark loop is
     the verification, the forward run under the controls that gives
-    ``terminal_rel_norm``.  The horizon T must be cfg.T.
+    ``terminal_rel_norm``.  The horizon is cfg.T.
     """
-    _check_horizon(T, cfg)
     R = _metric_factor(sys_)
     G = gramian(sys_, cfg)
     n = len(R)

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_YOUNG_EPS = 0.5
+_MAX_HALVINGS = 60
+
 __all__ = [
     "BoundaryQuadForm",
     "HypothesisCheck",
@@ -24,7 +27,7 @@ __all__ = [
     "is_negative_definite",
     "gain_threshold",
     "validate_gains",
-    "young_trace_constants",
+    "scenario_report",
     "compute_mu4",
     "compute_zeta",
     "lambda_bound",
@@ -122,37 +125,34 @@ class HypothesisReport:
 def validate_gains(params, gains, delays):
     """Check the three strict gain conditions alpha_i > threshold(d_i).
 
-    Equality counts as failure.  Raises ValueError when any declared delay
-    slope bound d_i reaches 1 (the delayed argument would stop increasing
-    and the whole framework breaks down).
+    Equality counts as failure.  A channel whose delay slope bound d_i
+    reaches 1 has no threshold (the delayed argument would stop increasing):
+    its row fails with rhs and margin None.
     """
     checks = []
     for i in (1, 2, 3):
         d = delays.slope_bound(i - 1)
-        if d >= 1.0:
-            raise ValueError(f"channel {i}: delay slope bound d = {d} >= 1")
         lhs = gains.alphas[i - 1]
+        if d >= 1.0:
+            checks.append(HypothesisCheck(f"gain_channel_{i}", lhs, None, None, False))
+            continue
         rhs = gain_threshold(i, d, params, gains)
-        checks.append(
-            HypothesisCheck(
-                condition_id=f"gain_channel_{i}",
-                lhs=lhs,
-                rhs=rhs,
-                margin=lhs - rhs,
-                passed=lhs > rhs,
-            )
-        )
+        checks.append(HypothesisCheck(f"gain_channel_{i}", lhs, rhs, lhs - rhs, lhs > rhs))
     return HypothesisReport(conditions=tuple(checks))
 
 
-def young_trace_constants(params, eps=0.5):
-    """Constants C_i in |C_i-weighted trace product| <= eps*||.||^2 + C*trace^2.
-
-    The boundary displacement obeys |u(L)| <= sqrt(L)*||u_x|| (vanishing at
-    x = 0), so the product split a*b <= eps*a^2 + b^2/(4 eps) yields
-    C_i = stiffness_i * L / (4 eps).
-    """
-    return tuple(c * params.L / (4.0 * eps) for c in params.boundary_stiffness)
+def scenario_report(params, gains, delays, damping):
+    """Every hypothesis of a scenario in ``validate``'s order: with delays the
+    gain rows, then per channel d_i < 1 and, with damping, a floor above 0."""
+    checks = list(validate_gains(params, gains, delays).conditions) if delays is not None else []
+    for i in range(3):
+        if delays is not None:
+            d = delays.slope_bound(i)
+            checks.append(HypothesisCheck(f"delay_slope_channel_{i + 1}", d, 1.0, 1.0 - d, d < 1.0))
+        if damping is not None:
+            a0 = damping.floor(i)
+            checks.append(HypothesisCheck(f"damping_floor_channel_{i + 1}", a0, 0.0, a0, a0 > 0.0))
+    return HypothesisReport(conditions=tuple(checks))
 
 
 def compute_mu4(params, mu0, mu1, mu2, mu3):
@@ -189,16 +189,17 @@ def lambda_bound(params, damping, mu0):
     return min([mu0] + [2.0 * (a0 / m - mu0) for a0, m in zip(floors, masses)])
 
 
-def perturbed_form(i, params, gains, delays, mu0, mu_i, eps=0.5):
+def perturbed_form(i, params, gains, delays, mu0, mu_i):
     """Channel-i boundary form after absorbing the Lyapunov cross terms.
 
-    Adds mu0*C_eps*[[a^2, a b], [a b, b^2]] (Young split of the boundary
-    product) and mu_i*|b|*[[1, 0], [0, 0]] (delay-line derivative) on top of
-    the worst-slope dissipation form.
+    Adds mu0*C_eps*[[a^2, a b], [a b, b^2]] (Young split a*b <= eps*a^2 +
+    b^2/(4 eps) of the boundary product; |u(L)| <= sqrt(L)*||u_x|| gives
+    C_eps = stiffness_i * L / (4 eps)) and mu_i*|b|*[[1, 0], [0, 0]]
+    (delay-line derivative) on top of the worst-slope dissipation form.
     """
     d = delays.slope_bound(i - 1)
     phi = phi_matrix(i, d, params, gains)
-    ceps = young_trace_constants(params, eps)[i - 1]
+    ceps = params.boundary_stiffness[i - 1] * params.L / (4.0 * _YOUNG_EPS)
     a = gains.alphas[i - 1]
     b = gains.betas[i - 1]
     return BoundaryQuadForm(
@@ -254,13 +255,14 @@ def _feasible(params, gains, delays, damping, mu0):
     return (mus, mu4), ""
 
 
-def select_mus(params, delays, damping, gains, max_halvings=60):
+def select_mus(params, delays, damping, gains):
     """Search admissible Lyapunov weights by halving mu0 from min{a0/mass}/2.
 
     The candidate mu0 starts at half the smallest damping-to-mass ratio and
     is halved until every constraint holds: mu4 < 1, all perturbed boundary
     forms negative definite (first diagonal entry only when beta_i = 0), and
-    mu_i = 2*mu0*M_i/(1 - d_i).  Raises InfeasibleRates after 60 halvings.
+    mu_i = 2*mu0*M_i/(1 - d_i).  Raises InfeasibleRates when a gain row fails
+    (d_i >= 1 included) or after _MAX_HALVINGS halvings.
     """
     report = validate_gains(params, gains, delays)
     if not report.all_passed:
@@ -269,7 +271,7 @@ def select_mus(params, delays, damping, gains, max_halvings=60):
     ratios = [a0 / m for a0, m in zip(damping.floors, params.mass_coefficients)]
     mu0 = min(ratios) / 2.0
     reason = ""
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         found, reason = _feasible(params, gains, delays, damping, mu0)
         if found is not None:
             mus, mu4 = found
@@ -284,7 +286,7 @@ def select_mus(params, delays, damping, gains, max_halvings=60):
                 zeta=compute_zeta(mu4),
             )
         mu0 /= 2.0
-    raise InfeasibleRates(f"no admissible mu0 after {max_halvings} halvings; last: {reason}")
+    raise InfeasibleRates(f"no admissible mu0 after {_MAX_HALVINGS} halvings; last: {reason}")
 
 
 def decay_bound(t, E0, rates):

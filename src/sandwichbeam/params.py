@@ -223,19 +223,6 @@ class DelaySpec:
     def min_floor(self):
         return min(c.floor for c in self.channels)
 
-    def check_sampled(self, horizon, n=257):
-        """Assert the declared bounds hold on a sample grid of [0, horizon]."""
-        ts = horizon * np.arange(n) / (n - 1)
-        for i, c in enumerate(self.channels):
-            taus = c.tau(ts)
-            tau_ok = (c.floor - 1e-12 <= taus) & (taus <= c.cap + 1e-12)
-            bad = np.flatnonzero(~(tau_ok & (c.dtau(ts) <= c.slope_bound + 1e-12)))
-            if bad.size:
-                k = bad[0]
-                if not tau_ok[k]:
-                    raise AssertionError(f"channel {i+1}: tau({ts[k]}) = {taus[k]} outside bounds")
-                raise AssertionError(f"channel {i+1}: dtau({ts[k]}) above declared bound")
-
     @classmethod
     def constant(cls, tau1, tau2=None, tau3=None):
         tau2 = tau1 if tau2 is None else tau2

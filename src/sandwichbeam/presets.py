@@ -166,8 +166,8 @@ def random_smooth_state(sys_, seed, cutoff=6, amplitude=1.0, prepared=False):
     )
 
 
-def eigen_mode_state(sys_, index, amplitude=1.0, velocity=False):
-    """Displacement (or velocity) set to a discrete vibration eigenmode.
+def eigen_mode_state(sys_, index, amplitude=1.0):
+    """Displacement set to a discrete vibration eigenmode, zero velocity.
 
     Eigenvectors of (K, M) satisfy the discrete natural boundary conditions
     exactly, so runs started here have no boundary startup layer: the
@@ -181,13 +181,7 @@ def eigen_mode_state(sys_, index, amplitude=1.0, velocity=False):
     peak = np.argmax(np.abs(phi))
     if phi[peak] < 0:
         phi = -phi
-    q = np.zeros(sys_.ndof)
-    p = np.zeros(sys_.ndof)
-    if velocity:
-        p = amplitude * phi
-    else:
-        q = amplitude * phi
-    return DiscreteState(q=q, p=p, t=0.0)
+    return DiscreteState(q=amplitude * phi, p=np.zeros(sys_.ndof), t=0.0)
 
 
 def make_histories(sys_, state, delays):

@@ -73,6 +73,7 @@ __all__ = [
     "SchemeConfig",
     "SimOutput",
     "IntegrationError",
+    "delayed_step_error",
     "simulate",
 ]
 
@@ -377,6 +378,17 @@ def _sample_slots(n_steps, stride):
     return np.array(slots)
 
 
+def delayed_step_error(dt, delays):
+    """Why delayed feedback under ``delays`` cannot take steps of ``dt``, or None."""
+    if any(delays.slope_bound(i) >= 1.0 for i in range(3)):
+        return "delay slope bound >= 1: delayed argument would not advance"
+    if dt > delays.min_floor + 1e-15:
+        return (
+            f"dt = {dt} exceeds the smallest delay floor {delays.min_floor}; "
+            "delayed lookups would need current-step unknowns"
+        )
+
+
 def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
     """Reject arguments the variant would ignore, and unsafe delay settings
     for the step ``dt`` the run takes."""
@@ -399,13 +411,8 @@ def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
     if gains is not None and gains.any_delayed:
         if histories is None or delays is None:
             raise ValueError("delayed gains need trace histories and a delay spec")
-        if any(delays.slope_bound(i) >= 1.0 for i in range(3)):
-            raise ValueError("delay slope bound >= 1: delayed argument would not advance")
-        if dt > delays.min_floor + 1e-15:
-            raise ValueError(
-                f"dt = {dt} exceeds the smallest delay floor {delays.min_floor}; "
-                "delayed lookups would need current-step unknowns"
-            )
+        if reason := delayed_step_error(dt, delays):
+            raise ValueError(reason)
         if any(h.times[-1] > 0.0 for h, b in zip(histories, gains.betas) if b != 0.0):
             raise ValueError("a delayed channel's trace history must end at t <= 0")
 

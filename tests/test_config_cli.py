@@ -240,6 +240,12 @@ def test_validate_exit_codes(tmp_path):
     report = json.load(open(tmp_path / "out" / "hypotheses.json"))
     failing = [c for c in report["conditions"] if not c["pass"]]
     assert any(c["condition_id"] == "delay_slope_channel_1" for c in failing)
+    # the other channels' gain rows are still computed; channel 1 has no
+    # threshold, so its row fails with a null rhs and margin
+    rows = {c["condition_id"]: c for c in report["conditions"]}
+    assert rows["gain_channel_2"]["pass"] and rows["gain_channel_3"]["pass"]
+    assert not rows["gain_channel_1"]["pass"]
+    assert rows["gain_channel_1"]["rhs"] is None and rows["gain_channel_1"]["margin"] is None
 
 
 def test_simulate_writes_deterministic_csv(tmp_path):

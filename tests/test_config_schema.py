@@ -300,6 +300,10 @@ def test_a_command_refuses_a_mode_its_grid_lacks_before_it_starts(tmp_path, monk
     assert "1 <= mode <= 8, the cells of the grid" in stderr
 
 
+BIG_STEP = {("scheme", "dt"): "0.2"}
+STEEP_DELAY = {("delays", "tau1"): "sinusoidal base=0.3 amplitude=0.15 frequency=10"}
+
+
 @pytest.mark.parametrize(
     "command, shipped, edits, message",
     [
@@ -309,8 +313,25 @@ def test_a_command_refuses_a_mode_its_grid_lacks_before_it_starts(tmp_path, monk
         ("convergence", "convergence.ini", {("convergence", "resolutions"): "16,24,64"}, "divide 256"),
         # control.ini as shipped: its spatial ladder has two levels
         ("convergence", "control.ini", {}, "at least 3 resolutions"),
+        # a step above decay.ini's smallest delay floor, 0.05, and a delay
+        # slope bound of 1.5 on channel 1: no delayed run can take them
+        *(
+            (command, "decay.ini", edits, message)
+            for edits, message in (
+                (BIG_STEP, "dt = 0.2 exceeds the smallest delay floor 0.05"),
+                (STEEP_DELAY, "delay slope bound >= 1"),
+            )
+            for command in ("simulate", "decay-report", "convergence")
+        ),
     ],
-    ids=["observability-cutoff", "convergence-resolutions", "convergence-shipped-control"],
+    ids=[
+        "observability-cutoff", "convergence-resolutions", "convergence-shipped-control",
+        *(
+            f"{command}-{case}"
+            for case in ("big-step", "steep-delay")
+            for command in ("simulate", "decay-report", "convergence")
+        ),
+    ],
 )  # fmt: skip
 def test_a_refused_command_leaves_no_output_directory(tmp_path, command, shipped, edits, message):
     path = edited(shipped, edits, str(tmp_path))

@@ -54,10 +54,10 @@ def test_adjoint_solve_conserves_and_roundtrips():
     p, sys_ = controlled_system()
     cfg = short_cfg()
     Wt = random_smooth_state(sys_, seed=2)
-    traj, obs, w0 = solve_adjoint(Wt, cfg.T, sys_, cfg)
+    traj, obs, w0 = solve_adjoint(Wt, sys_, cfg)
     assert traj.relative_drift() <= 1e-8
     # zero terminal data: zero observation
-    traj0, obs0, w00 = solve_adjoint(zero_state(sys_), cfg.T, sys_, cfg)
+    traj0, obs0, w00 = solve_adjoint(zero_state(sys_), sys_, cfg)
     assert obs0.norm_sq == 0.0
     # forward-then-backward recovers the terminal data
     fwd = simulate(w0, sys_, cfg)
@@ -71,9 +71,9 @@ def test_adjoint_observation_linearity():
     p, sys_ = controlled_system()
     cfg = short_cfg()
     Wt = random_smooth_state(sys_, seed=5)
-    _, obs, _ = solve_adjoint(Wt, cfg.T, sys_, cfg)
+    _, obs, _ = solve_adjoint(Wt, sys_, cfg)
     W2 = DiscreteState(q=3.0 * Wt.q, p=3.0 * Wt.p)
-    _, obs2, _ = solve_adjoint(W2, cfg.T, sys_, cfg)
+    _, obs2, _ = solve_adjoint(W2, sys_, cfg)
     assert np.allclose(obs2.series, 3.0 * obs.series, rtol=1e-10, atol=1e-12)
 
 
@@ -87,8 +87,8 @@ def test_gramian_symmetry_positivity_and_definition():
     # the bilinear form is the weighted pairing of the two observations
     a = random_smooth_state(sys_, seed=11)
     b = random_smooth_state(sys_, seed=12)
-    _, obs_a, _ = solve_adjoint(a, cfg.T, sys_, cfg)
-    _, obs_b, _ = solve_adjoint(b, cfg.T, sys_, cfg)
+    _, obs_a, _ = solve_adjoint(a, sys_, cfg)
+    _, obs_b, _ = solve_adjoint(b, sys_, cfg)
     xa, xb = to_modal(sys_, a), to_modal(sys_, b)
     scale = np.sqrt(obs_a.norm_sq * obs_b.norm_sq)
     assert abs(xa @ G @ xb - obs_a.weighted_product(obs_b)) <= 1e-8 * scale
@@ -104,7 +104,7 @@ def test_modal_gramian_matches_stepped_gramian():
     cfg = SchemeConfig(dt=T / 256, T=T, stride=256)
     rows = []
     for e in np.eye(2 * sys_.ndof):
-        _, obs, _ = solve_adjoint(from_modal(sys_, e), T, sys_, cfg)
+        _, obs, _ = solve_adjoint(from_modal(sys_, e), sys_, cfg)
         mid = 0.5 * (obs.series[:-1] + obs.series[1:])
         rows.append((mid * np.sqrt(np.asarray(obs.weights) * obs.dt)).ravel())
     stepped = np.array(rows) @ np.array(rows).T
@@ -143,7 +143,7 @@ def test_modal_controls_match_adjoint_solve(N):
     cfg = SchemeConfig(dt=0.0077, T=T, stride=10 ** 9)
     prop = _ModalPropagator(sys_, cfg)
     for state in modal_test_states(sys_, seed=N + 1):
-        _, obs, _ = solve_adjoint(state, T, sys_, cfg)
+        _, obs, _ = solve_adjoint(state, sys_, cfg)
         series = prop.adjoint_traces(to_modal(sys_, state))
         assert series.shape == obs.series.shape
         assert np.max(np.abs(series - obs.series)) <= 1e-8 * np.max(np.abs(obs.series))
@@ -163,7 +163,7 @@ def test_null_control_steps_the_newmark_loop_once(monkeypatch):
     p, sys_ = controlled_system(N=16)
     T = 4.0
     cfg = SchemeConfig(dt=T / 256, T=T, stride=256)
-    sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), T, sys_, cfg, tol=1e-6)
+    sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), sys_, cfg, tol=1e-6)
     assert calls == [True]
     assert sol.terminal_rel_norm <= 1e-3
 
@@ -206,7 +206,7 @@ def test_duality_identity_random_triples():
                 f[:, i] += rng.standard_normal() / k * np.sin(k * tgrid)
                 f[:, i] += rng.standard_normal() / k * np.cos(k * tgrid)
         fwd = simulate(U0, sys_, cfg, controls=f)
-        _, obs, W0 = solve_adjoint(Wt, T, sys_, cfg)
+        _, obs, W0 = solve_adjoint(Wt, sys_, cfg)
         lhs = (
             fwd.states_p[-1] @ (sys_.M * Wt.q)
             - fwd.states_q[-1] @ (sys_.M * Wt.p)
@@ -238,7 +238,7 @@ def test_rhs_duality_identity():
     for trial in range(5):
         U0 = random_smooth_state(sys_, seed=40 + trial)
         Wt = random_smooth_state(sys_, seed=80 + trial)
-        _, _, W0 = solve_adjoint(Wt, cfg.T, sys_, cfg)
+        _, _, W0 = solve_adjoint(Wt, sys_, cfg)
         pairing = float(U0.p @ (sys_.M * W0.q) - U0.q @ (sys_.M * W0.p))
         total = rhs(U0) @ to_modal(sys_, Wt) + pairing
         scale = max(abs(pairing), 1e-30)
@@ -295,7 +295,7 @@ def test_hum_refuses_a_system_without_controls():
     with pytest.raises(ValueError, match="controlled_conservative"):
         observability(sys_, cfg)
     with pytest.raises(ValueError, match="controlled_conservative"):
-        compute_null_control(zero_state(sys_), cfg.T, sys_, cfg)
+        compute_null_control(zero_state(sys_), sys_, cfg)
 
 
 @pytest.mark.parametrize("N", [16, 24, 32])
@@ -322,14 +322,14 @@ def test_standard_form_solves_the_dual_pencil(N):
     assert np.max(np.linalg.norm(G @ X - (D @ X) * lam, axis=0)) <= 1e-12 * scale
     # the solve reports the largest eigenvalue of the same pencil (measured
     # within 4.7e-16 relative)
-    sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), cfg.T, sys_, cfg)
+    sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), sys_, cfg)
     assert abs(sol.max_rayleigh - reference[-1]) <= 1e-12 * scale
 
 
 def test_null_control_zero_data():
     p, sys_ = controlled_system(N=16)
     cfg = short_cfg(T=2.0, steps=128)
-    sol = compute_null_control(zero_state(sys_), 2.0, sys_, cfg, tol=1e-8)
+    sol = compute_null_control(zero_state(sys_), sys_, cfg, tol=1e-8)
     assert sol.converged and sol.terminal_rel_norm == 0.0
     assert np.all(sol.controls == 0.0)
 
@@ -339,7 +339,7 @@ def test_null_control_single_mode():
     T = 6.0
     cfg = SchemeConfig(dt=T / 512, T=T, stride=512)
     U0 = single_mode_state(sys_, "u", 1, 1.0)
-    sol = compute_null_control(U0, T, sys_, cfg, tol=1e-8)
+    sol = compute_null_control(U0, sys_, cfg, tol=1e-8)
     assert sol.terminal_rel_norm <= 1e-3
     assert np.all(np.diff(sol.residuals) <= 1e-12 * sol.residuals[0])
     assert sol.min_rayleigh > 0.0 and np.isfinite(sol.max_rayleigh)
@@ -352,7 +352,7 @@ def test_null_control_in_modes_reaches_small_terminal_norm(field, bound, converg
     p, sys_ = controlled_system(N=32)
     T = 8.0
     cfg = SchemeConfig(dt=T / 1024, T=T, stride=1024)
-    sol = compute_null_control(single_mode_state(sys_, field, 1, 1.0), T, sys_, cfg, tol=1e-8)
+    sol = compute_null_control(single_mode_state(sys_, field, 1, 1.0), sys_, cfg, tol=1e-8)
     assert sol.terminal_rel_norm <= bound
     assert sol.converged or not converges
 
@@ -363,7 +363,7 @@ def test_control_cost_non_increasing_in_horizon():
     costs = {}
     for T in (4.0, 8.0):
         cfg = SchemeConfig(dt=T / 512, T=T, stride=512)
-        sol = compute_null_control(U0, T, sys_, cfg, tol=1e-6)
+        sol = compute_null_control(U0, sys_, cfg, tol=1e-6)
         costs[T] = sol.control_cost
     assert costs[8.0] <= costs[4.0] + 1e-6
 
@@ -439,19 +439,6 @@ def test_observability_single_field_matches_continuum():
     norm = hspace_norm(state, sys_)
     state = DiscreteState(q=state.q / norm, p=state.p / norm)
     cfg = SchemeConfig(dt=T / 1024, T=T, stride=1024)
-    _, obs, _ = solve_adjoint(state, T, sys_, cfg)
+    _, obs, _ = solve_adjoint(state, sys_, cfg)
     assert obs.norm_sq == pytest.approx(oracle, rel=0.10)
 
-
-def test_horizon_must_match_the_scheme():
-    # the run always covers [0, cfg.T]; a different T would be ignored
-    p, sys_ = controlled_system(N=16)
-    cfg = short_cfg(T=2.0, steps=128)
-    state = random_smooth_state(sys_, seed=1)
-    for T in (1.0, 2.0 * (1.0 + 1e-9)):
-        with pytest.raises(ValueError, match="differs from the scheme"):
-            compute_null_control(state, T, sys_, cfg)
-        with pytest.raises(ValueError, match="differs from the scheme"):
-            solve_adjoint(state, T, sys_, cfg)
-    # a horizon within roundoff of cfg.T is the same horizon
-    solve_adjoint(state, 2.0 * (1.0 + 1e-15), sys_, cfg)

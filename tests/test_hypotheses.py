@@ -57,10 +57,17 @@ def test_validate_gains_threshold_values():
 
 
 def test_validate_gains_rejects_unit_slope():
+    # slope bound 1.0 on channel 1 only: its row fails with no threshold,
+    # and the other channels are still checked
     p = unit_params()
-    bad = DelaySpec((SinusoidalDelay(2.0, 1.0, 1.0),) * 3)  # slope bound 1.0
-    with pytest.raises(ValueError):
-        validate_gains(p, gains(), bad)
+    ok = SinusoidalDelay(0.5, 0.25, 2.0)  # slope bound 0.5
+    bad = DelaySpec((SinusoidalDelay(2.0, 1.0, 1.0), ok, ok))
+    g = gains(b=(0.1, 0.1, 0.1))
+    rows = validate_gains(p, g, bad).conditions
+    assert [c.condition_id for c in rows] == ["gain_channel_1", "gain_channel_2", "gain_channel_3"]
+    assert (rows[0].lhs, rows[0].rhs, rows[0].margin, rows[0].passed) == (1.0, None, None, False)
+    assert rows[1].rhs == pytest.approx(gain_threshold(2, 0.5, p, g))
+    assert rows[1].passed and rows[2].passed
 
 
 def test_phi_matrix_entries():
@@ -187,6 +194,10 @@ def test_select_mus_rejects_failing_gains():
     delays = DelaySpec.constant(0.5)
     with pytest.raises(InfeasibleRates):
         select_mus(p, delays, DampingSpec.constant(1.0), gains(a=(0.0, 1.0, 1.0)))
+    # a slope bound of 1 fails its gain row too
+    unit_slope = DelaySpec((SinusoidalDelay(2.0, 1.0, 1.0),) * 3)
+    with pytest.raises(InfeasibleRates, match="gain_channel_1"):
+        select_mus(p, unit_slope, DampingSpec.constant(1.0), gains())
 
 
 def test_lambda_monotone_in_damping_floor():

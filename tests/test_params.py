@@ -66,7 +66,12 @@ def test_delay_laws():
 
 def test_delay_spec_sampled_bounds():
     spec = DelaySpec((SinusoidalDelay(0.5, 0.25, 2.0), ConstantDelay(0.3), ConstantDelay(0.2)))
-    spec.check_sampled(10.0)
+    # the declared floor, cap and slope bound hold on a sample grid of [0, 10]
+    ts = np.linspace(0.0, 10.0, 257)
+    for i in range(3):
+        taus = spec.tau(i, ts)
+        assert np.all((spec.floor(i) <= taus) & (taus <= spec.cap(i)))
+        assert np.all(np.abs(spec.dtau(i, ts)) <= spec.slope_bound(i))
     assert spec.min_floor == pytest.approx(0.2)
     # the channel specs pass an array of times through
     times = np.linspace(0.0, 1.0, 7)
