@@ -72,8 +72,10 @@ def _json_default(obj):
 
 
 def _write_json(path, payload):
+    # strict JSON: a value a command may leave undefined is None (null), and
+    # a NaN or infinity anywhere else raises ValueError
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -98,6 +100,12 @@ def _say(args, msg):
 
 def cmd_validate(cfg, args):
     report = scenario_report(cfg.params, cfg.gains, cfg.delays, cfg.damping)
+    # a delay slope bound d_i >= 1 is a failed row of the report, but the
+    # step rule is no hypothesis: with every slope bound below 1, a step the
+    # delayed feedback cannot take is refused before anything is written,
+    # as the commands that run refuse it
+    if not any(c.condition_id.startswith("delay_slope_") for c in report.failing()):
+        _check_delayed_step(cfg, cfg.scheme.step)
     checks = [c.as_dict() for c in report.conditions]
     payload = {"conditions": checks, "all_pass": report.all_passed}
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -178,6 +186,8 @@ def cmd_simulate(cfg, args):
     os.makedirs(cfg.outdir, exist_ok=True)
     try:
         out = _run_simulation(cfg, sys_, cfg.scheme)
+        # the columns include the delay-line series, checked when computed
+        header, cols = _trajectory_columns(out)
     except IntegrationError as exc:
         _write_json(
             os.path.join(cfg.outdir, "manifest.json"),
@@ -185,13 +195,12 @@ def cmd_simulate(cfg, args):
         )
         _say(args, f"integration failed: {exc}")
         return EXIT_SOLVER
-    header, cols = _trajectory_columns(out)
     csv_path = _write_csv(os.path.join(cfg.outdir, "trajectory.csv"), header, cols)
     invariants = {
         "relative_drift": out.relative_drift(),
         "max_energy_increase": out.max_energy_increase(),
         "monotone_energy": _monotone_energy(out),
-        "finite": True,
+        "finite": all(bool(np.all(np.isfinite(col))) for col in cols),
     }
     man_path = _write_json(
         os.path.join(cfg.outdir, "manifest.json"),
@@ -225,10 +234,11 @@ def cmd_decay_report(cfg, args):
         return EXIT_HYPOTHESIS
     try:
         out = _run_simulation(cfg, sys_, cfg.scheme, state)
+        # the first read of the delay-line series, checked when computed
+        resid = check_dissipation_identity(out, cfg.params, cfg.gains)
     except IntegrationError as exc:
         _say(args, f"integration failed: {exc}")
         return EXIT_SOLVER
-    resid = check_dissipation_identity(out, cfg.params, cfg.gains)
     report = check_theoretical_bound(out, rates, window=window, dissipation_residual=resid)
     lyap = lyapunov_trace(out, sys_, rates, cfg.gains)
     idx = np.searchsorted(out.times, out.sample_times)

@@ -176,17 +176,23 @@ class SemiDiscreteSystem:
 
         q'Kq is the symmetric band sum over the lower band, grouped by row:
         the sum over i of q_i * (band[0, i] q_i + 2 sum_d band[d, i] q_{i+d}),
-        one array product per diagonal over the whole stack.  The terms of
-        one row cancel before the rows are added, which keeps the digits a
-        sum over whole diagonals would lose to the large diagonal terms.
+        one array product per diagonal over the whole stack.  Each
+        diagonal is doubled into one scratch row and its products go into
+        one contiguous scratch array, so no copy of the band is made.  The
+        terms of one row cancel before the rows are added, which keeps the
+        digits a sum over whole diagonals would lose to the large diagonal
+        terms.
         """
         band = self.band
         n = band.shape[1]
         kinetic = np.dot(p * p, self.M)
-        twice = 2.0 * band
         y = band[0] * q
+        twice = np.empty(n - 1)
+        products = np.empty(y[..., 1:].size)
         for d in range(1, KD + 1):
-            y[..., : n - d] += twice[d, : n - d] * q[..., d:]
+            qd = q[..., d:]
+            np.multiply(band[d, : n - d], 2.0, out=twice[: n - d])
+            y[..., : n - d] += np.multiply(twice[: n - d], qd, out=products[: qd.size].reshape(qd.shape))
         energy = 0.5 * (kinetic + np.vecdot(q, y))
         return float(energy) if np.ndim(energy) == 0 else energy
 
@@ -197,29 +203,42 @@ class SemiDiscreteSystem:
         return self.channel_coeff * x[..., self.channel_index]
 
 
-def _band_from_panels(n, panels):
+def _band_from_panels(n, passes):
     """Lower band storage of the sum over panels of weight * outer(coeffs, coeffs).
 
-    Each panel family is (slots, coeffs, weight, order): a (P, m) array of
-    unknown indices (-1 for a fixed node), m coefficients, one
-    weight and each panel's place in the summation.  Every entry sums its
-    contributions in that order, so its rounding is fixed by the panel
-    sequence alone, whatever the storage layout.  Of the two mirror entries
-    of a pair only the lower one (row >= column) is kept, at LAPACK's
-    ``band[row - col, col]``.
+    Each pass is (slots, coeffs, weight, pairs): a (P, m) array of unknown
+    indices (-1 for a fixed node) whose live indices increase along every
+    row, m coefficients, one weight, and the pairs (a, b), a >= b, of
+    columns whose products it adds.  A pair is one vectorized add of
+    weight * coeffs[a] * coeffs[b] into the lower entries
+    ``band[row - col, col]`` of its P panels, which are distinct, so every
+    entry sums its contributions in the order of the adds.  The caller
+    orders the passes so that this is panel order, which fixes the
+    rounding of each entry whatever the storage layout.  The band is
+    written in place: apart from it, no array is longer than P.
     """
-    flat, vals, order = [], [], []
-    for slots, coeffs, weight, panel_order in panels:
-        for a, ca in enumerate(coeffs):
-            for b, cb in enumerate(coeffs):
-                row, col = slots[:, a], slots[:, b]
-                keep = (row >= col) & (col >= 0)
-                flat.append((row[keep] - col[keep]) * n + col[keep])
-                vals.append(np.full(np.count_nonzero(keep), weight * ca * cb))
-                order.append(panel_order[keep])
-    seq = np.argsort(np.concatenate(order), kind="stable")
-    band = np.bincount(np.concatenate(flat)[seq], np.concatenate(vals)[seq], minlength=(KD + 1) * n)
-    return np.asfortranarray(band.reshape(KD + 1, n))
+    band = np.zeros((KD + 1, n), order="F")
+    for slots, coeffs, weight, pairs in passes:
+        for a, b in pairs:
+            row, col = slots[:, a], slots[:, b]
+            keep = (row >= col) & (col >= 0)
+            col = col[keep]
+            band[row[keep] - col, col] += weight * coeffs[a] * coeffs[b]
+    return band
+
+
+def _cell_passes(families):
+    """The passes of the cell panels, whose first half of columns is the
+    left node and second half the right node.  Node j receives cell j-1's
+    pairs within its right node before cell j's within its left node, so
+    the right-node pairs of every family come first; within each half the
+    families keep their order, and a cross pair has one cell only."""
+    right, left = [], []
+    for slots, coeffs, weight in families:
+        m = len(coeffs)
+        right.append((slots, coeffs, weight, [(a, b) for b in range(m // 2, m) for a in range(b, m)]))
+        left.append((slots, coeffs, weight, [(a, b) for b in range(m // 2) for a in range(b, m)]))
+    return right + left
 
 
 def build_system(grid, params, variant):
@@ -231,32 +250,39 @@ def build_system(grid, params, variant):
 
     inv = 1.0 / dx
     inv2 = 1.0 / (dx * dx)
-    # summation order: cells left to right (stretch u, stretch v, shear),
-    # then the curvature panels from x=0
-    cell = 3 * np.arange(N)
+    # summation order of every entry: cells left to right (stretch u,
+    # stretch v, shear), then the curvature panels from x=0
     band = _band_from_panels(
         n,
-        [
-            (np.column_stack((iu[:-1], iu[1:])), (-inv, inv), params.E1h1 * dx, cell),
-            (np.column_stack((iv[:-1], iv[1:])), (-inv, inv), params.E3h3 * dx, cell + 1),
-            (
-                np.column_stack((iu[:-1], iu[1:], iv[:-1], iv[1:], iw[:-1], iw[1:])),
-                (-0.5, -0.5, 0.5, 0.5, -params.alpha * inv, params.alpha * inv),
-                params.k * dx,
-                cell + 2,
-            ),
+        _cell_passes(
+            [
+                (np.column_stack((iu[:-1], iu[1:])), (-inv, inv), params.E1h1 * dx),
+                (np.column_stack((iv[:-1], iv[1:])), (-inv, inv), params.E3h3 * dx),
+                (
+                    np.column_stack((iu[:-1], iv[:-1], iw[:-1], iu[1:], iv[1:], iw[1:])),
+                    (-0.5, 0.5, -params.alpha * inv, -0.5, 0.5, params.alpha * inv),
+                    params.k * dx,
+                ),
+            ]
+        )
+        + [
             # curvature panel at x=0 folds the ghost reflection of w_x(0)=0
             (
                 np.column_stack((iw[:1], iw[1:2])),
                 (-2.0 * inv2, 2.0 * inv2),
                 params.EI * dx / 2.0,
-                np.array([3 * N]),
+                [(0, 0), (1, 0), (1, 1)],
             ),
+            # the panels at nodes j = 1..N-1 (columns: nodes j-1, j, j+1,
+            # roles L, C, R): w_k w_k sums panel k-1's RR, panel k's CC,
+            # then panel k+1's LL, and w_{k+1} w_k panel k's RC before
+            # panel k+1's CL, so the pairs go RR, RC, CC, CL, LL, then RL,
+            # which one panel alone reaches
             (
                 np.column_stack((iw[:-2], iw[1:-1], iw[2:])),
                 (inv2, -2.0 * inv2, inv2),
                 params.EI * dx,
-                3 * N + np.arange(1, N),
+                [(2, 2), (2, 1), (1, 1), (1, 0), (0, 0), (2, 0)],
             ),
             # no curvature panel at x=L: the natural condition on w_xx(L)
             # lives in the boundary flux (feedback injection or zero), not in

@@ -109,7 +109,7 @@ class HumSolution:
     ``iterations`` is the number of Gramian eigen-directions kept,
     ``residuals[r]`` the residual norm with the first r of them (falling
     eigenvalue order), and the Rayleigh extremes are the extreme kept
-    eigenvalues.
+    eigenvalues, None when none is kept.
     """
 
     controls: np.ndarray  # (n_steps + 1, 3) on the step grid
@@ -297,8 +297,8 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
         converged=converged,
         terminal_rel_norm=rel,
         control_cost=obs.norm_sq,
-        min_rayleigh=lam[rank - 1] if rank else np.nan,
-        max_rayleigh=lam[0] if rank else np.nan,
+        min_rayleigh=lam[rank - 1] if rank else None,
+        max_rayleigh=lam[0] if rank else None,
     )
 
 

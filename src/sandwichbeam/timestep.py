@@ -40,7 +40,10 @@ that holds one block of steps, and the recorded
 series are filled once per block from the whole block: the field
 energies (one ``SemiDiscreteSystem.field_energy`` call on the stack of
 states), the boundary traces, the ledger's midpoint velocity norms and
-traces, and the decimated states.  The damping and effective diagonals
+traces, and the decimated states.  A non-finite value among them (a
+finite state's energy can overflow) raises ``IntegrationError`` naming
+its first step, as does a non-finite delay energy, tilt or delayed trace
+when the window pass computes them.  The damping and effective diagonals
 of the block's refactoring steps are tabulated at its start.
 
 That solve and the stiffness product work on the banded stiffness
@@ -49,7 +52,9 @@ vectors themselves: the effective matrix
 M + dt^2/4 K + dt/2 C is written into one Fortran-order band buffer and
 factored there by LAPACK ``dpbtrf``, each step solves with ``dpbtrs`` and
 multiplies with BLAS ``dsbmv``, so a step costs O(n) in time and memory;
-the energies never go through ``dsbmv``.
+the energies never go through ``dsbmv``.  The effective matrix has that
+one buffer and no scaled copy of the band: a refactor writes
+(dt^2/4) K into it from the band itself.
 The routines are numpy's own OpenBLAS, bound by ``lapack`` once per run
 to the stepper's fixed buffers (the stiffness band, the factor, the
 stiffness argument and the right-hand side), which are checked then: a
@@ -148,6 +153,7 @@ class SimOutput:
         for i, weight, integrals in self.windows:
             i0, tilts[:, i], z_series[:, i] = integrals()
             delay_energy += weight * i0
+        _check_records("delay energy, tilt or delayed trace", 0, delay_energy, tilts, z_series)
         return delay_energy, tilts, z_series
 
     @cached_property
@@ -172,10 +178,12 @@ class SimOutput:
         return len(self.times) - 1
 
     def max_energy_increase(self):
-        """Largest per-step energy increase (0 for a monotone run)."""
+        """Largest per-step energy increase (0 for a monotone run, NaN if an
+        increase is NaN)."""
         if len(self.energy) < 2:
             return 0.0
-        return float(max(0.0, np.max(np.diff(self.energy))))
+        # np.maximum keeps a NaN, where Python's max(0.0, nan) gives 0.0
+        return float(np.maximum(0.0, np.max(np.diff(self.energy))))
 
     def relative_drift(self):
         """max |E(t) - E(0)| / E(0); the conservation figure of merit."""
@@ -220,9 +228,10 @@ class _Stepper:
     A step refactors only when its damping weights differ from the previous
     step's.  The damping and effective diagonals of those steps come from a
     table built once per block of steps (``tabulate``): one product of
-    their weights with the weight table and one finiteness check.  A
-    refactor copies its diagonal into the scaled stiffness band in place;
-    the scaled band is checked for finiteness once.
+    their weights with the weight table and one finiteness check.  The
+    effective matrix has one band buffer, in which ``dpbtrf`` factors it: a
+    refactor writes (dt^2/4) K into it, then its diagonal.  The scaled
+    band is checked for finiteness once, when the stepper is built.
     """
 
     def __init__(self, sys_, dt, gains):
@@ -233,11 +242,12 @@ class _Stepper:
         coeff = sys_.channel_coeff
         self.feedback_diag[sys_.channel_index] = cs * gains.alphas * coeff * coeff
         self.cdiag = None
-        self._scaled_band = np.asfortranarray((0.25 * dt * dt) * sys_.band)
-        if not np.all(np.isfinite(self._scaled_band)):
-            raise IntegrationError("non-finite effective matrix")
+        self._scale = 0.25 * dt * dt
         # the effective matrix, then its factor: dpbtrf works in this buffer
-        self._factor = np.empty_like(self._scaled_band)
+        self._factor = np.asfortranarray(self._scale * sys_.band)
+        # one scalar test, as in _check_finite
+        if not math.isfinite(self._factor.sum()) and not np.all(np.isfinite(self._factor)):
+            raise IntegrationError("non-finite effective matrix")
         self._a_values = None
         self._table = {}
         # the step's work buffers: the right-hand side, then the acceleration
@@ -255,12 +265,12 @@ class _Stepper:
         (R, 3) damping weights of a block's refactoring steps, keyed by the
         weights: one product and one finiteness check per block."""
         sys_, dt = self.sys, self.dt
-        # in place, with the association of scaled_band[0] + (M + dt/2 * cdiag)
+        # in place, with the association of (dt^2/4 K)[0] + (M + dt/2 * cdiag)
         cdiag = sys_.damping_diagonal(rows)
         cdiag += self.feedback_diag
         diag = 0.5 * dt * cdiag
         diag += sys_.M
-        diag += self._scaled_band[0]
+        diag += self._scale * sys_.band[0]
         # one scalar test, as in _check_finite
         if not math.isfinite(diag.sum()) and not np.all(np.isfinite(diag)):
             raise IntegrationError("non-finite effective matrix")
@@ -269,7 +279,7 @@ class _Stepper:
     def _refactor(self, a_values):
         cdiag, diag = self._table[tuple(a_values)]
         ab = self._factor
-        ab[...] = self._scaled_band
+        np.multiply(self._scale, self.sys.band, out=ab)
         ab[0] = diag
         info = self._factorize()
         if info != 0:
@@ -369,6 +379,19 @@ def _check_finite(q, v, step):
         np.all(np.isfinite(q)) and np.all(np.isfinite(v))
     ):
         raise IntegrationError(f"non-finite state at step {step}")
+
+
+def _check_records(what, step, *blocks):
+    """Raise IntegrationError at the first step whose recorded ``what`` are
+    not all finite: row r of every block belongs to step ``step + r``."""
+    # one scalar test; the rows are searched only when it fails
+    if math.isfinite(sum(b.sum() for b in blocks)):
+        return
+    # the row of every non-finite value, in order
+    bad = [np.nonzero(~np.isfinite(b))[0] for b in blocks]
+    bad = [rows[0] for rows in bad if rows.size]
+    if bad:
+        raise IntegrationError(f"non-finite {what} at step {step + min(bad)}")
 
 
 def _sample_slots(n_steps, stride):
@@ -479,19 +502,28 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
 
     def record(base, first, last):
         """Fill the series at the block's states base + first .. base + last
-        (rows first..last) and at the step midpoints that end in them."""
+        (rows first..last) and at the step midpoints that end in them, and
+        check every value the block recorded."""
         rows = slice(first, last + 1)
         at = slice(base + first, base + last + 1)
         field_energy[at] = sys_.field_energy(q_block[rows], v_block[rows])
         tr_vel[at] = sys_.traces(v_block[rows])
+        recorded = [field_energy[at], tr_vel[at]]
         if tr_disp is not None:
             tr_disp[at] = sys_.traces(q_block[rows])
+            recorded.append(tr_disp[at])
         if ledger is not None:
             v_mid = v_block[:last] + v_block[1 : last + 1]
             v_mid *= 0.5
-            ledger["trace_mid"][base : base + last] = sys_.traces(v_mid)
+            mid = slice(base, base + last)
+            ledger["trace_mid"][mid] = sys_.traces(v_mid)
             v_mid *= v_mid
-            ledger["vel_norms_mid"][base : base + last] = np.dot(v_mid, sys_.field_weights.T)
+            ledger["vel_norms_mid"][mid] = np.dot(v_mid, sys_.field_weights.T)
+            recorded += [ledger[key][mid] for key in ("trace_mid", "vel_norms_mid", "z_mid")]
+        # the midpoint rows base .. base + last - 1 end in the steps
+        # base + 1 .. base + last, the states of rows 1..last: with first = 1
+        # both start at step base + first, and with first = 0 there are none
+        _check_records("field energy, trace or ledger value", base + first, *recorded)
         lo, hi = np.searchsorted(slots, (base + first, base + last + 1))
         if hi > lo:
             states_q[lo:hi] = q_block[slots[lo:hi] - base]

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -395,6 +396,16 @@ SHIPPED_EXIT_CODES = {
 }  # fmt: skip
 
 
+def strict_json(path):
+    """The JSON document at ``path``, refusing NaN and Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("shipped", sorted(os.listdir(os.path.join(ROOT, "configs"))))
 def test_every_command_on_every_shipped_document(tmp_path, shipped):
     path = os.path.join(ROOT, "configs", shipped)
@@ -403,6 +414,48 @@ def test_every_command_on_every_shipped_document(tmp_path, shipped):
         for command in SHIPPED_EXIT_CODES[shipped]
     }
     assert codes == SHIPPED_EXIT_CODES[shipped]
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert written
+    for artifact in written:
+        strict_json(artifact)
+
+
+def test_hum_keeping_no_direction_writes_null_rayleigh_extremes(tmp_path):
+    # cg_tol >= 1 is met with no direction kept: the free state is the
+    # terminal state (exit 3), and there is no kept eigenvalue to report
+    doc = CONTROLLED_DOC.replace("cg_tol = 1e-8", "cg_tol = 2")
+    path = write_doc(tmp_path, doc)
+    assert main(["hum", "--config", path, "--quiet"]) == 3
+    payload = strict_json(tmp_path / "out" / "hum.json")
+    assert payload["rank"] == 0
+    assert payload["rayleigh"] == {"min": None, "max": None}
+
+
+def test_a_run_that_blows_up_exits_3(tmp_path):
+    # gains far past the hypotheses on decay.ini: the energy grows past the
+    # largest double at t = 35.5 while the state stays finite; simulate used
+    # to exit 0 with status ok, NaN drift and 2460 rows of inf and nan
+    with open(os.path.join(ROOT, "configs", "decay.ini")) as fh:
+        doc = fh.read()
+    for pattern, line, lines in (
+        (r"^(beta\d) = .*$", r"\1 = 3.0", 3),
+        (r"^(tau\d) = .*$", r"\1 = constant 0.1", 3),
+        (r"^n = .*$", "n = 32", 1),
+        (r"^dt = .*$", "dt = 0.01", 1),
+        (r"^t = .*$", "t = 60", 1),
+    ):
+        doc, count = re.subn(pattern, line, doc, flags=re.M)
+        assert count == lines, pattern
+    path = tmp_path / "blow_up.ini"
+    path.write_text(doc)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+    manifest = strict_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    error = re.fullmatch(r"non-finite field energy, trace or ledger value at step (\d+)", manifest["error"])
+    assert error and 3000 < int(error[1]) < 6000, manifest["error"]
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_missing_config_file():

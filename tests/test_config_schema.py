@@ -323,6 +323,8 @@ STEEP_DELAY = {("delays", "tau1"): "sinusoidal base=0.3 amplitude=0.15 frequency
             )
             for command in ("simulate", "decay-report", "convergence")
         ),
+        # validate reports the slope bound as a hypothesis, but refuses the step
+        ("validate", "decay.ini", BIG_STEP, "dt = 0.2 exceeds the smallest delay floor 0.05"),
     ],
     ids=[
         "observability-cutoff", "convergence-resolutions", "convergence-shipped-control",
@@ -331,6 +333,7 @@ STEEP_DELAY = {("delays", "tau1"): "sinusoidal base=0.3 amplitude=0.15 frequency
             for case in ("big-step", "steep-delay")
             for command in ("simulate", "decay-report", "convergence")
         ),
+        "validate-big-step",
     ],
 )  # fmt: skip
 def test_a_refused_command_leaves_no_output_directory(tmp_path, command, shipped, edits, message):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,9 +109,24 @@ def _loop_stiffness(sys_):
 
 
 def test_band_assembly_equals_loop_reference_bitwise():
-    for N in (8, 17, 33):
+    for N in (8, 17, 33, 64, 65):
         for sys_ in both_systems(N, E3h3=2.0, EI=0.7, k=1.3, alpha=0.8, L=1.7):
             assert np.array_equal(sys_.K, _loop_stiffness(sys_))
+
+
+@pytest.mark.parametrize("variant", [VARIANT_STABILIZED, VARIANT_CONTROLLED])
+def test_assembly_memory_is_a_few_bands(variant):
+    # the assembly adds into the band in place, with temporaries the length
+    # of one panel family; sorting all contributions at once peaked at 12x
+    p = unit_params()
+    grid = Grid1D(N=1024, L=p.L)
+    tracemalloc.start()
+    try:
+        sys_ = build_system(grid, p, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sys_.band.nbytes, peak / sys_.band.nbytes
 
 
 @pytest.mark.parametrize("N", [8, 16, 32])

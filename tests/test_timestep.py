@@ -275,16 +275,73 @@ def test_nonfinite_state_detected():
 
 
 def test_large_finite_state_is_not_rejected():
-    # the squares of 1e200 overflow; the scalar test must fall back to the
-    # elementwise check rather than report a non-finite state
+    # a velocity of energy 5e307 whose squares sum past the largest double:
+    # the scalar test must fall back to the elementwise check rather than
+    # report a non-finite state, and the recorded energies stay finite
+    p, sys_ = controlled(16)
+    st = random_smooth_state(sys_, seed=2)
+    big = DiscreteState(q=np.zeros(sys_.ndof), p=1e154 * st.p / math.sqrt(st.p @ (sys_.M * st.p)))
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(np.dot(big.p, big.p))
+        out = simulate(big, sys_, SchemeConfig(dt=0.001, T=0.01, stride=1))
+    assert out.n_steps == 10
+    assert np.all(np.isfinite(out.states_q)) and np.all(np.isfinite(out.states_p))
+    assert np.all(np.isfinite(out.energy)) and out.energy[0] == pytest.approx(5e307, rel=1e-12)
+
+
+def test_overflowing_energy_is_reported_at_its_step():
+    # a finite state of size 1e200 has an energy past the largest double
     p, sys_ = controlled(16)
     st = random_smooth_state(sys_, seed=2)
     big = DiscreteState(q=1e200 * st.q / np.max(np.abs(st.q)), p=1e200 * st.p / np.max(np.abs(st.p)))
-    # the recorded energy overflows; only the state must stay finite
     with np.errstate(over="ignore", invalid="ignore"):
-        out = simulate(big, sys_, SchemeConfig(dt=0.01, T=0.1, stride=1))
-    assert out.n_steps == 10
-    assert np.all(np.isfinite(out.states_q)) and np.all(np.isfinite(out.states_p))
+        with pytest.raises(IntegrationError, match="non-finite field energy, trace or ledger value at step 0$"):
+            simulate(big, sys_, SchemeConfig(dt=0.01, T=0.1, stride=1))
+
+
+def test_record_check_names_the_first_step():
+    from sandwichbeam.timestep import _check_records
+
+    energy = np.array([1.0, 2.0, np.inf, np.nan])
+    traces = np.array([[1.0, 2.0, 3.0], [0.0, -np.inf, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(IntegrationError, match="non-finite records at step 6$"):
+        _check_records("records", 5, energy, traces, traces[:0])
+    # finite values whose sum overflows pass
+    with np.errstate(over="ignore"):
+        _check_records("records", 5, np.array([1e308, 1e308]), traces[:0])
+
+
+def test_nonfinite_delay_series_reported_at_its_step():
+    def integrals():
+        return np.array([0.0, 1.0, np.inf]), np.zeros(3), np.zeros(3)
+
+    out = SimOutput(
+        variant=VARIANT_STABILIZED,
+        dt=0.1,
+        times=np.array([0.0, 0.1, 0.2]),
+        trace_velocities=np.zeros((3, 3)),
+        field_energy=np.ones(3),
+        windows=((0, 0.5, integrals),),
+    )
+    with pytest.raises(IntegrationError, match="non-finite delay energy, tilt or delayed trace at step 2$"):
+        out.energy
+
+
+def test_max_energy_increase_keeps_a_nan():
+    def record(energy):
+        n = len(energy)
+        return SimOutput(
+            variant=VARIANT_CONTROLLED,
+            dt=0.1,
+            times=0.1 * np.arange(n),
+            trace_velocities=np.zeros((n, 3)),
+            field_energy=np.array(energy),
+        )
+
+    assert record([2.0, 1.0, 0.5]).max_energy_increase() == 0.0
+    assert record([1.0, 1.5, 1.25]).max_energy_increase() == 0.5
+    # Python's max(0.0, nan) is 0.0, which read a NaN energy as monotone
+    assert math.isnan(record([1.0, np.nan, 1.0]).max_energy_increase())
 
 
 def test_injected_nan_reported_at_its_step(monkeypatch):
@@ -369,9 +426,10 @@ def test_one_dsbmv_per_step_and_none_for_energies(monkeypatch):
 
 def test_block_buffers_add_little_memory():
     # the grid-ladder document at N = 1024, 100 steps in blocks of 4: the
-    # run peaks at about 1.05 MiB, of which the block buffers and the block
-    # pass's temporaries are about 0.35 MiB; the bound keeps them a small
-    # share of the 40 MB a command's process holds
+    # run peaks at about 0.85 MiB (1.18 MiB with a scaled copy of the band
+    # and a doubled band per energy call), of which the block buffers and
+    # the block pass's temporaries are about 0.35 MiB; the bound keeps them
+    # a small share of the 40 MB a command's process holds
     cfg = load_config(os.path.join(ROOT, "configs", "control.ini"))
     sys_ = build_system(Grid1D(N=1024, L=cfg.params.L), cfg.params, cfg.variant)
     state = cfg.build_initial(sys_)
