@@ -9,8 +9,6 @@ the residual is the time-discretization error of the scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .discretize import VARIANT_STABILIZED
@@ -20,25 +18,12 @@ _FLOOR_RATIO = 1e-14
 _BOUND_SLACK = 1.05
 
 __all__ = [
-    "DecayReport",
     "check_dissipation_identity",
     "lyapunov_trace",
     "fit_decay_rate",
     "check_theoretical_bound",
     "check_trace_estimates",
 ]
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    fitted_rate: float
-    intercept: float
-    r_squared: float
-    theoretical_rate: float
-    zeta: float
-    violations: int
-    max_dissipation_residual: float
-    window: tuple
 
 
 def check_dissipation_identity(out, params, gains):
@@ -101,22 +86,23 @@ def fit_decay_rate(times, energies, window):
 
 
 def check_theoretical_bound(out, rates, window, dissipation_residual=None):
-    """Count samples violating E(t) <= _BOUND_SLACK * zeta * exp(-rate t) * E(0)."""
+    """The ``decay_report`` block of ``decay_report.json``: the fit of ln E
+    over ``window`` and the count of samples violating
+    E(t) <= _BOUND_SLACK * zeta * exp(-rate t) * E(0)."""
     bound = _BOUND_SLACK * decay_bound(out.times, out.energy[0], rates)
-    violations = int(np.sum(out.energy > bound))
     omega, intercept, r2 = fit_decay_rate(out.times, out.energy, window)
-    return DecayReport(
-        fitted_rate=omega,
-        intercept=intercept,
-        r_squared=r2,
-        theoretical_rate=rates.rate,
-        zeta=rates.zeta,
-        violations=violations,
-        max_dissipation_residual=(
+    return {
+        "fitted_rate": omega,
+        "intercept": intercept,
+        "r_squared": r2,
+        "theoretical_rate": rates.rate,
+        "zeta": rates.zeta,
+        "violations": int(np.sum(out.energy > bound)),
+        "max_dissipation_residual": (
             float(np.max(dissipation_residual)) if dissipation_residual is not None else float("nan")
         ),
-        window=window,
-    )
+        "window": window,
+    }
 
 
 def check_trace_estimates(out, sys_, gains, damping=None):

@@ -15,12 +15,11 @@ stored values.
 The window integrals are diagnostics that nothing in a step reads.
 ``delay_windows`` checks every window of a run against the record's times
 before the run, and returns the integrator that computes them all in one
-numpy pass over the filled record, whenever a caller asks;
-``window_integrals`` does both at once.  The window starts z come from the
-same stencil.  On a cubic segment the integrands have degree <= 7, so
-4-point Gauss-Legendre integrates them exactly.  The pass goes through
-the windows in blocks, each sized by its own widest window, and no block
-changes the order of any sum.
+numpy pass over the filled record, whenever a caller asks.  The window
+starts z come from the same stencil.  On a cubic segment the integrands
+have degree <= 7, so 4-point Gauss-Legendre integrates them exactly.  The
+pass goes through the windows in blocks, each sized by its own widest
+window, and no block changes the order of any sum.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "hermite_stencil",
     "delay_samples",
     "delay_windows",
-    "window_integrals",
 ]
 
 # 4-point Gauss-Legendre on [0, 1], (node, weight): exact for polynomials
@@ -49,7 +47,7 @@ _GAUSS = (
     (0.6699905217924281, 0.3260725774312732),
     (0.9305681557970262, 0.17392742256872679),
 )
-# window-by-segment entries one block of ``window_integrals`` holds at most
+# window-by-segment entries one block of the window pass holds at most
 _BLOCK = 1 << 12
 
 
@@ -270,6 +268,17 @@ def delay_windows(ts, ends, taus, extension=0.0, channel=0):
     sample, or whose tail reaches further, raises LookupBeforeHistory here.
     So a run checks its windows before its first step, and integrates them
     only if its caller reads them.
+
+    I0 = int y(s)^2 ds and I1 = int (1 - (t - s)/tau) y(s)^2 ds, which are
+    tau * int z^2 drho and tau * int (1 - rho) z^2 drho for the rescaled
+    profile: the partial first segment by 4-point Gauss-Legendre on its
+    Hermite cubic, the whole segments from their integrals by the same
+    rule, and the tail in closed form, summed left to right.
+    z = y(t - tau) is the window's start value, read from the same segment.
+    The windows go through in consecutive blocks, each of at most about
+    ``_BLOCK`` window segments counted by its own widest window, so the
+    pass holds O(n + _BLOCK) values for n samples and windows, and every
+    window sums in the same order whatever the blocks.
     """
     ts = np.asarray(ts, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -286,23 +295,3 @@ def delay_windows(ts, ends, taus, extension=0.0, channel=0):
     thetas = ends - taus
     stencil = hermite_stencil(ts, thetas, newest, extension, channel)
     return functools.partial(_integrals, ts, ends, taus, thetas, newest, *stencil)
-
-
-def window_integrals(ts, ys, ms, ends, taus, extension=0.0, channel=0):
-    """(I0, I1, z) of the windows [ends - taus, ends] over one sample record, as arrays.
-
-    The record is the (t, value, slope) samples of one trace, times strictly
-    increasing; ``delay_windows`` states which windows it serves.
-
-    I0 = int y(s)^2 ds and I1 = int (1 - (t - s)/tau) y(s)^2 ds, which are
-    tau * int z^2 drho and tau * int (1 - rho) z^2 drho for the rescaled
-    profile: the partial first segment by 4-point Gauss-Legendre on its
-    Hermite cubic, the whole segments from their integrals by the same
-    rule, and the tail in closed form, summed left to right.
-    z = y(t - tau) is the window's start value, read from the same segment.
-    The windows go through in consecutive blocks, each of at most about
-    ``_BLOCK`` window segments counted by its own widest window, so the
-    pass holds O(n + _BLOCK) values for n samples and windows, and every
-    window sums in the same order whatever the blocks.
-    """
-    return delay_windows(ts, ends, taus, extension, channel)(ys, ms)

@@ -19,8 +19,6 @@ _MAX_HALVINGS = 60
 
 __all__ = [
     "BoundaryQuadForm",
-    "HypothesisCheck",
-    "HypothesisReport",
     "TheoreticalRates",
     "InfeasibleRates",
     "phi_matrix",
@@ -92,67 +90,43 @@ def gain_threshold(i, d, params, gains):
     return (abs(b) / (2.0 * c)) * ((c * c + 1.0 - d) / (1.0 - d))
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    condition_id: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-
-    def as_dict(self):
-        return {
-            "condition_id": self.condition_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    conditions: tuple
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.conditions)
-
-    def failing(self):
-        return [c for c in self.conditions if not c.passed]
+def _row(condition_id, lhs, rhs, margin, passed):
+    """One row of ``hypotheses.json``."""
+    return {"condition_id": condition_id, "lhs": lhs, "rhs": rhs, "margin": margin, "pass": passed}
 
 
 def validate_gains(params, gains, delays):
-    """Check the three strict gain conditions alpha_i > threshold(d_i).
+    """Rows of the three strict gain conditions alpha_i > threshold(d_i).
 
     Equality counts as failure.  A channel whose delay slope bound d_i
     reaches 1 has no threshold (the delayed argument would stop increasing):
     its row fails with rhs and margin None.
     """
-    checks = []
+    rows = []
     for i in (1, 2, 3):
         d = delays.slope_bound(i - 1)
         lhs = gains.alphas[i - 1]
         if d >= 1.0:
-            checks.append(HypothesisCheck(f"gain_channel_{i}", lhs, None, None, False))
+            rows.append(_row(f"gain_channel_{i}", lhs, None, None, False))
             continue
         rhs = gain_threshold(i, d, params, gains)
-        checks.append(HypothesisCheck(f"gain_channel_{i}", lhs, rhs, lhs - rhs, lhs > rhs))
-    return HypothesisReport(conditions=tuple(checks))
+        rows.append(_row(f"gain_channel_{i}", lhs, rhs, lhs - rhs, lhs > rhs))
+    return rows
 
 
 def scenario_report(params, gains, delays, damping):
-    """Every hypothesis of a scenario in ``validate``'s order: with delays the
-    gain rows, then per channel d_i < 1 and, with damping, a floor above 0."""
-    checks = list(validate_gains(params, gains, delays).conditions) if delays is not None else []
+    """The rows of every hypothesis of a scenario in ``validate``'s order:
+    with delays the gain rows, then per channel d_i < 1 and, with damping, a
+    floor above 0."""
+    rows = validate_gains(params, gains, delays) if delays is not None else []
     for i in range(3):
         if delays is not None:
             d = delays.slope_bound(i)
-            checks.append(HypothesisCheck(f"delay_slope_channel_{i + 1}", d, 1.0, 1.0 - d, d < 1.0))
+            rows.append(_row(f"delay_slope_channel_{i + 1}", d, 1.0, 1.0 - d, d < 1.0))
         if damping is not None:
             a0 = damping.floor(i)
-            checks.append(HypothesisCheck(f"damping_floor_channel_{i + 1}", a0, 0.0, a0, a0 > 0.0))
-    return HypothesisReport(conditions=tuple(checks))
+            rows.append(_row(f"damping_floor_channel_{i + 1}", a0, 0.0, a0, a0 > 0.0))
+    return rows
 
 
 def compute_mu4(params, mu0, mu1, mu2, mu3):
@@ -264,10 +238,9 @@ def select_mus(params, delays, damping, gains):
     mu_i = 2*mu0*M_i/(1 - d_i).  Raises InfeasibleRates when a gain row fails
     (d_i >= 1 included) or after _MAX_HALVINGS halvings.
     """
-    report = validate_gains(params, gains, delays)
-    if not report.all_passed:
-        bad = ", ".join(c.condition_id for c in report.failing())
-        raise InfeasibleRates(f"gain hypotheses fail: {bad}")
+    bad = [row["condition_id"] for row in validate_gains(params, gains, delays) if not row["pass"]]
+    if bad:
+        raise InfeasibleRates(f"gain hypotheses fail: {', '.join(bad)}")
     ratios = [a0 / m for a0, m in zip(damping.floors, params.mass_coefficients)]
     mu0 = min(ratios) / 2.0
     reason = ""

@@ -529,9 +529,6 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             states_q[lo:hi] = q_block[slots[lo:hi] - base]
             states_p[lo:hi] = v_block[slots[lo:hi] - base]
 
-    q_block[0] = initial.q
-    v_block[0] = initial.p
-    record(0, 0, 0)
     channels = sys_.channel_index
     force = np.zeros(sys_.ndof)
     # each delayed channel's lookups z_i at the block's step midpoints
@@ -540,55 +537,61 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     changes = np.ones(n_steps, dtype=bool)
     changes[1:] = np.any(a_mid[1:] != a_mid[:-1], axis=1)
     refactors = np.flatnonzero(changes)
-    for base in range(0, n_steps, block):
-        stop = min(base + block, n_steps)
-        lo, hi = np.searchsorted(refactors, (base, stop))
-        if hi > lo:
-            stepper.tabulate(a_mid[refactors[lo:hi]])
-        a_rows = a_mid[base:stop].tolist()
-        # each delayed channel's stencils for the block, as Python lists:
-        # numpy scalars would cost more than the arithmetic
-        stencils = [
-            (first + base, ys, ms, gaps[base:stop].tolist(), js[base:stop].tolist(),
-             tails[base:stop].tolist(), weights[base:stop].tolist(), zs, channels.item(i),
-             sys_.channel_coeff.item(i), feedback_weights.item(i))
-            for (i, first, ys, ms, gaps, js, weights, tails, _), zs in zip(lines, z_lists)
-        ]
-        for n in range(base, stop):
-            j = n - base
-            if channel_force is not None:
-                force[channels] = channel_force[n]
-            for _, ys, ms, _, js, tails, weights, zs, c, coeff, fw in stencils:
-                k = js[j]
-                if tails[j]:
-                    z = ys[k + 1]
-                else:
-                    w0, w1, w2, w3 = weights[j]
-                    z = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
-                zs[j] = z
-                # the delayed feedback -c_i * beta_i * z_i * coeff_i, as
-                # 0.0 - x so that a zero feedback is +0.0
-                force[c] = 0.0 - fw * z * coeff
-            v, q1, v1 = v_rows[j], q_rows[j + 1], v_rows[j + 1]
-            stepper.advance(q_rows[j], v, a_rows[j], force, q1, v1)
-            _check_finite(q1, v1, n + 1)
-            for slot, ys, ms, gaps, _, _, _, _, c, coeff, _ in stencils:
-                k = slot + j
-                y = coeff * (0.5 * (v.item(c) + v1.item(c)))
-                ys[k] = y
-                # Midpoint samples keep the delayed feedback loop stable: the
-                # undamped grid-frequency modes of the conservative scheme
-                # average out at step midpoints, so they never re-enter
-                # through the delay line.  Slopes are backward differences
-                # of the recorded values themselves (the raw accelerations
-                # carry the unfiltered ringing and would reopen the loop
-                # through the Hermite terms).
-                ms[k] = (y - ys[k - 1]) / gaps[j]
-        for (i, *_), zs in zip(lines, z_lists):
-            ledger["z_mid"][base:stop, i] = zs[: stop - base]
-        record(base, 1, stop - base)
-        q_block[0] = q_block[stop - base]
-        v_block[0] = v_block[stop - base]
+    q_block[0] = initial.q
+    v_block[0] = initial.p
+    # a state or a record may overflow on its way to the checks that report
+    # it, which name its step; numpy need not warn of it as well
+    with np.errstate(over="ignore"):
+        record(0, 0, 0)
+        for base in range(0, n_steps, block):
+            stop = min(base + block, n_steps)
+            lo, hi = np.searchsorted(refactors, (base, stop))
+            if hi > lo:
+                stepper.tabulate(a_mid[refactors[lo:hi]])
+            a_rows = a_mid[base:stop].tolist()
+            # each delayed channel's stencils for the block, as Python lists:
+            # numpy scalars would cost more than the arithmetic
+            stencils = [
+                (first + base, ys, ms, gaps[base:stop].tolist(), js[base:stop].tolist(),
+                 tails[base:stop].tolist(), weights[base:stop].tolist(), zs, channels.item(i),
+                 sys_.channel_coeff.item(i), feedback_weights.item(i))
+                for (i, first, ys, ms, gaps, js, weights, tails, _), zs in zip(lines, z_lists)
+            ]
+            for n in range(base, stop):
+                j = n - base
+                if channel_force is not None:
+                    force[channels] = channel_force[n]
+                for _, ys, ms, _, js, tails, weights, zs, c, coeff, fw in stencils:
+                    k = js[j]
+                    if tails[j]:
+                        z = ys[k + 1]
+                    else:
+                        w0, w1, w2, w3 = weights[j]
+                        z = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
+                    zs[j] = z
+                    # the delayed feedback -c_i * beta_i * z_i * coeff_i, as
+                    # 0.0 - x so that a zero feedback is +0.0
+                    force[c] = 0.0 - fw * z * coeff
+                v, q1, v1 = v_rows[j], q_rows[j + 1], v_rows[j + 1]
+                stepper.advance(q_rows[j], v, a_rows[j], force, q1, v1)
+                _check_finite(q1, v1, n + 1)
+                for slot, ys, ms, gaps, _, _, _, _, c, coeff, _ in stencils:
+                    k = slot + j
+                    y = coeff * (0.5 * (v.item(c) + v1.item(c)))
+                    ys[k] = y
+                    # Midpoint samples keep the delayed feedback loop stable: the
+                    # undamped grid-frequency modes of the conservative scheme
+                    # average out at step midpoints, so they never re-enter
+                    # through the delay line.  Slopes are backward differences
+                    # of the recorded values themselves (the raw accelerations
+                    # carry the unfiltered ringing and would reopen the loop
+                    # through the Hermite terms).
+                    ms[k] = (y - ys[k - 1]) / gaps[j]
+            for (i, *_), zs in zip(lines, z_lists):
+                ledger["z_mid"][base:stop, i] = zs[: stop - base]
+            record(base, 1, stop - base)
+            q_block[0] = q_block[stop - base]
+            v_block[0] = v_block[stop - base]
 
     # the window pass over each filled record, deferred until a caller
     # reads a delay-line series

@@ -97,11 +97,11 @@ def test_criterion_01_hypothesis_suite():
         report = validate_gains(p, gains, delays)
         # direct re-evaluation of the printed inequality
         cs = (p.E1h1, p.E3h3, p.EI)
-        for i, cond in enumerate(report.conditions):
+        for i, row in enumerate(report):
             direct = (abs(betas[i]) / (2.0 * cs[i])) * ((cs[i] ** 2 + 1.0 - d[i]) / (1.0 - d[i]))
-            assert abs(cond.rhs - direct) <= 1e-12 * max(1.0, abs(direct))
-            assert cond.passed == (alphas[i] > direct)
-        assert report.all_passed
+            assert abs(row["rhs"] - direct) <= 1e-12 * max(1.0, abs(direct))
+            assert row["pass"] == (alphas[i] > direct)
+        assert all(row["pass"] for row in report)
         for i in (1, 2, 3):
             assert is_negative_definite(phi_matrix(i, d[i - 1], p, gains))
         checked += 1
@@ -125,7 +125,7 @@ def _criterion3_runs():
         delays = DelaySpec((SinusoidalDelay(0.1, 0.05, 10.0),) * 3)  # slope bound 0.5
         damping = DampingSpec.constant(1.0)
         gains = GainConfig(1.0, 0.2, 1.0, -0.15, 1.0, 0.1)
-        assert validate_gains(UNIT, gains, delays).all_passed
+        assert all(row["pass"] for row in validate_gains(UNIT, gains, delays))
         state = random_smooth_state(sys_, seed=7, prepared=True)
         runs = {}
         for dt in (0.04, 0.02):
@@ -177,11 +177,11 @@ def test_criterion_04_theoretical_bound_and_equivalence():
         np.all(lyap >= (1.0 - rates.mu4) * energy - cushion)
         and np.all(lyap <= (1.0 + rates.mu4) * energy + cushion)
     )
-    ok = report.violations == 0 and report.fitted_rate >= 0.95 * rates.rate and equivalence
+    ok = report["violations"] == 0 and report["fitted_rate"] >= 0.95 * rates.rate and equivalence
     _report(
         4,
         ok,
-        f"violations {report.violations}, fitted {report.fitted_rate:.3f} >= "
+        f"violations {report['violations']}, fitted {report['fitted_rate']:.3f} >= "
         f"{0.95 * rates.rate:.3f}, equivalence {equivalence}",
     )
 
@@ -239,7 +239,7 @@ def test_criterion_06_trace_estimates():
             delays = DelaySpec.constant(0.2)
         damping = DampingSpec.constant(float(rng.uniform(0.5, 1.5)))
         gains = GainConfig(alphas[0], betas[0], alphas[1], betas[1], alphas[2], betas[2])
-        assert validate_gains(UNIT, gains, delays).all_passed
+        assert all(row["pass"] for row in validate_gains(UNIT, gains, delays))
         state = random_smooth_state(sys_, seed=2000 + trial, prepared=True)
         hist = make_histories(sys_, state, delays)
         out = simulate(

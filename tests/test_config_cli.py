@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -294,7 +295,13 @@ def test_decay_report_cli(tmp_path):
     path = write_doc(tmp_path, doc)
     assert main(["decay-report", "--config", path, "--quiet"]) == 0
     report = json.loads((tmp_path / "out" / "decay_report.json").read_text())
-    assert report["decay_report"]["violations"] == 0
+    block = report["decay_report"]
+    assert set(block) == {
+        "fitted_rate", "intercept", "r_squared", "theoretical_rate", "zeta",
+        "violations", "max_dissipation_residual", "window",
+    }
+    assert isinstance(block["window"], list) and len(block["window"]) == 2
+    assert block["violations"] == 0
     assert report["lyapunov_equivalence"] is True
     series = (tmp_path / "out" / "decay_series.csv").read_text().splitlines()
     assert series[0] == "t,E,L,bound,residual"
@@ -449,7 +456,9 @@ def test_a_run_that_blows_up_exits_3(tmp_path):
     path = tmp_path / "blow_up.ini"
     path.write_text(doc)
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the checks report the overflow by its step, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 3
     manifest = strict_json(out / "manifest.json")
     assert manifest["status"] == "failed"

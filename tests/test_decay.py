@@ -8,13 +8,13 @@ from sandwichbeam.decay import (
     fit_decay_rate,
     lyapunov_trace,
 )
-from sandwichbeam.delayline import window_integrals
 from sandwichbeam.discretize import Grid1D, VARIANT_STABILIZED, build_system
 from sandwichbeam.hypotheses import TheoreticalRates, compute_mu4, compute_zeta, select_mus
 from sandwichbeam.params import DampingSpec, DelaySpec, GainConfig, SinusoidalDelay
 from sandwichbeam.presets import make_histories, random_smooth_state, zero_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
+from test_delayline import window_integrals
 from test_discretize import block_draw
 from test_params import unit_params
 
@@ -208,10 +208,10 @@ def test_check_theoretical_bound_counting():
     fake = Fake()
     fake.energy = np.concatenate([[1.0], 0.999 * envelope[1:]])
     rep = check_theoretical_bound(fake, rates, window=(1.0, 4.0))
-    assert rep.violations == 0
+    assert rep["violations"] == 0
     fake.energy = np.concatenate([[1.0], 2.0 * envelope[1:]])
     rep = check_theoretical_bound(fake, rates, window=(1.0, 4.0))
-    assert rep.violations == len(fake.times) - 1
+    assert rep["violations"] == len(fake.times) - 1
 
 
 def test_full_decay_report_passes():
@@ -219,9 +219,9 @@ def test_full_decay_report_passes():
     rates = select_mus(p, delays, damping, gains)
     resid = check_dissipation_identity(out, p, gains)
     rep = check_theoretical_bound(out, rates, window=(2.0, 9.0), dissipation_residual=resid)
-    assert rep.violations == 0
-    assert rep.fitted_rate >= 0.95 * rates.rate
-    assert rep.r_squared > 0.9
+    assert rep["violations"] == 0
+    assert rep["fitted_rate"] >= 0.95 * rates.rate
+    assert rep["r_squared"] > 0.9
 
 
 def test_trace_estimates_positive_slack():

@@ -12,9 +12,9 @@ from sandwichbeam.delayline import (
     LookupBeforeHistory,
     TraceHistory,
     delay_samples,
+    delay_windows,
     hermite_stencil,
     init_history,
-    window_integrals,
 )
 from sandwichbeam.params import ConstantDelay, DelaySpec, SinusoidalDelay
 from sandwichbeam.timestep import SchemeConfig, simulate
@@ -38,6 +38,12 @@ def lookup(ts, ys, ms, thetas, newest=None, extension=0.0):
             w0, w1, w2, w3 = weights[n]
             got[n] = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
     return got
+
+
+def window_integrals(ts, ys, ms, ends, taus, extension=0.0):
+    """(I0, I1, z) of the windows [ends - taus, ends] over the record (ts, ys,
+    ms): the windows checked by ``delay_windows`` and integrated at once."""
+    return delay_windows(ts, ends, taus, extension)(ys, ms)
 
 
 def extend(history, ts, ys, ms):

@@ -16,9 +16,10 @@ from sandwichbeam.discretize import (
     build_system,
     hspace_norm,
 )
-from sandwichbeam.delayline import init_history, window_integrals
+from sandwichbeam.delayline import init_history
 from sandwichbeam.presets import state_from_functions
 
+from test_delayline import window_integrals
 from test_params import unit_params
 
 

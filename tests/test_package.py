@@ -13,6 +13,8 @@ import pytest
 
 import sandwichbeam
 
+PYPROJECT = Path(sandwichbeam.__file__).parents[2] / "pyproject.toml"
+
 MODULES = [sandwichbeam.__name__] + [
     f"{sandwichbeam.__name__}.{info.name}" for info in pkgutil.iter_modules(sandwichbeam.__path__)
 ]
@@ -50,9 +52,9 @@ def imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("name", MODULES[1:])
+@pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
-    # the package's own imports are its re-exports, so it is left out
+    # the package root re-exports nothing: callers import the submodules
     module = importlib.import_module(name)
     tree = ast.parse(inspect.getsource(module))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -61,7 +63,7 @@ def test_no_unused_imports(name):
     assert not unused, unused
 
 
-@pytest.mark.parametrize("name", MODULES[1:])
+@pytest.mark.parametrize("name", MODULES)
 def test_no_unused_private_functions(name):
     # a module-level _private function is the module's own, so the module
     # must reference it by name or as an attribute
@@ -82,7 +84,7 @@ def test_no_unused_private_functions(name):
     assert not unused, unused
 
 
-@pytest.mark.parametrize("name", MODULES[1:])
+@pytest.mark.parametrize("name", MODULES)
 def test_no_unused_parameters(name):
     # every module-level function reads each of its parameters; methods are
     # exempt, since the delay and damping laws share a (self, t) protocol
@@ -143,6 +145,11 @@ def test_no_module_names_scipy(pattern, texts):
 
 def test_declared_numpy_floor_has_what_the_package_calls():
     # the package calls np.vecdot and np.trapezoid, which numpy 1.x lacks
-    pyproject = Path(sandwichbeam.__file__).parents[2] / "pyproject.toml"
-    floor = re.search(r'"numpy>=([0-9.]+)"', pyproject.read_text()).group(1)
+    floor = re.search(r'"numpy>=([0-9.]+)"', PYPROJECT.read_text()).group(1)
     assert tuple(int(part) for part in floor.split(".")) >= (2, 0), floor
+
+
+def test_version_matches_pyproject():
+    # manifests record sandwichbeam.__version__, which pyproject.toml also states
+    declared = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), flags=re.M).group(1)
+    assert sandwichbeam.__version__ == declared
