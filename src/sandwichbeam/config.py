@@ -27,8 +27,6 @@ from .discretize import Grid1D, VARIANT_CONTROLLED, VARIANT_STABILIZED, build_sy
 from .params import (
     ConstantDamping,
     ConstantDelay,
-    DampingSpec,
-    DelaySpec,
     ExponentialDamping,
     GainConfig,
     PhysicalParams,
@@ -216,14 +214,14 @@ def _physical_params(values):
     return params
 
 
-def _laws(values, section, keys, spec):
-    """The section's three laws as ``spec``, or None when it sets none of them."""
+def _laws(values, section, keys):
+    """The section's three laws as a tuple, or None when it sets none of them."""
     laws = tuple(values[section, key] for key in keys)
     if all(law is None for law in laws):
         return None
     if None in laws:
         _fail(f"[{section}] needs all of {', '.join(keys)}")
-    return spec(laws)
+    return laws
 
 
 def _section(values, name):
@@ -238,8 +236,8 @@ class ScenarioConfig:
     variant: str
     params: PhysicalParams
     gains: GainConfig
-    delays: DelaySpec
-    damping: DampingSpec
+    delays: tuple  # three delay laws, or None
+    damping: tuple  # three damping weights, or None
     n: int
     scheme: SchemeConfig
     initial: dict
@@ -331,10 +329,10 @@ def load_config(path, overrides=None):
     # the rules that span keys
     variant = values["model", "variant"]
     gains = GainConfig(*(values["gains", key] for key in _GAIN_KEYS))
-    delays = _laws(values, "delays", _DELAY_KEYS, DelaySpec)
+    delays = _laws(values, "delays", _DELAY_KEYS)
     if delays is None and variant == VARIANT_STABILIZED and gains.any_delayed:
         _fail("delayed gains need [delays] tau1, tau2 and tau3")
-    damping = _laws(values, "damping", _DAMPING_KEYS, DampingSpec)
+    damping = _laws(values, "damping", _DAMPING_KEYS)
     fit_window = (values["fit", "window_start"], values["fit", "window_end"])
     if not fit_window[0] < fit_window[1]:
         _fail(f"[fit] needs window_start < window_end, got {fit_window}")

@@ -131,7 +131,7 @@ def check_trace_estimates(out, sys_, gains, damping=None):
     mean_term = float(np.trapezoid(2.0 * out.field_energy, t)) / T
     damping_term = 0.0
     if damping is not None and out.ledger is not None:
-        sup_a = sum(damping.a(i, 0.0) for i in range(3))
+        sup_a = sum(law.a(0.0) for law in damping)
         vel_integral = float(np.sum(out.ledger["vel_norms_mid"]) * out.dt)
         damping_term = 2.0 * sup_a * vel_integral
     cs = sys_.params.boundary_stiffness

@@ -151,18 +151,18 @@ def hermite_stencil(ts, thetas, newest, extension=0.0, channel=0):
     return j, np.column_stack(_hermite_weights(s, h)), thetas >= tn
 
 
-def delay_samples(delays, channel, times):
-    """tau_i at each of ``times``, as an array, from one call of the law on
-    the whole array; LookupBeforeHistory names the first sample past the
-    channel's declared cap."""
+def delay_samples(law, channel, times):
+    """tau at each of ``times``, as an array, from one call of ``channel``'s
+    delay law on the whole array; LookupBeforeHistory names the first sample
+    past the law's declared cap."""
     times = np.asarray(times, dtype=float)
-    taus = np.asarray(delays.tau(channel, times), dtype=float)
-    over = np.flatnonzero(taus > delays.cap(channel) + 1e-12)
+    taus = np.asarray(law.tau(times), dtype=float)
+    over = np.flatnonzero(taus > law.cap + 1e-12)
     if over.size:
         k = over[0]
         raise LookupBeforeHistory(
             f"channel {channel}: delay {taus[k]:.6g} at t={times[k]:.6g} "
-            f"exceeds its declared cap {delays.cap(channel):.6g}"
+            f"exceeds its declared cap {law.cap:.6g}"
         )
     return taus
 

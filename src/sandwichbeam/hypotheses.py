@@ -104,7 +104,7 @@ def validate_gains(params, gains, delays):
     """
     rows = []
     for i in (1, 2, 3):
-        d = delays.slope_bound(i - 1)
+        d = delays[i - 1].slope_bound
         lhs = gains.alphas[i - 1]
         if d >= 1.0:
             rows.append(_row(f"gain_channel_{i}", lhs, None, None, False))
@@ -121,10 +121,10 @@ def scenario_report(params, gains, delays, damping):
     rows = validate_gains(params, gains, delays) if delays is not None else []
     for i in range(3):
         if delays is not None:
-            d = delays.slope_bound(i)
+            d = delays[i].slope_bound
             rows.append(_row(f"delay_slope_channel_{i + 1}", d, 1.0, 1.0 - d, d < 1.0))
         if damping is not None:
-            a0 = damping.floor(i)
+            a0 = damping[i].floor
             rows.append(_row(f"damping_floor_channel_{i + 1}", a0, 0.0, a0, a0 > 0.0))
     return rows
 
@@ -158,9 +158,8 @@ def compute_zeta(mu4):
 
 def lambda_bound(params, damping, mu0):
     """min{mu0, 2(a0_i/mass_i - mu0)} over the three field equations."""
-    floors = damping.floors
     masses = params.mass_coefficients
-    return min([mu0] + [2.0 * (a0 / m - mu0) for a0, m in zip(floors, masses)])
+    return min([mu0] + [2.0 * (law.floor / m - mu0) for law, m in zip(damping, masses)])
 
 
 def perturbed_form(i, params, gains, delays, mu0, mu_i):
@@ -171,7 +170,7 @@ def perturbed_form(i, params, gains, delays, mu0, mu_i):
     C_eps = stiffness_i * L / (4 eps)) and mu_i*|b|*[[1, 0], [0, 0]]
     (delay-line derivative) on top of the worst-slope dissipation form.
     """
-    d = delays.slope_bound(i - 1)
+    d = delays[i - 1].slope_bound
     phi = phi_matrix(i, d, params, gains)
     ceps = params.boundary_stiffness[i - 1] * params.L / (4.0 * _YOUNG_EPS)
     a = gains.alphas[i - 1]
@@ -210,9 +209,7 @@ class InfeasibleRates(RuntimeError):
 
 def _feasible(params, gains, delays, damping, mu0):
     """Return (mu1..mu3, mu4) if mu0 admits a valid weight set, else (None, reason)."""
-    mus = tuple(
-        2.0 * mu0 * delays.cap(i) / (1.0 - delays.slope_bound(i)) for i in range(3)
-    )
+    mus = tuple(2.0 * mu0 * law.cap / (1.0 - law.slope_bound) for law in delays)
     mu4 = compute_mu4(params, mu0, *mus)
     if not mu4 < 1.0:
         return None, f"mu4 = {mu4:.6g} >= 1 at mu0 = {mu0:.6g}"
@@ -241,7 +238,7 @@ def select_mus(params, delays, damping, gains):
     bad = [row["condition_id"] for row in validate_gains(params, gains, delays) if not row["pass"]]
     if bad:
         raise InfeasibleRates(f"gain hypotheses fail: {', '.join(bad)}")
-    ratios = [a0 / m for a0, m in zip(damping.floors, params.mass_coefficients)]
+    ratios = [law.floor / m for law, m in zip(damping, params.mass_coefficients)]
     mu0 = min(ratios) / 2.0
     reason = ""
     for _ in range(_MAX_HALVINGS):

@@ -6,6 +6,9 @@ Everything here is a plain immutable value object; all hypothesis checking
 lives in :mod:`sandwichbeam.hypotheses`.  The time laws (``tau``, ``dtau``
 and ``a``) take a float or an array of times and return the same shape, so
 a run samples each law on its whole time grid in one numpy expression.
+A scenario's delays are a 3-tuple of delay laws, one per feedback channel
+(the u, v and w_x traces at x = L), and its damping a 3-tuple of weights,
+one per field equation.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ __all__ = [
     "PhysicalParams",
     "ConstantDelay",
     "SinusoidalDelay",
-    "DelaySpec",
     "ConstantDamping",
     "ExponentialDamping",
-    "DampingSpec",
     "GainConfig",
 ]
 
@@ -195,42 +196,6 @@ class SinusoidalDelay:
 
 
 @dataclass(frozen=True)
-class DelaySpec:
-    """One delay law per feedback channel (u, v, w_x traces at x = L)."""
-
-    channels: tuple
-
-    def __post_init__(self):
-        if len(self.channels) != 3:
-            raise ValueError("DelaySpec needs exactly three channels")
-
-    def tau(self, i, t):
-        return self.channels[i].tau(t)
-
-    def dtau(self, i, t):
-        return self.channels[i].dtau(t)
-
-    def floor(self, i):
-        return self.channels[i].floor
-
-    def cap(self, i):
-        return self.channels[i].cap
-
-    def slope_bound(self, i):
-        return self.channels[i].slope_bound
-
-    @property
-    def min_floor(self):
-        return min(c.floor for c in self.channels)
-
-    @classmethod
-    def constant(cls, tau1, tau2=None, tau3=None):
-        tau2 = tau1 if tau2 is None else tau2
-        tau3 = tau1 if tau3 is None else tau3
-        return cls((ConstantDelay(tau1), ConstantDelay(tau2), ConstantDelay(tau3)))
-
-
-@dataclass(frozen=True)
 class ConstantDamping:
     """a(t) = value > 0."""
 
@@ -272,33 +237,6 @@ class ExponentialDamping:
     @property
     def floor(self):
         return self.floor_value
-
-
-@dataclass(frozen=True)
-class DampingSpec:
-    """Interior damping weights a_i(t), one per field equation."""
-
-    channels: tuple
-
-    def __post_init__(self):
-        if len(self.channels) != 3:
-            raise ValueError("DampingSpec needs exactly three channels")
-
-    def a(self, i, t):
-        return self.channels[i].a(t)
-
-    def floor(self, i):
-        return self.channels[i].floor
-
-    @property
-    def floors(self):
-        return tuple(c.floor for c in self.channels)
-
-    @classmethod
-    def constant(cls, a1, a2=None, a3=None):
-        a2 = a1 if a2 is None else a2
-        a3 = a1 if a3 is None else a3
-        return cls((ConstantDamping(a1), ConstantDamping(a2), ConstantDamping(a3)))
 
 
 @dataclass(frozen=True)

@@ -188,4 +188,4 @@ def make_histories(sys_, state, delays):
     """Initial trace histories on [-tau_i(0), 0] for the delayed channels:
     the initial trace velocity extended backwards, the compatible choice."""
     traces = sys_.traces(state.p)
-    return tuple(init_history(lambda s, c=c: c, delays.tau(i, 0.0)) for i, c in enumerate(traces))
+    return tuple(init_history(lambda s, c=c: c, law.tau(0.0)) for law, c in zip(delays, traces))

@@ -105,7 +105,8 @@ class SchemeConfig:
 
     @property
     def n_steps(self):
-        return int(round(self.T / self.dt)) if self.T > 0.0 else 0
+        """T / dt rounded to whole steps, and at least one step when T > 0."""
+        return max(1, round(self.T / self.dt)) if self.T > 0.0 else 0
 
     @property
     def step(self):
@@ -225,10 +226,11 @@ def _control_midpoints(controls, t_mid):
 class _Stepper:
     """One factorization of the effective matrix, reused while C(t) is steady.
 
-    A step refactors only when its damping weights differ from the previous
-    step's.  The damping and effective diagonals of those steps come from a
-    table built once per block of steps (``tabulate``): one product of
-    their weights with the weight table and one finiteness check.  The
+    The run refactors (``refactor``) at the steps whose damping weights
+    differ from the previous step's, which ``simulate`` finds before the
+    first step.  The damping and effective diagonals of those steps come
+    from a table built once per block of steps (``tabulate``): one product
+    of their weights with the weight table and one finiteness check.  The
     effective matrix has one band buffer, in which ``dpbtrf`` factors it: a
     refactor writes (dt^2/4) K into it, then its diagonal.  The scaled
     band is checked for finiteness once, when the stepper is built.
@@ -241,15 +243,12 @@ class _Stepper:
         cs = np.asarray(sys_.params.boundary_stiffness)
         coeff = sys_.channel_coeff
         self.feedback_diag[sys_.channel_index] = cs * gains.alphas * coeff * coeff
-        self.cdiag = None
         self._scale = 0.25 * dt * dt
         # the effective matrix, then its factor: dpbtrf works in this buffer
         self._factor = np.asfortranarray(self._scale * sys_.band)
         # one scalar test, as in _check_finite
         if not math.isfinite(self._factor.sum()) and not np.all(np.isfinite(self._factor)):
             raise IntegrationError("non-finite effective matrix")
-        self._a_values = None
-        self._table = {}
         # the step's work buffers: the right-hand side, then the acceleration
         # (dpbtrs solves in place), and the stiffness argument
         self._rhs = np.empty(sys_.ndof)
@@ -262,8 +261,8 @@ class _Stepper:
 
     def tabulate(self, rows):
         """Tabulate the damping and effective diagonals of ``rows``, the
-        (R, 3) damping weights of a block's refactoring steps, keyed by the
-        weights: one product and one finiteness check per block."""
+        (R, 3) damping weights of a block's refactoring steps in step order:
+        one product and one finiteness check per block."""
         sys_, dt = self.sys, self.dt
         # in place, with the association of (dt^2/4 K)[0] + (M + dt/2 * cdiag)
         cdiag = sys_.damping_diagonal(rows)
@@ -274,26 +273,22 @@ class _Stepper:
         # one scalar test, as in _check_finite
         if not math.isfinite(diag.sum()) and not np.all(np.isfinite(diag)):
             raise IntegrationError("non-finite effective matrix")
-        self._table = dict(zip(map(tuple, rows.tolist()), zip(cdiag, diag)))
+        self._cdiags, self._diags = cdiag, diag
 
-    def _refactor(self, a_values):
-        cdiag, diag = self._table[tuple(a_values)]
+    def refactor(self, row):
+        """Factor the effective matrix of row ``row`` of the last ``tabulate``."""
         ab = self._factor
         np.multiply(self._scale, self.sys.band, out=ab)
-        ab[0] = diag
+        ab[0] = self._diags[row]
         info = self._factorize()
         if info != 0:
             raise IntegrationError(f"effective matrix factorization failed (dpbtrf info {info})")
-        self.cdiag = cdiag
-        self._a_values = a_values
+        self.cdiag = self._cdiags[row]
 
-    def advance(self, q0, v0, a_values, force_mid, q1, v1):
-        """One midpoint step under the damping weights ``a_values``, which
-        the last ``tabulate`` holds if they differ from the previous step's;
-        writes the new state into ``q1`` and ``v1``."""
+    def advance(self, q0, v0, force_mid, q1, v1):
+        """One midpoint step with the last ``refactor``'s factor; writes the
+        new state into ``q1`` and ``v1``."""
         dt = self.dt
-        if a_values != self._a_values:
-            self._refactor(a_values)
         rhs, x = self._rhs, self._x
         # force_mid - cdiag * v0
         np.multiply(self.cdiag, v0, out=rhs)
@@ -327,12 +322,6 @@ def _block_steps(ndof):
     return max(1, min(32, 2**17 // (8 * ndof) - 1))
 
 
-def _sample_laws(law, t_mid):
-    """law(i, t) of the three channels at every midpoint, as an (n_steps, 3)
-    array: one call of the law per channel on the whole grid."""
-    return np.column_stack([law(i, t_mid) for i in range(3)])
-
-
 def _delay_lines(histories, delays, betas, t_mid, times, extension):
     """The delay line of each delayed channel, on a time grid fixed before
     the run: (channel, first, values, slopes, gaps, j, weights, tail,
@@ -352,7 +341,7 @@ def _delay_lines(histories, delays, betas, t_mid, times, extension):
     n_steps = len(t_mid)
     lines = []
     for i in np.flatnonzero(betas).tolist():
-        theta = t_mid - delay_samples(delays, i, t_mid)
+        theta = t_mid - delay_samples(delays[i], i, t_mid)
         back = np.flatnonzero(theta[1:] < theta[:-1] - 1e-12)
         if back.size:
             k = back[0]
@@ -366,7 +355,7 @@ def _delay_lines(histories, delays, betas, t_mid, times, extension):
         ms = hist.slopes.tolist() + [0.0] * n_steps
         newest = first - 1 + np.arange(n_steps)
         stencil = hermite_stencil(ts, theta, newest, extension, i)
-        windows = delay_windows(ts, times, delay_samples(delays, i, times), extension, i)
+        windows = delay_windows(ts, times, delay_samples(delays[i], i, times), extension, i)
         lines.append((i, first, ys, ms, np.diff(ts[first - 1 :])) + stencil + (windows,))
     return lines
 
@@ -402,22 +391,27 @@ def _sample_slots(n_steps, stride):
 
 
 def delayed_step_error(dt, delays):
-    """Why delayed feedback under ``delays`` cannot take steps of ``dt``, or None."""
-    if any(delays.slope_bound(i) >= 1.0 for i in range(3)):
+    """Why delayed feedback under the three laws ``delays`` cannot take steps
+    of ``dt``, or None."""
+    if any(law.slope_bound >= 1.0 for law in delays):
         return "delay slope bound >= 1: delayed argument would not advance"
-    if dt > delays.min_floor + 1e-15:
+    floor = min(law.floor for law in delays)
+    if dt > floor + 1e-15:
         return (
-            f"dt = {dt} exceeds the smallest delay floor {delays.min_floor}; "
+            f"dt = {dt} exceeds the smallest delay floor {floor}; "
             "delayed lookups would need current-step unknowns"
         )
 
 
 def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
-    """Reject arguments the variant would ignore, and unsafe delay settings
-    for the step ``dt`` the run takes."""
+    """Reject arguments the variant would ignore, delays or damping that are
+    not three laws, and unsafe delay settings for the step ``dt`` the run
+    takes."""
     if sys_.variant == VARIANT_STABILIZED:
         if controls is not None:
             raise ValueError("controls drive the controlled_conservative variant only")
+        if any(laws is not None and len(laws) != 3 for laws in (delays, damping)):
+            raise ValueError("delays and damping each need three laws, one per channel")
     else:
         unused = [
             name
@@ -433,7 +427,7 @@ def _check_arguments(sys_, dt, gains, delays, damping, histories, controls):
             raise ValueError(f"{', '.join(unused)} apply to the stabilized_delayed variant only")
     if gains is not None and gains.any_delayed:
         if histories is None or delays is None:
-            raise ValueError("delayed gains need trace histories and a delay spec")
+            raise ValueError("delayed gains need trace histories and delay laws")
         if reason := delayed_step_error(dt, delays):
             raise ValueError(reason)
         if any(h.times[-1] > 0.0 for h, b in zip(histories, gains.betas) if b != 0.0):
@@ -445,10 +439,10 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
 
     Both variants take the same midpoint steps.  A controlled run may carry
     controls and records the boundary displacement traces.  A stabilized run
-    may carry gains, delays, interior damping and trace histories, and
-    records the delayed traces, the delay-window tilts and the dissipation
-    ledger.  Arguments the variant has no use for raise ValueError; none of
-    the arguments is changed.
+    may carry gains, delays and interior damping (three laws each, one per
+    channel) and trace histories, and records the delayed traces, the
+    delay-window tilts and the dissipation ledger.  Arguments the variant
+    has no use for raise ValueError; none of the arguments is changed.
     """
     n_steps = cfg.n_steps
     dt = cfg.step
@@ -461,8 +455,13 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     stepper = _Stepper(sys_, dt, gains)
     times = cfg.times
     t_mid = times[:-1] + 0.5 * dt
-    a_mid = np.zeros((n_steps, 3)) if damping is None else _sample_laws(damping.a, t_mid)
-    dtau_mid = np.zeros((n_steps, 3)) if delays is None else _sample_laws(delays.dtau, t_mid)
+    # each channel's law in one call on the whole midpoint grid
+    a_mid = np.zeros((n_steps, 3))
+    if damping is not None:
+        a_mid = np.column_stack([law.a(t_mid) for law in damping])
+    dtau_mid = np.zeros((n_steps, 3))
+    if delays is not None:
+        dtau_mid = np.column_stack([law.dtau(t_mid) for law in delays])
     lines = []
     if delayed:
         # the newest midpoint sample trails the step end by dt/2
@@ -533,7 +532,8 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
     force = np.zeros(sys_.ndof)
     # each delayed channel's lookups z_i at the block's step midpoints
     z_lists = [[0.0] * block for _ in lines]
-    # the steps whose damping weights differ from the previous step's
+    # the steps whose damping weights differ from the previous step's: the
+    # only steps that refactor
     changes = np.ones(n_steps, dtype=bool)
     changes[1:] = np.any(a_mid[1:] != a_mid[:-1], axis=1)
     refactors = np.flatnonzero(changes)
@@ -548,7 +548,9 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             lo, hi = np.searchsorted(refactors, (base, stop))
             if hi > lo:
                 stepper.tabulate(a_mid[refactors[lo:hi]])
-            a_rows = a_mid[base:stop].tolist()
+            # the block's refactoring steps, by place in the block, each with
+            # its row of the table
+            table_rows = {k - base: r for r, k in enumerate(refactors[lo:hi].tolist())}
             # each delayed channel's stencils for the block, as Python lists:
             # numpy scalars would cost more than the arithmetic
             stencils = [
@@ -559,6 +561,8 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             ]
             for n in range(base, stop):
                 j = n - base
+                if j in table_rows:
+                    stepper.refactor(table_rows[j])
                 if channel_force is not None:
                     force[channels] = channel_force[n]
                 for _, ys, ms, _, js, tails, weights, zs, c, coeff, fw in stencils:
@@ -573,7 +577,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
                     # 0.0 - x so that a zero feedback is +0.0
                     force[c] = 0.0 - fw * z * coeff
                 v, q1, v1 = v_rows[j], q_rows[j + 1], v_rows[j + 1]
-                stepper.advance(q_rows[j], v, a_rows[j], force, q1, v1)
+                stepper.advance(q_rows[j], v, force, q1, v1)
                 _check_finite(q1, v1, n + 1)
                 for slot, ys, ms, gaps, _, _, _, _, c, coeff, _ in stencils:
                     k = slot + j

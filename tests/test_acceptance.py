@@ -40,8 +40,8 @@ from sandwichbeam.hypotheses import (
     validate_gains,
 )
 from sandwichbeam.params import (
-    DampingSpec,
-    DelaySpec,
+    ConstantDamping,
+    ConstantDelay,
     GainConfig,
     PhysicalParams,
     SinusoidalDelay,
@@ -86,9 +86,7 @@ def test_criterion_01_hypothesis_suite():
             L=rng.uniform(0.5, 2.0),
         )
         d = rng.uniform(0.0, 0.9, 3)
-        delays = DelaySpec(
-            tuple(SinusoidalDelay(1.0, 0.5, 2.0 * d[i]) for i in range(3))
-        )
+        delays = tuple(SinusoidalDelay(1.0, 0.5, 2.0 * d[i]) for i in range(3))
         betas = rng.uniform(0.01, 0.5, 3) * rng.choice([-1.0, 1.0], 3)
         margins = rng.uniform(0.01, 2.0, 3)
         gains = GainConfig(0, betas[0], 0, betas[1], 0, betas[2])
@@ -122,8 +120,8 @@ def test_criterion_02_conservation():
 def _criterion3_runs():
     if "crit3" not in _cache:
         sys_ = build_system(Grid1D(N=64, L=1.0), UNIT, VARIANT_STABILIZED)
-        delays = DelaySpec((SinusoidalDelay(0.1, 0.05, 10.0),) * 3)  # slope bound 0.5
-        damping = DampingSpec.constant(1.0)
+        delays = (SinusoidalDelay(0.1, 0.05, 10.0),) * 3  # slope bound 0.5
+        damping = (ConstantDamping(1.0),) * 3
         gains = GainConfig(1.0, 0.2, 1.0, -0.15, 1.0, 0.1)
         assert all(row["pass"] for row in validate_gains(UNIT, gains, delays))
         state = random_smooth_state(sys_, seed=7, prepared=True)
@@ -189,24 +187,24 @@ def test_criterion_04_theoretical_bound_and_equivalence():
 def test_criterion_05_delay_fidelity():
     # linear history with exact slopes is exact; each lookup reads the
     # samples up to the one recorded at its own time
-    delays = DelaySpec.constant(0.3)
+    delays = (ConstantDelay(0.3),) * 3
     hist = init_history(lambda s: 2.0 * s + 1.0, 0.3)
     ts = 0.01 * np.arange(1, 60)
     record = extend(hist, ts, 2.0 * ts + 1.0, np.full(len(ts), 2.0))
     newest = len(hist.times) + np.arange(len(ts))
-    got = lookup(*record, ts - delay_samples(delays, 0, ts), newest)
+    got = lookup(*record, ts - delay_samples(delays[0], 0, ts), newest)
     worst = np.max(np.abs(got - (2.0 * (ts - 0.3) + 1.0)))
     exact = worst <= 1e-14
 
     # transport-equation residual is second order under refinement
     import math
 
-    tdel = DelaySpec((SinusoidalDelay(0.4, 0.1, 1.5),) * 3)
+    tdel = (SinusoidalDelay(0.4, 0.1, 1.5),) * 3
     trace = lambda s: math.sin(2.0 * s) + 0.3 * math.cos(5.0 * s)
     slope = lambda s: 2.0 * math.cos(2.0 * s) - 1.5 * math.sin(5.0 * s)
 
     def residual(dt):
-        h = init_history(trace, tdel.tau(0, 0.0))
+        h = init_history(trace, tdel[0].tau(0.0))
         ss = []
         s = 0.0
         while s < 3.0:
@@ -214,10 +212,10 @@ def test_criterion_05_delay_fidelity():
             ss.append(s)
         record = extend(h, ss, [trace(s) for s in ss], [slope(s) for s in ss])
         rho = np.linspace(0.0, 1.0, 65)
-        prof = {d: lookup(*record, 2.0 + d * dt - tdel.tau(0, 2.0 + d * dt) * rho) for d in (-1, 0, 1)}
+        prof = {d: lookup(*record, 2.0 + d * dt - tdel[0].tau(2.0 + d * dt) * rho) for d in (-1, 0, 1)}
         z_t = (prof[1] - prof[-1]) / (2.0 * dt)
         z_rho = np.gradient(prof[0], 1.0 / 64)
-        res = tdel.tau(0, 2.0) * z_t + (1.0 - tdel.dtau(0, 2.0) * rho) * z_rho
+        res = tdel[0].tau(2.0) * z_t + (1.0 - tdel[0].dtau(2.0) * rho) * z_rho
         return np.max(np.abs(res[2:-2]))
 
     r1, r2 = residual(0.08), residual(0.04)
@@ -234,10 +232,10 @@ def test_criterion_06_trace_estimates():
         alphas = rng.uniform(1.0, 2.5, 3)
         betas = rng.uniform(0.05, 0.3, 3) * rng.choice([-1.0, 1.0], 3)
         if trial % 2:
-            delays = DelaySpec((SinusoidalDelay(0.15, 0.05, 8.0),) * 3)
+            delays = (SinusoidalDelay(0.15, 0.05, 8.0),) * 3
         else:
-            delays = DelaySpec.constant(0.2)
-        damping = DampingSpec.constant(float(rng.uniform(0.5, 1.5)))
+            delays = (ConstantDelay(0.2),) * 3
+        damping = (ConstantDamping(float(rng.uniform(0.5, 1.5))),) * 3
         gains = GainConfig(alphas[0], betas[0], alphas[1], betas[1], alphas[2], betas[2])
         assert all(row["pass"] for row in validate_gains(UNIT, gains, delays))
         state = random_smooth_state(sys_, seed=2000 + trial, prepared=True)

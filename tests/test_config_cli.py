@@ -123,7 +123,7 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.variant == "stabilized_delayed"
     assert cfg.gains.beta2 == -0.15
-    assert cfg.delays.slope_bound(0) == pytest.approx(0.5)
+    assert cfg.delays[0].slope_bound == pytest.approx(0.5)
     assert cfg.n == 24
     assert cfg.scheme.dt == 0.02
     assert cfg.config_hash == hashlib.sha256(cfg.raw_text.encode()).hexdigest()
@@ -272,6 +272,20 @@ def test_simulate_zero_preset_all_zero(tmp_path):
     rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()[1:]
     values = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.all(values[:, 1:] == 0.0)
+
+
+def test_a_horizon_under_half_a_step_runs_one_step(tmp_path, capsys):
+    # t = 0.004 with dt = 0.02: one step of 0.004 reaches the horizon, and a
+    # temporal ladder whose levels all take that one step has no order
+    path = write_doc(tmp_path, STABILIZED_DOC.replace("t = 2.0", "t = 0.004"))
+    assert main(["simulate", "--config", path, "--quiet"]) == 0
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.004]
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["n_steps"] == 1
+    path = write_doc(tmp_path, CONTROLLED_DOC.replace("t = 0.5", "t = 0.004"), "ladder.ini")
+    assert main(["convergence", "--config", path, "--quiet"]) == 2
+    assert "needs distinct steps" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
 def test_decay_report_refuses_zero_energy_before_writing(tmp_path, monkeypatch):

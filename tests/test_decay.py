@@ -10,7 +10,7 @@ from sandwichbeam.decay import (
 )
 from sandwichbeam.discretize import Grid1D, VARIANT_STABILIZED, build_system
 from sandwichbeam.hypotheses import TheoreticalRates, compute_mu4, compute_zeta, select_mus
-from sandwichbeam.params import DampingSpec, DelaySpec, GainConfig, SinusoidalDelay
+from sandwichbeam.params import ConstantDamping, GainConfig, SinusoidalDelay
 from sandwichbeam.presets import make_histories, random_smooth_state, zero_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
@@ -22,8 +22,8 @@ from test_params import unit_params
 def crit3_setup(N=32):
     p = unit_params()
     sys_ = build_system(Grid1D(N=N, L=1.0), p, VARIANT_STABILIZED)
-    delays = DelaySpec((SinusoidalDelay(0.1, 0.05, 10.0),) * 3)
-    damping = DampingSpec.constant(1.0)
+    delays = (SinusoidalDelay(0.1, 0.05, 10.0),) * 3
+    damping = (ConstantDamping(1.0),) * 3
     gains = GainConfig(1.0, 0.2, 1.0, -0.15, 1.0, 0.1)
     return p, sys_, delays, damping, gains
 
@@ -111,7 +111,7 @@ def test_dissipation_identity_interior_damping_exact():
     # energy increments to roundoff (the midpoint identity is algebraic)
     p = unit_params()
     sys_ = build_system(Grid1D(N=24, L=1.0), p, VARIANT_STABILIZED)
-    damping = DampingSpec.constant(0.7)
+    damping = (ConstantDamping(0.7),) * 3
     gains = GainConfig(0, 0, 0, 0, 0, 0)
     st = random_smooth_state(sys_, seed=3, prepared=True)
     out = simulate(st, sys_, SchemeConfig(dt=0.01, T=1.0), gains=gains, damping=damping)
@@ -160,7 +160,7 @@ def test_lyapunov_equivalence_random_states():
         q = block_draw(rng, sys_)
         v = block_draw(rng, sys_)
         t = rng.uniform(0.0, 5.0)
-        taus = [delays.tau(i, t) for i in range(3)]
+        taus = [delays[i].tau(t) for i in range(3)]
         windows = []
         for i in range(3):
             ts = np.linspace(t - taus[i], t, 33)

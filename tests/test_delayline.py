@@ -16,7 +16,7 @@ from sandwichbeam.delayline import (
     hermite_stencil,
     init_history,
 )
-from sandwichbeam.params import ConstantDelay, DelaySpec, SinusoidalDelay
+from sandwichbeam.params import ConstantDelay, SinusoidalDelay
 from sandwichbeam.timestep import SchemeConfig, simulate
 
 from test_timestep import assert_histories_unchanged, decay_scenario, history_copies
@@ -77,10 +77,10 @@ def test_history_times_advance_and_newest_sample_reads_back():
 
 
 def test_eval_delayed_constant_and_linear_exact():
-    delays = DelaySpec.constant(0.3)
+    delays = (ConstantDelay(0.3),) * 3
     h = init_history(lambda s: 5.0, 0.3)
     record = extend(h, [0.05, 0.1], [5.0, 5.0], [0.0, 0.0])
-    tau = delay_samples(delays, 0, [0.05])[0]
+    tau = delay_samples(delays[0], 0, [0.05])[0]
     assert lookup(*record, 0.05 - tau)[0] == pytest.approx(5.0)
 
     h = init_history(lambda s: s, 0.3)
@@ -88,12 +88,12 @@ def test_eval_delayed_constant_and_linear_exact():
     record = extend(h, ts, ts, np.ones(len(ts)))
     # linear history with exact slopes: exact to roundoff
     t_evals = np.array([0.05, 0.17, 0.33])
-    got = lookup(*record, t_evals - delay_samples(delays, 1, t_evals))
+    got = lookup(*record, t_evals - delay_samples(delays[1], 1, t_evals))
     assert np.all(np.abs(got - (t_evals - 0.3)) <= 1e-14)
 
 
 def test_eval_delayed_sine_second_order():
-    delays = DelaySpec.constant(0.4)
+    delays = (ConstantDelay(0.4),) * 3
     errs = []
     for dt in (0.02, 0.01):
         h = init_history(math.sin, 0.4)
@@ -104,7 +104,7 @@ def test_eval_delayed_sine_second_order():
             ts.append(t)
         record = extend(h, ts, [math.sin(t) for t in ts], [math.cos(t) for t in ts])
         t_evals = np.linspace(0.5, 1.0, 101)
-        got = lookup(*record, t_evals - delay_samples(delays, 0, t_evals))
+        got = lookup(*record, t_evals - delay_samples(delays[0], 0, t_evals))
         errs.append(np.max(np.abs(got - np.array([math.sin(t - 0.4) for t in t_evals]))))
     assert errs[0] / errs[1] > 3.0
 
@@ -119,7 +119,7 @@ def test_monotone_theta_assertion():
         def tau(self, t):
             return self.value + np.where(t > 0.5, 0.05, 0.0)
 
-    sys_, state, kwargs = decay_scenario(16, DelaySpec((Jumping(0.1),) * 3))
+    sys_, state, kwargs = decay_scenario(16, (Jumping(0.1),) * 3)
     copies = history_copies(kwargs["histories"])
     with pytest.raises(AssertionError, match="delayed argument not increasing"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=1.0), **kwargs)
@@ -132,10 +132,10 @@ def test_eval_delayed_refuses_a_delay_past_its_cap():
     class Undercapped(SinusoidalDelay):
         cap = 0.2
 
-    delays = DelaySpec((Undercapped(0.2, 0.1, 5.0),) * 3)
-    assert delay_samples(delays, 0, [0.0])[0] == 0.2
+    delays = (Undercapped(0.2, 0.1, 5.0),) * 3
+    assert delay_samples(delays[0], 0, [0.0])[0] == 0.2
     with pytest.raises(LookupBeforeHistory, match="exceeds its declared cap"):
-        delay_samples(delays, 0, [0.0, 0.05, 0.1])
+        delay_samples(delays[0], 0, [0.0, 0.05, 0.1])
 
 
 def test_delayed_run_keeps_every_sample():
@@ -147,7 +147,7 @@ def test_delayed_run_keeps_every_sample():
     histories, delays = kwargs["histories"], kwargs["delays"]
     copies = history_copies(histories)
     cfg = SchemeConfig(dt=0.02, T=3.0)
-    assert cfg.T > 10.0 * max(delays.cap(i) for i in range(3))
+    assert cfg.T > 10.0 * max(law.cap for law in delays)
     out = simulate(state, sys_, cfg, **kwargs)
     assert_histories_unchanged(histories, copies)
     t_mid = out.ledger["t_mid"]
@@ -157,10 +157,10 @@ def test_delayed_run_keeps_every_sample():
         for k in range(n0, len(ts)):
             ms[k] = (ys[k] - ys[k - 1]) / (ts[k] - ts[k - 1])
         # step n reads the samples up to the previous step's
-        thetas = t_mid - delay_samples(delays, i, t_mid)
+        thetas = t_mid - delay_samples(delays[i], i, t_mid)
         newest = n0 - 1 + np.arange(out.n_steps)
         np.testing.assert_array_equal(lookup(ts, ys, ms, thetas, newest), out.ledger["z_mid"][:, i])
-        taus = delay_samples(delays, i, out.times)
+        taus = delay_samples(delays[i], i, out.times)
         _, tilts, z = window_integrals(ts, ys, ms, out.times, taus, 0.5 * out.dt * (1.0 + 1e-9))
         np.testing.assert_array_equal(tilts, out.delay_tilts[:, i])
         np.testing.assert_array_equal(z, out.delayed_traces[:, i])
@@ -197,12 +197,12 @@ def test_constant_trace_constant_profile():
 def test_transport_equation_residual_second_order():
     # z(rho,t) = trace(t - tau(t) rho) solves tau z_t + (1 - tau' rho) z_rho = 0;
     # check the finite-difference residual on profile outputs halves-squared
-    delays = DelaySpec((SinusoidalDelay(0.4, 0.1, 1.5),) * 3)
+    delays = (SinusoidalDelay(0.4, 0.1, 1.5),) * 3
     trace = lambda t: math.sin(2.0 * t) + 0.3 * math.cos(5.0 * t)
     slope = lambda t: 2.0 * math.cos(2.0 * t) - 1.5 * math.sin(5.0 * t)
 
     def residual(dt_hist, n_panels=64):
-        h = init_history(trace, delays.tau(0, 0.0))
+        h = init_history(trace, delays[0].tau(0.0))
         ts = []
         t = 0.0
         while t < 3.0:
@@ -213,12 +213,12 @@ def test_transport_equation_residual_second_order():
         drho = 1.0 / n_panels
         rho = np.linspace(0.0, 1.0, n_panels + 1)
         prof = {
-            s: lookup(*record, t0 + s * dt_hist - delays.tau(0, t0 + s * dt_hist) * rho)
+            s: lookup(*record, t0 + s * dt_hist - delays[0].tau(t0 + s * dt_hist) * rho)
             for s in (-1, 0, 1)
         }
         z_t = (prof[1] - prof[-1]) / (2.0 * dt_hist)
         z_rho = np.gradient(prof[0], drho)
-        res = delays.tau(0, t0) * z_t + (1.0 - delays.dtau(0, t0) * rho) * z_rho
+        res = delays[0].tau(t0) * z_t + (1.0 - delays[0].dtau(t0) * rho) * z_rho
         return np.max(np.abs(res[2:-2]))
 
     r1, r2, r3 = residual(0.08), residual(0.04), residual(0.02)
@@ -368,14 +368,14 @@ def test_window_blocks_leave_every_window_bitwise_unchanged(block):
     # sample per step midpoint; the window at t = 0 spans the whole history,
     # far wider than the later ones, and whatever the blocks each window
     # sums in the same order
-    delays = DelaySpec((SinusoidalDelay(0.1, 0.05, 10.0),) * 3)
-    h = init_history(lambda s: math.sin(7.0 * s + 0.3), delays.tau(0, 0.0))
+    delays = (SinusoidalDelay(0.1, 0.05, 10.0),) * 3
+    h = init_history(lambda s: math.sin(7.0 * s + 0.3), delays[0].tau(0.0))
     dt = 0.005
     times = dt * np.arange(401)
     t_mid = times[:-1] + 0.5 * dt
     rng = np.random.default_rng(3)
     record = extend(h, t_mid, rng.standard_normal(400), rng.standard_normal(400))
-    taus = delay_samples(delays, 0, times)
+    taus = delay_samples(delays[0], 0, times)
     extension = 0.5 * dt * (1.0 + 1e-9)
     assert window_integrals(*record, [0.0], taus[:1], extension)[0][0] > 0.0
     reference = window_integrals(*record, times, taus, extension)

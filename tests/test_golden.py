@@ -21,8 +21,7 @@ import pytest
 
 from sandwichbeam.discretize import VARIANT_CONTROLLED, VARIANT_STABILIZED, Grid1D, build_system
 from sandwichbeam.params import (
-    DampingSpec,
-    DelaySpec,
+    ConstantDamping,
     ExponentialDamping,
     GainConfig,
     PhysicalParams,
@@ -56,12 +55,10 @@ def _stabilized(damping):
     sys_ = build_system(Grid1D(N=16, L=PARAMS.L), PARAMS, VARIANT_STABILIZED)
     state = random_smooth_state(sys_, seed=5, prepared=True)
     # three different delay laws, so a channel mix-up shows
-    delays = DelaySpec(
-        (
-            SinusoidalDelay(0.1, 0.05, 10.0),
-            SinusoidalDelay(0.2, 0.05, 4.0),
-            SinusoidalDelay(0.15, 0.02, 6.0),
-        )
+    delays = (
+        SinusoidalDelay(0.1, 0.05, 10.0),
+        SinusoidalDelay(0.2, 0.05, 4.0),
+        SinusoidalDelay(0.15, 0.02, 6.0),
     )
     gains = GainConfig(1.0, 0.2, 0.8, -0.15, 1.2, 0.1)
     return sys_, simulate(
@@ -74,9 +71,9 @@ def _stabilized(damping):
 RUNS = {
     "controlled_free": lambda: _controlled(forced=False),
     "controlled_forced": lambda: _controlled(forced=True),
-    "stabilized_constant_damping": lambda: _stabilized(DampingSpec.constant(1.0)),
+    "stabilized_constant_damping": lambda: _stabilized((ConstantDamping(1.0),) * 3),
     "stabilized_exp_floor_damping": lambda: _stabilized(
-        DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)
+        (ExponentialDamping(0.5, 1.5, 2.0),) * 3
     ),
 }
 

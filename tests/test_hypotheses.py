@@ -16,7 +16,13 @@ from sandwichbeam.hypotheses import (
     select_mus,
     validate_gains,
 )
-from sandwichbeam.params import DampingSpec, DelaySpec, GainConfig, PhysicalParams, SinusoidalDelay
+from sandwichbeam.params import (
+    ConstantDamping,
+    ConstantDelay,
+    GainConfig,
+    PhysicalParams,
+    SinusoidalDelay,
+)
 
 from test_params import unit_params
 
@@ -27,12 +33,12 @@ def gains(a=(1.0, 1.0, 1.0), b=(0.0, 0.0, 0.0)):
 
 def test_validate_gains_beta_zero_reduces_to_alpha_positive():
     p = unit_params()
-    rows = validate_gains(p, gains(a=(1.0, 1.0, 1.0)), DelaySpec.constant(0.1))
+    rows = validate_gains(p, gains(a=(1.0, 1.0, 1.0)), (ConstantDelay(0.1),) * 3)
     assert all(row["pass"] for row in rows)
     for row in rows:
         assert row["rhs"] == 0.0
     # alpha = 0 with beta = 0 fails the strict inequality
-    rows = validate_gains(p, gains(a=(0.0, 1.0, 1.0)), DelaySpec.constant(0.1))
+    rows = validate_gains(p, gains(a=(0.0, 1.0, 1.0)), (ConstantDelay(0.1),) * 3)
     failing = [row["condition_id"] for row in rows if not row["pass"]]
     assert failing
     assert failing[0] == "gain_channel_1"
@@ -41,7 +47,7 @@ def test_validate_gains_beta_zero_reduces_to_alpha_positive():
 def test_validate_gains_threshold_values():
     # E1h1=1, d=0, beta1=0.1: threshold 0.05*(1+1)/1 = 0.1; equality fails
     p = unit_params()
-    d0 = DelaySpec.constant(0.1)
+    d0 = (ConstantDelay(0.1),) * 3
     assert gain_threshold(1, 0.0, p, gains(b=(0.1, 0, 0))) == pytest.approx(0.1)
     rep = validate_gains(p, gains(a=(0.1, 1, 1), b=(0.1, 0, 0)), d0)
     assert not rep[0]["pass"]
@@ -50,8 +56,8 @@ def test_validate_gains_threshold_values():
 
     # E3h3=2, d2=0.5, beta2=0.2: threshold (0.2/4)*((4+0.5)/0.5) = 0.45
     p2 = unit_params(E3h3=2.0)
-    half = DelaySpec((SinusoidalDelay(1.0, 0.5, 1.0),) * 3)
-    assert half.slope_bound(1) == pytest.approx(0.5)
+    half = (SinusoidalDelay(1.0, 0.5, 1.0),) * 3
+    assert half[1].slope_bound == pytest.approx(0.5)
     assert gain_threshold(2, 0.5, p2, gains(b=(0, 0.2, 0))) == pytest.approx(0.45)
     rep = validate_gains(p2, gains(a=(1, 0.5, 1), b=(0, 0.2, 0)), half)
     assert rep[1]["pass"]
@@ -62,7 +68,7 @@ def test_validate_gains_rejects_unit_slope():
     # and the other channels are still checked
     p = unit_params()
     ok = SinusoidalDelay(0.5, 0.25, 2.0)  # slope bound 0.5
-    bad = DelaySpec((SinusoidalDelay(2.0, 1.0, 1.0), ok, ok))
+    bad = (SinusoidalDelay(2.0, 1.0, 1.0), ok, ok)
     g = gains(b=(0.1, 0.1, 0.1))
     rows = validate_gains(p, g, bad)
     assert [row["condition_id"] for row in rows] == ["gain_channel_1", "gain_channel_2", "gain_channel_3"]
@@ -103,17 +109,17 @@ def test_passing_gains_imply_negative_definite_phi():
     p = unit_params(E3h3=2.0, EI=0.5)
     for _ in range(200):
         d = rng.uniform(0.0, 0.9)
-        delays = DelaySpec((SinusoidalDelay(1.0, 0.5, 2.0 * d),) * 3)  # slope bound d
+        delays = (SinusoidalDelay(1.0, 0.5, 2.0 * d),) * 3  # slope bound d
         betas = rng.uniform(0.01, 0.5, 3) * rng.choice([-1, 1], 3)
         alphas = [
-            gain_threshold(i, delays.slope_bound(i - 1), p, gains(b=betas)) * rng.uniform(1.01, 3.0)
+            gain_threshold(i, delays[i - 1].slope_bound, p, gains(b=betas)) * rng.uniform(1.01, 3.0)
             for i in (1, 2, 3)
         ]
         g = gains(a=alphas, b=betas)
         assert all(row["pass"] for row in validate_gains(p, g, delays))
         for i in (1, 2, 3):
             for frac in (0.0, 0.5, 1.0):
-                m = phi_matrix(i, frac * delays.slope_bound(i - 1), p, g)
+                m = phi_matrix(i, frac * delays[i - 1].slope_bound, p, g)
                 assert is_negative_definite(m)
 
 
@@ -124,8 +130,8 @@ def _recheck_rates(params, delays, damping, gains_, rates):
         compute_mu4(params, rates.mu0, rates.mu1, rates.mu2, rates.mu3)
     )
     for i in range(3):
-        assert rates.mu0 * delays.cap(i) / (1.0 - delays.slope_bound(i)) < (rates.mu1, rates.mu2, rates.mu3)[i]
-    floors = damping.floors
+        assert rates.mu0 * delays[i].cap / (1.0 - delays[i].slope_bound) < (rates.mu1, rates.mu2, rates.mu3)[i]
+    floors = [law.floor for law in damping]
     masses = params.mass_coefficients
     assert rates.mu0 < min(a0 / m for a0, m in zip(floors, masses))
     assert rates.lam <= rates.mu0 + 1e-15
@@ -142,8 +148,8 @@ def _recheck_rates(params, delays, damping, gains_, rates):
 
 def test_select_mus_unit_example_against_grid_oracle():
     p = unit_params()
-    delays = DelaySpec.constant(1.0)  # M_i = 1, d_i = 0
-    damping = DampingSpec.constant(1.0)
+    delays = (ConstantDelay(1.0),) * 3  # M_i = 1, d_i = 0
+    damping = (ConstantDamping(1.0),) * 3
     g = gains(a=(1.0, 1.0, 1.0))
     rates = select_mus(p, delays, damping, g)
     assert rates.mu4 < 1.0 and rates.lam > 0.0
@@ -178,11 +184,11 @@ def test_select_mus_random_configs_recheck():
             rhoh=rng.uniform(0.5, 2),
             EI=rng.uniform(0.5, 2),
         )
-        delays = DelaySpec((SinusoidalDelay(0.3, 0.1, rng.uniform(0.5, 4.0)),) * 3)
-        damping = DampingSpec.constant(rng.uniform(0.2, 2.0))
+        delays = (SinusoidalDelay(0.3, 0.1, rng.uniform(0.5, 4.0)),) * 3
+        damping = (ConstantDamping(rng.uniform(0.2, 2.0)),) * 3
         betas = rng.uniform(0.0, 0.3, 3)
         alphas = [
-            gain_threshold(i, delays.slope_bound(i - 1), p, gains(b=betas)) + rng.uniform(0.3, 1.0)
+            gain_threshold(i, delays[i - 1].slope_bound, p, gains(b=betas)) + rng.uniform(0.3, 1.0)
             for i in (1, 2, 3)
         ]
         g = gains(a=alphas, b=betas)
@@ -192,21 +198,21 @@ def test_select_mus_random_configs_recheck():
 
 def test_select_mus_rejects_failing_gains():
     p = unit_params()
-    delays = DelaySpec.constant(0.5)
+    delays = (ConstantDelay(0.5),) * 3
     with pytest.raises(InfeasibleRates):
-        select_mus(p, delays, DampingSpec.constant(1.0), gains(a=(0.0, 1.0, 1.0)))
+        select_mus(p, delays, (ConstantDamping(1.0),) * 3, gains(a=(0.0, 1.0, 1.0)))
     # a slope bound of 1 fails its gain row too
-    unit_slope = DelaySpec((SinusoidalDelay(2.0, 1.0, 1.0),) * 3)
+    unit_slope = (SinusoidalDelay(2.0, 1.0, 1.0),) * 3
     with pytest.raises(InfeasibleRates, match="gain_channel_1"):
-        select_mus(p, unit_slope, DampingSpec.constant(1.0), gains())
+        select_mus(p, unit_slope, (ConstantDamping(1.0),) * 3, gains())
 
 
 def test_lambda_monotone_in_damping_floor():
     p = unit_params()
-    delays = DelaySpec.constant(0.5)
+    delays = (ConstantDelay(0.5),) * 3
     g = gains()
     lams = [
-        select_mus(p, delays, DampingSpec.constant(a0), g).lam for a0 in (1.0, 0.25, 0.0625)
+        select_mus(p, delays, (ConstantDamping(a0),) * 3, g).lam for a0 in (1.0, 0.25, 0.0625)
     ]
     assert lams[0] > lams[1] > lams[2] > 0.0
 
@@ -242,5 +248,5 @@ def test_decay_bound_examples_and_properties():
 
 def test_report_json_shape():
     p = unit_params()
-    rows = validate_gains(p, gains(), DelaySpec.constant(0.2))
+    rows = validate_gains(p, gains(), (ConstantDelay(0.2),) * 3)
     assert set(rows[0]) == {"condition_id", "lhs", "rhs", "margin", "pass"}

@@ -6,8 +6,6 @@ import pytest
 from sandwichbeam.params import (
     ConstantDamping,
     ConstantDelay,
-    DampingSpec,
-    DelaySpec,
     ExponentialDamping,
     GainConfig,
     PhysicalParams,
@@ -65,18 +63,17 @@ def test_delay_laws():
 
 
 def test_delay_spec_sampled_bounds():
-    spec = DelaySpec((SinusoidalDelay(0.5, 0.25, 2.0), ConstantDelay(0.3), ConstantDelay(0.2)))
+    laws = (SinusoidalDelay(0.5, 0.25, 2.0), ConstantDelay(0.3), ConstantDelay(0.2))
     # the declared floor, cap and slope bound hold on a sample grid of [0, 10]
     ts = np.linspace(0.0, 10.0, 257)
-    for i in range(3):
-        taus = spec.tau(i, ts)
-        assert np.all((spec.floor(i) <= taus) & (taus <= spec.cap(i)))
-        assert np.all(np.abs(spec.dtau(i, ts)) <= spec.slope_bound(i))
-    assert spec.min_floor == pytest.approx(0.2)
-    # the channel specs pass an array of times through
+    for law in laws:
+        taus = law.tau(ts)
+        assert np.all((law.floor <= taus) & (taus <= law.cap))
+        assert np.all(np.abs(law.dtau(ts)) <= law.slope_bound)
+    # the laws pass an array of times through
     times = np.linspace(0.0, 1.0, 7)
-    assert spec.tau(1, times).shape == spec.dtau(0, times).shape == times.shape
-    assert DampingSpec.constant(1.0).a(2, times).shape == times.shape
+    assert laws[1].tau(times).shape == laws[0].dtau(times).shape == times.shape
+    assert ConstantDamping(1.0).a(times).shape == times.shape
 
 
 LAWS = {
@@ -121,8 +118,6 @@ def test_damping_laws():
     assert e.a(0.1) > e.a(0.2)  # non-increasing
     with pytest.raises(ValueError):
         ExponentialDamping(floor_value=1.0, initial=0.5, rate=1.0)
-    spec = DampingSpec.constant(1.0, 2.0, 3.0)
-    assert spec.floors == (1.0, 2.0, 3.0)
 
 
 def test_gain_config_helpers():

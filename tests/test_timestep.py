@@ -16,9 +16,8 @@ from sandwichbeam.discretize import (
     build_system,
 )
 from sandwichbeam.params import (
+    ConstantDamping,
     ConstantDelay,
-    DampingSpec,
-    DelaySpec,
     ExponentialDamping,
     GainConfig,
     SinusoidalDelay,
@@ -78,6 +77,11 @@ def test_scheme_config_validation():
         SchemeConfig(dt=0.1, T=1.0, stride=0)
     cfg = SchemeConfig(dt=0.1, T=1.0)
     assert cfg.n_steps == 10
+    # a positive horizon under half a step is one step of T, not none
+    cfg = SchemeConfig(dt=0.02, T=0.004)
+    assert cfg.n_steps == 1 and cfg.step == 0.004
+    assert cfg.times.tolist() == [0.0, 0.004]
+    assert SchemeConfig(dt=0.02, T=0.0).n_steps == 0
 
 
 def test_zero_state_stays_zero():
@@ -148,7 +152,7 @@ def test_one_step_constant_control_matches_dense_oracle():
 
 def test_one_stabilized_step_pushes_history():
     p, sys_ = stabilized(16)
-    delays = DelaySpec.constant(0.3)
+    delays = (ConstantDelay(0.3),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, 0.1, 1.0, 0.05)
     st = random_smooth_state(sys_, seed=5, prepared=True)
     hist = make_histories(sys_, st, delays)
@@ -156,7 +160,7 @@ def test_one_stabilized_step_pushes_history():
     cfg = SchemeConfig(dt=0.02, T=0.02)
     out = simulate(
         st, sys_, cfg,
-        gains=gains, delays=delays, damping=DampingSpec.constant(1.0), histories=hist,
+        gains=gains, delays=delays, damping=(ConstantDamping(1.0),) * 3, histories=hist,
     )
     new = out.final_state()
     assert new.t == pytest.approx(0.02)
@@ -171,7 +175,7 @@ def test_one_stabilized_step_matches_dense_oracle():
     # effective matrix diag(M) + dt/2 (feedback + damping) + dt^2/4 K, force
     # -sum c_i beta_i z_i t_i with z_i read from the constant-trace history
     p, sys_ = stabilized(16)
-    delays = DelaySpec.constant(0.3)
+    delays = (ConstantDelay(0.3),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, -0.1, 1.0, 0.05)
     a = 0.7
     st = random_smooth_state(sys_, seed=5)
@@ -179,7 +183,7 @@ def test_one_stabilized_step_matches_dense_oracle():
     dt = 0.02
     out = simulate(
         st, sys_, SchemeConfig(dt=dt, T=dt),
-        gains=gains, delays=delays, damping=DampingSpec.constant(a), histories=hist,
+        gains=gains, delays=delays, damping=(ConstantDamping(a),) * 3, histories=hist,
     )
     cs = p.boundary_stiffness
     # trace functionals u_t(L), v_t(L), w_tx(L) = -w_t(x_{N-1})/dx
@@ -209,20 +213,24 @@ def test_simulate_rejects_arguments_the_variant_ignores():
         simulate(zero_state(sys_), sys_, cfg, controls=lambda t: (1.0, 0.0, 0.0))
     _, sysc = controlled(16)
     st = random_smooth_state(sysc, seed=2)
-    delays = DelaySpec.constant(0.3)
+    delays = (ConstantDelay(0.3),) * 3
     for name, value in (
         ("gains", GainConfig(1.0, 0.1, 1.0, 0.1, 1.0, 0.05)),
         ("delays", delays),
-        ("damping", DampingSpec.constant(5.0)),
+        ("damping", (ConstantDamping(5.0),) * 3),
         ("histories", make_histories(sysc, st, delays)),
     ):
         with pytest.raises(ValueError, match=name):
             simulate(st, sysc, cfg, **{name: value})
+    # a stabilized run takes exactly one law per channel
+    for name, value in (("delays", delays[:2]), ("damping", (ConstantDamping(5.0),) * 4)):
+        with pytest.raises(ValueError, match="three laws"):
+            simulate(zero_state(sys_), sys_, cfg, **{name: value})
 
 
 def test_delay_safety_enforced():
     p, sys_ = stabilized(16)
-    delays = DelaySpec.constant(0.05)
+    delays = (ConstantDelay(0.05),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
     st = random_smooth_state(sys_, seed=5, prepared=True)
     hist = make_histories(sys_, st, delays)
@@ -237,12 +245,12 @@ def test_delay_safety_enforced():
     cfg = SchemeConfig(dt=0.055, T=0.15)
     hist = make_histories(sys_, st, delays)
     out = simulate(st, sys_, cfg, gains=gains, delays=delays, histories=hist)
-    assert out.n_steps == 3 and out.dt <= delays.min_floor
+    assert out.n_steps == 3 and out.dt <= min(law.floor for law in delays)
 
 
 def test_unit_slope_delay_refused():
     p, sys_ = stabilized(16)
-    delays = DelaySpec((SinusoidalDelay(2.0, 1.0, 1.0),) * 3)
+    delays = (SinusoidalDelay(2.0, 1.0, 1.0),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
     st = zero_state(sys_)
     hist = make_histories(sys_, st, delays)
@@ -253,7 +261,7 @@ def test_unit_slope_delay_refused():
 def test_delayed_history_must_end_by_the_start():
     # the window at t = 0 must read the history up to its newest sample
     p, sys_ = stabilized(16)
-    delays = DelaySpec.constant(0.1)
+    delays = (ConstantDelay(0.1),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
     st = zero_state(sys_)
     hist = make_histories(sys_, st, delays)
@@ -350,8 +358,8 @@ def test_injected_nan_reported_at_its_step(monkeypatch):
     advance = timestep._Stepper.advance
     calls = []
 
-    def poisoned(self, q0, v0, a_values, force_mid, q1, v1):
-        advance(self, q0, v0, a_values, force_mid, q1, v1)
+    def poisoned(self, q0, v0, force_mid, q1, v1):
+        advance(self, q0, v0, force_mid, q1, v1)
         calls.append(1)
         if len(calls) == 4:
             v1[3] = np.nan
@@ -393,12 +401,27 @@ def test_factorization_reused_until_damping_weights_change(monkeypatch):
     p, sys_ = stabilized(16)
     st = random_smooth_state(sys_, seed=4, prepared=True)
     cfg = SchemeConfig(dt=0.02, T=0.4)
-    simulate(st, sys_, cfg, damping=DampingSpec.constant(1.0))
+    simulate(st, sys_, cfg, damping=(ConstantDamping(1.0),) * 3)
     assert len(calls) == 1
     calls.clear()
-    damping = DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)
+    damping = (ExponentialDamping(0.5, 1.5, 2.0),) * 3
     simulate(st, sys_, cfg, damping=damping)
     assert len(calls) == cfg.n_steps
+
+    class Returning(ConstantDamping):
+        # weights A, then B, then A again, all within one block of steps
+        def a(self, t):
+            return np.where((t > 0.1) & (t < 0.2), 2.0 * self.value, self.value)
+
+    calls.clear()
+    out = simulate(st, sys_, cfg, damping=(Returning(1.0),) * 3)
+    assert cfg.n_steps <= timestep._block_steps(sys_.ndof)
+    assert len(calls) == 3
+    # every step ran under its own weights: the energy balance
+    # E_{n+1} - E_n = -dt v_mid' C(t_mid) v_mid holds step by step
+    ledger = out.ledger
+    dissipated = out.dt * np.sum(ledger["a_mid"] * ledger["vel_norms_mid"], axis=1)
+    assert np.allclose(np.diff(out.energy), -dissipated, rtol=1e-9, atol=1e-13 * out.energy[0])
 
 
 def test_one_dsbmv_per_step_and_none_for_energies(monkeypatch):
@@ -449,7 +472,7 @@ def test_large_grid_steps_without_dense_stiffness():
     p = unit_params()
     cases = (
         (VARIANT_CONTROLLED, {"controls": lambda t: (1.0, -1.0, 0.5)}),
-        (VARIANT_STABILIZED, {"damping": DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)}),
+        (VARIANT_STABILIZED, {"damping": (ExponentialDamping(0.5, 1.5, 2.0),) * 3}),
     )
     for variant, kwargs in cases:
         tracemalloc.start()
@@ -471,7 +494,7 @@ def block_edge_runs(n_steps, stride=1):
     p, sys_c = controlled(16)
     controls = lambda t: (math.sin(3.0 * t), 0.5 * math.cos(2.0 * t), -0.2 * t)
     sys_s, state_s, kwargs = decay_scenario(16)
-    kwargs["damping"] = DampingSpec((ExponentialDamping(0.5, 1.5, 2.0),) * 3)
+    kwargs["damping"] = (ExponentialDamping(0.5, 1.5, 2.0),) * 3
     return [
         (sys_c, random_smooth_state(sys_c, seed=2), cfg, {"controls": controls}),
         (sys_s, state_s, cfg, kwargs),
@@ -548,7 +571,7 @@ def test_time_reversibility_of_conservative_run():
 def test_scalar_delayed_reduction_second_order_in_time():
     # u-field only (k ~ 0): delayed wave equation against a dt/16 reference
     p, sys_ = stabilized(24, k=1e-12)
-    delays = DelaySpec.constant(0.5)
+    delays = (ConstantDelay(0.5),) * 3
     gains = GainConfig(1.0, 0.3, 0.0, 0.0, 0.0, 0.0)
     st = eigen_mode_state(sys_, 0, 1.0)
 
@@ -572,10 +595,10 @@ def test_scalar_delayed_reduction_second_order_in_time():
 def test_monotone_decay_with_steep_delay_slope():
     # sinusoidal delays with slope bound 0.9 still give monotone energy
     p, sys_ = stabilized(32)
-    delays = DelaySpec((SinusoidalDelay(0.5, 0.3, 3.0),) * 3)
-    assert delays.slope_bound(0) == pytest.approx(0.9)
+    delays = (SinusoidalDelay(0.5, 0.3, 3.0),) * 3
+    assert delays[0].slope_bound == pytest.approx(0.9)
     gains = GainConfig(1.0, 0.1, 1.0, -0.08, 1.0, 0.05)
-    damping = DampingSpec.constant(1.0)
+    damping = (ConstantDamping(1.0),) * 3
     from sandwichbeam.hypotheses import validate_gains
 
     assert all(row["pass"] for row in validate_gains(p, gains, delays))
@@ -593,7 +616,7 @@ def test_exponential_damping_refactors_and_decays():
     p, sys_ = stabilized(16)
     from sandwichbeam.params import ExponentialDamping
 
-    damping = DampingSpec((ExponentialDamping(0.5, 2.0, 1.0),) * 3)
+    damping = (ExponentialDamping(0.5, 2.0, 1.0),) * 3
     st = random_smooth_state(sys_, seed=4, prepared=True)
     out = simulate(st, sys_, SchemeConfig(dt=0.02, T=2.0, stride=10), damping=damping)
     assert out.max_energy_increase() == 0.0
@@ -638,11 +661,11 @@ def test_nonfinite_effective_matrix_detected():
 
     class TurnsNan:
         # finite damping weights for two steps, then NaN
-        def a(self, i, t):
+        def a(self, t):
             return np.where(t < 0.05, 1.0, math.nan)
 
     with pytest.raises(IntegrationError, match="non-finite effective matrix"):
-        simulate(st, sys_, cfg, damping=TurnsNan())
+        simulate(st, sys_, cfg, damping=(TurnsNan(),) * 3)
     band = sys_.band.copy()
     band[1, 3] = np.inf
     with pytest.raises(IntegrationError, match="non-finite effective matrix"):
@@ -681,7 +704,7 @@ def test_delay_beyond_declared_cap_raises():
     # the refusal comes before the first step, not at step 32: in both
     # cases the histories are left as they were
     for amplitude in (0.1, -0.1):
-        delays = DelaySpec((Undercapped(0.2, amplitude, 5.0),) * 3)
+        delays = (Undercapped(0.2, amplitude, 5.0),) * 3
         sys_, state, kwargs = decay_scenario(16, delays)
         copies = history_copies(kwargs["histories"])
         with pytest.raises(LookupBeforeHistory):
@@ -727,12 +750,12 @@ def test_window_pass_refuses_a_delay_past_its_cap(monkeypatch):
         def tau(self, t):
             return self.value + np.where(t > 1.995, 0.05, 0.0)
 
-    sys_, state, kwargs = decay_scenario(16, DelaySpec((LateOvershoot(0.1),) * 3))
+    sys_, state, kwargs = decay_scenario(16, (LateOvershoot(0.1),) * 3)
     with pytest.raises(LookupBeforeHistory, match="exceeds its declared cap"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
     # a history that serves every lookup but not the window at t = 0, which
     # starts at -tau(0), before its earliest sample
-    sys_, state, kwargs = decay_scenario(16, DelaySpec.constant(0.1))
+    sys_, state, kwargs = decay_scenario(16, (ConstantDelay(0.1),) * 3)
     kwargs["histories"] = tuple(
         TraceHistory(h.times[1:], h.values[1:], h.slopes[1:]) for h in kwargs["histories"]
     )
@@ -800,8 +823,8 @@ def test_time_laws_sampled_once_on_the_midpoint_grid(monkeypatch):
             assert np.concatenate(received).tobytes() == np.concatenate(expected).tobytes(), law
         return events[steps[-1] + 1 :]
 
-    sys_, state, kwargs = decay_scenario(16, DelaySpec((RecordedDelay(0.1, 0.05, 10.0),) * 3))
-    kwargs["damping"] = DampingSpec((RecordedDamping(0.5, 1.5, 2.0),) * 3)
+    sys_, state, kwargs = decay_scenario(16, (RecordedDelay(0.1, 0.05, 10.0),) * 3)
+    kwargs["damping"] = (RecordedDamping(0.5, 1.5, 2.0),) * 3
     events.clear()
     out = simulate(state, sys_, SchemeConfig(dt=0.01, T=1.0), **kwargs)
     # one call per channel and grid (None: the midpoints); tau also on the
