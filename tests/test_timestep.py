@@ -230,12 +230,13 @@ def test_simulate_rejects_arguments_the_variant_ignores():
 
 def test_delay_safety_enforced():
     p, sys_ = stabilized(16)
-    delays = (ConstantDelay(0.05),) * 3
+    # the floors differ and the smallest is not first: the rule binds the smallest
+    delays = (ConstantDelay(0.3), ConstantDelay(0.05), ConstantDelay(0.2))
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
     st = random_smooth_state(sys_, seed=5, prepared=True)
     hist = make_histories(sys_, st, delays)
     cfg = SchemeConfig(dt=0.1, T=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="smallest delay floor 0.05;"):
         simulate(st, sys_, cfg, gains=gains, delays=delays, histories=hist)
     # the rule binds the step taken, T / round(T / dt): 2 steps of 0.0625
     cfg = SchemeConfig(dt=0.05, T=0.125)
@@ -245,7 +246,7 @@ def test_delay_safety_enforced():
     cfg = SchemeConfig(dt=0.055, T=0.15)
     hist = make_histories(sys_, st, delays)
     out = simulate(st, sys_, cfg, gains=gains, delays=delays, histories=hist)
-    assert out.n_steps == 3 and out.dt <= min(law.floor for law in delays)
+    assert out.n_steps == 3 and out.dt <= 0.05
 
 
 def test_unit_slope_delay_refused():
