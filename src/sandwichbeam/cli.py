@@ -58,23 +58,11 @@ def _write_csv(path, header, columns):
     return path
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path, payload):
     # strict JSON: a value a command may leave undefined is None (null), and
     # a NaN or infinity anywhere else raises ValueError
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -212,6 +200,10 @@ def cmd_simulate(cfg, args):
 def cmd_decay_report(cfg, args):
     if cfg.variant != VARIANT_STABILIZED:
         raise ConfigError("decay-report needs variant = stabilized_delayed")
+    # the rate search reads every channel's delay and damping law
+    for section, laws in (("delays", cfg.delays), ("damping", cfg.damping)):
+        if laws is None:
+            raise ConfigError(f"decay-report needs a [{section}] section")
     window = (cfg.fit_window[0] * cfg.scheme.T, cfg.fit_window[1] * cfg.scheme.T)
     times = cfg.scheme.times
     if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 2:

@@ -335,9 +335,6 @@ class DiscreteState:
     p: np.ndarray
     t: float = 0.0
 
-    def copy(self):
-        return DiscreteState(q=self.q.copy(), p=self.p.copy(), t=self.t)
-
 
 def hspace_norm(state, sys_):
     """State-space norm sqrt(p'Mp + q'Kq) (no delay terms)."""

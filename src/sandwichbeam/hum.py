@@ -30,8 +30,7 @@ constant on a fixed class of low modes beside the unfiltered spectrum, and
 ``compute_null_control`` solves in the eigenbasis, dropping the least
 observable directions only as far as the residual tolerance allows.  Only
 the verification, the forward run under the synthesized controls, is
-stepped through the Newmark loop; ``solve_adjoint`` stays as the stepped
-reference of the closed forms.
+stepped through the Newmark loop.
 
 The displacement part of the state product, diag(omega^2) in modes, is
 blind to the rigid mode, a constant transverse shift (the controlled
@@ -60,46 +59,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import VARIANT_CONTROLLED, DiscreteState, hspace_norm
+from .discretize import VARIANT_CONTROLLED, hspace_norm
 from .timestep import simulate
 
 # steps per block of the cosine/sine tables of ``_ModalPropagator``
 _STEP_BLOCK = 64
 
 __all__ = [
-    "ObservationTriple",
     "HumSolution",
-    "solve_adjoint",
     "gramian",
     "compute_null_control",
     "observability",
 ]
-
-
-@dataclass
-class ObservationTriple:
-    """Boundary displacement traces of an adjoint solution on the step grid.
-
-    The weighted L2(0,T) product pairs midpoint values (averaged endpoint
-    pairs), matching how controls are applied by the integrator; this keeps
-    the duality identity exact at the discrete level.
-    """
-
-    series: np.ndarray  # (n_steps + 1, 3)
-    dt: float
-    weights: tuple
-
-    def weighted_product(self, other):
-        total = 0.0
-        for i, wgt in enumerate(self.weights):
-            a_mid = 0.5 * (self.series[:-1, i] + self.series[1:, i])
-            b_mid = 0.5 * (other.series[:-1, i] + other.series[1:, i])
-            total += wgt * self.dt * float(np.dot(a_mid, b_mid))
-        return total
-
-    @property
-    def norm_sq(self):
-        return self.weighted_product(self)
 
 
 @dataclass
@@ -121,20 +92,6 @@ class HumSolution:
     control_cost: float
     min_rayleigh: float
     max_rayleigh: float
-
-
-def solve_adjoint(terminal, sys_, cfg):
-    """Adjoint solve backward from terminal data at the horizon cfg.T.
-
-    Returns (trajectory of the reversed solve, observation triple on the
-    forward step grid, adjoint state at t = 0).
-    """
-    reversed_initial = DiscreteState(q=terminal.q.copy(), p=-terminal.p, t=0.0)
-    out = simulate(reversed_initial, sys_, cfg)
-    series = out.displacement_traces[::-1].copy()
-    obs = ObservationTriple(series=series, dt=out.dt, weights=sys_.params.trace_masses)
-    w0 = DiscreteState(q=out.states_q[-1].copy(), p=-out.states_p[-1], t=0.0)
-    return out, obs, w0
 
 
 class _ModalPropagator:
@@ -173,8 +130,8 @@ class _ModalPropagator:
         return np.concatenate([cos * a + sin * b, cos * b - self.omega * self.omega * sin * a])
 
     def adjoint_traces(self, x):
-        """The observation series of ``solve_adjoint`` from modal terminal
-        data ``x``.
+        """The observation series, the boundary displacement traces on the
+        step grid, of the adjoint solution from modal terminal data ``x``.
 
         The adjoint is the run from (a_T, -b_T) reversed in time, so row k
         holds the displacement traces after n_steps - k of its steps.  The
@@ -210,8 +167,8 @@ def _metric_factor(sys_):
 
 def gramian(sys_, cfg):
     """Gramian G on modal terminal data (a, b) = (phi'M q, phi'M p): x'Gx
-    is the observation norm of ``solve_adjoint`` from x, for the steps of
-    ``cfg``.
+    is the observation norm of the adjoint solution from x, for the steps
+    of ``cfg``.
 
     The midpoint traces of step n of the reversed run are the channel rows
     of phi times C[n]*a - S[n]*b, the propagator at n + 1/2 steps times
@@ -288,7 +245,12 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
     terminal = verification.final_state()
     denom = hspace_norm(initial, sys_)
     rel = hspace_norm(terminal, sys_) / denom if denom > 0.0 else hspace_norm(terminal, sys_)
-    obs = ObservationTriple(series=controls, dt=verification.dt, weights=sys_.params.trace_masses)
+    # the weighted L2(0,T) norm pairs midpoint values, as the integrator
+    # applies the controls
+    cost = 0.0
+    for i, wgt in enumerate(sys_.params.trace_masses):
+        mid = 0.5 * (controls[:-1, i] + controls[1:, i])
+        cost += wgt * verification.dt * float(np.dot(mid, mid))
     return HumSolution(
         controls=controls,
         dt=verification.dt,
@@ -296,7 +258,7 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
         residuals=residuals[: rank + 1],
         converged=converged,
         terminal_rel_norm=rel,
-        control_cost=obs.norm_sq,
+        control_cost=cost,
         min_rayleigh=lam[rank - 1] if rank else None,
         max_rayleigh=lam[0] if rank else None,
     )

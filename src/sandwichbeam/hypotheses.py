@@ -18,7 +18,6 @@ _YOUNG_EPS = 0.5
 _MAX_HALVINGS = 60
 
 __all__ = [
-    "BoundaryQuadForm",
     "TheoreticalRates",
     "InfeasibleRates",
     "phi_matrix",
@@ -35,28 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundaryQuadForm:
-    """Symmetric 2x2 form acting on (trace velocity, delayed trace velocity)."""
-
-    m11: float
-    m12: float
-    m22: float
-
-    @property
-    def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m12
-
-    def value(self, trace, delayed):
-        return (
-            self.m11 * trace * trace
-            + 2.0 * self.m12 * trace * delayed
-            + self.m22 * delayed * delayed
-        )
-
-
 def phi_matrix(i, d, params, gains):
-    """Boundary dissipation form of channel i for an actual delay slope d < 1.
+    """Boundary dissipation form (m11, m12, m22) of channel i, acting on
+    (trace velocity, delayed trace velocity), for an actual delay slope d < 1.
 
     d = tau'(t), negative while the delay shrinks, may be an array of slopes.
 
@@ -71,16 +51,13 @@ def phi_matrix(i, d, params, gains):
     c = params.boundary_stiffness[i - 1]
     a = gains.alphas[i - 1]
     b = gains.betas[i - 1]
-    return BoundaryQuadForm(
-        m11=-2.0 * c * a + abs(b),
-        m12=-c * b,
-        m22=abs(b) * (d - 1.0),
-    )
+    return -2.0 * c * a + abs(b), -c * b, abs(b) * (d - 1.0)
 
 
 def is_negative_definite(form):
-    """Sylvester criterion for a symmetric 2x2 form."""
-    return form.m11 < 0.0 and form.det > 0.0
+    """Sylvester criterion for a symmetric 2x2 form (m11, m12, m22)."""
+    m11, m12, m22 = form
+    return m11 < 0.0 and m11 * m22 - m12 * m12 > 0.0
 
 
 def gain_threshold(i, d, params, gains):
@@ -170,15 +147,14 @@ def perturbed_form(i, params, gains, delays, mu0, mu_i):
     C_eps = stiffness_i * L / (4 eps)) and mu_i*|b|*[[1, 0], [0, 0]]
     (delay-line derivative) on top of the worst-slope dissipation form.
     """
-    d = delays[i - 1].slope_bound
-    phi = phi_matrix(i, d, params, gains)
+    m11, m12, m22 = phi_matrix(i, delays[i - 1].slope_bound, params, gains)
     ceps = params.boundary_stiffness[i - 1] * params.L / (4.0 * _YOUNG_EPS)
     a = gains.alphas[i - 1]
     b = gains.betas[i - 1]
-    return BoundaryQuadForm(
-        m11=phi.m11 + mu0 * ceps * a * a + mu_i * abs(b),
-        m12=phi.m12 + mu0 * ceps * a * b,
-        m22=phi.m22 + mu0 * ceps * b * b,
+    return (
+        m11 + mu0 * ceps * a * a + mu_i * abs(b),
+        m12 + mu0 * ceps * a * b,
+        m22 + mu0 * ceps * b * b,
     )
 
 
@@ -198,10 +174,6 @@ class TheoreticalRates:
     def rate(self):
         return self.lam / (1.0 + self.mu4)
 
-    @property
-    def mus(self):
-        return (self.mu0, self.mu1, self.mu2, self.mu3)
-
 
 class InfeasibleRates(RuntimeError):
     """No admissible Lyapunov weights were found; carries the binding constraint."""
@@ -218,7 +190,7 @@ def _feasible(params, gains, delays, damping, mu0):
     for i in (1, 2, 3):
         pi_form = perturbed_form(i, params, gains, delays, mu0, mus[i - 1])
         if gains.betas[i - 1] == 0.0:
-            ok = pi_form.m11 < 0.0
+            ok = pi_form[0] < 0.0
         else:
             ok = is_negative_definite(pi_form)
         if not ok:

@@ -239,7 +239,7 @@ def test_validate_exit_codes(tmp_path):
     )
     path = write_doc(tmp_path, doc, "bad_slope.ini")
     assert main(["validate", "--config", path, "--quiet"]) == 1
-    report = json.load(open(tmp_path / "out" / "hypotheses.json"))
+    report = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
     failing = [c for c in report["conditions"] if not c["pass"]]
     assert any(c["condition_id"] == "delay_slope_channel_1" for c in failing)
     # the other channels' gain rows are still computed; channel 1 has no

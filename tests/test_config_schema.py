@@ -302,6 +302,12 @@ def test_a_command_refuses_a_mode_its_grid_lacks_before_it_starts(tmp_path, monk
 
 BIG_STEP = {("scheme", "dt"): "0.2"}
 STEEP_DELAY = {("delays", "tau1"): "sinusoidal base=0.3 amplitude=0.15 frequency=10"}
+NO_DAMPING = {("damping", key): None for key in ("a1", "a2", "a3")}
+# undelayed gains need no [delays] to load
+NO_DELAYS = {
+    **{("gains", f"beta{i}"): "0" for i in (1, 2, 3)},
+    **{("delays", f"tau{i}"): None for i in (1, 2, 3)},
+}
 
 
 @pytest.mark.parametrize(
@@ -325,6 +331,9 @@ STEEP_DELAY = {("delays", "tau1"): "sinusoidal base=0.3 amplitude=0.15 frequency
         ),
         # validate reports the slope bound as a hypothesis, but refuses the step
         ("validate", "decay.ini", BIG_STEP, "dt = 0.2 exceeds the smallest delay floor 0.05"),
+        # the rate search reads every channel's delay and damping law
+        ("decay-report", "decay.ini", NO_DAMPING, "decay-report needs a [damping] section"),
+        ("decay-report", "decay.ini", NO_DELAYS, "decay-report needs a [delays] section"),
     ],
     ids=[
         "observability-cutoff", "convergence-resolutions", "convergence-shipped-control",
@@ -333,7 +342,7 @@ STEEP_DELAY = {("delays", "tau1"): "sinusoidal base=0.3 amplitude=0.15 frequency
             for case in ("big-step", "steep-delay")
             for command in ("simulate", "decay-report", "convergence")
         ),
-        "validate-big-step",
+        "validate-big-step", "decay-report-no-damping", "decay-report-no-delays",
     ],
 )  # fmt: skip
 def test_a_refused_command_leaves_no_output_directory(tmp_path, command, shipped, edits, message):

@@ -178,7 +178,7 @@ def test_lyapunov_equivalence_random_states():
             b = gains.betas[i]
             if b == 0.0:
                 continue
-            tilt += rates.mus[i + 1] * 0.5 * abs(b) * windows[i][1]
+            tilt += (rates.mu1, rates.mu2, rates.mu3)[i] * 0.5 * abs(b) * windows[i][1]
         L = e + rates.mu0 * cross + tilt
         assert (1.0 - rates.mu4) * e - 1e-12 <= L <= (1.0 + rates.mu4) * e + 1e-12
 

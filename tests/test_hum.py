@@ -20,7 +20,6 @@ from sandwichbeam.hum import (
     compute_null_control,
     gramian,
     observability,
-    solve_adjoint,
 )
 from sandwichbeam.presets import random_smooth_state, single_mode_state, zero_state
 from sandwichbeam.timestep import SchemeConfig, simulate
@@ -50,6 +49,35 @@ def from_modal(sys_, x):
     return DiscreteState(q=phi @ a, p=phi @ b)
 
 
+def solve_adjoint(terminal, sys_, cfg):
+    """Adjoint solve backward from terminal data at the horizon cfg.T,
+    stepped through the Newmark loop: the reference of hum's closed forms.
+
+    Returns (trajectory of the reversed solve, observation series on the
+    forward step grid, adjoint state at t = 0).
+    """
+    reversed_initial = DiscreteState(q=terminal.q.copy(), p=-terminal.p, t=0.0)
+    out = simulate(reversed_initial, sys_, cfg)
+    series = out.displacement_traces[::-1].copy()
+    w0 = DiscreteState(q=out.states_q[-1].copy(), p=-out.states_p[-1], t=0.0)
+    return out, series, w0
+
+
+def observation_product(a, b, sys_, dt):
+    """Weighted L2(0,T) product of two observation series with step ``dt``.
+
+    It pairs midpoint values (averaged endpoint pairs), matching how the
+    integrator applies controls, so the duality identity is exact at the
+    discrete level.
+    """
+    total = 0.0
+    for i, wgt in enumerate(sys_.params.trace_masses):
+        a_mid = 0.5 * (a[:-1, i] + a[1:, i])
+        b_mid = 0.5 * (b[:-1, i] + b[1:, i])
+        total += wgt * dt * float(np.dot(a_mid, b_mid))
+    return total
+
+
 def test_adjoint_solve_conserves_and_roundtrips():
     p, sys_ = controlled_system()
     cfg = short_cfg()
@@ -58,7 +86,7 @@ def test_adjoint_solve_conserves_and_roundtrips():
     assert traj.relative_drift() <= 1e-8
     # zero terminal data: zero observation
     traj0, obs0, w00 = solve_adjoint(zero_state(sys_), sys_, cfg)
-    assert obs0.norm_sq == 0.0
+    assert observation_product(obs0, obs0, sys_, cfg.step) == 0.0
     # forward-then-backward recovers the terminal data
     fwd = simulate(w0, sys_, cfg)
     qT, vT = fwd.states_q[-1], fwd.states_p[-1]
@@ -74,7 +102,7 @@ def test_adjoint_observation_linearity():
     _, obs, _ = solve_adjoint(Wt, sys_, cfg)
     W2 = DiscreteState(q=3.0 * Wt.q, p=3.0 * Wt.p)
     _, obs2, _ = solve_adjoint(W2, sys_, cfg)
-    assert np.allclose(obs2.series, 3.0 * obs.series, rtol=1e-10, atol=1e-12)
+    assert np.allclose(obs2, 3.0 * obs, rtol=1e-10, atol=1e-12)
 
 
 def test_gramian_symmetry_positivity_and_definition():
@@ -90,9 +118,10 @@ def test_gramian_symmetry_positivity_and_definition():
     _, obs_a, _ = solve_adjoint(a, sys_, cfg)
     _, obs_b, _ = solve_adjoint(b, sys_, cfg)
     xa, xb = to_modal(sys_, a), to_modal(sys_, b)
-    scale = np.sqrt(obs_a.norm_sq * obs_b.norm_sq)
-    assert abs(xa @ G @ xb - obs_a.weighted_product(obs_b)) <= 1e-8 * scale
-    assert xa @ G @ xa == pytest.approx(obs_a.norm_sq, rel=1e-8)
+    norm_a = observation_product(obs_a, obs_a, sys_, cfg.step)
+    scale = np.sqrt(norm_a * observation_product(obs_b, obs_b, sys_, cfg.step))
+    assert abs(xa @ G @ xb - observation_product(obs_a, obs_b, sys_, cfg.step)) <= 1e-8 * scale
+    assert xa @ G @ xa == pytest.approx(norm_a, rel=1e-8)
     assert xa @ G @ xa > 0.0
 
 
@@ -105,8 +134,8 @@ def test_modal_gramian_matches_stepped_gramian():
     rows = []
     for e in np.eye(2 * sys_.ndof):
         _, obs, _ = solve_adjoint(from_modal(sys_, e), sys_, cfg)
-        mid = 0.5 * (obs.series[:-1] + obs.series[1:])
-        rows.append((mid * np.sqrt(np.asarray(obs.weights) * obs.dt)).ravel())
+        mid = 0.5 * (obs[:-1] + obs[1:])
+        rows.append((mid * np.sqrt(np.asarray(p.trace_masses) * cfg.step)).ravel())
     stepped = np.array(rows) @ np.array(rows).T
     G = gramian(sys_, cfg)
     assert np.max(np.abs(G - stepped)) <= 1e-10 * np.max(np.abs(stepped))
@@ -145,8 +174,8 @@ def test_modal_controls_match_adjoint_solve(N):
     for state in modal_test_states(sys_, seed=N + 1):
         _, obs, _ = solve_adjoint(state, sys_, cfg)
         series = prop.adjoint_traces(to_modal(sys_, state))
-        assert series.shape == obs.series.shape
-        assert np.max(np.abs(series - obs.series)) <= 1e-8 * np.max(np.abs(obs.series))
+        assert series.shape == obs.shape
+        assert np.max(np.abs(series - obs)) <= 1e-8 * np.max(np.abs(obs))
 
 
 def test_null_control_steps_the_newmark_loop_once(monkeypatch):
@@ -213,11 +242,7 @@ def test_duality_identity_random_triples():
             - U0.p @ (sys_.M * W0.q)
             + U0.q @ (sys_.M * W0.p)
         )
-        rhs = 0.0
-        for i, wgt in enumerate(p.trace_masses):
-            f_mid = 0.5 * (f[:-1, i] + f[1:, i])
-            w_mid = 0.5 * (obs.series[:-1, i] + obs.series[1:, i])
-            rhs += wgt * cfg.dt * float(np.dot(f_mid, w_mid))
+        rhs = observation_product(f, obs, sys_, cfg.dt)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst <= 1e-6, worst
@@ -357,6 +382,16 @@ def test_null_control_in_modes_reaches_small_terminal_norm(field, bound, converg
     assert sol.converged or not converges
 
 
+def test_control_cost_is_the_observation_norm_of_the_controls():
+    # three different channel weights (E1h1, E3h3, alpha*k) = (2, 3, 0.5)
+    p, sys_ = controlled_system(N=16, E1h1=2.0, E3h3=3.0, k=0.5)
+    T = 4.0
+    cfg = SchemeConfig(dt=T / 256, T=T, stride=256)
+    sol = compute_null_control(random_smooth_state(sys_, seed=4), sys_, cfg, tol=1e-6)
+    norm_sq = observation_product(sol.controls, sol.controls, sys_, sol.dt)
+    assert norm_sq > 0.0 and sol.control_cost == pytest.approx(norm_sq, rel=1e-12)
+
+
 def test_control_cost_non_increasing_in_horizon():
     p, sys_ = controlled_system(N=16)
     U0 = single_mode_state(sys_, "u", 1, 1.0)
@@ -440,5 +475,5 @@ def test_observability_single_field_matches_continuum():
     state = DiscreteState(q=state.q / norm, p=state.p / norm)
     cfg = SchemeConfig(dt=T / 1024, T=T, stride=1024)
     _, obs, _ = solve_adjoint(state, sys_, cfg)
-    assert obs.norm_sq == pytest.approx(oracle, rel=0.10)
+    assert observation_product(obs, obs, sys_, cfg.step) == pytest.approx(oracle, rel=0.10)
 

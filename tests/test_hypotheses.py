@@ -80,14 +80,14 @@ def test_validate_gains_rejects_unit_slope():
 def test_phi_matrix_entries():
     p = unit_params()
     m = phi_matrix(1, 0.0, p, gains(a=(1, 0, 0), b=(0, 0, 0)))
-    assert (m.m11, m.m12, m.m22) == (-2.0, 0.0, 0.0)
+    assert m == (-2.0, 0.0, 0.0)
     m = phi_matrix(1, 0.0, p, gains(a=(1, 0, 0), b=(1, 0, 0)))
-    assert (m.m11, m.m12, m.m22) == (-1.0, -1.0, -1.0)
+    assert m == (-1.0, -1.0, -1.0)
     m = phi_matrix(3, 0.5, p, gains(a=(0, 0, 2.0), b=(0, 0, 0.5)))
-    assert (m.m11, m.m12, m.m22) == (-3.5, -0.5, -0.25)
+    assert m == (-3.5, -0.5, -0.25)
     # a shrinking delay has a negative actual slope
     m = phi_matrix(2, -0.5, p, gains(a=(0, 1.0, 0), b=(0, -0.5, 0)))
-    assert (m.m11, m.m12, m.m22) == (-1.5, 0.5, -0.75)
+    assert m == (-1.5, 0.5, -0.75)
     with pytest.raises(ValueError):
         phi_matrix(4, 0.0, p, gains())
     with pytest.raises(ValueError):
@@ -95,11 +95,9 @@ def test_phi_matrix_entries():
 
 
 def test_is_negative_definite_cases():
-    from sandwichbeam.hypotheses import BoundaryQuadForm
-
-    assert not is_negative_definite(BoundaryQuadForm(-2, 0, 0))
-    assert is_negative_definite(BoundaryQuadForm(-1, 0, -1))
-    assert not is_negative_definite(BoundaryQuadForm(-1, 2, -1))
+    assert not is_negative_definite((-2, 0, 0))
+    assert is_negative_definite((-1, 0, -1))
+    assert not is_negative_definite((-1, 2, -1))
 
 
 def test_passing_gains_imply_negative_definite_phi():
@@ -138,10 +136,10 @@ def _recheck_rates(params, delays, damping, gains_, rates):
     for a0, m in zip(floors, masses):
         assert rates.lam <= 2.0 * (a0 / m - rates.mu0) + 1e-15
     assert rates.zeta == pytest.approx((1.0 + rates.mu4) / (1.0 - rates.mu4))
-    for i in (1, 2, 3):
-        pi_form = perturbed_form(i, params, gains_, delays, rates.mu0, rates.mus[i])
+    for i, mu_i in zip((1, 2, 3), (rates.mu1, rates.mu2, rates.mu3)):
+        pi_form = perturbed_form(i, params, gains_, delays, rates.mu0, mu_i)
         if gains_.betas[i - 1] == 0.0:
-            assert pi_form.m11 < 0.0
+            assert pi_form[0] < 0.0
         else:
             assert is_negative_definite(pi_form)
 
@@ -166,7 +164,7 @@ def test_select_mus_unit_example_against_grid_oracle():
             continue
         if lambda_bound(p, damping, mu0) <= 0.0:
             continue
-        ok = all(perturbed_form(i, p, g, delays, mu0, mu).m11 < 0.0 for i in (1, 2, 3))
+        ok = all(perturbed_form(i, p, g, delays, mu0, mu)[0] < 0.0 for i in (1, 2, 3))
         if ok:
             feasible.append((mu0, mu))
     assert feasible, "grid oracle found no feasible weights"

@@ -1,6 +1,7 @@
 """Package hygiene: every exported name exists, every name a module imports
 from a sibling is exported there, no module imports a name it never uses,
-and no module defines a private function it never references."""
+no module defines a private function it never references, and the package
+references every public function and class it defines."""
 
 import ast
 import importlib
@@ -81,6 +82,36 @@ def test_no_unused_private_functions(name):
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     unused = [fn for fn in private if fn not in used]
+    assert not unused, unused
+
+
+def _package_references():
+    """Every name the package's code reads or imports, strings aside."""
+    used = set()
+    for name in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_public_name_only_tests_use(name):
+    # the package keeps no function or class that only tests reach: every
+    # public one is referenced by the package's own code
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    public = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    used = _package_references()
+    unused = [obj for obj in public if obj not in used]
     assert not unused, unused
 
 
