@@ -26,13 +26,7 @@ from .decay import (
     check_trace_estimates,
     lyapunov_trace,
 )
-from .discretize import (
-    VARIANT_CONTROLLED,
-    VARIANT_STABILIZED,
-    DiscreteState,
-    Grid1D,
-    build_system,
-)
+from .discretize import VARIANT_CONTROLLED, VARIANT_STABILIZED, Grid1D, build_system
 from .hypotheses import InfeasibleRates, decay_bound, scenario_report, select_mus
 from .hum import compute_null_control, observability
 from .lapack import BLAS_CONFIG
@@ -108,11 +102,8 @@ def _check_delayed_step(cfg, step):
             raise ConfigError(reason)
 
 
-def _run_simulation(cfg, sys_, scheme, state=None):
-    """The run of the scenario on ``sys_`` under ``scheme``, from ``state`` or
-    the scenario's initial data."""
-    if state is None:
-        state = cfg.build_initial(sys_)
+def _run_simulation(cfg, sys_, scheme, state):
+    """The run of the scenario on ``sys_`` under ``scheme``, from ``state``."""
     if cfg.variant == VARIANT_STABILIZED:
         histories = cfg.build_histories(sys_, state) if cfg.gains.any_delayed else None
         return simulate(
@@ -169,10 +160,10 @@ def cmd_simulate(cfg, args):
     # a step or a mode the run cannot take is refused before anything is written
     _check_delayed_step(cfg, cfg.scheme.step)
     sys_ = cfg.build_system()
-    cfg.check_mode(sys_)
+    state = cfg.build_initial(sys_)
     os.makedirs(cfg.outdir, exist_ok=True)
     try:
-        out = _run_simulation(cfg, sys_, cfg.scheme)
+        out = _run_simulation(cfg, sys_, cfg.scheme, state)
         # the columns include the delay-line series, checked when computed
         header, cols = _trajectory_columns(out)
     except IntegrationError as exc:
@@ -352,41 +343,29 @@ def cmd_observability(cfg, args):
     return EXIT_OK
 
 
-def _state_l2_norm(state, sys_):
-    """Mass-weighted L2 norm of a state difference (no derivative weights:
-    order estimates should not be polluted by marginally resolved modes)."""
-    return float(np.sqrt(sys_.field_weights.sum(axis=0) @ (state.q ** 2 + state.p ** 2)))
-
-
-def _restrict_state(fine_state, fine_sys, coarse_sys):
-    """Restrict a fine-grid state to a nested coarse grid: each coarse node
-    takes the values of the fine node at the same place."""
-    ratio = fine_sys.grid.N // coarse_sys.grid.N
-    coarse = coarse_sys.layout.nodal
-    fine = fine_sys.layout.nodal[::ratio]
-    live = coarse >= 0
-    q = np.zeros(coarse_sys.ndof)
-    p = np.zeros(coarse_sys.ndof)
-    q[coarse[live]] = fine_state.q[fine[live]]
-    p[coarse[live]] = fine_state.p[fine[live]]
-    return DiscreteState(q=q, p=p, t=fine_state.t)
+def _error_to_reference(state, sys_, ref, ref_sys):
+    """Mass-weighted L2 norm (no derivative weights: order estimates should
+    not be polluted by marginally resolved modes) of ``state`` minus the
+    reference ``ref`` restricted to the nested grid of ``sys_``: each node
+    takes the values of the reference node at the same place."""
+    ratio = ref_sys.grid.N // sys_.grid.N
+    at = ref_sys.layout.nodal[::ratio][sys_.layout.nodal >= 0]
+    dq, dp = state.q - ref.q[at], state.p - ref.p[at]
+    return float(np.sqrt(sys_.field_weights.sum(axis=0) @ (dq ** 2 + dp ** 2)))
 
 
 def cmd_convergence(cfg, args):
     conv = cfg.convergence
-    rows = []
 
-    def run_at(n, dt, T):
+    def run_at(n, dt):
         sys_ = build_system(Grid1D(N=n, L=cfg.params.L), cfg.params, cfg.variant)
-        out = _run_simulation(cfg, sys_, _endpoint_scheme(dt, T))
+        out = _run_simulation(cfg, sys_, _endpoint_scheme(dt, conv["T"]), cfg.build_initial(sys_))
         return sys_, out.final_state()
 
-    # every ladder is checked before anything runs
-    spatial = conv["mode"] in ("spatial", "both")
-    temporal = conv["mode"] in ("temporal", "both")
-    levels = []
-    largest_steps = []
-    if spatial:
+    # each study is (name, levels as (cells, step), reference level, mesh
+    # sizes), and every ladder is checked before anything runs
+    studies = []
+    if conv["mode"] in ("spatial", "both"):
         ladder = sorted(conv["resolutions"])
         if len(ladder) < 3:
             raise ConfigError("spatial convergence needs at least 3 resolutions")
@@ -399,9 +378,9 @@ def cmd_convergence(cfg, args):
                 f"spatial resolutions must be distinct and divide {ref_n} "
                 f"(4 x the finest), got {ladder}"
             )
-        levels += ladder
-        largest_steps.append(_endpoint_scheme(conv["dt"], conv["T"]).step)
-    if temporal:
+        hs = [cfg.params.L / n for n in ladder]
+        studies.append(("spatial", [(n, conv["dt"]) for n in ladder], (ref_n, conv["dt"]), hs))
+    if conv["mode"] in ("temporal", "both"):
         dts = sorted(conv["dts"], reverse=True)
         if len(dts) < 2:
             raise ConfigError("temporal convergence needs at least 2 steps")
@@ -410,35 +389,26 @@ def cmd_convergence(cfg, args):
         steps = [_endpoint_scheme(dt, conv["T"]).step for dt in dts]
         if any(not a > b for a, b in zip(steps, steps[1:])):
             raise ConfigError(f"temporal convergence needs distinct steps, got {steps}")
-        levels.append(conv["n"])
-        largest_steps.append(steps[0])
-    # every level starts from the preset, and the coarsest has the fewest modes
-    cfg.check_mode(build_system(Grid1D(N=min(levels), L=cfg.params.L), cfg.params, cfg.variant))
-    _check_delayed_step(cfg, max(largest_steps))
+        # a temporal level is its own reference grid: restriction at ratio 1
+        ref = (conv["n"], dts[-1] / conv["reference_divide"])
+        studies.append(("temporal", [(conv["n"], dt) for dt in dts], ref, steps))
+    every_level = [level for _, levels, _, _ in studies for level in levels]
+    # every level starts from the preset, and the coarsest has the fewest
+    # modes: its initial data are built, or refused, before anything runs
+    coarsest = min(n for n, _ in every_level)
+    cfg.build_initial(build_system(Grid1D(N=coarsest, L=cfg.params.L), cfg.params, cfg.variant))
+    _check_delayed_step(cfg, max(_endpoint_scheme(dt, conv["T"]).step for _, dt in every_level))
     os.makedirs(cfg.outdir, exist_ok=True)
 
-    if spatial:
-        ref_sys, ref_state = run_at(ref_n, conv["dt"], conv["T"])
+    rows = []
+    for study, levels, ref, hs in studies:
+        ref_sys, ref_state = run_at(*ref)
         errors = []
-        for n in ladder:
-            sys_n, final = run_at(n, conv["dt"], conv["T"])
-            restricted = _restrict_state(ref_state, ref_sys, sys_n)
-            diff = DiscreteState(q=final.q - restricted.q, p=final.p - restricted.p)
-            errors.append(_state_l2_norm(diff, sys_n))
-        hs = [cfg.params.L / n for n in ladder]
-        for n, h, err, (order, flag) in zip(ladder, hs, errors, _order_rows(errors, hs)):
-            rows.append(("spatial", n, h, err, order, flag))
-
-    if temporal:
-        ref_dt = dts[-1] / conv["reference_divide"]
-        _, ref_state = run_at(conv["n"], ref_dt, conv["T"])
-        errors = []
-        for dt in dts:
-            sys_n, final = run_at(conv["n"], dt, conv["T"])
-            diff = DiscreteState(q=final.q - ref_state.q, p=final.p - ref_state.p)
-            errors.append(_state_l2_norm(diff, sys_n))
-        for h, err, (order, flag) in zip(steps, errors, _order_rows(errors, steps)):
-            rows.append(("temporal", conv["n"], h, err, order, flag))
+        for n, dt in levels:
+            sys_n, final = run_at(n, dt)
+            errors.append(_error_to_reference(final, sys_n, ref_state, ref_sys))
+        for (n, _), h, err, (order, flag) in zip(levels, hs, errors, _order_rows(errors, hs)):
+            rows.append((study, n, h, err, order, flag))
 
     path = os.path.join(cfg.outdir, "convergence.csv")
     with open(path, "w", newline="\n") as fh:

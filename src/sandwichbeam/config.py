@@ -254,24 +254,21 @@ class ScenarioConfig:
     def build_system(self):
         return build_system(Grid1D(N=self.n, L=self.params.L), self.params, self.variant)
 
-    def check_mode(self, sys_):
-        """Refuse an ``[initial] mode`` that names no mode of ``sys_``."""
-        init = self.initial
-        N = sys_.grid.N
-        if init["preset"] == "single_mode" and not 1 <= init["mode"] <= N:
-            _fail(f"[initial] single_mode needs 1 <= mode <= {N}, the cells of the grid, got {init['mode']}")
-        # the eigen_mode mode is a 0-based index into the eigenvectors of (K, M)
-        if init["preset"] == "eigen_mode" and not init["mode"] < sys_.ndof:
-            _fail(f"[initial] mode = {init['mode']}: eigen_mode needs a mode below {sys_.ndof}")
-
     def build_initial(self, sys_):
+        """The initial data on ``sys_``; an ``[initial] mode`` that names no
+        mode of ``sys_`` is refused."""
         init = self.initial
-        self.check_mode(sys_)
         if init["preset"] == "zero":
             return zero_state(sys_)
         if init["preset"] == "single_mode":
+            N = sys_.grid.N
+            if not 1 <= init["mode"] <= N:
+                _fail(f"[initial] single_mode needs 1 <= mode <= {N}, the cells of the grid, got {init['mode']}")
             return single_mode_state(sys_, init["field"], init["mode"], init["amplitude"])
         if init["preset"] == "eigen_mode":
+            # the mode is a 0-based index into the eigenvectors of (K, M)
+            if not init["mode"] < sys_.ndof:
+                _fail(f"[initial] mode = {init['mode']}: eigen_mode needs a mode below {sys_.ndof}")
             return eigen_mode_state(sys_, init["mode"], init["amplitude"])
         return random_smooth_state(
             sys_,
@@ -339,7 +336,7 @@ def load_config(path, overrides=None):
     initial = _section(values, "initial")
     n = values["grid", "n"]
     # refuse here only a mode that no grid of the document holds;
-    # ``check_mode`` refuses a mode on each grid a command runs
+    # ``build_initial`` refuses a mode on each grid a command runs
     largest, source = max(
         (n, "[grid] n"),
         (max(values["convergence", "resolutions"], default=n), "the finest of [convergence] resolutions"),

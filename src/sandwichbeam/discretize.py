@@ -329,11 +329,10 @@ def build_system(grid, params, variant):
 
 @dataclass
 class DiscreteState:
-    """Displacement/velocity pair on one layout at time t."""
+    """Displacement/velocity pair on one layout."""
 
     q: np.ndarray
     p: np.ndarray
-    t: float = 0.0
 
 
 def hspace_norm(state, sys_):

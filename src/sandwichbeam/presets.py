@@ -3,7 +3,8 @@
 Mode shapes respect the essential boundary conditions of each variant:
 u and v vanish at x = 0 in both; the transverse field is clamped at x = 0
 and pinned at x = L in the stabilized variant, and only has w_x(0) = 0 in
-the controlled one.
+the controlled one.  Each shape family gives its node values, one row per
+mode number in ``k``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from .delayline import init_history
 from .discretize import VARIANT_STABILIZED, DiscreteState
 
 __all__ = [
-    "wave_mode",
-    "bending_mode",
-    "state_from_functions",
+    "nodal_state",
     "zero_state",
     "single_mode_state",
     "random_smooth_state",
@@ -25,98 +24,64 @@ __all__ = [
 ]
 
 
-def wave_mode(k, L):
-    """k-th longitudinal shape sin((k - 1/2) pi x / L); vanishes at x = 0."""
-    omega = (k - 0.5) * np.pi / L
-
-    def shape(x):
-        return np.sin(omega * x)
-
-    return shape
+def _wave(sys_, k):
+    """Longitudinal shapes sin((k - 1/2) pi x / L); they vanish at x = 0."""
+    x, L = sys_.grid.nodes, sys_.grid.L
+    return np.sin((k[:, None] - 0.5) * np.pi / L * x)
 
 
-def bending_mode(k, L, variant):
-    """k-th transverse shape admissible for the given variant."""
-    if variant == VARIANT_STABILIZED:
-
-        def shape(x):
-            return (x / L) ** 2 * np.sin(k * np.pi * x / L)
-
-    else:
-
-        def shape(x):
-            return np.cos(k * np.pi * x / L)
-
-    return shape
-
-
-def interior_wave_mode(k, L):
+def _interior(sys_, k):
     """sin(k pi x / L): vanishes at both ends (zero boundary trace)."""
-
-    def shape(x):
-        return np.sin(k * np.pi * x / L)
-
-    return shape
+    x, L = sys_.grid.nodes, sys_.grid.L
+    return np.sin(k[:, None] * np.pi * x / L)
 
 
-def prepared_bending_mode(k, L, variant):
-    """Transverse shape satisfying the natural end conditions as well.
+def _bending(sys_, k):
+    """Transverse shapes admissible for the variant of ``sys_``."""
+    x, L = sys_.grid.nodes, sys_.grid.L
+    if sys_.variant == VARIANT_STABILIZED:
+        return (x / L) ** 2 * np.sin(k[:, None] * np.pi * x / L)
+    return np.cos(k[:, None] * np.pi * x / L)
+
+
+def _prepared_bending(sys_, k):
+    """Transverse shapes satisfying the natural end conditions as well.
 
     The polynomial prefactor kills the boundary moment (and for the
     controlled variant also the shear force) at the ends, so a run started
     from these shapes has no singular boundary layer and stays smooth.
     """
-    if variant == VARIANT_STABILIZED:
+    x, L = sys_.grid.nodes, sys_.grid.L
+    s = x / L
+    if sys_.variant == VARIANT_STABILIZED:
         # w(0)=w_x(0)=w(L)=0 plus w_xx(L)=0 and w_x(L)=0
-        def shape(x):
-            s = x / L
-            return s ** 2 * (1.0 - s) ** 3 * np.sin(k * np.pi * x / L)
-
-    else:
-        # w_x(0)=w_xxx(0)=0 plus w_xx(L)=w_xxx(L)=0
-        def shape(x):
-            s = x / L
-            return s ** 4 * (1.0 - s) ** 4 * np.sin(k * np.pi * x / L)
-
-    return shape
+        return s ** 2 * (1.0 - s) ** 3 * np.sin(k[:, None] * np.pi * x / L)
+    # w_x(0)=w_xxx(0)=0 plus w_xx(L)=w_xxx(L)=0
+    return s ** 4 * (1.0 - s) ** 4 * np.sin(k[:, None] * np.pi * x / L)
 
 
-def state_from_functions(sys_, u=None, v=None, w=None, ut=None, vt=None, wt=None, t=0.0):
-    """Sample smooth field functions onto the grid unknowns."""
-    x = sys_.grid.nodes
-    q = np.zeros(sys_.ndof)
-    p = np.zeros(sys_.ndof)
-    for fn, idx, vec in (
-        (u, sys_.layout.iu, q),
-        (v, sys_.layout.iv, q),
-        (w, sys_.layout.iw, q),
-        (ut, sys_.layout.iu, p),
-        (vt, sys_.layout.iv, p),
-        (wt, sys_.layout.iw, p),
-    ):
-        if fn is None:
-            continue
-        vals = np.asarray(fn(x), dtype=float)
-        live = idx >= 0
-        vec[idx[live]] = vals[live]
-    return DiscreteState(q=q, p=p, t=t)
+def nodal_state(sys_, u=0.0, v=0.0, w=0.0, ut=0.0, vt=0.0, wt=0.0):
+    """The state whose displacements u, v, w and velocities ut, vt, wt take
+    the given node values, one per grid node (a scalar fills every node);
+    the values where an essential condition fixes a field are dropped."""
+    values = np.zeros((sys_.grid.N + 1, 6))
+    for f, vals in enumerate((u, v, w, ut, vt, wt)):
+        values[:, f] = vals
+    # the unknowns are numbered node by node over the live (node, field) slots
+    live = sys_.layout.nodal >= 0
+    return DiscreteState(q=values[:, :3][live], p=values[:, 3:][live])
 
 
 def zero_state(sys_):
-    return DiscreteState(q=np.zeros(sys_.ndof), p=np.zeros(sys_.ndof), t=0.0)
+    return DiscreteState(q=np.zeros(sys_.ndof), p=np.zeros(sys_.ndof))
 
 
 def single_mode_state(sys_, field, mode, amplitude=1.0):
     """Displacement of one field set to a single admissible mode, zero velocity."""
-    L = sys_.grid.L
-    if field in ("u", "v"):
-        shape = wave_mode(mode, L)
-    elif field == "w":
-        shape = bending_mode(mode, L, sys_.variant)
-    else:
+    if field not in ("u", "v", "w"):
         raise ValueError(f"unknown field {field!r}")
-    fn = lambda x: amplitude * shape(x)
-    return state_from_functions(sys_, **{field: fn})
+    shapes = _bending if field == "w" else _wave
+    return nodal_state(sys_, **{field: amplitude * shapes(sys_, np.array([mode]))[0]})
 
 
 def random_smooth_state(sys_, seed, cutoff=6, amplitude=1.0, prepared=False):
@@ -128,7 +93,6 @@ def random_smooth_state(sys_, seed, cutoff=6, amplitude=1.0, prepared=False):
     and carry zero boundary traces, giving a layer-free smooth start.
     """
     rng = np.random.default_rng(seed)
-    L = sys_.grid.L
     coeff = rng.standard_normal((6, cutoff)) / np.arange(1, cutoff + 1) ** 2
     # bending modes ring at frequencies ~k^2 and their rotation trace picks up
     # another k; damp the transverse spectrum much harder than the wave fields
@@ -139,31 +103,21 @@ def random_smooth_state(sys_, seed, cutoff=6, amplitude=1.0, prepared=False):
         coeff[2, 3:] = 0.0
         coeff[5, 3:] = 0.0
 
-    def series(row, shapes):
-        def fn(x):
-            total = np.zeros_like(np.asarray(x, dtype=float))
-            for k in range(cutoff):
-                total = total + coeff[row, k] * shapes[k](np.asarray(x, dtype=float))
-            return amplitude * total
-
-        return fn
-
-    u_shapes = [wave_mode(k + 1, L) for k in range(cutoff)]
+    k = np.arange(1, cutoff + 1)
+    u_shapes = _wave(sys_, k)
     if prepared:
-        ut_shapes = [interior_wave_mode(k + 1, L) for k in range(cutoff)]
-        w_shapes = [prepared_bending_mode(k + 1, L, sys_.variant) for k in range(cutoff)]
+        ut_shapes, w_shapes = _interior(sys_, k), _prepared_bending(sys_, k)
     else:
-        ut_shapes = u_shapes
-        w_shapes = [bending_mode(k + 1, L, sys_.variant) for k in range(cutoff)]
-    return state_from_functions(
-        sys_,
-        u=series(0, u_shapes),
-        v=series(1, u_shapes),
-        w=series(2, w_shapes),
-        ut=series(3, ut_shapes),
-        vt=series(4, ut_shapes),
-        wt=series(5, w_shapes),
-    )
+        ut_shapes, w_shapes = u_shapes, _bending(sys_, k)
+    fields = []
+    # fields u, v, w, ut, vt, wt, each summed mode by mode in order: a
+    # matrix product may add the terms in another order
+    for row, shapes in enumerate((u_shapes, u_shapes, w_shapes, ut_shapes, ut_shapes, w_shapes)):
+        total = np.zeros(sys_.grid.N + 1)
+        for j in range(cutoff):
+            total = total + coeff[row, j] * shapes[j]
+        fields.append(amplitude * total)
+    return nodal_state(sys_, *fields)
 
 
 def eigen_mode_state(sys_, index, amplitude=1.0):
@@ -172,16 +126,19 @@ def eigen_mode_state(sys_, index, amplitude=1.0):
     Eigenvectors of (K, M) satisfy the discrete natural boundary conditions
     exactly, so runs started here have no boundary startup layer: the
     preset of choice for convergence-order studies.  Modes are M-normalized
-    with the largest-magnitude entry made positive.
+    with the trapezoid integral of x (u + 2v + 3w) made positive: a smooth
+    functional, so refinements of one mode share its sign, where a nodal
+    entry can tie with another and let roundoff pick the sign.
     """
     vecs = sys_.modes[1]
     if not 0 <= index < sys_.ndof:
         raise ValueError(f"mode index {index} out of range")
     phi = vecs[:, index]
-    peak = np.argmax(np.abs(phi))
-    if phi[peak] < 0:
+    # the place of each unknown; they are numbered node by node
+    x = sys_.grid.nodes[np.nonzero(sys_.layout.nodal >= 0)[0]]
+    if (np.array([1.0, 2.0, 3.0]) @ sys_.field_weights * x) @ phi < 0:
         phi = -phi
-    return DiscreteState(q=amplitude * phi, p=np.zeros(sys_.ndof), t=0.0)
+    return DiscreteState(q=amplitude * phi, p=np.zeros(sys_.ndof))
 
 
 def make_histories(sys_, state, delays):

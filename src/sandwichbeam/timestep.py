@@ -195,9 +195,7 @@ class SimOutput:
 
     def final_state(self):
         """The state at the last step (always one of the samples)."""
-        return DiscreteState(
-            q=self.states_q[-1].copy(), p=self.states_p[-1].copy(), t=self.times[-1]
-        )
+        return DiscreteState(q=self.states_q[-1].copy(), p=self.states_p[-1].copy())
 
 
 _NO_GAINS = GainConfig(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -265,6 +265,18 @@ def test_convergence_runs_the_highest_mode_of_its_coarsest_level(tmp_path, monke
         main(["convergence", "--config", path, "--out", str(tmp_path / "out"), "--quiet"])
 
 
+def test_convergence_on_a_mode_whose_largest_entries_tie(tmp_path):
+    # eigen_mode 2 of the shipped document has two entries of equal magnitude;
+    # a sign that flips between a level and its reference would put twice the
+    # mode's norm into that level's error
+    edits = {("initial", "mode"): "2", ("convergence", "mode"): "spatial"}
+    path, out = edited("convergence.ini", edits, str(tmp_path)), tmp_path / "out"
+    assert run(["convergence", "--config", path, "--out", str(out)])[0] == 0
+    rows = [row.split(",") for row in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert all(1.9 <= float(row[4]) <= 2.2 for row in rows[:-1]), rows
+    assert [row[5] for row in rows] == ["0", "0", "0"]
+
+
 # [grid] n = 8, but the spatial ladder runs 16, 32 and 64 cells
 COARSE_GRID_SINGLE_MODE = {
     **SINGLE_MODE, ("grid", "n"): "8", ("convergence", "n"): "8",

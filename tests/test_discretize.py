@@ -17,7 +17,7 @@ from sandwichbeam.discretize import (
     hspace_norm,
 )
 from sandwichbeam.delayline import init_history
-from sandwichbeam.presets import state_from_functions
+from sandwichbeam.presets import eigen_mode_state, nodal_state
 
 from test_delayline import window_integrals
 from test_params import unit_params
@@ -147,6 +147,24 @@ def test_modes_match_the_generalized_reference(N):
 
 
 # the square root and the division of a non-positive mass warn before the refusal
+@pytest.mark.parametrize("variant", [VARIANT_CONTROLLED, VARIANT_STABILIZED])
+def test_eigen_mode_sign_is_the_same_on_every_grid(variant):
+    # with equal outer layers, two entries of a mode tie in magnitude, so a
+    # sign fixed by the largest entry flips from grid to grid; each mode on
+    # N and 2N cells, both restricted to 16 cells, correlates at +1
+    p = unit_params()
+    coarse_live = build_system(Grid1D(N=16, L=1.0), p, variant).layout.nodal >= 0
+
+    def restricted(N, index):
+        sys_ = build_system(Grid1D(N=N, L=1.0), p, variant)
+        return eigen_mode_state(sys_, index).q[sys_.layout.nodal[:: N // 16][coarse_live]]
+
+    for N in (16, 32, 64):
+        for index in range(12):
+            a, b = restricted(N, index), restricted(2 * N, index)
+            assert a @ b / np.linalg.norm(a) / np.linalg.norm(b) > 0.9999, (N, index)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "entry, bad",
@@ -171,7 +189,7 @@ def test_elastic_energy_linear_profile():
     p = unit_params()
     for N in (16, 32, 64):
         sys_ = build_system(Grid1D(N=N, L=1.0), p, VARIANT_CONTROLLED)
-        st = state_from_functions(sys_, u=lambda x: x)
+        st = nodal_state(sys_, u=sys_.grid.nodes)
         val = float(st.q @ sys_.K @ st.q)
         assert abs(val - 4.0 / 3.0) < 0.5 * (1.0 / N) ** 2
 
@@ -184,7 +202,7 @@ def test_elastic_energy_quadratic_bending():
     for N in (16, 32, 64):
         dx = 1.0 / N
         sys_ = build_system(Grid1D(N=N, L=1.0), p, VARIANT_CONTROLLED)
-        st = state_from_functions(sys_, w=lambda x: x ** 2)
+        st = nodal_state(sys_, w=sys_.grid.nodes ** 2)
         val = float(st.q @ sys_.K @ st.q)
         expected = 4.0 + 4.0 / 3.0 - 2.0 * dx
         assert abs(val - expected) < 2.0 * dx ** 2
@@ -195,7 +213,7 @@ def _energy_order(variant, fields, exact):
     errs = []
     for N in (16, 32, 64, 128):
         sys_ = build_system(Grid1D(N=N, L=1.0), p, variant)
-        st = state_from_functions(sys_, **fields)
+        st = nodal_state(sys_, **{name: fn(sys_.grid.nodes) for name, fn in fields.items()})
         val = sys_.field_energy(st.q, st.p)
         errs.append(abs(val - exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -328,7 +346,7 @@ def test_standing_wave_energy_matches_continuum():
     errs = []
     for N in (16, 32, 64):
         sys_ = build_system(Grid1D(N=N, L=1.0), p, VARIANT_STABILIZED)
-        st = state_from_functions(sys_, u=lambda x: np.sin(0.5 * np.pi * x))
+        st = nodal_state(sys_, u=np.sin(0.5 * np.pi * sys_.grid.nodes))
         errs.append(abs(sys_.field_energy(st.q, st.p) - exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.7 <= o <= 2.3 for o in orders), orders

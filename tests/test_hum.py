@@ -56,10 +56,10 @@ def solve_adjoint(terminal, sys_, cfg):
     Returns (trajectory of the reversed solve, observation series on the
     forward step grid, adjoint state at t = 0).
     """
-    reversed_initial = DiscreteState(q=terminal.q.copy(), p=-terminal.p, t=0.0)
+    reversed_initial = DiscreteState(q=terminal.q.copy(), p=-terminal.p)
     out = simulate(reversed_initial, sys_, cfg)
     series = out.displacement_traces[::-1].copy()
-    w0 = DiscreteState(q=out.states_q[-1].copy(), p=-out.states_p[-1], t=0.0)
+    w0 = DiscreteState(q=out.states_q[-1].copy(), p=-out.states_p[-1])
     return out, series, w0
 
 
@@ -156,11 +156,12 @@ def test_modal_free_state_matches_newmark(N):
     cfg = SchemeConfig(dt=T / 512, T=T, stride=512)
     prop = _ModalPropagator(sys_, cfg)
     for state in modal_test_states(sys_, seed=N):
-        stepped = simulate(state, sys_, cfg).final_state()
+        out = simulate(state, sys_, cfg)
+        stepped = out.final_state()
         modal = from_modal(sys_, prop.free_state(to_modal(sys_, state)))
         diff = DiscreteState(q=modal.q - stepped.q, p=modal.p - stepped.p)
         assert hspace_norm(diff, sys_) <= 1e-9 * hspace_norm(state, sys_)
-        assert prop.n_steps * prop.dt == pytest.approx(stepped.t, rel=1e-15)
+        assert prop.n_steps * prop.dt == pytest.approx(out.times[-1], rel=1e-15)
 
 
 @pytest.mark.parametrize("N", [16, 24])
@@ -466,11 +467,11 @@ def test_observability_single_field_matches_continuum():
     norm_sq = p.E1h1 * quad(lambda x: (th * np.cos(th * x)) ** 2, 0.0, L)[0]
     oracle = obs_sq / norm_sq
 
-    from sandwichbeam.presets import state_from_functions
+    from sandwichbeam.presets import nodal_state
 
     # w = 0, so the completion of the transverse mean adds nothing to the
     # state norm
-    state = state_from_functions(sys_, u=phi)
+    state = nodal_state(sys_, u=phi(sys_.grid.nodes))
     norm = hspace_norm(state, sys_)
     state = DiscreteState(q=state.q / norm, p=state.p / norm)
     cfg = SchemeConfig(dt=T / 1024, T=T, stride=1024)

@@ -26,7 +26,6 @@ from sandwichbeam.presets import (
     eigen_mode_state,
     make_histories,
     random_smooth_state,
-    state_from_functions,
     zero_state,
 )
 from sandwichbeam.timestep import IntegrationError, SchemeConfig, SimOutput, simulate
@@ -163,7 +162,7 @@ def test_one_stabilized_step_pushes_history():
         gains=gains, delays=delays, damping=(ConstantDamping(1.0),) * 3, histories=hist,
     )
     new = out.final_state()
-    assert new.t == pytest.approx(0.02)
+    assert out.times[-1] == pytest.approx(0.02)
     # one midpoint sample per channel, at t = 0.01; the histories are unchanged
     assert out.ledger["t_mid"] == pytest.approx([0.01])
     np.testing.assert_array_equal(out.ledger["trace_mid"], [sys_.traces(0.5 * (st.p + new.p))])
@@ -560,7 +559,7 @@ def test_time_reversibility_of_conservative_run():
     st = random_smooth_state(sys_, seed=9)
     cfg = SchemeConfig(dt=0.005, T=1.0, stride=10 ** 9)
     fwd = simulate(st, sys_, cfg)
-    back_start = DiscreteState(q=fwd.states_q[-1].copy(), p=-fwd.states_p[-1], t=0.0)
+    back_start = DiscreteState(q=fwd.states_q[-1].copy(), p=-fwd.states_p[-1])
     back = simulate(back_start, sys_, cfg)
     q_rt = back.states_q[-1]
     p_rt = -back.states_p[-1]
