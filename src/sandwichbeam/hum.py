@@ -21,7 +21,12 @@ rotation of angle 2*arctan(omega*dt/2), and the rigid mode (omega = 0) by
 a + dt*b.  One modal propagator turns this into closed forms for everything
 HUM needs of the unforced system: the free state at T (the right side), the
 adjoint traces from the solved terminal datum (the controls), and the
-midpoint traces of every modal datum, whose Gram matrix is G.  G is
+midpoint traces of every modal datum, whose Gram matrix is G.  Since the
+steps are rotations, the propagator at x + r steps is the one at x times
+the one at r (the addition formulas), so the tables over the steps come from
+a base table over the first sqrt(n_steps) steps and one row per block of
+that many steps, and G is a sum of Hadamard products of small Gram matrices:
+sqrt(n_steps) rows of cosines and sines instead of n_steps.  G is
 numerically singular: the top bending modes and the spurious wave-branch
 modes of the grid are almost invisible at the boundary, as for every
 finite-difference scheme of this kind (Infante-Zuazua 1999;
@@ -55,15 +60,13 @@ principal submatrix of H on the class indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import VARIANT_CONTROLLED, hspace_norm
 from .timestep import simulate
-
-# steps per block of the cosine/sine tables of ``_ModalPropagator``
-_STEP_BLOCK = 64
 
 __all__ = [
     "HumSolution",
@@ -101,6 +104,12 @@ class _ModalPropagator:
     mode by the exact angle theta = 2*arctan(omega*dt/2) in the plane of
     (omega*a, b), and moves the rigid mode (omega = 0) by a + dt*b.  Modal
     data x are the stacked (a, b).
+
+    With C(m) = cos(m theta) and S(m) = sin(m theta)/omega (m*dt on the
+    rigid mode), the addition formulas C(x + r) = C(x)C(r) - omega^2 S(x)S(r)
+    and S(x + r) = S(x)C(r) + C(x)S(r) hold on every mode, the rigid one
+    included.  ``base_cos`` and ``base_sin`` hold C(r) and S(r) for the
+    r < isqrt(n_steps) steps of one block.
     """
 
     def __init__(self, sys_, cfg):
@@ -116,10 +125,11 @@ class _ModalPropagator:
         self.to_modal = phi.T * sys_.M
         # the three boundary channels of every mode
         self.traces = sys_.channel_coeff[:, None] * phi[sys_.channel_index]
+        self.base_cos, self.base_sin = self(np.arange(max(1, math.isqrt(self.n_steps)))[:, None])
 
     def __call__(self, m):
-        """cos(m theta) and sin(m theta)/omega after m steps, for a number or
-        a column of step counts; the second is m*dt on the rigid mode."""
+        """C(m) and S(m) after m steps, for a number or a column of step
+        counts, evaluated directly."""
         angle = m * self.theta
         return np.cos(angle), (m * self._theta_per_omega) * np.sinc(angle / np.pi)
 
@@ -134,16 +144,24 @@ class _ModalPropagator:
         step grid, of the adjoint solution from modal terminal data ``x``.
 
         The adjoint is the run from (a_T, -b_T) reversed in time, so row k
-        holds the displacement traces after n_steps - k of its steps.  The
-        tables are built in blocks of steps, so the memory beside the
-        (n_steps + 1, 3) result stays O(block * n) whatever the horizon.
+        holds the displacement traces after n_steps - k of its steps.  After
+        y = start + r of them the modal displacement is
+        C(y)a - S(y)b = C(r)*alpha + S(r)*beta, with alpha and beta from the
+        one direct row at ``start``; each block of the base table's length is
+        written in turn, so the memory beside the (n_steps + 1, 3) result
+        stays O(sqrt(n_steps) * n) whatever the horizon.
         """
         a, b = np.split(x, 2)
         series = np.empty((self.n_steps + 1, 3))
-        for start in range(0, self.n_steps + 1, _STEP_BLOCK):
-            rows = np.arange(start, min(start + _STEP_BLOCK, self.n_steps + 1))
-            cos, sin = self((self.n_steps - rows)[:, None])
-            series[rows] = (cos * a - sin * b) @ self.traces.T
+        # row y of the reversed view: after y steps of the adjoint run
+        after = series[::-1]
+        block = len(self.base_cos)
+        for start in range(0, self.n_steps + 1, block):
+            cos, sin = self(start)
+            alpha = (cos * a - sin * b)[:, None] * self.traces.T
+            beta = (-self.omega * self.omega * sin * a - cos * b)[:, None] * self.traces.T
+            rows = min(block, self.n_steps + 1 - start)
+            after[start : start + rows] = self.base_cos[:rows] @ alpha + self.base_sin[:rows] @ beta
         return series
 
 
@@ -171,24 +189,44 @@ def gramian(sys_, cfg):
     of ``cfg``.
 
     The midpoint traces of step n of the reversed run are the channel rows
-    of phi times C[n]*a - S[n]*b, the propagator at n + 1/2 steps times
-    cos(theta/2): C = cos((n+1/2)theta) cos(theta/2) and
-    S = sin((n+1/2)theta) cos(theta/2) / omega.  So G is the Hadamard
-    product of the Gram matrix of [C, -S] over the steps with the Gram
-    matrix of the weighted channel rows; the observation matrix itself is
-    never formed.
+    of phi times C'[n]*a - S'[n]*b, the propagator at n + 1/2 steps times
+    cos(theta/2): C' = C(n + 1/2) cos(theta/2) and S' = S(n + 1/2) cos(theta/2).
+    So G is the Hadamard product of the Gram matrix of [C', -S'] over the
+    steps with the Gram matrix of the weighted channel rows; the
+    observation matrix itself is never formed.
+
+    The steps n = k*B + r, k < n_steps // B, r < B, of the base table's
+    length B give [C', -S'] = [c, c]*[C_r, -S_r] + [s, s]*[-omega^2 S_r, -C_r]
+    per mode, with c and s the direct rows C' and S' at k*B + 1/2.  The Gram
+    sum over (k, r) of such a table is, block by block, the sum over the
+    pairs of terms of the Hadamard product of the Gram matrix over k (c'c,
+    c's or s's) with the one over r.  The fewer than B steps left over are
+    summed from direct rows.
     """
     prop = _ModalPropagator(sys_, cfg)
     n = len(prop.omega)
     half = np.cos(0.5 * prop.theta)
-    G = np.zeros((2 * n, 2 * n))
-    # the step tables are summed in blocks of steps, so memory stays
-    # O(block * n) whatever the horizon
-    for start in range(0, prop.n_steps, _STEP_BLOCK):
-        mid = np.arange(start, min(start + _STEP_BLOCK, prop.n_steps))[:, None] + 0.5
-        cos, sin = prop(mid)
-        table = np.hstack([cos * half, -sin * half])
-        G += table.T @ table
+    block = len(prop.base_cos)
+    cut = prop.n_steps - prop.n_steps % block
+    cos, sin = prop(np.arange(0, cut, block)[:, None] + 0.5)
+    cos *= half
+    sin *= half
+    first = np.hstack([prop.base_cos, -prop.base_sin])
+    second = np.hstack([-prop.omega * prop.omega * prop.base_sin, -prop.base_cos])
+    # G and one (2n, 2n) work buffer; each (n, n) Gram matrix over k
+    # multiplies the four blocks of a Gram matrix over r in place
+    G = first.T @ first
+    G.reshape(2, n, 2, n)[...] *= (cos.T @ cos)[:, None, :]
+    work = np.matmul(second.T, second)
+    work.reshape(2, n, 2, n)[...] *= (sin.T @ sin)[:, None, :]
+    G += work
+    np.matmul(first.T, second, out=work)
+    work.reshape(2, n, 2, n)[...] *= (cos.T @ sin)[:, None, :]
+    G += work
+    G += work.T
+    cos, sin = prop(np.arange(cut, prop.n_steps)[:, None] + 0.5)
+    left = np.hstack([cos * half, -sin * half])
+    G += np.matmul(left.T, left, out=work)
     traces = prop.traces
     channels = prop.dt * traces.T @ (np.asarray(sys_.params.trace_masses)[:, None] * traces)
     # each of the four (n, n) blocks times the channel Gram matrix, in place

@@ -395,9 +395,7 @@ def test_observability_cli(tmp_path):
 
 
 def test_convergence_cli(tmp_path):
-    doc = CONTROLLED_DOC.replace("preset = single_mode", "preset = eigen_mode").replace(
-        "mode = 1", "mode = 1"
-    )
+    doc = CONTROLLED_DOC.replace("preset = single_mode", "preset = eigen_mode")
     path = write_doc(tmp_path, doc)
     assert main(["convergence", "--config", path, "--quiet"]) == 0
     rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,58 @@ def test_modal_controls_match_adjoint_solve(N):
         assert np.max(np.abs(series - obs)) <= 1e-8 * np.max(np.abs(obs))
 
 
+def direct_gramian(sys_, cfg):
+    """G summed from cos/sinc tables evaluated directly at every half-step,
+    in blocks of 64 steps: the reference of gramian's addition formulas."""
+    prop = _ModalPropagator(sys_, cfg)
+    n = len(prop.omega)
+    half = np.cos(0.5 * prop.theta)
+    G = np.zeros((2 * n, 2 * n))
+    for start in range(0, prop.n_steps, 64):
+        mid = np.arange(start, min(start + 64, prop.n_steps))[:, None] + 0.5
+        cos, sin = prop(mid)
+        table = np.hstack([cos * half, -sin * half])
+        G += table.T @ table
+    traces = prop.traces
+    channels = prop.dt * traces.T @ (np.asarray(sys_.params.trace_masses)[:, None] * traces)
+    G.reshape(2, n, 2, n)[...] *= channels[:, None, :]
+    return G
+
+
+def direct_adjoint_traces(prop, x):
+    """The adjoint series from cos/sinc tables evaluated directly at every
+    step, in blocks of 64 steps: the reference of adjoint_traces."""
+    a, b = np.split(x, 2)
+    series = np.empty((prop.n_steps + 1, 3))
+    for start in range(0, prop.n_steps + 1, 64):
+        rows = np.arange(start, min(start + 64, prop.n_steps + 1))
+        cos, sin = prop((prop.n_steps - rows)[:, None])
+        series[rows] = (cos * a - sin * b) @ prop.traces.T
+    return series
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 509, 512, 519])
+@pytest.mark.parametrize("N", [16, 32])
+def test_addition_formulas_match_direct_tables(N, steps):
+    # squares, leftover steps after the last whole block, a prime step
+    # count, and the rigid mode on every grid.  Measured up to N = 128 and
+    # 2048 steps: G within 5.0e-16 * max|G|, the series within 8.4e-14 of
+    # its largest entry
+    p, sys_ = controlled_system(N=N)
+    T = 4.0
+    cfg = SchemeConfig(dt=T / steps, T=T, stride=steps)
+    prop = _ModalPropagator(sys_, cfg)
+    assert prop.n_steps == steps and len(prop.base_cos) == max(1, math.isqrt(steps))
+    assert sys_.modes[0][0] <= 1e-12 * sys_.modes[0][-1]
+    reference = direct_gramian(sys_, cfg)
+    assert np.max(np.abs(gramian(sys_, cfg) - reference)) <= 1e-14 * np.max(np.abs(reference))
+    for state in modal_test_states(sys_, seed=steps):
+        x = to_modal(sys_, state)
+        reference = direct_adjoint_traces(prop, x)
+        series = prop.adjoint_traces(x)
+        assert np.max(np.abs(series - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def test_null_control_steps_the_newmark_loop_once(monkeypatch):
     # only the verification run is stepped; the right side and the
     # controls come from the modes
@@ -215,6 +268,23 @@ def test_modal_controls_memory_is_blocked():
         tracemalloc.stop()
     assert series.shape == (steps + 1, 3) and np.all(np.isfinite(series))
     assert peak < series.nbytes + 2 ** 20, peak
+
+
+def test_gramian_memory_is_blocked():
+    # 100k steps: a whole [C, -S] table over the half-steps would take
+    # 2 * 100k * ndof doubles (78 MB at N=16); the base table and one row
+    # per block take O(sqrt(steps) * ndof).  Measured: 1.6 MB
+    p, sys_ = controlled_system(N=16)
+    steps = 100_000
+    cfg = SchemeConfig(dt=1e-3, T=steps * 1e-3, stride=10 ** 9)
+    tracemalloc.start()
+    try:
+        G = gramian(sys_, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (2 * sys_.ndof, 2 * sys_.ndof) and np.all(np.isfinite(G))
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_duality_identity_random_triples():
