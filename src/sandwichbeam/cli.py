@@ -30,6 +30,7 @@ from .discretize import VARIANT_CONTROLLED, VARIANT_STABILIZED, Grid1D, build_sy
 from .hypotheses import InfeasibleRates, decay_bound, scenario_report, select_mus
 from .hum import compute_null_control, observability
 from .lapack import BLAS_CONFIG
+from .presets import make_histories
 from .timestep import IntegrationError, SchemeConfig, delayed_step_error, simulate
 
 EXIT_OK = 0
@@ -105,7 +106,7 @@ def _check_delayed_step(cfg, step):
 def _run_simulation(cfg, sys_, scheme, state):
     """The run of the scenario on ``sys_`` under ``scheme``, from ``state``."""
     if cfg.variant == VARIANT_STABILIZED:
-        histories = cfg.build_histories(sys_, state) if cfg.gains.any_delayed else None
+        histories = make_histories(sys_, state, cfg.delays) if cfg.gains.any_delayed else None
         return simulate(
             state,
             sys_,
@@ -223,32 +224,23 @@ def cmd_decay_report(cfg, args):
         return EXIT_SOLVER
     report = check_theoretical_bound(out, rates, window=window, dissipation_residual=resid)
     lyap = lyapunov_trace(out, sys_, rates, cfg.gains)
-    idx = np.searchsorted(out.times, out.sample_times)
-    e_samples = out.energy[idx]
+    e_samples = out.energy[out.samples]
     cushion = 1e-9 * np.maximum(e_samples, 1e-300)
     equivalence_ok = bool(
-        np.all(lyap >= (1.0 - rates.mu4) * e_samples - cushion)
-        and np.all(lyap <= (1.0 + rates.mu4) * e_samples + cushion)
+        np.all(lyap >= (1.0 - rates["mu4"]) * e_samples - cushion)
+        and np.all(lyap <= (1.0 + rates["mu4"]) * e_samples + cushion)
     )
     traces = check_trace_estimates(out, sys_, cfg.gains, cfg.damping)
-    bound = decay_bound(out.sample_times, out.energy[0], rates)
-    resid_at_samples = np.concatenate([[0.0], resid])[idx]
+    t_samples = out.times[out.samples]
+    bound = decay_bound(t_samples, out.energy[0], rates)
+    resid_at_samples = np.concatenate([[0.0], resid])[out.samples]
     csv_path = _write_csv(
         os.path.join(cfg.outdir, "decay_series.csv"),
         ["t", "E", "L", "bound", "residual"],
-        [out.sample_times, e_samples, lyap, bound, resid_at_samples],
+        [t_samples, e_samples, lyap, bound, resid_at_samples],
     )
     payload = {
-        "rates": {
-            "mu0": rates.mu0,
-            "mu1": rates.mu1,
-            "mu2": rates.mu2,
-            "mu3": rates.mu3,
-            "mu4": rates.mu4,
-            "lambda": rates.lam,
-            "zeta": rates.zeta,
-            "rate": rates.rate,
-        },
+        "rates": rates,
         "decay_report": report,
         "lyapunov_equivalence": equivalence_ok,
         "monotone_energy": _monotone_energy(out),
@@ -260,7 +252,7 @@ def cmd_decay_report(cfg, args):
         payload["monotone_energy"]
         and equivalence_ok
         and report["violations"] == 0
-        and report["fitted_rate"] >= 0.95 * rates.rate
+        and report["fitted_rate"] >= 0.95 * rates["rate"]
         and traces["trace_bound"]["holds"]
         and traces["initial_bound"]["holds"]
     )
@@ -349,13 +341,16 @@ def _error_to_reference(state, sys_, ref, ref_sys):
     reference ``ref`` restricted to the nested grid of ``sys_``: each node
     takes the values of the reference node at the same place."""
     ratio = ref_sys.grid.N // sys_.grid.N
-    at = ref_sys.layout.nodal[::ratio][sys_.layout.nodal >= 0]
+    at = ref_sys.nodal[::ratio][sys_.nodal >= 0]
     dq, dp = state.q - ref.q[at], state.p - ref.p[at]
     return float(np.sqrt(sys_.field_weights.sum(axis=0) @ (dq ** 2 + dp ** 2)))
 
 
 def cmd_convergence(cfg, args):
     conv = cfg.convergence
+    # a run that takes no step ends where it starts, on every level alike
+    if not conv["T"] > 0.0:
+        raise ConfigError("convergence needs [convergence] t > 0")
 
     def run_at(n, dt):
         sys_ = build_system(Grid1D(N=n, L=cfg.params.L), cfg.params, cfg.variant)
@@ -391,12 +386,21 @@ def cmd_convergence(cfg, args):
             raise ConfigError(f"temporal convergence needs distinct steps, got {steps}")
         # a temporal level is its own reference grid: restriction at ratio 1
         ref = (conv["n"], dts[-1] / conv["reference_divide"])
+        ref_step = _endpoint_scheme(ref[1], conv["T"]).step
+        if not ref_step < steps[-1]:
+            raise ConfigError(
+                f"the temporal reference step {ref_step} must be smaller than the finest step {steps[-1]}"
+            )
         studies.append(("temporal", [(conv["n"], dt) for dt in dts], ref, steps))
     every_level = [level for _, levels, _, _ in studies for level in levels]
     # every level starts from the preset, and the coarsest has the fewest
-    # modes: its initial data are built, or refused, before anything runs
+    # modes: its initial data are built, or refused, before anything runs;
+    # data of zero energy would leave every error zero
     coarsest = min(n for n, _ in every_level)
-    cfg.build_initial(build_system(Grid1D(N=coarsest, L=cfg.params.L), cfg.params, cfg.variant))
+    sys_ = build_system(Grid1D(N=coarsest, L=cfg.params.L), cfg.params, cfg.variant)
+    state = cfg.build_initial(sys_)
+    if not sys_.field_energy(state.q, state.p) > 0.0:
+        raise ConfigError("convergence needs initial data of positive energy")
     _check_delayed_step(cfg, max(_endpoint_scheme(dt, conv["T"]).step for _, dt in every_level))
     os.makedirs(cfg.outdir, exist_ok=True)
 

@@ -34,7 +34,6 @@ from .params import (
 )
 from .presets import (
     eigen_mode_state,
-    make_histories,
     random_smooth_state,
     single_mode_state,
     zero_state,
@@ -277,11 +276,6 @@ class ScenarioConfig:
             amplitude=init["amplitude"],
             prepared=init["prepared"],
         )
-
-    def build_histories(self, sys_, state):
-        if self.delays is None:
-            return None
-        return make_histories(sys_, state, self.delays)
 
 
 def load_config(path, overrides=None):

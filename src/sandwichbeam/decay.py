@@ -44,15 +44,15 @@ def lyapunov_trace(out, sys_, rates, gains):
     """L(t) = E + mu0 * sum rho<field, field_t> + sum mu_i delay tilts, at samples."""
     if out.variant != VARIANT_STABILIZED:
         raise ValueError("lyapunov trace is defined for the stabilized variant")
-    idx = np.searchsorted(out.times, out.sample_times)
     # the cross term's weights: rho_f times field f's L2 weights
     cross_weights = np.asarray(sys_.params.mass_coefficients) @ sys_.field_weights
     # delay tilts are zero on undelayed channels
-    tilt_weights = 0.5 * np.array([rates.mu1, rates.mu2, rates.mu3]) * np.abs(gains.betas)
+    mus = np.array([rates["mu1"], rates["mu2"], rates["mu3"]])
+    tilt_weights = 0.5 * mus * np.abs(gains.betas)
     return (
-        out.energy[idx]
-        + rates.mu0 * ((out.states_q * out.states_p) @ cross_weights)
-        + out.delay_tilts[idx] @ tilt_weights
+        out.energy[out.samples]
+        + rates["mu0"] * ((out.states_q * out.states_p) @ cross_weights)
+        + out.delay_tilts[out.samples] @ tilt_weights
     )
 
 
@@ -96,8 +96,8 @@ def check_theoretical_bound(out, rates, window, dissipation_residual=None):
         "fitted_rate": omega,
         "intercept": intercept,
         "r_squared": r2,
-        "theoretical_rate": rates.rate,
-        "zeta": rates.zeta,
+        "theoretical_rate": rates["rate"],
+        "zeta": rates["zeta"],
         "violations": int(np.sum(out.energy > bound)),
         "max_dissipation_residual": (
             float(np.max(dissipation_residual)) if dissipation_residual is not None else float("nan")

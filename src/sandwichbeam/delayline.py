@@ -119,11 +119,12 @@ def hermite_stencil(ts, thetas, newest, extension=0.0, channel=0):
     Lookup k reads the samples up to index newest[k] and the constant
     continuation of that sample, which may reach at most ``extension`` past
     it; one before the earliest sample or beyond that reach raises
-    LookupBeforeHistory.  Returns (j, weights, tail): with the record's
-    values y and slopes m, the value at thetas[k] is
+    LookupBeforeHistory.  Returns (j, weights): with the record's values y
+    and slopes m, the value at thetas[k] is
     w0*y[j] + w1*m[j] + w2*y[j+1] + w3*m[j+1], summed left to right, with
-    (w0, w1, w2, w3) = weights[k] and j = j[k]; where tail[k], theta is at
-    or past its newest sample, y[j+1], and the value is that sample itself.
+    (w0, w1, w2, w3) = weights[k] and j = j[k].  A theta at or past its
+    newest sample y[j+1] has s = 1 and the weights (0, 0, 1, 0) exactly, so
+    its value is that sample itself.
     """
     ts = np.asarray(ts, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
@@ -148,7 +149,7 @@ def hermite_stencil(ts, thetas, newest, extension=0.0, channel=0):
     t0 = ts[j]
     h = ts[j + 1] - t0
     s = np.clip((thetas - t0) / h, 0.0, 1.0)
-    return j, np.column_stack(_hermite_weights(s, h)), thetas >= tn
+    return j, np.column_stack(_hermite_weights(s, h))
 
 
 def delay_samples(law, channel, times):
@@ -240,7 +241,7 @@ def _block_starts(widths):
     return starts + [len(widths)]
 
 
-def _integrals(ts, ends, taus, thetas, newest, j, weights, tail, ys, ms):
+def _integrals(ts, ends, taus, thetas, newest, j, weights, ys, ms):
     """(I0, I1, z) of windows checked by ``delay_windows``, over the record's
     values ``ys`` and slopes ``ms``."""
     ys, ms = np.asarray(ys, dtype=float), np.asarray(ms, dtype=float)
@@ -253,7 +254,7 @@ def _integrals(ts, ends, taus, thetas, newest, j, weights, tail, ys, ms):
             ts, ys, ms, e, f, ends[blk], thetas[blk], j[blk], newest[blk]
         )
     w0, w1, w2, w3 = weights.T
-    z = np.where(tail, ys[j + 1], w0 * ys[j] + w1 * ms[j] + w2 * ys[j + 1] + w3 * ms[j + 1])
+    z = w0 * ys[j] + w1 * ms[j] + w2 * ys[j + 1] + w3 * ms[j + 1]
     return i0, i1 / taus, z
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "VARIANT_CONTROLLED",
     "KD",
     "Grid1D",
-    "DofLayout",
     "SemiDiscreteSystem",
     "DiscreteState",
     "build_system",
@@ -70,23 +69,8 @@ class Grid1D:
         return np.linspace(0.0, self.L, self.N + 1)
 
 
-@dataclass(frozen=True)
-class DofLayout:
-    """Node-by-node numbering of the unknowns.
-
-    ``nodal[j, f]`` is the index of field f (u, v, w) at node j, or -1 where
-    an essential condition fixes it; ``iu``, ``iv``, ``iw`` are its columns.
-    """
-
-    nodal: np.ndarray
-    ndof: int
-
-    iu = property(lambda self: self.nodal[:, 0])
-    iv = property(lambda self: self.nodal[:, 1])
-    iw = property(lambda self: self.nodal[:, 2])
-
-
-def _layout(grid, variant):
+def _nodal(grid, variant):
+    """The numbering ``SemiDiscreteSystem.nodal`` of the unknowns."""
     N = grid.N
     live = np.ones((N + 1, 3), dtype=bool)
     live[0, :2] = False  # u(0) = v(0) = 0
@@ -94,15 +78,18 @@ def _layout(grid, variant):
         live[[0, N], 2] = False  # w(0) = w(L) = 0
     elif variant != VARIANT_CONTROLLED:
         raise ValueError(f"unknown variant {variant!r}")
-    ndof = int(np.count_nonzero(live))
     nodal = np.full((N + 1, 3), -1)
-    nodal[live] = np.arange(ndof)  # row-major: node by node
-    return DofLayout(nodal=nodal, ndof=ndof)
+    nodal[live] = np.arange(np.count_nonzero(live))  # row-major: node by node
+    return nodal
 
 
 @dataclass
 class SemiDiscreteSystem:
     """Assembled matrices and helper vectors for one variant.
+
+    ``nodal`` is the (N + 1, 3) numbering of the unknowns: ``nodal[j, f]``
+    is the index of field f (u, v, w) at node j, or -1 where an essential
+    condition fixes it.
 
     ``field_weights`` is the (3, n) weight table W: row f holds field f's
     trapezoid L2 weights on its unknowns (u, v, w in that order) and zeros
@@ -125,7 +112,7 @@ class SemiDiscreteSystem:
     grid: Grid1D
     params: object
     variant: str
-    layout: DofLayout
+    nodal: np.ndarray
     M: np.ndarray
     band: np.ndarray
     field_weights: np.ndarray
@@ -134,13 +121,15 @@ class SemiDiscreteSystem:
 
     @property
     def ndof(self):
-        return self.layout.ndof
+        return len(self.M)
 
     @cached_property
     def K(self):
         """Dense stiffness, exactly symmetric (both mirror entries are
         copied from one band entry)."""
-        row, col, val = self._lower_entries()
+        # the nonzero entries on and below the diagonal
+        d, col = np.nonzero(self.band)
+        row, val = col + d, self.band[d, col]
         K = np.zeros((self.ndof, self.ndof))
         K[row, col] = val
         K[col, row] = val
@@ -158,16 +147,6 @@ class SemiDiscreteSystem:
         s = 1.0 / np.sqrt(np.asarray_chkfinite(self.M))
         omega_sq, v = np.linalg.eigh(np.asarray_chkfinite(s[:, None] * self.K * s))
         return omega_sq, s[:, None] * v
-
-    def _lower_entries(self):
-        """(row, col, value) of the nonzero entries of K on and below the
-        diagonal."""
-        d, i = np.nonzero(self.band)
-        return i + d, i, self.band[d, i]
-
-    def damping_diagonal(self, a_values):
-        """Diagonal of the interior damping matrix for weights (a1, a2, a3)."""
-        return np.dot(a_values, self.field_weights)
 
     def field_energy(self, q, p):
         """Field energy 0.5*(p'Mp + q'Kq) of one state, or of a stack of
@@ -243,10 +222,10 @@ def _cell_passes(families):
 
 def build_system(grid, params, variant):
     """Assemble mass, stiffness and boundary machinery for one variant."""
-    layout = _layout(grid, variant)
+    nodal = _nodal(grid, variant)
     N, dx = grid.N, grid.dx
-    iu, iv, iw = layout.iu, layout.iv, layout.iw
-    n = layout.ndof
+    iu, iv, iw = nodal.T
+    n = int(nodal.max()) + 1
 
     inv = 1.0 / dx
     inv2 = 1.0 / (dx * dx)
@@ -318,7 +297,7 @@ def build_system(grid, params, variant):
         grid=grid,
         params=params,
         variant=variant,
-        layout=layout,
+        nodal=nodal,
         M=M,
         band=band,
         field_weights=W,
@@ -329,7 +308,7 @@ def build_system(grid, params, variant):
 
 @dataclass
 class DiscreteState:
-    """Displacement/velocity pair on one layout."""
+    """Displacement/velocity pair in one system's numbering of the unknowns."""
 
     q: np.ndarray
     p: np.ndarray

@@ -174,7 +174,7 @@ def _metric_factor(sys_):
         raise ValueError("HUM needs a controlled_conservative system")
     p = sys_.params
     omega_sq, phi = sys_.modes
-    iw = sys_.layout.iw
+    iw = sys_.nodal[:, 2]
     iw = iw[iw >= 0]
     c = sys_.field_weights[2, iw] @ phi[iw]
     # energy-scaled completion of the transverse-mean direction; backed

@@ -10,7 +10,6 @@ admissible delay slope d in [0, d_i].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ _YOUNG_EPS = 0.5
 _MAX_HALVINGS = 60
 
 __all__ = [
-    "TheoreticalRates",
     "InfeasibleRates",
     "phi_matrix",
     "is_negative_definite",
@@ -158,23 +156,6 @@ def perturbed_form(i, params, gains, delays, mu0, mu_i):
     )
 
 
-@dataclass(frozen=True)
-class TheoreticalRates:
-    """Certified decay data: E(t) <= zeta * exp(-lam*t/(1+mu4)) * E(0)."""
-
-    mu0: float
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: float
-    lam: float
-    zeta: float
-
-    @property
-    def rate(self):
-        return self.lam / (1.0 + self.mu4)
-
-
 class InfeasibleRates(RuntimeError):
     """No admissible Lyapunov weights were found; carries the binding constraint."""
 
@@ -206,6 +187,9 @@ def select_mus(params, delays, damping, gains):
     forms negative definite (first diagonal entry only when beta_i = 0), and
     mu_i = 2*mu0*M_i/(1 - d_i).  Raises InfeasibleRates when a gain row fails
     (d_i >= 1 included) or after _MAX_HALVINGS halvings.
+
+    Returns the ``rates`` block of ``decay_report.json``: ``mu0``..``mu4``,
+    ``lambda``, ``zeta`` and ``rate`` = lambda/(1 + mu4).
     """
     bad = [row["condition_id"] for row in validate_gains(params, gains, delays) if not row["pass"]]
     if bad:
@@ -216,26 +200,28 @@ def select_mus(params, delays, damping, gains):
     for _ in range(_MAX_HALVINGS):
         found, reason = _feasible(params, gains, delays, damping, mu0)
         if found is not None:
-            mus, mu4 = found
+            (mu1, mu2, mu3), mu4 = found
             lam = lambda_bound(params, damping, mu0)
-            return TheoreticalRates(
-                mu0=mu0,
-                mu1=mus[0],
-                mu2=mus[1],
-                mu3=mus[2],
-                mu4=mu4,
-                lam=lam,
-                zeta=compute_zeta(mu4),
-            )
+            return {
+                "mu0": mu0,
+                "mu1": mu1,
+                "mu2": mu2,
+                "mu3": mu3,
+                "mu4": mu4,
+                "lambda": lam,
+                "zeta": compute_zeta(mu4),
+                "rate": lam / (1.0 + mu4),
+            }
         mu0 /= 2.0
     raise InfeasibleRates(f"no admissible mu0 after {_MAX_HALVINGS} halvings; last: {reason}")
 
 
 def decay_bound(t, E0, rates):
-    """Certified envelope zeta * exp(-lam*t/(1+mu4)) * E0; t may be an array."""
+    """Certified envelope zeta * exp(-rate*t) * E0 of the ``select_mus``
+    ``rates``; t may be an array."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("t must be nonnegative")
     if E0 < 0.0:
         raise ValueError("E0 must be nonnegative")
-    return rates.zeta * np.exp(-rates.rate * t) * E0
+    return rates["zeta"] * np.exp(-rates["rate"] * t) * E0

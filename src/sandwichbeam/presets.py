@@ -68,7 +68,7 @@ def nodal_state(sys_, u=0.0, v=0.0, w=0.0, ut=0.0, vt=0.0, wt=0.0):
     for f, vals in enumerate((u, v, w, ut, vt, wt)):
         values[:, f] = vals
     # the unknowns are numbered node by node over the live (node, field) slots
-    live = sys_.layout.nodal >= 0
+    live = sys_.nodal >= 0
     return DiscreteState(q=values[:, :3][live], p=values[:, 3:][live])
 
 
@@ -135,7 +135,7 @@ def eigen_mode_state(sys_, index, amplitude=1.0):
         raise ValueError(f"mode index {index} out of range")
     phi = vecs[:, index]
     # the place of each unknown; they are numbered node by node
-    x = sys_.grid.nodes[np.nonzero(sys_.layout.nodal >= 0)[0]]
+    x = sys_.grid.nodes[np.nonzero(sys_.nodal >= 0)[0]]
     if (np.array([1.0, 2.0, 3.0]) @ sys_.field_weights * x) @ phi < 0:
         phi = -phi
     return DiscreteState(q=amplitude * phi, p=np.zeros(sys_.ndof))

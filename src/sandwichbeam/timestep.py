@@ -135,7 +135,8 @@ class SimOutput:
     trace_velocities: np.ndarray
     field_energy: np.ndarray = None
     displacement_traces: np.ndarray = None
-    sample_times: np.ndarray = None
+    # the steps of the decimated states_q and states_p
+    samples: np.ndarray = None
     states_q: np.ndarray = None
     states_p: np.ndarray = None
     ledger: dict = None
@@ -263,7 +264,7 @@ class _Stepper:
         one product and one finiteness check per block."""
         sys_, dt = self.sys, self.dt
         # in place, with the association of (dt^2/4 K)[0] + (M + dt/2 * cdiag)
-        cdiag = sys_.damping_diagonal(rows)
+        cdiag = np.dot(rows, sys_.field_weights)
         cdiag += self.feedback_diag
         diag = 0.5 * dt * cdiag
         diag += sys_.M
@@ -322,15 +323,14 @@ def _block_steps(ndof):
 
 def _delay_lines(histories, delays, betas, t_mid, times, extension):
     """The delay line of each delayed channel, on a time grid fixed before
-    the run: (channel, first, values, slopes, gaps, j, weights, tail,
-    windows).
+    the run: (channel, first, values, slopes, gaps, j, weights, windows).
 
     The sample record is the channel's initial history, then one slot per
     step midpoint from index ``first`` on, which the loop fills; the values
     and slopes are Python lists, and gaps[n] is the time from the sample
     before slot first + n to it.  Step n looks up theta = t - tau(t) at
     its midpoint in the samples up to the previous step's, and
-    (j, weights, tail) is the ``hermite_stencil`` of every step's lookup.
+    (j, weights) is the ``hermite_stencil`` of every step's lookup.
     ``windows`` integrates the delay windows at the record ``times`` over
     the filled record (``delay_windows``).  A delay past its cap, a
     decreasing theta, or a lookup or window outside the record is refused
@@ -379,13 +379,6 @@ def _check_records(what, step, *blocks):
     bad = [rows[0] for rows in bad if rows.size]
     if bad:
         raise IntegrationError(f"non-finite {what} at step {step + min(bad)}")
-
-
-def _sample_slots(n_steps, stride):
-    slots = list(range(0, n_steps + 1, stride))
-    if slots[-1] != n_steps:
-        slots.append(n_steps)
-    return np.array(slots)
 
 
 def delayed_step_error(dt, delays):
@@ -473,7 +466,9 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
 
     field_energy = np.empty(n_steps + 1)
     tr_vel = np.empty((n_steps + 1, 3))
-    slots = _sample_slots(n_steps, cfg.stride)
+    # the decimated states: every stride-th step, the last one moved to n_steps
+    slots = np.arange(0, n_steps + cfg.stride, cfg.stride)
+    slots[-1] = n_steps
     states_q = np.empty((len(slots), sys_.ndof))
     states_p = np.empty((len(slots), sys_.ndof))
     tr_disp = ledger = None
@@ -553,9 +548,9 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
             # numpy scalars would cost more than the arithmetic
             stencils = [
                 (first + base, ys, ms, gaps[base:stop].tolist(), js[base:stop].tolist(),
-                 tails[base:stop].tolist(), weights[base:stop].tolist(), zs, channels.item(i),
-                 sys_.channel_coeff.item(i), feedback_weights.item(i))
-                for (i, first, ys, ms, gaps, js, weights, tails, _), zs in zip(lines, z_lists)
+                 weights[base:stop].tolist(), zs, channels.item(i), sys_.channel_coeff.item(i),
+                 feedback_weights.item(i))
+                for (i, first, ys, ms, gaps, js, weights, _), zs in zip(lines, z_lists)
             ]
             for n in range(base, stop):
                 j = n - base
@@ -563,21 +558,17 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
                     stepper.refactor(table_rows[j])
                 if channel_force is not None:
                     force[channels] = channel_force[n]
-                for _, ys, ms, _, js, tails, weights, zs, c, coeff, fw in stencils:
+                for _, ys, ms, _, js, weights, zs, c, coeff, fw in stencils:
                     k = js[j]
-                    if tails[j]:
-                        z = ys[k + 1]
-                    else:
-                        w0, w1, w2, w3 = weights[j]
-                        z = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
-                    zs[j] = z
+                    w0, w1, w2, w3 = weights[j]
+                    zs[j] = z = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
                     # the delayed feedback -c_i * beta_i * z_i * coeff_i, as
                     # 0.0 - x so that a zero feedback is +0.0
                     force[c] = 0.0 - fw * z * coeff
                 v, q1, v1 = v_rows[j], q_rows[j + 1], v_rows[j + 1]
                 stepper.advance(q_rows[j], v, force, q1, v1)
                 _check_finite(q1, v1, n + 1)
-                for slot, ys, ms, gaps, _, _, _, _, c, coeff, _ in stencils:
+                for slot, ys, ms, gaps, _, _, _, c, coeff, _ in stencils:
                     k = slot + j
                     y = coeff * (0.5 * (v.item(c) + v1.item(c)))
                     ys[k] = y
@@ -611,7 +602,7 @@ def simulate(initial, sys_, cfg, gains=None, delays=None, damping=None, historie
         field_energy=field_energy,
         trace_velocities=tr_vel,
         displacement_traces=tr_disp,
-        sample_times=times[slots],
+        samples=slots,
         states_q=states_q,
         states_p=states_p,
         ledger=ledger,

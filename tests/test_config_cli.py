@@ -12,6 +12,7 @@ import pytest
 
 from sandwichbeam.cli import main
 from sandwichbeam.config import ConfigError, load_config
+from sandwichbeam.hypotheses import select_mus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -160,7 +161,8 @@ def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
     # the package binds its BLAS and LAPACK routines from the OpenBLAS numpy
     # has loaded, so neither importing the CLI nor running the commands that
     # step the beam or solve its dense eigenproblems loads any scipy module,
-    # numpy.f2py, numpy.polynomial or a second OpenBLAS; simulate and hum
+    # numpy.f2py, numpy.polynomial, numpy.ma (which np.unique imports, 12 ms
+    # and about 1 MB) or a second OpenBLAS; simulate and hum
     # hash their document without loading OpenSSL (through hashlib); and
     # decay-report runs with numpy.linalg's dense solvers made to raise
     def runs(*pairs):
@@ -179,7 +181,7 @@ def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
         "for name in ('lstsq', 'eigh', 'solve', 'cholesky'):\n"
         "    setattr(numpy.linalg, name, refuse)\n"
         f"run({runs(('decay-report', 'decay.ini'))!r})\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.polynomial')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.polynomial', 'numpy.ma')))\n"
         "with open('/proc/self/maps') as fh:\n"
         "    paths = {line.split()[-1] for line in fh if len(line.split()) > 5}\n"
         "print(sorted(p for p in paths if 'openblas' in p.rpartition('/')[2]))"
@@ -319,6 +321,10 @@ def test_decay_report_cli(tmp_path):
     assert report["lyapunov_equivalence"] is True
     series = (tmp_path / "out" / "decay_series.csv").read_text().splitlines()
     assert series[0] == "t,E,L,bound,residual"
+    # the rates block is the rate search's result, key for key and value
+    # for value
+    cfg = load_config(path)
+    assert report["rates"] == select_mus(cfg.params, cfg.delays, cfg.damping, cfg.gains)
 
 
 def test_convergence_on_a_delayed_document_skips_the_window_pass(tmp_path, monkeypatch):
@@ -502,6 +508,32 @@ def test_convergence_ladder_must_nest_in_the_reference(tmp_path, ladder):
     path = write_doc(tmp_path, doc)
     assert main(["convergence", "--config", path, "--quiet"]) == 2
     assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, reason",
+    [
+        ("reference_divide = 8", "reference_divide = 1", "must be smaller than the finest step"),
+        ("preset = eigen_mode", "preset = zero", "initial data of positive energy"),
+        ("t = 0.5\n", "t = 0.0\n", "t > 0"),
+    ],
+)
+def test_convergence_refuses_a_ladder_without_errors_before_writing(tmp_path, monkeypatch, capsys, old, new, reason):
+    # a temporal reference no finer than the finest level, initial data of
+    # zero energy and a horizon with no step leave errors of zero, whose
+    # ratios have no order: exit 2 before the output directory or any run
+    import sandwichbeam.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("convergence ran past its configuration checks")
+
+    monkeypatch.setattr(cli, "simulate", must_not_run)
+    doc = CONTROLLED_DOC.replace("preset = single_mode", "preset = eigen_mode")
+    assert doc.count(old) == 1
+    path = write_doc(tmp_path, doc.replace(old, new))
+    assert main(["convergence", "--config", path, "--quiet"]) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_temporal_orders_use_the_steps_taken(tmp_path):

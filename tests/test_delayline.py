@@ -29,14 +29,11 @@ def lookup(ts, ys, ms, thetas, newest=None, extension=0.0):
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if newest is None:
         newest = np.full(len(thetas), len(ts) - 1)
-    js, weights, tails = hermite_stencil(ts, thetas, newest, extension)
+    js, weights = hermite_stencil(ts, thetas, newest, extension)
     got = np.empty(len(thetas))
     for n, k in enumerate(js):
-        if tails[n]:
-            got[n] = ys[k + 1]
-        else:
-            w0, w1, w2, w3 = weights[n]
-            got[n] = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
+        w0, w1, w2, w3 = weights[n]
+        got[n] = w0 * ys[k] + w1 * ms[k] + w2 * ys[k + 1] + w3 * ms[k + 1]
     return got
 
 
@@ -313,6 +310,14 @@ def test_lookups_match_searchsorted_reference(seed):
     ref = np.array([_reference_value(ts, ys, ms, theta) for theta in thetas])
     got = lookup(ts, ys, ms, thetas, extension=extension)
     assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+    # a lookup at or past its newest sample, the record's last or an earlier
+    # one, reads that sample alone: the last segment with weights (0, 0, 1, 0)
+    newest = np.repeat([len(ts) - 1, int(rng.integers(1, len(ts) - 1))], 3)
+    past = ts[newest] + np.tile([0.0, 0.5 * extension, extension], 2)
+    js, weights = hermite_stencil(ts, past, newest, extension)
+    assert np.array_equal(js, newest - 1)
+    assert weights.tobytes() == np.tile([0.0, 0.0, 1.0, 0.0], (6, 1)).tobytes()
+    assert lookup(ts, ys, ms, past, newest, extension).tobytes() == ys[newest].tobytes()
     # both sides of the recorded span are checked, the window end included
     with pytest.raises(LookupBeforeHistory, match="before earliest sample"):
         lookup(ts, ys, ms, ts[0] - 1e-6, extension=extension)

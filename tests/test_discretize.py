@@ -26,13 +26,13 @@ from test_params import unit_params
 def field_order(sys_):
     """Indices of all unknowns field by field (all u, then all v, then all
     w), node by node within each field."""
-    cols = sys_.layout.nodal.T
+    cols = sys_.nodal.T
     return np.concatenate([col[col >= 0] for col in cols])
 
 
 def block_draw(rng, sys_):
     """Standard normal state vector drawn field block by field block (all u,
-    then all v, then all w) and placed at the layout's indices."""
+    then all v, then all w) and placed at the numbering's indices."""
     x = np.empty(sys_.ndof)
     x[field_order(sys_)] = rng.standard_normal(sys_.ndof)
     return x
@@ -54,20 +54,20 @@ def test_grid_validation():
 
 def test_layout_indices_partition():
     for sys_ in both_systems(16):
-        lay = sys_.layout
+        iu, iv, iw = sys_.nodal.T
         seen = []
-        for idx in (lay.iu, lay.iv, lay.iw):
+        for idx in (iu, iv, iw):
             seen.extend(int(i) for i in idx if i >= 0)
-        assert sorted(seen) == list(range(lay.ndof))
+        assert sorted(seen) == list(range(sys_.ndof))
         # numbered node by node: node j's unknowns all precede node j+1's
-        live = lay.nodal >= 0
-        assert np.array_equal(lay.nodal[live], np.arange(lay.ndof))
+        live = sys_.nodal >= 0
+        assert np.array_equal(sys_.nodal[live], np.arange(sys_.ndof))
         # essential nodes carry no index
-        assert lay.iu[0] == -1 and lay.iv[0] == -1
+        assert iu[0] == -1 and iv[0] == -1
         if sys_.variant == VARIANT_STABILIZED:
-            assert lay.iw[0] == -1 and lay.iw[-1] == -1
+            assert iw[0] == -1 and iw[-1] == -1
         else:
-            assert lay.iw[0] >= 0 and lay.iw[-1] >= 0
+            assert iw[0] >= 0 and iw[-1] >= 0
 
 
 def test_stiffness_symmetric_exactly_and_psd():
@@ -85,7 +85,7 @@ def _loop_stiffness(sys_):
     right and then the curvature panels: the reference for the banded
     assembly, which sums each entry in the same order."""
     p, N, dx = sys_.params, sys_.grid.N, sys_.grid.dx
-    iu, iv, iw = sys_.layout.iu, sys_.layout.iv, sys_.layout.iw
+    iu, iv, iw = sys_.nodal.T
     K = np.zeros((sys_.ndof, sys_.ndof))
 
     def add(idx, coeffs, weight):
@@ -153,11 +153,11 @@ def test_eigen_mode_sign_is_the_same_on_every_grid(variant):
     # sign fixed by the largest entry flips from grid to grid; each mode on
     # N and 2N cells, both restricted to 16 cells, correlates at +1
     p = unit_params()
-    coarse_live = build_system(Grid1D(N=16, L=1.0), p, variant).layout.nodal >= 0
+    coarse_live = build_system(Grid1D(N=16, L=1.0), p, variant).nodal >= 0
 
     def restricted(N, index):
         sys_ = build_system(Grid1D(N=N, L=1.0), p, variant)
-        return eigen_mode_state(sys_, index).q[sys_.layout.nodal[:: N // 16][coarse_live]]
+        return eigen_mode_state(sys_, index).q[sys_.nodal[:: N // 16][coarse_live]]
 
     for N in (16, 32, 64):
         for index in range(12):
@@ -291,7 +291,7 @@ def test_hspace_norm_properties_and_dense_oracle():
     # principles with explicit loops over cells and curvature panels
     N = sys_.grid.N
     dx = sys_.grid.dx
-    iu, iv, iw = sys_.layout.iu, sys_.layout.iv, sys_.layout.iw
+    iu, iv, iw = sys_.nodal.T
 
     def val(idx, j):
         return st.q[idx[j]] if idx[j] >= 0 else 0.0
@@ -320,8 +320,8 @@ def test_trace_dof_mass_coupling():
     # trapezoid half-panel of the field that shares the node
     p = unit_params(E3h3=2.0, k=1.5, alpha=0.5)
     sys_ = build_system(Grid1D(N=16, L=1.0), p, VARIANT_CONTROLLED)
-    N, dx, lay = sys_.grid.N, sys_.grid.dx, sys_.layout
-    i4, i5, i6 = lay.iu[N], lay.iv[N], lay.iw[N]
+    N, dx = sys_.grid.N, sys_.grid.dx
+    i4, i5, i6 = sys_.nodal[N]
     expected = {
         i4: p.E1h1 + p.rho1h1 * dx / 2.0,
         i5: p.E3h3 + p.rho3h3 * dx / 2.0,
@@ -355,7 +355,7 @@ def test_standing_wave_energy_matches_continuum():
 def _panel_energy(sys_, q):
     """q'Kq summed panel by panel from the field differences."""
     p, dx = sys_.params, sys_.grid.dx
-    u, v, w = (np.where(idx >= 0, q[idx], 0.0) for idx in (sys_.layout.iu, sys_.layout.iv, sys_.layout.iw))
+    u, v, w = (np.where(idx >= 0, q[idx], 0.0) for idx in sys_.nodal.T)
     shear = 0.5 * (v[:-1] + v[1:] - u[:-1] - u[1:]) + p.alpha * np.diff(w) / dx
     curvature = np.diff(w, 2) / dx ** 2
     kappa0 = 2.0 * (w[1] - w[0]) / dx ** 2

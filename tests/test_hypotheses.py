@@ -122,22 +122,24 @@ def test_passing_gains_imply_negative_definite_phi():
 
 
 def _recheck_rates(params, delays, damping, gains_, rates):
-    """Independent re-validation of every invariant on a rates object."""
-    assert rates.mu4 < 1.0
-    assert rates.mu4 == pytest.approx(
-        compute_mu4(params, rates.mu0, rates.mu1, rates.mu2, rates.mu3)
+    """Independent re-validation of every invariant of a ``select_mus`` result."""
+    assert set(rates) == {"mu0", "mu1", "mu2", "mu3", "mu4", "lambda", "zeta", "rate"}
+    assert rates["rate"] == rates["lambda"] / (1.0 + rates["mu4"])
+    assert rates["mu4"] < 1.0
+    assert rates["mu4"] == pytest.approx(
+        compute_mu4(params, rates["mu0"], rates["mu1"], rates["mu2"], rates["mu3"])
     )
     for i in range(3):
-        assert rates.mu0 * delays[i].cap / (1.0 - delays[i].slope_bound) < (rates.mu1, rates.mu2, rates.mu3)[i]
+        assert rates["mu0"] * delays[i].cap / (1.0 - delays[i].slope_bound) < (rates["mu1"], rates["mu2"], rates["mu3"])[i]
     floors = [law.floor for law in damping]
     masses = params.mass_coefficients
-    assert rates.mu0 < min(a0 / m for a0, m in zip(floors, masses))
-    assert rates.lam <= rates.mu0 + 1e-15
+    assert rates["mu0"] < min(a0 / m for a0, m in zip(floors, masses))
+    assert rates["lambda"] <= rates["mu0"] + 1e-15
     for a0, m in zip(floors, masses):
-        assert rates.lam <= 2.0 * (a0 / m - rates.mu0) + 1e-15
-    assert rates.zeta == pytest.approx((1.0 + rates.mu4) / (1.0 - rates.mu4))
-    for i, mu_i in zip((1, 2, 3), (rates.mu1, rates.mu2, rates.mu3)):
-        pi_form = perturbed_form(i, params, gains_, delays, rates.mu0, mu_i)
+        assert rates["lambda"] <= 2.0 * (a0 / m - rates["mu0"]) + 1e-15
+    assert rates["zeta"] == pytest.approx((1.0 + rates["mu4"]) / (1.0 - rates["mu4"]))
+    for i, mu_i in zip((1, 2, 3), (rates["mu1"], rates["mu2"], rates["mu3"])):
+        pi_form = perturbed_form(i, params, gains_, delays, rates["mu0"], mu_i)
         if gains_.betas[i - 1] == 0.0:
             assert pi_form[0] < 0.0
         else:
@@ -150,7 +152,7 @@ def test_select_mus_unit_example_against_grid_oracle():
     damping = (ConstantDamping(1.0),) * 3
     g = gains(a=(1.0, 1.0, 1.0))
     rates = select_mus(p, delays, damping, g)
-    assert rates.mu4 < 1.0 and rates.lam > 0.0
+    assert rates["mu4"] < 1.0 and rates["lambda"] > 0.0
     _recheck_rates(p, delays, damping, g, rates)
 
     # oracle: dense grid search over (mu0, mu) must contain feasible points,
@@ -168,7 +170,7 @@ def test_select_mus_unit_example_against_grid_oracle():
         if ok:
             feasible.append((mu0, mu))
     assert feasible, "grid oracle found no feasible weights"
-    assert any(abs(mu0 - rates.mu0) < 0.26 for mu0, _ in feasible)
+    assert any(abs(mu0 - rates["mu0"]) < 0.26 for mu0, _ in feasible)
 
 
 def test_select_mus_random_configs_recheck():
@@ -210,7 +212,7 @@ def test_lambda_monotone_in_damping_floor():
     delays = (ConstantDelay(0.5),) * 3
     g = gains()
     lams = [
-        select_mus(p, delays, (ConstantDamping(a0),) * 3, g).lam for a0 in (1.0, 0.25, 0.0625)
+        select_mus(p, delays, (ConstantDamping(a0),) * 3, g)["lambda"] for a0 in (1.0, 0.25, 0.0625)
     ]
     assert lams[0] > lams[1] > lams[2] > 0.0
 
@@ -225,9 +227,7 @@ def test_mu_limits():
 
 
 def test_decay_bound_examples_and_properties():
-    from sandwichbeam.hypotheses import TheoreticalRates
-
-    rates = TheoreticalRates(mu0=0.1, mu1=0.1, mu2=0.1, mu3=0.1, mu4=0.0, lam=1.0, zeta=2.0)
+    rates = {"mu0": 0.1, "mu1": 0.1, "mu2": 0.1, "mu3": 0.1, "mu4": 0.0, "lambda": 1.0, "zeta": 2.0, "rate": 1.0}
     assert decay_bound(0.0, 3.0, rates) == pytest.approx(2.0 * 3.0)
     assert decay_bound(5.0, 0.0, rates) == 0.0
     assert decay_bound(math.log(2.0), 1.0, rates) == pytest.approx(1.0)

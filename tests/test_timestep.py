@@ -136,7 +136,7 @@ def test_one_step_constant_control_matches_dense_oracle():
     # dense one-step oracle for the same midpoint equations; the first
     # control drives u(L) with weight E1h1
     force = np.zeros(sys_.ndof)
-    force[sys_.layout.iu[sys_.grid.N]] = p.E1h1 * c
+    force[sys_.nodal[sys_.grid.N, 0]] = p.E1h1 * c
     A = np.diag(sys_.M) + 0.25 * cfg.dt ** 2 * sys_.K
     a = np.linalg.solve(A, force)
     v1 = cfg.dt * a
@@ -144,7 +144,7 @@ def test_one_step_constant_control_matches_dense_oracle():
     assert np.allclose(new.p, v1, rtol=0, atol=1e-13)
     assert np.allclose(new.q, q1, rtol=0, atol=1e-13)
     # the boundary trace velocity picks up ~ dt * c * E1h1 / M_trace
-    i4 = sys_.layout.iu[-1]
+    i4 = sys_.nodal[-1, 0]
     lead = cfg.dt * c * p.E1h1 / sys_.M[i4]
     assert new.p[i4] == pytest.approx(lead, rel=0.05)
 
@@ -186,15 +186,15 @@ def test_one_stabilized_step_matches_dense_oracle():
     )
     cs = p.boundary_stiffness
     # trace functionals u_t(L), v_t(L), w_tx(L) = -w_t(x_{N-1})/dx
-    N, lay = sys_.grid.N, sys_.layout
+    N, nodal = sys_.grid.N, sys_.nodal
     tv = np.zeros((3, sys_.ndof))
-    tv[0, lay.iu[N]] = 1.0
-    tv[1, lay.iv[N]] = 1.0
-    tv[2, lay.iw[N - 1]] = -1.0 / sys_.grid.dx
+    tv[0, nodal[N, 0]] = 1.0
+    tv[1, nodal[N, 1]] = 1.0
+    tv[2, nodal[N - 1, 2]] = -1.0 / sys_.grid.dx
     z = tv @ st.p
     assert np.all(z != 0.0)
     feedback = sum(c * al * np.outer(t, t) for c, al, t in zip(cs, gains.alphas, tv))
-    C = feedback + np.diag(sys_.damping_diagonal((a, a, a)))
+    C = feedback + np.diag(np.dot((a, a, a), sys_.field_weights))
     force = -sum(c * b * zi * t for c, b, zi, t in zip(cs, gains.betas, z, tv))
     A = np.diag(sys_.M) + 0.5 * dt * C + 0.25 * dt ** 2 * sys_.K
     acc = np.linalg.solve(A, force - C @ st.p - sys_.K @ (st.q + 0.5 * dt * st.p))
@@ -535,7 +535,7 @@ def test_block_edges_record_every_state():
             # a stride that does not divide the block samples the same states
             strided = simulate(state, sys_, cfg_strided, **kwargs)
             slots = sorted(set(range(0, n_steps + 1, 5)) | {n_steps})
-            assert strided.sample_times.tobytes() == out.times[slots].tobytes()
+            assert strided.samples.tolist() == slots
             assert strided.states_q.tobytes() == qs[slots].tobytes()
             assert strided.states_p.tobytes() == ps[slots].tobytes()
             for name in ("energy", "trace_velocities", "displacement_traces", "delayed_traces"):
@@ -546,12 +546,18 @@ def test_decimation_stride_honored():
     p, sys_ = controlled(16)
     st = random_smooth_state(sys_, seed=2)
     out = simulate(st, sys_, SchemeConfig(dt=0.01, T=0.2, stride=7))
-    assert out.sample_times[0] == 0.0
-    assert out.sample_times[-1] == pytest.approx(0.2)
-    assert np.allclose(np.diff(out.sample_times)[:-1], 0.07)
+    # every 7th step and the last, each the state of that step
+    assert out.samples.tolist() == [0, 7, 14, 20]
+    every = simulate(st, sys_, SchemeConfig(dt=0.01, T=0.2))
+    assert out.states_q.tobytes() == every.states_q[out.samples].tobytes()
+    assert out.states_p.tobytes() == every.states_p[out.samples].tobytes()
+    sample_times = out.times[out.samples]
+    assert sample_times[0] == 0.0
+    assert sample_times[-1] == pytest.approx(0.2)
+    assert np.allclose(np.diff(sample_times)[:-1], 0.07)
     # T = 0: initial sample only
     out0 = simulate(st, sys_, SchemeConfig(dt=0.01, T=0.0))
-    assert out0.n_steps == 0 and len(out0.sample_times) == 1
+    assert out0.n_steps == 0 and out0.samples.tolist() == [0]
 
 
 def test_time_reversibility_of_conservative_run():
@@ -632,8 +638,8 @@ def test_trace_ode_consistency_controlled():
     st = eigen_mode_state(sys_, 2, 1.0)
     f1 = lambda t: 0.3 * np.sin(2.0 * t)
     controls = lambda t: (f1(t), 0.0, 0.0)
-    i4 = sys_.layout.iu[-1]
-    iu = sys_.layout.iu
+    iu = sys_.nodal[:, 0]
+    i4 = iu[-1]
     dx = sys_.grid.dx
 
     def gaps(dt):
