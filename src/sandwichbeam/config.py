@@ -24,20 +24,8 @@ except ImportError:
     from _sha256 import sha256
 
 from .discretize import Grid1D, VARIANT_CONTROLLED, VARIANT_STABILIZED, build_system
-from .params import (
-    ConstantDamping,
-    ConstantDelay,
-    ExponentialDamping,
-    GainConfig,
-    PhysicalParams,
-    SinusoidalDelay,
-)
-from .presets import (
-    eigen_mode_state,
-    random_smooth_state,
-    single_mode_state,
-    zero_state,
-)
+from .params import ExponentialDamping, GainConfig, PhysicalParams, SinusoidalDelay
+from .presets import eigen_mode_state, nodal_state, random_smooth_state, single_mode_state
 from .timestep import SchemeConfig
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config"]
@@ -79,15 +67,16 @@ def _law(laws):
     return parse, syntax
 
 
+# a constant law is its family's zero member: zero amplitude, zero rate
 _DELAY_LAW = _law(
     {
-        "constant": (ConstantDelay, ("value",)),
+        "constant": (lambda value: SinusoidalDelay(value, 0.0, 0.0), ("value",)),
         "sinusoidal": (SinusoidalDelay, ("base", "amplitude", "frequency")),
     }
 )
 _DAMPING_LAW = _law(
     {
-        "constant": (ConstantDamping, ("value",)),
+        "constant": (lambda value: ExponentialDamping(value, value, 0.0), ("value",)),
         "exp_floor": (ExponentialDamping, ("floor", "initial", "rate")),
     }
 )
@@ -230,8 +219,7 @@ def _section(values, name):
 
 @dataclass
 class ScenarioConfig:
-    path: str
-    raw_text: str
+    config_hash: str  # sha256 of the document text
     variant: str
     params: PhysicalParams
     gains: GainConfig
@@ -246,10 +234,6 @@ class ScenarioConfig:
     convergence: dict
     outdir: str
 
-    @property
-    def config_hash(self):
-        return sha256(self.raw_text.encode()).hexdigest()
-
     def build_system(self):
         return build_system(Grid1D(N=self.n, L=self.params.L), self.params, self.variant)
 
@@ -258,7 +242,7 @@ class ScenarioConfig:
         mode of ``sys_`` is refused."""
         init = self.initial
         if init["preset"] == "zero":
-            return zero_state(sys_)
+            return nodal_state(sys_)
         if init["preset"] == "single_mode":
             N = sys_.grid.N
             if not 1 <= init["mode"] <= N:
@@ -344,8 +328,7 @@ def load_config(path, overrides=None):
         )
 
     return ScenarioConfig(
-        path=path,
-        raw_text=raw,
+        config_hash=sha256(raw.encode()).hexdigest(),
         variant=variant,
         params=_physical_params(values),
         gains=gains,

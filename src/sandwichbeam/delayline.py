@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "LookupBeforeHistory",
     "TraceHistory",
-    "init_history",
     "hermite_stencil",
     "delay_samples",
     "delay_windows",
@@ -96,20 +95,6 @@ class TraceHistory:
         if back.size:
             k = back[0]
             raise ValueError(f"non-monotone history: t={ts[k + 1]!r} after t={ts[k]!r}")
-
-
-def init_history(initial_fn, tau0, n_samples=64):
-    """Sample the initial trace function on [-tau0, 0] at uniform points.
-
-    Slopes are recovered by second-order finite differences of the samples,
-    good enough since the initial segment is only ever read, never
-    extrapolated.
-    """
-    if not tau0 > 0.0:
-        raise ValueError(f"initial delay must be positive, got {tau0!r}")
-    ts = np.linspace(-tau0, 0.0, n_samples)
-    ys = np.array([float(initial_fn(t)) for t in ts])
-    return TraceHistory(ts, ys, np.gradient(ys, ts))
 
 
 def hermite_stencil(ts, thetas, newest, extension=0.0, channel=0):

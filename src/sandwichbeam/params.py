@@ -8,7 +8,9 @@ and ``a``) take a float or an array of times and return the same shape, so
 a run samples each law on its whole time grid in one numpy expression.
 A scenario's delays are a 3-tuple of delay laws, one per feedback channel
 (the u, v and w_x traces at x = L), and its damping a 3-tuple of weights,
-one per field equation.
+one per field equation.  A constant law is its family's zero member:
+``SinusoidalDelay(value, 0.0, 0.0)`` and ``ExponentialDamping(value, value,
+0.0)`` return ``value`` (and a zero slope) bitwise at every time.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import numpy as np
 
 __all__ = [
     "PhysicalParams",
-    "ConstantDelay",
     "SinusoidalDelay",
-    "ConstantDamping",
     "ExponentialDamping",
     "GainConfig",
 ]
@@ -36,11 +36,6 @@ def _require_finite(obj):
         value = getattr(obj, field.name)
         if not math.isfinite(value):
             raise ValueError(f"{type(obj).__name__} {field.name} must be finite, got {value!r}")
-
-
-def _constant(value, t):
-    """``value`` in the shape of ``t``: a scalar for a scalar, an array for an array."""
-    return np.full(np.shape(t), value)[()]
 
 
 @dataclass(frozen=True)
@@ -128,36 +123,6 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class ConstantDelay:
-    """Time-independent delay tau(t) = value."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.value > 0.0:
-            raise ValueError(f"delay must be positive, got {self.value!r}")
-
-    def tau(self, t):
-        return _constant(self.value, t)
-
-    def dtau(self, t):
-        return _constant(0.0, t)
-
-    @property
-    def floor(self):
-        return self.value
-
-    @property
-    def cap(self):
-        return self.value
-
-    @property
-    def slope_bound(self):
-        return 0.0
-
-
-@dataclass(frozen=True)
 class SinusoidalDelay:
     """tau(t) = base + amplitude*sin(frequency*t); twice differentiable.
 
@@ -172,7 +137,7 @@ class SinusoidalDelay:
     def __post_init__(self):
         _require_finite(self)
         if not self.base - abs(self.amplitude) > 0.0:
-            raise ValueError("delay floor base - |amplitude| must be positive")
+            raise ValueError(f"delay floor base - |amplitude| must be positive, got {self.floor!r}")
         # a slope bound >= 1 is representable so the validator can report it
         # as a failed hypothesis; the integrator refuses to run with it
 
@@ -196,47 +161,24 @@ class SinusoidalDelay:
 
 
 @dataclass(frozen=True)
-class ConstantDamping:
-    """a(t) = value > 0."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.value > 0.0:
-            raise ValueError("damping weight must be positive")
-
-    def a(self, t):
-        return _constant(self.value, t)
-
-    @property
-    def floor(self):
-        return self.value
-
-
-@dataclass(frozen=True)
 class ExponentialDamping:
     """a(t) = floor + (initial - floor) * exp(-rate*t), non-increasing to a floor."""
 
-    floor_value: float
+    floor: float
     initial: float
     rate: float
 
     def __post_init__(self):
         _require_finite(self)
-        if not self.floor_value > 0.0:
-            raise ValueError("damping floor must be positive")
-        if self.initial < self.floor_value:
+        if not self.floor > 0.0:
+            raise ValueError(f"damping floor must be positive, got {self.floor!r}")
+        if self.initial < self.floor:
             raise ValueError("initial damping below floor would be increasing")
         if self.rate < 0.0:
             raise ValueError("decay rate must be nonnegative")
 
     def a(self, t):
-        return self.floor_value + (self.initial - self.floor_value) * np.exp(-self.rate * t)
-
-    @property
-    def floor(self):
-        return self.floor_value
+        return self.floor + (self.initial - self.floor) * np.exp(-self.rate * t)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .delayline import init_history
+from .delayline import TraceHistory
 from .discretize import VARIANT_STABILIZED, DiscreteState
 
 __all__ = [
     "nodal_state",
-    "zero_state",
     "single_mode_state",
     "random_smooth_state",
     "eigen_mode_state",
@@ -70,10 +69,6 @@ def nodal_state(sys_, u=0.0, v=0.0, w=0.0, ut=0.0, vt=0.0, wt=0.0):
     # the unknowns are numbered node by node over the live (node, field) slots
     live = sys_.nodal >= 0
     return DiscreteState(q=values[:, :3][live], p=values[:, 3:][live])
-
-
-def zero_state(sys_):
-    return DiscreteState(q=np.zeros(sys_.ndof), p=np.zeros(sys_.ndof))
 
 
 def single_mode_state(sys_, field, mode, amplitude=1.0):
@@ -143,6 +138,7 @@ def eigen_mode_state(sys_, index, amplitude=1.0):
 
 def make_histories(sys_, state, delays):
     """Initial trace histories on [-tau_i(0), 0] for the delayed channels:
-    the initial trace velocity extended backwards, the compatible choice."""
+    the initial trace velocity extended backwards, the compatible choice,
+    each one constant segment."""
     traces = sys_.traces(state.p)
-    return tuple(init_history(lambda s, c=c: c, law.tau(0.0)) for law, c in zip(delays, traces))
+    return tuple(TraceHistory((-law.tau(0.0), 0.0), (c, c), (0.0, 0.0)) for law, c in zip(delays, traces))

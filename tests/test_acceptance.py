@@ -17,7 +17,7 @@ from sandwichbeam.decay import (
     check_trace_estimates,
     lyapunov_trace,
 )
-from sandwichbeam.delayline import delay_samples, init_history
+from sandwichbeam.delayline import delay_samples
 from sandwichbeam.discretize import (
     VARIANT_CONTROLLED,
     VARIANT_STABILIZED,
@@ -34,13 +34,7 @@ from sandwichbeam.hypotheses import (
     select_mus,
     validate_gains,
 )
-from sandwichbeam.params import (
-    ConstantDamping,
-    ConstantDelay,
-    GainConfig,
-    PhysicalParams,
-    SinusoidalDelay,
-)
+from sandwichbeam.params import GainConfig, PhysicalParams, SinusoidalDelay
 from sandwichbeam.presets import (
     eigen_mode_state,
     make_histories,
@@ -51,6 +45,8 @@ from sandwichbeam.timestep import SchemeConfig, simulate
 
 from test_delayline import extend, lookup
 from test_hum import observation_product, solve_adjoint
+from test_params import constant_damping, constant_delay
+from test_timestep import init_history
 
 UNIT = PhysicalParams(
     rho1h1=1.0, E1h1=1.0, rho3h3=1.0, E3h3=1.0, rhoh=1.0, EI=1.0, k=1.0, alpha=1.0, L=1.0
@@ -117,7 +113,7 @@ def _criterion3_runs():
     if "crit3" not in _cache:
         sys_ = build_system(Grid1D(N=64, L=1.0), UNIT, VARIANT_STABILIZED)
         delays = (SinusoidalDelay(0.1, 0.05, 10.0),) * 3  # slope bound 0.5
-        damping = (ConstantDamping(1.0),) * 3
+        damping = (constant_damping(1.0),) * 3
         gains = GainConfig(1.0, 0.2, 1.0, -0.15, 1.0, 0.1)
         assert all(row["pass"] for row in validate_gains(UNIT, gains, delays))
         state = random_smooth_state(sys_, seed=7, prepared=True)
@@ -182,7 +178,7 @@ def test_criterion_04_theoretical_bound_and_equivalence():
 def test_criterion_05_delay_fidelity():
     # linear history with exact slopes is exact; each lookup reads the
     # samples up to the one recorded at its own time
-    delays = (ConstantDelay(0.3),) * 3
+    delays = (constant_delay(0.3),) * 3
     hist = init_history(lambda s: 2.0 * s + 1.0, 0.3)
     ts = 0.01 * np.arange(1, 60)
     record = extend(hist, ts, 2.0 * ts + 1.0, np.full(len(ts), 2.0))
@@ -229,8 +225,8 @@ def test_criterion_06_trace_estimates():
         if trial % 2:
             delays = (SinusoidalDelay(0.15, 0.05, 8.0),) * 3
         else:
-            delays = (ConstantDelay(0.2),) * 3
-        damping = (ConstantDamping(float(rng.uniform(0.5, 1.5))),) * 3
+            delays = (constant_delay(0.2),) * 3
+        damping = (constant_damping(float(rng.uniform(0.5, 1.5))),) * 3
         gains = GainConfig(alphas[0], betas[0], alphas[1], betas[1], alphas[2], betas[2])
         assert all(row["pass"] for row in validate_gains(UNIT, gains, delays))
         state = random_smooth_state(sys_, seed=2000 + trial, prepared=True)

@@ -127,7 +127,8 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.delays[0].slope_bound == pytest.approx(0.5)
     assert cfg.n == 24
     assert cfg.scheme.dt == 0.02
-    assert cfg.config_hash == hashlib.sha256(cfg.raw_text.encode()).hexdigest()
+    with open(path) as fh:
+        assert cfg.config_hash == hashlib.sha256(fh.read().encode()).hexdigest()
 
 
 def test_unknown_key_is_config_error(tmp_path):

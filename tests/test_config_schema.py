@@ -14,6 +14,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -21,6 +22,7 @@ from hypothesis import strategies as hs
 from sandwichbeam import cli, config
 from sandwichbeam.cli import main
 from sandwichbeam.config import ConfigError, load_config
+from sandwichbeam.params import ExponentialDamping, SinusoidalDelay
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -182,6 +184,34 @@ def test_law_parameters_by_name_in_any_order(tmp_path):
     # a bare number is the value of a constant law
     path = edited("decay.ini", {("damping", "a2"): "constant value=1.0"}, str(tmp_path))
     assert load_config(path).damping == load_config(paths[0]).damping
+
+
+def test_a_constant_law_is_its_familys_zero_member(tmp_path):
+    # `constant v` builds the zero-amplitude delay and the zero-rate weight,
+    # whose tau, dtau and a return v, 0.0 and v bit for bit at every time:
+    # on a run's midpoint grid, at negative times and on scalars.  So a
+    # constant weight keeps a run at one factorization
+    edits = {("delays", "tau2"): "constant 0.3", ("damping", "a3"): "constant value=1.7"}
+    cfg = load_config(edited("decay.ini", edits, str(tmp_path)))
+    delay, damping = cfg.delays[1], cfg.damping[2]
+    assert delay == SinusoidalDelay(0.3, 0.0, 0.0)
+    assert damping == ExponentialDamping(1.7, 1.7, 0.0)
+    grids = (cfg.scheme.times[:-1] + 0.5 * cfg.scheme.dt, np.linspace(-5.0, 0.0, 257))
+    for law, value in ((delay.tau, 0.3), (delay.dtau, 0.0), (damping.a, 1.7)):
+        for grid in grids:
+            assert law(grid).tobytes() == np.full(grid.shape, value).tobytes()
+        for t in (0.0, -0.0, 0.01, -0.3, 1e3, -1e3):
+            assert np.ndim(law(t)) == 0
+            assert np.float64(law(t)).tobytes() == np.float64(value).tobytes()
+    # a nonpositive constant is refused with its value
+    for section, key, text, message in (
+        ("delays", "tau1", "constant 0.0", "delay floor base - |amplitude| must be positive, got 0.0"),
+        ("damping", "a1", "constant -1.0", "damping floor must be positive, got -1.0"),
+    ):
+        path = edited("decay.ini", {(section, key): text}, str(tmp_path))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert run(["validate", "--config", path, "--out", str(tmp_path / "out")])[0] == 2
 
 
 def test_fit_window_of_two_step_times_runs(tmp_path):

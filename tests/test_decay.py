@@ -10,20 +10,20 @@ from sandwichbeam.decay import (
 )
 from sandwichbeam.discretize import Grid1D, VARIANT_STABILIZED, build_system
 from sandwichbeam.hypotheses import select_mus
-from sandwichbeam.params import ConstantDamping, GainConfig, SinusoidalDelay
-from sandwichbeam.presets import make_histories, random_smooth_state, zero_state
+from sandwichbeam.params import GainConfig, SinusoidalDelay
+from sandwichbeam.presets import make_histories, nodal_state, random_smooth_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
 from test_delayline import window_integrals
 from test_discretize import block_draw
-from test_params import unit_params
+from test_params import constant_damping, unit_params
 
 
 def crit3_setup(N=32):
     p = unit_params()
     sys_ = build_system(Grid1D(N=N, L=1.0), p, VARIANT_STABILIZED)
     delays = (SinusoidalDelay(0.1, 0.05, 10.0),) * 3
-    damping = (ConstantDamping(1.0),) * 3
+    damping = (constant_damping(1.0),) * 3
     gains = GainConfig(1.0, 0.2, 1.0, -0.15, 1.0, 0.1)
     return p, sys_, delays, damping, gains
 
@@ -96,7 +96,7 @@ def test_fit_excludes_roundoff_plateau():
 
 def test_dissipation_identity_zero_solution():
     p, sys_, delays, damping, gains = crit3_setup(16)
-    st = zero_state(sys_)
+    st = nodal_state(sys_)
     hist = make_histories(sys_, st, delays)
     out = simulate(
         st, sys_, SchemeConfig(dt=0.02, T=0.4),
@@ -111,7 +111,7 @@ def test_dissipation_identity_interior_damping_exact():
     # energy increments to roundoff (the midpoint identity is algebraic)
     p = unit_params()
     sys_ = build_system(Grid1D(N=24, L=1.0), p, VARIANT_STABILIZED)
-    damping = (ConstantDamping(0.7),) * 3
+    damping = (constant_damping(0.7),) * 3
     gains = GainConfig(0, 0, 0, 0, 0, 0)
     st = random_smooth_state(sys_, seed=3, prepared=True)
     out = simulate(st, sys_, SchemeConfig(dt=0.01, T=1.0), gains=gains, damping=damping)
@@ -139,7 +139,7 @@ def test_energy_monotone_on_decay_run():
 def test_lyapunov_trace_zero_and_velocity_free():
     p, sys_, delays, damping, gains = crit3_setup(16)
     rates = select_mus(p, delays, damping, gains)
-    st = zero_state(sys_)
+    st = nodal_state(sys_)
     hist = make_histories(sys_, st, delays)
     out = simulate(
         st, sys_, SchemeConfig(dt=0.02, T=0.2),

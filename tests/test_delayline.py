@@ -14,12 +14,12 @@ from sandwichbeam.delayline import (
     delay_samples,
     delay_windows,
     hermite_stencil,
-    init_history,
 )
-from sandwichbeam.params import ConstantDelay, SinusoidalDelay
+from sandwichbeam.params import SinusoidalDelay
 from sandwichbeam.timestep import SchemeConfig, simulate
 
-from test_timestep import assert_histories_unchanged, decay_scenario, history_copies
+from test_params import constant_delay
+from test_timestep import assert_histories_unchanged, decay_scenario, history_copies, init_history
 
 
 def lookup(ts, ys, ms, thetas, newest=None, extension=0.0):
@@ -74,7 +74,7 @@ def test_history_times_advance_and_newest_sample_reads_back():
 
 
 def test_eval_delayed_constant_and_linear_exact():
-    delays = (ConstantDelay(0.3),) * 3
+    delays = (constant_delay(0.3),) * 3
     h = init_history(lambda s: 5.0, 0.3)
     record = extend(h, [0.05, 0.1], [5.0, 5.0], [0.0, 0.0])
     tau = delay_samples(delays[0], 0, [0.05])[0]
@@ -90,7 +90,7 @@ def test_eval_delayed_constant_and_linear_exact():
 
 
 def test_eval_delayed_sine_second_order():
-    delays = (ConstantDelay(0.4),) * 3
+    delays = (constant_delay(0.4),) * 3
     errs = []
     for dt in (0.02, 0.01):
         h = init_history(math.sin, 0.4)
@@ -110,13 +110,13 @@ def test_monotone_theta_assertion():
     # the declared slope bound is 0, but tau jumps from 0.1 to 0.15 at
     # t = 0.5, so t - tau(t) falls by more than dt there: the run is refused
     # before any step, and the histories are left as they were
-    class Jumping(ConstantDelay):
+    class Jumping(SinusoidalDelay):
         cap = 0.15
 
         def tau(self, t):
-            return self.value + np.where(t > 0.5, 0.05, 0.0)
+            return self.base + np.where(t > 0.5, 0.05, 0.0)
 
-    sys_, state, kwargs = decay_scenario(16, (Jumping(0.1),) * 3)
+    sys_, state, kwargs = decay_scenario(16, (Jumping(0.1, 0.0, 0.0),) * 3)
     copies = history_copies(kwargs["histories"])
     with pytest.raises(AssertionError, match="delayed argument not increasing"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=1.0), **kwargs)

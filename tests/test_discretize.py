@@ -16,11 +16,11 @@ from sandwichbeam.discretize import (
     build_system,
     hspace_norm,
 )
-from sandwichbeam.delayline import init_history
 from sandwichbeam.presets import eigen_mode_state, nodal_state
 
 from test_delayline import window_integrals
 from test_params import unit_params
+from test_timestep import init_history
 
 
 def field_order(sys_):

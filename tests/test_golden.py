@@ -21,7 +21,6 @@ import pytest
 
 from sandwichbeam.discretize import VARIANT_CONTROLLED, VARIANT_STABILIZED, Grid1D, build_system
 from sandwichbeam.params import (
-    ConstantDamping,
     ExponentialDamping,
     GainConfig,
     PhysicalParams,
@@ -31,6 +30,7 @@ from sandwichbeam.presets import make_histories, random_smooth_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
 from test_discretize import field_order
+from test_params import constant_damping
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "simulate_n16.json")
 RTOL = 1e-6
@@ -71,7 +71,7 @@ def _stabilized(damping):
 RUNS = {
     "controlled_free": lambda: _controlled(forced=False),
     "controlled_forced": lambda: _controlled(forced=True),
-    "stabilized_constant_damping": lambda: _stabilized((ConstantDamping(1.0),) * 3),
+    "stabilized_constant_damping": lambda: _stabilized((constant_damping(1.0),) * 3),
     "stabilized_exp_floor_damping": lambda: _stabilized(
         (ExponentialDamping(0.5, 1.5, 2.0),) * 3
     ),

@@ -22,7 +22,7 @@ from sandwichbeam.hum import (
     gramian,
     observability,
 )
-from sandwichbeam.presets import random_smooth_state, single_mode_state, zero_state
+from sandwichbeam.presets import nodal_state, random_smooth_state, single_mode_state
 from sandwichbeam.timestep import SchemeConfig, simulate
 
 from test_params import unit_params
@@ -86,7 +86,7 @@ def test_adjoint_solve_conserves_and_roundtrips():
     traj, obs, w0 = solve_adjoint(Wt, sys_, cfg)
     assert traj.relative_drift() <= 1e-8
     # zero terminal data: zero observation
-    traj0, obs0, w00 = solve_adjoint(zero_state(sys_), sys_, cfg)
+    traj0, obs0, w00 = solve_adjoint(nodal_state(sys_), sys_, cfg)
     assert observation_product(obs0, obs0, sys_, cfg.step) == 0.0
     # forward-then-backward recovers the terminal data
     fwd = simulate(w0, sys_, cfg)
@@ -340,7 +340,7 @@ def test_rhs_duality_identity():
         scale = max(abs(pairing), 1e-30)
         assert abs(total) <= 1e-6 * scale
     # linearity and the zero case
-    assert np.all(rhs(zero_state(sys_)) == 0.0)
+    assert np.all(rhs(nodal_state(sys_)) == 0.0)
 
 
 def completed_metric(sys_):
@@ -391,7 +391,7 @@ def test_hum_refuses_a_system_without_controls():
     with pytest.raises(ValueError, match="controlled_conservative"):
         observability(sys_, cfg)
     with pytest.raises(ValueError, match="controlled_conservative"):
-        compute_null_control(zero_state(sys_), sys_, cfg)
+        compute_null_control(nodal_state(sys_), sys_, cfg)
 
 
 @pytest.mark.parametrize("N", [16, 24, 32])
@@ -425,7 +425,7 @@ def test_standard_form_solves_the_dual_pencil(N):
 def test_null_control_zero_data():
     p, sys_ = controlled_system(N=16)
     cfg = short_cfg(T=2.0, steps=128)
-    sol = compute_null_control(zero_state(sys_), sys_, cfg, tol=1e-8)
+    sol = compute_null_control(nodal_state(sys_), sys_, cfg, tol=1e-8)
     assert sol.converged and sol.terminal_rel_norm == 0.0
     assert np.all(sol.controls == 0.0)
 

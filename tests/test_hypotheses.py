@@ -16,15 +16,9 @@ from sandwichbeam.hypotheses import (
     select_mus,
     validate_gains,
 )
-from sandwichbeam.params import (
-    ConstantDamping,
-    ConstantDelay,
-    GainConfig,
-    PhysicalParams,
-    SinusoidalDelay,
-)
+from sandwichbeam.params import GainConfig, PhysicalParams, SinusoidalDelay
 
-from test_params import unit_params
+from test_params import constant_damping, constant_delay, unit_params
 
 
 def gains(a=(1.0, 1.0, 1.0), b=(0.0, 0.0, 0.0)):
@@ -33,12 +27,12 @@ def gains(a=(1.0, 1.0, 1.0), b=(0.0, 0.0, 0.0)):
 
 def test_validate_gains_beta_zero_reduces_to_alpha_positive():
     p = unit_params()
-    rows = validate_gains(p, gains(a=(1.0, 1.0, 1.0)), (ConstantDelay(0.1),) * 3)
+    rows = validate_gains(p, gains(a=(1.0, 1.0, 1.0)), (constant_delay(0.1),) * 3)
     assert all(row["pass"] for row in rows)
     for row in rows:
         assert row["rhs"] == 0.0
     # alpha = 0 with beta = 0 fails the strict inequality
-    rows = validate_gains(p, gains(a=(0.0, 1.0, 1.0)), (ConstantDelay(0.1),) * 3)
+    rows = validate_gains(p, gains(a=(0.0, 1.0, 1.0)), (constant_delay(0.1),) * 3)
     failing = [row["condition_id"] for row in rows if not row["pass"]]
     assert failing
     assert failing[0] == "gain_channel_1"
@@ -47,7 +41,7 @@ def test_validate_gains_beta_zero_reduces_to_alpha_positive():
 def test_validate_gains_threshold_values():
     # E1h1=1, d=0, beta1=0.1: threshold 0.05*(1+1)/1 = 0.1; equality fails
     p = unit_params()
-    d0 = (ConstantDelay(0.1),) * 3
+    d0 = (constant_delay(0.1),) * 3
     assert gain_threshold(1, 0.0, p, gains(b=(0.1, 0, 0))) == pytest.approx(0.1)
     rep = validate_gains(p, gains(a=(0.1, 1, 1), b=(0.1, 0, 0)), d0)
     assert not rep[0]["pass"]
@@ -148,8 +142,8 @@ def _recheck_rates(params, delays, damping, gains_, rates):
 
 def test_select_mus_unit_example_against_grid_oracle():
     p = unit_params()
-    delays = (ConstantDelay(1.0),) * 3  # M_i = 1, d_i = 0
-    damping = (ConstantDamping(1.0),) * 3
+    delays = (constant_delay(1.0),) * 3  # M_i = 1, d_i = 0
+    damping = (constant_damping(1.0),) * 3
     g = gains(a=(1.0, 1.0, 1.0))
     rates = select_mus(p, delays, damping, g)
     assert rates["mu4"] < 1.0 and rates["lambda"] > 0.0
@@ -185,7 +179,7 @@ def test_select_mus_random_configs_recheck():
             EI=rng.uniform(0.5, 2),
         )
         delays = (SinusoidalDelay(0.3, 0.1, rng.uniform(0.5, 4.0)),) * 3
-        damping = (ConstantDamping(rng.uniform(0.2, 2.0)),) * 3
+        damping = (constant_damping(rng.uniform(0.2, 2.0)),) * 3
         betas = rng.uniform(0.0, 0.3, 3)
         alphas = [
             gain_threshold(i, delays[i - 1].slope_bound, p, gains(b=betas)) + rng.uniform(0.3, 1.0)
@@ -198,21 +192,21 @@ def test_select_mus_random_configs_recheck():
 
 def test_select_mus_rejects_failing_gains():
     p = unit_params()
-    delays = (ConstantDelay(0.5),) * 3
+    delays = (constant_delay(0.5),) * 3
     with pytest.raises(InfeasibleRates):
-        select_mus(p, delays, (ConstantDamping(1.0),) * 3, gains(a=(0.0, 1.0, 1.0)))
+        select_mus(p, delays, (constant_damping(1.0),) * 3, gains(a=(0.0, 1.0, 1.0)))
     # a slope bound of 1 fails its gain row too
     unit_slope = (SinusoidalDelay(2.0, 1.0, 1.0),) * 3
     with pytest.raises(InfeasibleRates, match="gain_channel_1"):
-        select_mus(p, unit_slope, (ConstantDamping(1.0),) * 3, gains())
+        select_mus(p, unit_slope, (constant_damping(1.0),) * 3, gains())
 
 
 def test_lambda_monotone_in_damping_floor():
     p = unit_params()
-    delays = (ConstantDelay(0.5),) * 3
+    delays = (constant_delay(0.5),) * 3
     g = gains()
     lams = [
-        select_mus(p, delays, (ConstantDamping(a0),) * 3, g)["lambda"] for a0 in (1.0, 0.25, 0.0625)
+        select_mus(p, delays, (constant_damping(a0),) * 3, g)["lambda"] for a0 in (1.0, 0.25, 0.0625)
     ]
     assert lams[0] > lams[1] > lams[2] > 0.0
 
@@ -246,5 +240,5 @@ def test_decay_bound_examples_and_properties():
 
 def test_report_json_shape():
     p = unit_params()
-    rows = validate_gains(p, gains(), (ConstantDelay(0.2),) * 3)
+    rows = validate_gains(p, gains(), (constant_delay(0.2),) * 3)
     assert set(rows[0]) == {"condition_id", "lhs", "rhs", "margin", "pass"}

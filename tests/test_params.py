@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from sandwichbeam.params import (
-    ConstantDamping,
-    ConstantDelay,
-    ExponentialDamping,
-    GainConfig,
-    PhysicalParams,
-    SinusoidalDelay,
-)
+from sandwichbeam.params import ExponentialDamping, GainConfig, PhysicalParams, SinusoidalDelay
 
 
 def unit_params(**kw):
     base = dict(rho1h1=1.0, E1h1=1.0, rho3h3=1.0, E3h3=1.0, rhoh=1.0, EI=1.0, k=1.0, alpha=1.0, L=1.0)
     base.update(kw)
     return PhysicalParams(**base)
+
+
+def constant_delay(value):
+    """The delay law tau(t) = value: the zero-amplitude sinusoidal law."""
+    return SinusoidalDelay(value, 0.0, 0.0)
+
+
+def constant_damping(value):
+    """The weight a(t) = value: the zero-rate exponential law."""
+    return ExponentialDamping(value, value, 0.0)
 
 
 def test_positivity_enforced():
@@ -44,7 +47,7 @@ def test_layer_composition():
 
 
 def test_delay_laws():
-    c = ConstantDelay(0.4)
+    c = constant_delay(0.4)
     assert c.tau(3.0) == 0.4 and c.dtau(3.0) == 0.0
     assert (c.floor, c.cap, c.slope_bound) == (0.4, 0.4, 0.0)
 
@@ -59,11 +62,11 @@ def test_delay_laws():
     with pytest.raises(ValueError):
         SinusoidalDelay(base=0.2, amplitude=0.3, frequency=1.0)  # floor <= 0
     with pytest.raises(ValueError):
-        ConstantDelay(0.0)
+        constant_delay(0.0)
 
 
 def test_delay_spec_sampled_bounds():
-    laws = (SinusoidalDelay(0.5, 0.25, 2.0), ConstantDelay(0.3), ConstantDelay(0.2))
+    laws = (SinusoidalDelay(0.5, 0.25, 2.0), constant_delay(0.3), constant_delay(0.2))
     # the declared floor, cap and slope bound hold on a sample grid of [0, 10]
     ts = np.linspace(0.0, 10.0, 257)
     for law in laws:
@@ -73,18 +76,18 @@ def test_delay_spec_sampled_bounds():
     # the laws pass an array of times through
     times = np.linspace(0.0, 1.0, 7)
     assert laws[1].tau(times).shape == laws[0].dtau(times).shape == times.shape
-    assert ConstantDamping(1.0).a(times).shape == times.shape
+    assert constant_damping(1.0).a(times).shape == times.shape
 
 
 LAWS = {
-    "constant tau": (ConstantDelay(0.4).tau, lambda t: 0.4),
-    "constant dtau": (ConstantDelay(0.4).dtau, lambda t: 0.0),
+    "constant tau": (constant_delay(0.4).tau, lambda t: 0.4),
+    "constant dtau": (constant_delay(0.4).dtau, lambda t: 0.0),
     "sinusoidal tau": (SinusoidalDelay(0.1, 0.05, 10.0).tau, lambda t: 0.1 + 0.05 * math.sin(10.0 * t)),
     "sinusoidal dtau": (
         SinusoidalDelay(0.1, 0.05, 10.0).dtau,
         lambda t: 0.05 * 10.0 * math.cos(10.0 * t),
     ),
-    "constant a": (ConstantDamping(1.5).a, lambda t: 1.5),
+    "constant a": (constant_damping(1.5).a, lambda t: 1.5),
     "exponential a": (
         ExponentialDamping(0.5, 1.5, 2.0).a,
         lambda t: 0.5 + (1.5 - 0.5) * math.exp(-2.0 * t),
@@ -111,13 +114,13 @@ def test_time_laws_take_arrays(name):
 
 def test_damping_laws():
     with pytest.raises(ValueError):
-        ConstantDamping(0.0)
-    e = ExponentialDamping(floor_value=0.5, initial=1.5, rate=2.0)
+        constant_damping(0.0)
+    e = ExponentialDamping(floor=0.5, initial=1.5, rate=2.0)
     assert e.a(0.0) == pytest.approx(1.5)
     assert e.a(100.0) == pytest.approx(0.5)
     assert e.a(0.1) > e.a(0.2)  # non-increasing
     with pytest.raises(ValueError):
-        ExponentialDamping(floor_value=1.0, initial=0.5, rate=1.0)
+        ExponentialDamping(floor=1.0, initial=0.5, rate=1.0)
 
 
 def test_gain_config_helpers():
@@ -132,14 +135,14 @@ def test_gain_config_helpers():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda x: ConstantDelay(x),
+        constant_delay,
         lambda x: SinusoidalDelay(base=x, amplitude=0.05, frequency=10.0),
         lambda x: SinusoidalDelay(base=0.1, amplitude=x, frequency=10.0),
         lambda x: SinusoidalDelay(base=0.1, amplitude=0.05, frequency=x),
-        lambda x: ConstantDamping(x),
-        lambda x: ExponentialDamping(floor_value=x, initial=1.5, rate=2.0),
-        lambda x: ExponentialDamping(floor_value=0.5, initial=x, rate=2.0),
-        lambda x: ExponentialDamping(floor_value=0.5, initial=1.5, rate=x),
+        constant_damping,
+        lambda x: ExponentialDamping(floor=x, initial=1.5, rate=2.0),
+        lambda x: ExponentialDamping(floor=0.5, initial=x, rate=2.0),
+        lambda x: ExponentialDamping(floor=0.5, initial=1.5, rate=x),
         lambda x: GainConfig(1.0, 0.2, 1.0, -0.15, 1.0, x),
         lambda x: GainConfig(x, 0.0, 1.0, 0.0, 1.0, 0.0),
     ],

@@ -15,22 +15,11 @@ from sandwichbeam.discretize import (
     Grid1D,
     build_system,
 )
-from sandwichbeam.params import (
-    ConstantDamping,
-    ConstantDelay,
-    ExponentialDamping,
-    GainConfig,
-    SinusoidalDelay,
-)
-from sandwichbeam.presets import (
-    eigen_mode_state,
-    make_histories,
-    random_smooth_state,
-    zero_state,
-)
+from sandwichbeam.params import ExponentialDamping, GainConfig, SinusoidalDelay
+from sandwichbeam.presets import eigen_mode_state, make_histories, nodal_state, random_smooth_state
 from sandwichbeam.timestep import IntegrationError, SchemeConfig, SimOutput, simulate
 
-from test_params import unit_params
+from test_params import constant_damping, constant_delay, unit_params
 
 
 def stabilized(N=32, **kw):
@@ -57,6 +46,20 @@ def decay_scenario(N, delays=None):
     histories = make_histories(sys_, state, delays)
     kwargs = dict(gains=cfg.gains, delays=delays, damping=cfg.damping, histories=histories)
     return sys_, state, kwargs
+
+
+def init_history(initial_fn, tau0, n_samples=64):
+    """Sample the initial trace function on [-tau0, 0] at uniform points.
+
+    Slopes are recovered by second-order finite differences of the samples,
+    good enough since the initial segment is only ever read, never
+    extrapolated.
+    """
+    if not tau0 > 0.0:
+        raise ValueError(f"initial delay must be positive, got {tau0!r}")
+    ts = np.linspace(-tau0, 0.0, n_samples)
+    ys = np.array([float(initial_fn(t)) for t in ts])
+    return TraceHistory(ts, ys, np.gradient(ys, ts))
 
 
 def history_copies(histories):
@@ -86,10 +89,10 @@ def test_scheme_config_validation():
 def test_zero_state_stays_zero():
     p, sys_ = stabilized(16)
     cfg = SchemeConfig(dt=0.05, T=0.5)
-    out = simulate(zero_state(sys_), sys_, cfg)
+    out = simulate(nodal_state(sys_), sys_, cfg)
     assert np.all(out.energy == 0.0)
     p, sysc = controlled(16)
-    out = simulate(zero_state(sysc), sysc, cfg)
+    out = simulate(nodal_state(sysc), sysc, cfg)
     assert np.all(out.energy == 0.0)
 
 
@@ -131,7 +134,7 @@ def test_one_step_constant_control_matches_dense_oracle():
     p, sys_ = controlled(16)
     c = 0.8
     cfg = SchemeConfig(dt=0.01, T=0.01)
-    state = zero_state(sys_)
+    state = nodal_state(sys_)
     new = simulate(state, sys_, cfg, controls=lambda t: (c, 0.0, 0.0)).final_state()
     # dense one-step oracle for the same midpoint equations; the first
     # control drives u(L) with weight E1h1
@@ -151,7 +154,7 @@ def test_one_step_constant_control_matches_dense_oracle():
 
 def test_one_stabilized_step_pushes_history():
     p, sys_ = stabilized(16)
-    delays = (ConstantDelay(0.3),) * 3
+    delays = (constant_delay(0.3),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, 0.1, 1.0, 0.05)
     st = random_smooth_state(sys_, seed=5, prepared=True)
     hist = make_histories(sys_, st, delays)
@@ -159,7 +162,7 @@ def test_one_stabilized_step_pushes_history():
     cfg = SchemeConfig(dt=0.02, T=0.02)
     out = simulate(
         st, sys_, cfg,
-        gains=gains, delays=delays, damping=(ConstantDamping(1.0),) * 3, histories=hist,
+        gains=gains, delays=delays, damping=(constant_damping(1.0),) * 3, histories=hist,
     )
     new = out.final_state()
     assert out.times[-1] == pytest.approx(0.02)
@@ -174,7 +177,7 @@ def test_one_stabilized_step_matches_dense_oracle():
     # effective matrix diag(M) + dt/2 (feedback + damping) + dt^2/4 K, force
     # -sum c_i beta_i z_i t_i with z_i read from the constant-trace history
     p, sys_ = stabilized(16)
-    delays = (ConstantDelay(0.3),) * 3
+    delays = (constant_delay(0.3),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, -0.1, 1.0, 0.05)
     a = 0.7
     st = random_smooth_state(sys_, seed=5)
@@ -182,7 +185,7 @@ def test_one_stabilized_step_matches_dense_oracle():
     dt = 0.02
     out = simulate(
         st, sys_, SchemeConfig(dt=dt, T=dt),
-        gains=gains, delays=delays, damping=(ConstantDamping(a),) * 3, histories=hist,
+        gains=gains, delays=delays, damping=(constant_damping(a),) * 3, histories=hist,
     )
     cs = p.boundary_stiffness
     # trace functionals u_t(L), v_t(L), w_tx(L) = -w_t(x_{N-1})/dx
@@ -209,28 +212,28 @@ def test_simulate_rejects_arguments_the_variant_ignores():
     cfg = SchemeConfig(dt=0.01, T=0.1)
     _, sys_ = stabilized(16)
     with pytest.raises(ValueError, match="controls"):
-        simulate(zero_state(sys_), sys_, cfg, controls=lambda t: (1.0, 0.0, 0.0))
+        simulate(nodal_state(sys_), sys_, cfg, controls=lambda t: (1.0, 0.0, 0.0))
     _, sysc = controlled(16)
     st = random_smooth_state(sysc, seed=2)
-    delays = (ConstantDelay(0.3),) * 3
+    delays = (constant_delay(0.3),) * 3
     for name, value in (
         ("gains", GainConfig(1.0, 0.1, 1.0, 0.1, 1.0, 0.05)),
         ("delays", delays),
-        ("damping", (ConstantDamping(5.0),) * 3),
+        ("damping", (constant_damping(5.0),) * 3),
         ("histories", make_histories(sysc, st, delays)),
     ):
         with pytest.raises(ValueError, match=name):
             simulate(st, sysc, cfg, **{name: value})
     # a stabilized run takes exactly one law per channel
-    for name, value in (("delays", delays[:2]), ("damping", (ConstantDamping(5.0),) * 4)):
+    for name, value in (("delays", delays[:2]), ("damping", (constant_damping(5.0),) * 4)):
         with pytest.raises(ValueError, match="three laws"):
-            simulate(zero_state(sys_), sys_, cfg, **{name: value})
+            simulate(nodal_state(sys_), sys_, cfg, **{name: value})
 
 
 def test_delay_safety_enforced():
     p, sys_ = stabilized(16)
     # the floors differ and the smallest is not first: the rule binds the smallest
-    delays = (ConstantDelay(0.3), ConstantDelay(0.05), ConstantDelay(0.2))
+    delays = (constant_delay(0.3), constant_delay(0.05), constant_delay(0.2))
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
     st = random_smooth_state(sys_, seed=5, prepared=True)
     hist = make_histories(sys_, st, delays)
@@ -252,7 +255,7 @@ def test_unit_slope_delay_refused():
     p, sys_ = stabilized(16)
     delays = (SinusoidalDelay(2.0, 1.0, 1.0),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
-    st = zero_state(sys_)
+    st = nodal_state(sys_)
     hist = make_histories(sys_, st, delays)
     with pytest.raises(ValueError):
         simulate(st, sys_, SchemeConfig(dt=0.05, T=0.5), gains=gains, delays=delays, histories=hist)
@@ -261,9 +264,9 @@ def test_unit_slope_delay_refused():
 def test_delayed_history_must_end_by_the_start():
     # the window at t = 0 must read the history up to its newest sample
     p, sys_ = stabilized(16)
-    delays = (ConstantDelay(0.1),) * 3
+    delays = (constant_delay(0.1),) * 3
     gains = GainConfig(1.0, 0.1, 1.0, 0.0, 1.0, 0.0)
-    st = zero_state(sys_)
+    st = nodal_state(sys_)
     hist = make_histories(sys_, st, delays)
     h = hist[0]
     ends_late = TraceHistory(
@@ -276,7 +279,7 @@ def test_delayed_history_must_end_by_the_start():
 
 def test_nonfinite_state_detected():
     p, sys_ = controlled(16)
-    st = zero_state(sys_)
+    st = nodal_state(sys_)
     st.q[0] = np.inf
     with pytest.raises(IntegrationError):
         simulate(st, sys_, SchemeConfig(dt=0.01, T=0.1))
@@ -401,20 +404,20 @@ def test_factorization_reused_until_damping_weights_change(monkeypatch):
     p, sys_ = stabilized(16)
     st = random_smooth_state(sys_, seed=4, prepared=True)
     cfg = SchemeConfig(dt=0.02, T=0.4)
-    simulate(st, sys_, cfg, damping=(ConstantDamping(1.0),) * 3)
+    simulate(st, sys_, cfg, damping=(constant_damping(1.0),) * 3)
     assert len(calls) == 1
     calls.clear()
     damping = (ExponentialDamping(0.5, 1.5, 2.0),) * 3
     simulate(st, sys_, cfg, damping=damping)
     assert len(calls) == cfg.n_steps
 
-    class Returning(ConstantDamping):
+    class Returning(ExponentialDamping):
         # weights A, then B, then A again, all within one block of steps
         def a(self, t):
-            return np.where((t > 0.1) & (t < 0.2), 2.0 * self.value, self.value)
+            return np.where((t > 0.1) & (t < 0.2), 2.0 * self.floor, self.floor)
 
     calls.clear()
-    out = simulate(st, sys_, cfg, damping=(Returning(1.0),) * 3)
+    out = simulate(st, sys_, cfg, damping=(Returning(1.0, 1.0, 0.0),) * 3)
     assert cfg.n_steps <= timestep._block_steps(sys_.ndof)
     assert len(calls) == 3
     # every step ran under its own weights: the energy balance
@@ -577,7 +580,7 @@ def test_time_reversibility_of_conservative_run():
 def test_scalar_delayed_reduction_second_order_in_time():
     # u-field only (k ~ 0): delayed wave equation against a dt/16 reference
     p, sys_ = stabilized(24, k=1e-12)
-    delays = (ConstantDelay(0.5),) * 3
+    delays = (constant_delay(0.5),) * 3
     gains = GainConfig(1.0, 0.3, 0.0, 0.0, 0.0, 0.0)
     st = eigen_mode_state(sys_, 0, 1.0)
 
@@ -604,7 +607,7 @@ def test_monotone_decay_with_steep_delay_slope():
     delays = (SinusoidalDelay(0.5, 0.3, 3.0),) * 3
     assert delays[0].slope_bound == pytest.approx(0.9)
     gains = GainConfig(1.0, 0.1, 1.0, -0.08, 1.0, 0.05)
-    damping = (ConstantDamping(1.0),) * 3
+    damping = (constant_damping(1.0),) * 3
     from sandwichbeam.hypotheses import validate_gains
 
     assert all(row["pass"] for row in validate_gains(p, gains, delays))
@@ -752,19 +755,18 @@ def test_window_pass_refuses_a_delay_past_its_cap(monkeypatch):
 
     monkeypatch.setattr(timestep._Stepper, "advance", must_not_step)
 
-    class LateOvershoot(ConstantDelay):
+    class LateOvershoot(SinusoidalDelay):
         def tau(self, t):
-            return self.value + np.where(t > 1.995, 0.05, 0.0)
+            return self.base + np.where(t > 1.995, 0.05, 0.0)
 
-    sys_, state, kwargs = decay_scenario(16, (LateOvershoot(0.1),) * 3)
+    sys_, state, kwargs = decay_scenario(16, (LateOvershoot(0.1, 0.0, 0.0),) * 3)
     with pytest.raises(LookupBeforeHistory, match="exceeds its declared cap"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
     # a history that serves every lookup but not the window at t = 0, which
     # starts at -tau(0), before its earliest sample
-    sys_, state, kwargs = decay_scenario(16, (ConstantDelay(0.1),) * 3)
-    kwargs["histories"] = tuple(
-        TraceHistory(h.times[1:], h.values[1:], h.slopes[1:]) for h in kwargs["histories"]
-    )
+    sys_, state, kwargs = decay_scenario(16, (constant_delay(0.1),) * 3)
+    sampled = (init_history(lambda s, c=c: c, 0.1) for c in sys_.traces(state.p))
+    kwargs["histories"] = tuple(TraceHistory(h.times[1:], h.values[1:], h.slopes[1:]) for h in sampled)
     with pytest.raises(LookupBeforeHistory, match="channel 0: lookup at t=-0.1 before earliest"):
         simulate(state, sys_, SchemeConfig(dt=0.02, T=2.0), **kwargs)
 
