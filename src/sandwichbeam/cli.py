@@ -269,41 +269,25 @@ def cmd_hum(cfg, args):
     dt = cfg.hum["dt"] or T / (16 * cfg.n)
     run_cfg = _endpoint_scheme(dt, T)
     try:
-        sol = compute_null_control(state, sys_, run_cfg, tol=cfg.hum["cg_tol"])
+        payload = dict(vars(compute_null_control(state, sys_, run_cfg, tol=cfg.hum["cg_tol"])), T=T)
     except IntegrationError as exc:
         _say(args, f"control synthesis failed: {exc}")
         return EXIT_SOLVER
+    controls = payload.pop("controls")
     csv_path = _write_csv(
         os.path.join(cfg.outdir, "controls.csv"),
         ["t", "f1", "f2", "f3"],
-        [run_cfg.times, sol.controls[:, 0], sol.controls[:, 1], sol.controls[:, 2]],
+        [run_cfg.times, controls[:, 0], controls[:, 1], controls[:, 2]],
     )
-    # the final relative residual squared is the share of the initial
-    # (completed) energy left in the dropped eigen-directions
-    final_residual = sol.residuals[-1] / sol.residuals[0] if sol.residuals[0] > 0.0 else 0.0
-    payload = {
-        "rank": sol.iterations,
-        # the retained rank under its earlier name, which readers still use
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "final_residual": final_residual,
-        "residuals": [float(v) for v in sol.residuals],
-        "terminal_rel_norm": sol.terminal_rel_norm,
-        "control_cost": sol.control_cost,
-        "rayleigh": {"min": sol.min_rayleigh, "max": sol.max_rayleigh},
-        "T": T,
-        # the step taken, which differs from the requested dt when it does
-        # not divide T
-        "dt": sol.dt,
-    }
     man_path = _write_json(os.path.join(cfg.outdir, "hum.json"), _manifest(cfg, payload))
+    rel = payload["terminal_rel_norm"]
     _say(
         args,
-        f"wrote {csv_path} and {man_path}; terminal_rel={sol.terminal_rel_norm:.3e} "
-        f"with rank {sol.iterations} of {2 * sys_.ndof}, converged={sol.converged}, "
-        f"final residual {final_residual:.3e}",
+        f"wrote {csv_path} and {man_path}; terminal_rel={rel:.3e} "
+        f"with rank {payload['rank']} of {2 * sys_.ndof}, converged={payload['converged']}, "
+        f"final residual {payload['final_residual']:.3e}",
     )
-    return EXIT_OK if sol.terminal_rel_norm <= cfg.hum["terminal_tol"] else EXIT_SOLVER
+    return EXIT_OK if rel <= cfg.hum["terminal_tol"] else EXIT_SOLVER
 
 
 def cmd_observability(cfg, args):

@@ -419,7 +419,7 @@ def test_standard_form_solves_the_dual_pencil(N):
     # the solve reports the largest eigenvalue of the same pencil (measured
     # within 4.7e-16 relative)
     sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), sys_, cfg)
-    assert abs(sol.max_rayleigh - reference[-1]) <= 1e-12 * scale
+    assert abs(sol.rayleigh["max"] - reference[-1]) <= 1e-12 * scale
 
 
 def test_null_control_zero_data():
@@ -438,7 +438,7 @@ def test_null_control_single_mode():
     sol = compute_null_control(U0, sys_, cfg, tol=1e-8)
     assert sol.terminal_rel_norm <= 1e-3
     assert np.all(np.diff(sol.residuals) <= 1e-12 * sol.residuals[0])
-    assert sol.min_rayleigh > 0.0 and np.isfinite(sol.max_rayleigh)
+    assert sol.rayleigh["min"] > 0.0 and np.isfinite(sol.rayleigh["max"])
 
 
 @pytest.mark.parametrize("field, bound, converges", [("u", 1e-7, True), ("w", 1e-3, False)])
