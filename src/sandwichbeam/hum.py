@@ -81,7 +81,9 @@ class _ModalPropagator:
     In modal coordinates (a, b) = (phi'M q, phi'M p) one step turns every
     mode by the exact angle theta = 2*arctan(omega*dt/2) in the plane of
     (omega*a, b), and moves the rigid mode (omega = 0) by a + dt*b.  Modal
-    data x are the stacked (a, b).
+    data x are the stacked (a, b).  The rigid mode is the controlled
+    variant's lowest: eigh returns its omega^2 as roundoff of either sign
+    (growing like N^4), and its omega is set to exactly 0.
 
     With C(m) = cos(m theta) and S(m) = sin(m theta)/omega (m*dt on the
     rigid mode), the addition formulas C(x + r) = C(x)C(r) - omega^2 S(x)S(r)
@@ -95,6 +97,8 @@ class _ModalPropagator:
         self.dt = cfg.step
         omega_sq, phi = sys_.modes
         self.omega = np.sqrt(np.maximum(omega_sq, 0.0))
+        if sys_.variant == VARIANT_CONTROLLED:
+            self.omega[0] = 0.0
         self.theta = 2.0 * np.arctan(0.5 * self.dt * self.omega)
         # theta / omega, which tends to dt on the rigid mode
         self._theta_per_omega = np.divide(

@@ -548,3 +548,22 @@ def test_observability_single_field_matches_continuum():
     _, obs, _ = solve_adjoint(state, sys_, cfg)
     assert observation_product(obs, obs, sys_, cfg.step) == pytest.approx(oracle, rel=0.10)
 
+
+
+@pytest.mark.parametrize("N", [16, 32, 256])
+def test_rigid_mode_shifts_by_its_velocity(N):
+    # the rigid transverse shift of the controlled variant moves from modal
+    # data (a, b) to (a + T*b, b), whatever roundoff eigh leaves in its
+    # omega^2 (3.1e-11, 2.1e-10 and 1.65e-7 at N = 16, 32 and 256 on these
+    # physics, where the rotation by that omega missed by up to 5.3e-6)
+    p, sys_ = controlled_system(N=N)
+    T = 8.0
+    steps = 16 * N
+    cfg = SchemeConfig(dt=T / steps, T=T, stride=steps)
+    prop = _ModalPropagator(sys_, cfg)
+    n = sys_.ndof
+    x = np.zeros(2 * n)
+    x[0], x[n] = 0.3, -0.7
+    expected = np.zeros(2 * n)
+    expected[0], expected[n] = 0.3 - 0.7 * T, -0.7
+    assert np.max(np.abs(prop.free_state(x) - expected)) <= 1e-14 * T
