@@ -9,11 +9,13 @@ Two boundary-condition variants share one assembly:
   u(L), v(L), w(L) are dynamic degrees of freedom with their own inertia
   (E1h1, E3h3, alpha*k) driven by the three controls.
 
-The stiffness matrix is assembled from quadratic-form panels (first
-differences on cells, second differences on nodes, shear on cell midpoints)
-so q'Kq is the trapezoid-consistent elastic energy and K is symmetric by
-construction.  Ghost-node elimination of the natural conditions is exactly
-the variational scheme these panels generate.
+The elastic form is one table of quadratic-form panels (first
+differences on cells, second differences on nodes, shear on cell
+midpoints): q'Kq is the weighted sum of their squared strains, the
+trapezoid-consistent elastic energy.  K is assembled from the table, so it
+is symmetric by construction, and the field energy is read from it as
+strains, without K.  Ghost-node elimination of the natural conditions is
+exactly the variational scheme these panels generate.
 
 The unknowns are numbered node by node, (u_j, v_j, w_j) for j = 0..N with
 the nodes fixed by essential conditions skipped, and state vectors use that
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -97,11 +100,18 @@ class SemiDiscreteSystem:
     the interior damping, the velocity norms of the ledger and the
     Lyapunov cross term, and M is built from it: the mass coefficients
     times W, plus the boundary inertia of the controlled variant.  M is
-    stored as its diagonal.  The stiffness is ``band``, the (KD + 1, n)
-    lower band of K in LAPACK storage, in Fortran order:
-    ``band[d, i] = K[i + d, i]``.  ``K``
-    is the dense view, built from the band on first use for ``modes``,
-    the only reader; time stepping never builds it.
+    stored as its diagonal.
+
+    ``panels`` is the elastic form: a tuple of panel families
+    (stencil, weight, range of panels), each stencil a tuple of
+    (node offset, field, coefficient) entries.  Panel p of a family has
+    the strain sum(coefficient * x[node p + offset, field]) on the node
+    values, and q'Kq is the sum of weight * strain^2 over every panel.
+    The stiffness is ``band``, the (KD + 1, n) lower band of K assembled
+    from it in LAPACK storage, in Fortran order:
+    ``band[d, i] = K[i + d, i]``.  ``K`` is the dense view, built from the
+    band on first use for ``modes``, the only reader; time stepping never
+    builds it.
 
     The three boundary channels at x = L (feedback traces of the stabilized
     variant, controls and observations of the controlled one) are the map
@@ -115,6 +125,7 @@ class SemiDiscreteSystem:
     nodal: np.ndarray
     M: np.ndarray
     band: np.ndarray
+    panels: tuple
     field_weights: np.ndarray
     channel_index: np.ndarray
     channel_coeff: np.ndarray
@@ -153,26 +164,24 @@ class SemiDiscreteSystem:
         states (one per row) as an array; the controlled variant's boundary
         kinetic terms are part of M.
 
-        q'Kq is the symmetric band sum over the lower band, grouped by row:
-        the sum over i of q_i * (band[0, i] q_i + 2 sum_d band[d, i] q_{i+d}),
-        one array product per diagonal over the whole stack.  Each
-        diagonal is doubled into one scratch row and its products go into
-        one contiguous scratch array, so no copy of the band is made.  The
-        terms of one row cancel before the rows are added, which keeps the
-        digits a sum over whole diagonals would lose to the large diagonal
-        terms.
+        q'Kq is the weighted sum of the squared strains of ``panels``, each
+        strain read on strided views of the node values: its terms are
+        squares, so nothing cancels between panels.  The unknowns are one
+        contiguous run of the node-major order, so one slice copy puts them
+        among the zeros of the fixed nodes.
         """
-        band = self.band
-        n = band.shape[1]
-        kinetic = np.dot(p * p, self.M)
-        y = band[0] * q
-        twice = np.empty(n - 1)
-        products = np.empty(y[..., 1:].size)
-        for d in range(1, KD + 1):
-            qd = q[..., d:]
-            np.multiply(band[d, : n - d], 2.0, out=twice[: n - d])
-            y[..., : n - d] += np.multiply(twice[: n - d], qd, out=products[: qd.size].reshape(qd.shape))
-        energy = 0.5 * (kinetic + np.vecdot(q, y))
+        lead = np.shape(q)[:-1]
+        nodes = np.zeros(lead + self.nodal.shape)
+        first = int(np.argmax(self.nodal >= 0))
+        nodes.reshape(lead + (-1,))[..., first : first + self.ndof] = q
+        elastic = 0.0
+        for stencil, weight, span in self.panels:
+            (offset, f, c), *rest = stencil
+            strain = c * nodes[..., span.start + offset : span.stop + offset, f]
+            for offset, f, c in rest:
+                strain += c * nodes[..., span.start + offset : span.stop + offset, f]
+            elastic += weight * np.vecdot(strain, strain)
+        energy = 0.5 * (np.dot(p * p, self.M) + elastic)
         return float(energy) if np.ndim(energy) == 0 else energy
 
     def traces(self, x):
@@ -182,42 +191,36 @@ class SemiDiscreteSystem:
         return self.channel_coeff * x[..., self.channel_index]
 
 
-def _band_from_panels(n, passes):
-    """Lower band storage of the sum over panels of weight * outer(coeffs, coeffs).
+def _band_from_panels(nodal, panels):
+    """Lower band storage of K, the sum over the panels of
+    weight * outer(coeffs, coeffs) on their unknowns.
 
-    Each pass is (slots, coeffs, weight, pairs): a (P, m) array of unknown
-    indices (-1 for a fixed node) whose live indices increase along every
-    row, m coefficients, one weight, and the pairs (a, b), a >= b, of
-    columns whose products it adds.  A pair is one vectorized add of
-    weight * coeffs[a] * coeffs[b] into the lower entries
-    ``band[row - col, col]`` of its P panels, which are distinct, so every
-    entry sums its contributions in the order of the adds.  The caller
-    orders the passes so that this is panel order, which fixes the
-    rounding of each entry whatever the storage layout.  The band is
-    written in place: apart from it, no array is longer than P.
+    Families over the same range of panels (the cell families) form one
+    group, and the groups go in table order.  A pass adds one coefficient
+    pair (a, b), a >= b in stencil order, of one family into the lower
+    entries ``band[row - col, col]`` of all its panels with one vectorized
+    add; the entries of one add are distinct, so every entry sums its
+    contributions in the order of the passes.  Within a group the passes
+    go by falling node offset of b, then by family, so every entry sums
+    panel by panel from x=0 and the families of one panel in table order.
+    That fixes the rounding of each entry whatever the storage layout.  The
+    band is written in place: apart from it, no array is longer than a
+    family's panel count.
     """
-    band = np.zeros((KD + 1, n), order="F")
-    for slots, coeffs, weight, pairs in passes:
-        for a, b in pairs:
-            row, col = slots[:, a], slots[:, b]
-            keep = (row >= col) & (col >= 0)
-            col = col[keep]
-            band[row[keep] - col, col] += weight * coeffs[a] * coeffs[b]
+    band = np.zeros((KD + 1, int(nodal.max()) + 1), order="F")
+    for _, group in groupby(panels, key=lambda family: family[2]):
+        group = list(group)
+        # (-node offset of b, family, b)
+        order = [(-entry[0], i, b) for i, family in enumerate(group) for b, entry in enumerate(family[0])]
+        for _, i, b in sorted(order):
+            stencil, weight, span = group[i]
+            off, f, c_b = stencil[b]
+            col = nodal[span.start + off : span.stop + off, f]
+            for off, f, c_a in stencil[b:]:
+                row = nodal[span.start + off : span.stop + off, f]
+                keep = (row >= col) & (col >= 0)
+                band[row[keep] - col[keep], col[keep]] += weight * c_a * c_b
     return band
-
-
-def _cell_passes(families):
-    """The passes of the cell panels, whose first half of columns is the
-    left node and second half the right node.  Node j receives cell j-1's
-    pairs within its right node before cell j's within its left node, so
-    the right-node pairs of every family come first; within each half the
-    families keep their order, and a cross pair has one cell only."""
-    right, left = [], []
-    for slots, coeffs, weight in families:
-        m = len(coeffs)
-        right.append((slots, coeffs, weight, [(a, b) for b in range(m // 2, m) for a in range(b, m)]))
-        left.append((slots, coeffs, weight, [(a, b) for b in range(m // 2) for a in range(b, m)]))
-    return right + left
 
 
 def build_system(grid, params, variant):
@@ -229,44 +232,26 @@ def build_system(grid, params, variant):
 
     inv = 1.0 / dx
     inv2 = 1.0 / (dx * dx)
-    # summation order of every entry: cells left to right (stretch u,
-    # stretch v, shear), then the curvature panels from x=0
-    band = _band_from_panels(
-        n,
-        _cell_passes(
-            [
-                (np.column_stack((iu[:-1], iu[1:])), (-inv, inv), params.E1h1 * dx),
-                (np.column_stack((iv[:-1], iv[1:])), (-inv, inv), params.E3h3 * dx),
-                (
-                    np.column_stack((iu[:-1], iv[:-1], iw[:-1], iu[1:], iv[1:], iw[1:])),
-                    (-0.5, 0.5, -params.alpha * inv, -0.5, 0.5, params.alpha * inv),
-                    params.k * dx,
-                ),
-            ]
-        )
-        + [
-            # curvature panel at x=0 folds the ghost reflection of w_x(0)=0
-            (
-                np.column_stack((iw[:1], iw[1:2])),
-                (-2.0 * inv2, 2.0 * inv2),
-                params.EI * dx / 2.0,
-                [(0, 0), (1, 0), (1, 1)],
-            ),
-            # the panels at nodes j = 1..N-1 (columns: nodes j-1, j, j+1,
-            # roles L, C, R): w_k w_k sums panel k-1's RR, panel k's CC,
-            # then panel k+1's LL, and w_{k+1} w_k panel k's RC before
-            # panel k+1's CL, so the pairs go RR, RC, CC, CL, LL, then RL,
-            # which one panel alone reaches
-            (
-                np.column_stack((iw[:-2], iw[1:-1], iw[2:])),
-                (inv2, -2.0 * inv2, inv2),
-                params.EI * dx,
-                [(2, 2), (2, 1), (1, 1), (1, 0), (0, 0), (2, 0)],
-            ),
-            # no curvature panel at x=L: the natural condition on w_xx(L)
-            # lives in the boundary flux (feedback injection or zero), not in
-            # the elastic form
-        ],
+    u, v, w = range(3)
+    a = params.alpha * inv
+    # the elastic form: panel p of a family adds weight * strain^2 to q'Kq,
+    # with strain = sum of coeff * x[node p + offset, field] over its stencil
+    panels = (
+        # stretching of u and of v on the cells
+        (((0, u, -inv), (1, u, inv)), params.E1h1 * dx, range(N)),
+        (((0, v, -inv), (1, v, inv)), params.E3h3 * dx, range(N)),
+        # shear -u + v + alpha*w_x on the cells, u and v averaged
+        (
+            ((0, u, -0.5), (0, v, 0.5), (0, w, -a), (1, u, -0.5), (1, v, 0.5), (1, w, a)),
+            params.k * dx,
+            range(N),
+        ),
+        # curvature at x=0 folds the ghost reflection of w_x(0)=0
+        (((0, w, -2.0 * inv2), (1, w, 2.0 * inv2)), params.EI * dx / 2.0, range(1)),
+        # curvature at the nodes j = 1..N-1, panel j - 1.  None at x=L: the
+        # natural condition on w_xx(L) lives in the boundary flux (feedback
+        # injection or zero), not in the elastic form
+        (((0, w, inv2), (1, w, -2.0 * inv2), (2, w, inv2)), params.EI * dx, range(N - 1)),
     )
 
     # the weight table W: trapezoid L2 weights of each field on its unknowns;
@@ -299,7 +284,8 @@ def build_system(grid, params, variant):
         variant=variant,
         nodal=nodal,
         M=M,
-        band=band,
+        band=_band_from_panels(nodal, panels),
+        panels=panels,
         field_weights=W,
         channel_index=channel_index,
         channel_coeff=channel_coeff,

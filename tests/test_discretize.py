@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sandwichbeam.discretize import (
     build_system,
     hspace_norm,
 )
-from sandwichbeam.presets import eigen_mode_state, nodal_state
+from sandwichbeam.presets import eigen_mode_state, nodal_state, random_smooth_state
 
 from test_delayline import window_integrals
 from test_params import unit_params
@@ -396,3 +397,32 @@ def test_band_stiffness_properties(N, variant, E1h1, E3h3, EI, k, alpha, L, seed
     assert abs(q @ dense - energy) <= 1e-12 * energy
     assert abs(2.0 * sys_.field_energy(q, np.zeros_like(q)) - energy) <= 1e-12 * energy
 
+
+def exact_band_form(band, q):
+    """q'Kq of the stored band in exact rational arithmetic: every double
+    is an integer multiple of 2**-1074."""
+
+    def scaled(x):
+        return [num * ((1 << 1074) // den) for num, den in map(float.as_integer_ratio, x.tolist())]
+
+    Q = scaled(q)
+    n = len(Q)
+    total = sum(b * x * x for b, x in zip(scaled(band[0]), Q))
+    for d in range(1, KD + 1):
+        total += 2 * sum(b * x * y for b, x, y in zip(scaled(band[d, : n - d]), Q[: n - d], Q[d:]))
+    return Fraction(total, 1 << 3 * 1074)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_CONTROLLED, VARIANT_STABILIZED])
+@pytest.mark.parametrize("N", [256, 512, 1024])
+def test_field_energy_matches_the_exact_band_form(variant, N):
+    # with unit coefficients and N a power of 2 every band entry is exact,
+    # so the band's exact q'Kq is the elastic energy itself.  Summed through
+    # the band in double, q'Kq cancels like N^4: that sum was off by 5.6e-10
+    # to 5.0e-7 here, and a long-double band sum by up to 5e-10 at N = 1024.
+    # The strain sum was within 6.8e-15
+    sys_ = build_system(Grid1D(N=N, L=1.0), unit_params(), variant)
+    q = random_smooth_state(sys_, seed=1).q
+    exact = exact_band_form(sys_.band, q)
+    energy = 2.0 * sys_.field_energy(q, np.zeros_like(q))
+    assert abs(Fraction(energy) - exact) <= 1e-12 * exact
