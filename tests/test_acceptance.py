@@ -8,8 +8,6 @@ pinned here, including the time-step pairs for the ratio tests.
 import time
 
 import numpy as np
-import pytest
-from scipy.linalg import eigh
 
 from sandwichbeam.decay import (
     check_dissipation_identity,
@@ -18,14 +16,7 @@ from sandwichbeam.decay import (
     lyapunov_trace,
 )
 from sandwichbeam.delayline import delay_samples
-from sandwichbeam.discretize import (
-    VARIANT_CONTROLLED,
-    VARIANT_STABILIZED,
-    DiscreteState,
-    Grid1D,
-    build_system,
-    hspace_norm,
-)
+from sandwichbeam.discretize import VARIANT_CONTROLLED, VARIANT_STABILIZED, Grid1D, build_system
 from sandwichbeam.hum import compute_null_control, gramian, observability
 from sandwichbeam.hypotheses import (
     gain_threshold,

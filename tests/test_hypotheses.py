@@ -16,7 +16,7 @@ from sandwichbeam.hypotheses import (
     select_mus,
     validate_gains,
 )
-from sandwichbeam.params import GainConfig, PhysicalParams, SinusoidalDelay
+from sandwichbeam.params import GainConfig, SinusoidalDelay
 
 from test_params import constant_damping, constant_delay, unit_params
 

@@ -1,7 +1,8 @@
 """Package hygiene: every exported name exists, every name a module imports
-from a sibling is exported there, no module imports a name it never uses,
-no module defines a private function it never references, and the package
-references every public function and class it defines."""
+from a sibling is exported there, no module (test modules included) imports
+a name it never uses, no module defines a private function it never
+references, and the package references every public function and class it
+defines."""
 
 import ast
 import importlib
@@ -19,6 +20,8 @@ PYPROJECT = Path(sandwichbeam.__file__).parents[2] / "pyproject.toml"
 MODULES = [sandwichbeam.__name__] + [
     f"{sandwichbeam.__name__}.{info.name}" for info in pkgutil.iter_modules(sandwichbeam.__path__)
 ]
+TESTS = Path(__file__).parent
+TEST_FILES = sorted(path.name for path in TESTS.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,13 +56,18 @@ def imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", MODULES + TEST_FILES)
 def test_no_unused_imports(name):
-    # the package root re-exports nothing: callers import the submodules
-    module = importlib.import_module(name)
-    tree = ast.parse(inspect.getsource(module))
+    # the package root re-exports nothing: callers import the submodules;
+    # a test module, read as a file, exports nothing
+    if name in MODULES:
+        module = importlib.import_module(name)
+        source, exported = inspect.getsource(module), getattr(module, "__all__", [])
+    else:
+        source, exported = (TESTS / name).read_text(), []
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(getattr(module, "__all__", []))
+    used.update(exported)
     unused = [(alias, line) for alias, line in imported_names(tree) if alias not in used]
     assert not unused, unused
 
