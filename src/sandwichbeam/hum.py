@@ -243,8 +243,8 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
     ``iterations``; ``residuals[r]``, the residual norm with the first r of
     them, r = 0..rank; ``final_residual``, the last relative to the first;
     ``converged``; ``terminal_rel_norm``; ``control_cost``; ``rayleigh``,
-    the extreme kept eigenvalues, None when none is kept; and the step
-    ``dt``.
+    the extreme kept eigenvalues, None when none is kept; and ``dt``, the
+    step taken, which differs from a requested step that does not divide T.
     """
     R = _metric_factor(sys_)
     G = gramian(sys_, cfg)
