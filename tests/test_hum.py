@@ -549,7 +549,6 @@ def test_observability_single_field_matches_continuum():
     assert observation_product(obs, obs, sys_, cfg.step) == pytest.approx(oracle, rel=0.10)
 
 
-
 @pytest.mark.parametrize("N", [16, 32, 256])
 def test_rigid_mode_shifts_by_its_velocity(N):
     # the rigid transverse shift of the controlled variant moves from modal
