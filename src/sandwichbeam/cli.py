@@ -209,7 +209,6 @@ def cmd_decay_report(cfg, args):
     state = cfg.build_initial(sys_)
     if not sys_.field_energy(state.q, state.p) > 0.0:
         raise ConfigError("decay-report needs initial data of positive energy")
-    os.makedirs(cfg.outdir, exist_ok=True)
     try:
         rates = select_mus(cfg.params, cfg.delays, cfg.damping, cfg.gains)
     except InfeasibleRates as exc:
@@ -222,7 +221,11 @@ def cmd_decay_report(cfg, args):
     except IntegrationError as exc:
         _say(args, f"integration failed: {exc}")
         return EXIT_SOLVER
-    report = check_theoretical_bound(out, rates, window=window, dissipation_residual=resid)
+    try:
+        report = check_theoretical_bound(out, rates, window=window, dissipation_residual=resid)
+    except ValueError as exc:
+        # the energy in the window fell below the fit's roundoff floor
+        raise ConfigError(f"the [fit] window {window}: {exc}") from exc
     lyap = lyapunov_trace(out, sys_, rates, cfg.gains)
     e_samples = out.energy[out.samples]
     cushion = 1e-9 * np.maximum(e_samples, 1e-300)
@@ -234,6 +237,7 @@ def cmd_decay_report(cfg, args):
     t_samples = out.times[out.samples]
     bound = decay_bound(t_samples, out.energy[0], rates)
     resid_at_samples = np.concatenate([[0.0], resid])[out.samples]
+    os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = _write_csv(
         os.path.join(cfg.outdir, "decay_series.csv"),
         ["t", "E", "L", "bound", "residual"],

@@ -73,7 +73,7 @@ def fit_decay_rate(times, energies, window):
     keep = e >= _FLOOR_RATIO * energies[0]
     t, e = t[keep], e[keep]
     if len(t) < 2:
-        raise ValueError("fewer than two usable samples in the fit window")
+        raise ValueError(f"fewer than two samples lie above the fit's floor {_FLOOR_RATIO:g}*E(0)")
     # the centred line; ln E taken relative to its first sample makes a
     # constant series centre to exact zeros
     y = np.log(e)

@@ -40,22 +40,17 @@ stepped through the Newmark loop.
 The displacement part of the state product, diag(omega^2) in modes, is
 blind to the rigid mode, a constant transverse shift (the controlled
 variant has no essential condition on w itself).  The metrics complete it
-to A = diag(omega^2) + gamma*c*c', with c = phi'm the modal coordinates of
-the transverse mean m.  The right side D b, and so the controls of a
-full-rank solve, do not depend on the completion.
+by gamma*(L*w_c)^2, with w_c the M-weighted mean of w: its centre of mass,
+the boundary mass included.  That direction is the rigid mode itself, so
+the completed displacement block is diag(r^2), with r = omega on the
+elastic modes and r_0^2 = gamma*(sum W_w)^2 / sum M_w, taken from the
+masses rather than from eigh's phi_0.  The right side D b, and so the
+controls of a full-rank solve, do not depend on the completion.
 
-Both eigenproblems are solved in standard form, from one Cholesky factor
-A = R R' of the displacement block.  ``compute_null_control`` needs the
-eigenbasis of the pencil (G, D) with the dual metric D = blockdiag(I, A^-1):
-D = S^-T S^-1 for S = blockdiag(I, R), so G x = lam D x is the standard
-problem (S'GS) y = lam y with x = S y.  S'GS is formed in place on the
-right and bottom blocks of G, and neither D nor A^-1 is ever formed; the
-D-products of the eigenvectors with the right side are y'S'(D b).
-``observability`` needs the spectrum of (G, blockdiag(A, I)), which is
-that of H = T^-1 G T^-T for T = blockdiag(R, I).  R^-1 is lower
-triangular and the leading block of R is the Cholesky factor of the
-leading block of A, so the class constant is the spectrum of the
-principal submatrix of H on the class indices.
+Both eigenproblems are standard problems of G with its displacement rows
+and columns scaled by r (``compute_null_control``) or by 1/r
+(``observability``), so the class constant is the spectrum of a principal
+submatrix.
 """
 
 from __future__ import annotations
@@ -148,21 +143,20 @@ class _ModalPropagator:
 
 
 def _metric_factor(sys_):
-    """The lower Cholesky factor R of the displacement block A = R R' of the
-    completed state product on modal data, A = diag(omega^2) + gamma*c*c'
-    with c = phi'm the modal coordinates of the transverse mean m; the
+    """The per-mode scales r of the completed state product on modal data:
+    its displacement block is diag(r^2) (see the module docstring) and its
     velocity block is I."""
     if sys_.variant != VARIANT_CONTROLLED:
         raise ValueError("HUM needs a controlled_conservative system")
     p = sys_.params
-    omega_sq, phi = sys_.modes
+    r = np.sqrt(np.maximum(sys_.modes[0], 0.0))
+    # no essential condition fixes w in the controlled variant
     iw = sys_.nodal[:, 2]
-    iw = iw[iw >= 0]
-    c = sys_.field_weights[2, iw] @ phi[iw]
-    # energy-scaled completion of the transverse-mean direction; backed
-    # by the bending stiffness so it survives shear-free reductions
+    # energy-scaled completion of the centre of mass; backed by the bending
+    # stiffness so it survives shear-free reductions
     gamma = (p.k + p.EI / p.L ** 4) / p.L
-    return np.linalg.cholesky(np.diag(omega_sq) + gamma * np.outer(c, c))
+    r[0] = math.sqrt(gamma * sys_.field_weights[2, iw].sum() ** 2 / sys_.M[iw].sum())
+    return r
 
 
 def gramian(sys_, cfg):
@@ -220,10 +214,10 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
     """Solve G x = D b in the eigenbasis of (G, D), computed in standard
     form (see the module docstring), and verify the controls.
 
-    On modal data the dual metric D = blockdiag(I, A^-1) is the pullback
-    of the state metric blockdiag(A, I) through the duality pairing, and
-    b represents the free evolution: D b = (-b_T, a_T) for the free modal
-    state (a_T, b_T) at T.  So the D-norm of the residual is the energy
+    On modal data the dual metric D = blockdiag(I, diag(r)^-2) is the
+    pullback of the state metric blockdiag(diag(r^2), I) through the
+    duality pairing, and b represents the free evolution: D b = (-b_T, a_T)
+    for the free modal state (a_T, b_T) at T.  So the D-norm of the residual is the energy
     norm of the terminal state the controls leave.  Eigen-directions are
     kept in order of falling eigenvalue up to the first rank whose
     residual is at most tol*||b||_D (the discrepancy principle); directions
@@ -240,27 +234,27 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
     entries of the ``hum.json`` block, all as attributes (the benchmark's
     tracer reads ``iterations`` and ``terminal_rel_norm`` so): ``rank``,
     the number of eigen-directions kept, also under its earlier name
-    ``iterations``; ``residuals[r]``, the residual norm with the first r of
-    them, r = 0..rank; ``final_residual``, the last relative to the first;
+    ``iterations``; ``residuals[k]``, the residual norm with the first k of
+    them, k = 0..rank; ``final_residual``, the last relative to the first;
     ``converged``; ``terminal_rel_norm``; ``control_cost``; ``rayleigh``,
     the extreme kept eigenvalues, None when none is kept; and ``dt``, the
     step taken, which differs from a requested step that does not divide T.
     """
-    R = _metric_factor(sys_)
+    r = _metric_factor(sys_)
     G = gramian(sys_, cfg)
-    n = len(R)
-    # the standard form S'GS, S = blockdiag(I, R), in place
-    G[:, n:] = G[:, n:] @ R
-    G[n:, :] = R.T @ G[n:, :]
+    n = len(r)
+    # the standard form S'GS, S = blockdiag(I, diag(r)), in place
+    G[:, n:] *= r
+    G[n:, :] *= r[:, None]
     prop = _ModalPropagator(sys_, cfg)
     x0 = np.concatenate([prop.to_modal @ initial.q, prop.to_modal @ initial.p])
     a_T, b_T = np.split(prop.free_state(x0), 2)
     # the eigenvectors of (G, D) are S y, so their products with D b are
-    # y'S'(D b), and S'(D b) = (-b_T, R'a_T)
+    # y'S'(D b), and S'(D b) = (-b_T, r*a_T)
     lam, vecs = np.linalg.eigh(G)
     lam, vecs = lam[::-1], vecs[:, ::-1]
-    beta = vecs.T @ np.concatenate([-b_T, R.T @ a_T])
-    # residual norm with the first r directions kept, r = 0..2n
+    beta = vecs.T @ np.concatenate([-b_T, r * a_T])
+    # residual norm with the first k directions kept, k = 0..2n
     tail = np.sqrt(np.cumsum(beta[::-1] ** 2)[::-1])
     resolved = int(np.count_nonzero(lam > 2 * len(beta) * np.finfo(float).eps * lam[0]))
     residuals = np.append(tail, 0.0)[: resolved + 1]
@@ -268,7 +262,7 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
     converged = met.size > 0
     rank = int(met[0]) if converged else resolved
     y_a, y_b = np.split(vecs[:, :rank] @ (beta[:rank] / lam[:rank]), 2)
-    x = np.concatenate([y_a, R @ y_b])
+    x = np.concatenate([y_a, r * y_b])
 
     controls = prop.adjoint_traces(x)
     verification = simulate(initial, sys_, cfg, controls=controls)
@@ -300,21 +294,22 @@ def compute_null_control(initial, sys_, cfg, tol=1e-8):
 def observability(sys_, cfg, cutoff=8):
     """Exact observability quotients x'Gx / x'(metric)x for the steps of ``cfg``.
 
-    On modal data the completed state metric is blockdiag(A, I), and both
-    spectra are computed in standard form (see the module docstring).  Returns
-    (minimum on the span of the lowest ``cutoff`` modes of (K, M), in
-    displacement and in velocity, which are the first ``cutoff`` indices
-    of each block; minimum over all data; maximum over all data).  The
+    On modal data the completed state metric is blockdiag(diag(r^2), I),
+    and both spectra are computed in standard form (see the module
+    docstring).  Returns (minimum on the span of the lowest ``cutoff``
+    modes of (K, M), in displacement and in velocity, which are the first
+    ``cutoff`` indices of each block; minimum over all data; maximum over
+    all data).  The
     unfiltered minimum sits at roundoff: the discrete system is not
     uniformly observable, its constant on a fixed class of low modes is,
     and that constant is stable under grid refinement.
     """
-    R = _metric_factor(sys_)
+    r = _metric_factor(sys_)
     G = gramian(sys_, cfg)
-    n = len(R)
-    # H = T^-1 G T^-T, T = blockdiag(R, I), in place
-    G[:n] = np.linalg.solve(R, G[:n])
-    G[:, :n] = np.linalg.solve(R, G[:, :n].T).T
+    n = len(r)
+    # H = T^-1 G T^-1, T = blockdiag(diag(r), I), in place
+    G[:n] /= r[:, None]
+    G[:, :n] /= r
     full = np.linalg.eigvalsh(G)
     low = np.ix_(*2 * [np.r_[:cutoff, n : n + cutoff]])
     restricted = np.linalg.eigvalsh(G[low])

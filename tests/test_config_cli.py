@@ -164,8 +164,10 @@ def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
     # step the beam or solve its dense eigenproblems loads any scipy module,
     # numpy.f2py, numpy.polynomial, numpy.ma (which np.unique imports, 12 ms
     # and about 1 MB) or a second OpenBLAS; simulate and hum
-    # hash their document without loading OpenSSL (through hashlib); and
-    # decay-report runs with numpy.linalg's dense solvers made to raise
+    # hash their document without loading OpenSSL (through hashlib); hum and
+    # observability run with numpy.linalg's cholesky and solve made to raise
+    # (their metric is diagonal); and decay-report runs with numpy.linalg's
+    # dense solvers made to raise
     def runs(*pairs):
         return [(command, os.path.join(ROOT, "configs", name)) for command, name in pairs]
 
@@ -176,11 +178,14 @@ def test_cli_import_leaves_sparse_and_io_unloaded(tmp_path):
         f"        assert sandwichbeam.cli.main([command, '--config', config, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
         "def refuse(*args, **kwargs):\n"
         "    raise AssertionError('numpy.linalg called')\n"
+        "def refuse_all(*names):\n"
+        "    for name in names:\n"
+        "        setattr(numpy.linalg, name, refuse)\n"
+        "refuse_all('solve', 'cholesky')\n"
         f"run({runs(('simulate', 'control.ini'), ('hum', 'control.ini'))!r})\n"
         "print('_hashlib' in sys.modules)\n"
         f"run({runs(('observability', 'control.ini'))!r})\n"
-        "for name in ('lstsq', 'eigh', 'solve', 'cholesky'):\n"
-        "    setattr(numpy.linalg, name, refuse)\n"
+        "refuse_all('lstsq', 'eigh')\n"
         f"run({runs(('decay-report', 'decay.ini'))!r})\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.polynomial', 'numpy.ma')))\n"
         "with open('/proc/self/maps') as fh:\n"
@@ -326,6 +331,26 @@ def test_decay_report_cli(tmp_path):
     # for value
     cfg = load_config(path)
     assert report["rates"] == select_mus(cfg.params, cfg.delays, cfg.damping, cfg.gains)
+
+
+def test_decay_report_refuses_a_window_below_the_fit_floor(tmp_path, capsys):
+    # decay.ini on a coarse grid and a long horizon: the energy reaches the
+    # fit's roundoff floor 1e-14*E(0) before the window [0.9 T, T] opens,
+    # which is a configuration error with a one-line message, not a
+    # traceback, and leaves no output directory
+    with open(os.path.join(ROOT, "configs", "decay.ini")) as fh:
+        doc = fh.read()
+    edits = (("n = 64", "n = 8"), ("dt = 0.02\nt = 10.0\nstride = 10", "dt = 0.05\nt = 800\nstride = 100"))
+    for old, new in edits:
+        assert doc.count(old) == 1
+        doc = doc.replace(old, new)
+    path = tmp_path / "floor.ini"
+    path.write_text(doc + "\n[fit]\nwindow_start = 0.9\nwindow_end = 1.0\n")
+    assert main(["decay-report", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "[fit] window (720.0, 800.0)" in err and "1e-14*E(0)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_on_a_delayed_document_skips_the_window_pass(tmp_path, monkeypatch):

@@ -343,45 +343,68 @@ def test_rhs_duality_identity():
     assert np.all(rhs(nodal_state(sys_)) == 0.0)
 
 
-def completed_metric(sys_):
-    """A = diag(omega^2) + gamma*c*c', c = phi'm, built apart from hum."""
-    p = sys_.params
-    omega_sq, phi = sys_.modes
-    c = sys_.field_weights[2] @ phi
-    return np.diag(omega_sq) + (p.k + p.EI / p.L ** 4) / p.L * np.outer(c, c)
+def centre_of_mass_row(sys_):
+    """The row s with s'q = L*w_c, w_c the M-weighted mean of w (its centre
+    of mass, the boundary mass included), built apart from hum."""
+    iw = sys_.nodal[:, 2]
+    iw = iw[iw >= 0]
+    s = np.zeros(sys_.ndof)
+    s[iw] = sys_.field_weights[2].sum() * sys_.M[iw] / sys_.M[iw].sum()
+    return s
+
+
+def completion_gamma(p):
+    return (p.k + p.EI / p.L ** 4) / p.L
 
 
 @pytest.mark.parametrize("N", [16, 24, 32])
 def test_metric_factor_completes_the_elastic_energy(N):
-    # |R'a|^2 is q'Kq + gamma*(m'q)^2 for the displacement q = phi a: the
-    # elastic energy, completed on the rigid mode by the transverse mean.
+    # |r*a|^2 is q'Kq + gamma*(L*w_c)^2 for the displacement q = phi a: the
+    # elastic energy, completed on the rigid mode by the centre of mass.
     # A beam of length 2, so that every power of L in gamma counts.
-    # Measured at these N: within 1.9e-15 relative
+    # Measured at these N: within 2.1e-15 relative
     p, sys_ = controlled_system(N=N, L=2.0)
-    R = hum._metric_factor(sys_)
-    assert np.array_equal(R, np.tril(R)) and np.all(np.diag(R) > 0.0)
+    r = hum._metric_factor(sys_)
+    assert r.shape == (sys_.ndof,) and np.all(r > 0.0)
     a = np.random.default_rng(N).standard_normal((sys_.ndof, 5))
     q = sys_.modes[1] @ a
-    gamma = (p.k + p.EI / p.L ** 4) / p.L
-    energy = np.einsum("ij,ij->j", q, sys_.K @ q) + gamma * (sys_.field_weights[2] @ q) ** 2
-    assert np.max(np.abs(np.sum((R.T @ a) ** 2, axis=0) - energy) / energy) <= 1e-13
+    energy = np.einsum("ij,ij->j", q, sys_.K @ q) + completion_gamma(p) * (centre_of_mass_row(sys_) @ q) ** 2
+    assert np.max(np.abs(np.sum((r[:, None] * a) ** 2, axis=0) - energy) / energy) <= 1e-13
     # the rigid mode's omega^2 sits at roundoff (measured 2.9e-17 of the
-    # largest), its completed entry A[0, 0] does not (measured 0.71)
+    # largest), its completed entry r_0^2 does not (0.708 = 17/24 here)
     omega_sq = sys_.modes[0]
-    assert abs(omega_sq[0]) <= 1e-12 * omega_sq[-1] and R[0, 0] ** 2 >= 0.5
+    assert abs(omega_sq[0]) <= 1e-12 * omega_sq[-1] and r[0] ** 2 >= 0.5
 
 
 @pytest.mark.parametrize("cutoff", [1, 8, None])
 def test_metric_factor_leading_block_factors_the_class_metric(cutoff):
-    # observability's class step is exact because the leading block of R is
-    # the Cholesky factor of the leading block of A.  Measured at N = 16:
-    # within 1.7e-19 of the largest entry of R (the two A differ in the
-    # order of c's sums)
+    # observability's class step is exact because the class metric is the
+    # leading entries of r^2: diag(omega^2) completed by gamma*c*c', with c
+    # the centre-of-mass coordinates of the modes, is diagonal.  Measured at
+    # N = 16: within 5.6e-17 of the largest entry of r^2 (eigh's roundoff
+    # in the rigid omega^2 and in the elastic modes' c, 2.5e-12)
     p, sys_ = controlled_system(N=16)
-    R = hum._metric_factor(sys_)
-    c = cutoff or sys_.ndof
-    class_factor = np.linalg.cholesky(completed_metric(sys_)[:c, :c])
-    assert np.max(np.abs(class_factor - R[:c, :c])) <= 1e-15 * np.max(np.abs(R))
+    r = hum._metric_factor(sys_)
+    omega_sq, phi = sys_.modes
+    c = centre_of_mass_row(sys_) @ phi
+    k = cutoff or sys_.ndof
+    class_metric = (np.diag(omega_sq) + completion_gamma(p) * np.outer(c, c))[:k, :k]
+    assert np.max(np.abs(class_metric - np.diag(r[:k] ** 2))) <= 1e-15 * np.max(r ** 2)
+
+
+def test_metric_factor_takes_the_rigid_entry_from_the_masses():
+    # r_0^2 = gamma*(sum W_w)^2 / sum M_w, read from the masses and not from
+    # eigh's phi_0: on unit physics sum W_w = L = 1 and sum M_w = rhoh*L +
+    # alpha*k = 2 (both exact on a dyadic grid), so r_0^2 is gamma/2 exactly,
+    # and the rigid mode's sign does not reach r
+    p, sys_ = controlled_system(N=256)
+    r = hum._metric_factor(sys_)
+    assert r[0] ** 2 == completion_gamma(p) / 2.0
+    omega_sq, phi = sys_.modes
+    flipped = phi.copy()
+    flipped[:, 0] *= -1.0
+    sys_.__dict__["modes"] = (omega_sq, flipped)
+    assert np.array_equal(hum._metric_factor(sys_), r)
 
 
 def test_hum_refuses_a_system_without_controls():
@@ -396,20 +419,20 @@ def test_hum_refuses_a_system_without_controls():
 
 @pytest.mark.parametrize("N", [16, 24, 32])
 def test_standard_form_solves_the_dual_pencil(N):
-    # compute_null_control solves G x = lam D x, D = blockdiag(I, A^-1), as
-    # the standard problem S'GS y = lam y with x = S y, S = blockdiag(I, R)
+    # compute_null_control solves G x = lam D x, D = blockdiag(I, diag(r)^-2),
+    # as the standard problem S'GS y = lam y with x = S y,
+    # S = blockdiag(I, diag(r))
     p, sys_ = controlled_system(N=N)
     n = sys_.ndof
     cfg = short_cfg()
     G = gramian(sys_, cfg)
-    R = hum._metric_factor(sys_)
-    assert np.array_equal(R, np.tril(R))
+    r = hum._metric_factor(sys_)
     D = np.eye(2 * n)
-    D[n:, n:] = np.linalg.inv(R @ R.T)
+    D[n:, n:] = np.diag(1.0 / r ** 2)
     # the reference: the generalized problem (G, D) itself, by QR iteration
     reference = scipy.linalg.eigh(G, D, eigvals_only=True, driver="gv")
     S = np.eye(2 * n)
-    S[n:, n:] = R
+    S[n:, n:] = np.diag(r)
     lam, Y = np.linalg.eigh(S.T @ G @ S)
     X = S @ Y
     scale = lam[-1]
@@ -417,7 +440,7 @@ def test_standard_form_solves_the_dual_pencil(N):
     assert np.max(np.abs(X.T @ D @ X - np.eye(2 * n))) <= 1e-13
     assert np.max(np.linalg.norm(G @ X - (D @ X) * lam, axis=0)) <= 1e-12 * scale
     # the solve reports the largest eigenvalue of the same pencil (measured
-    # within 4.7e-16 relative)
+    # within 3.1e-16 relative)
     sol = compute_null_control(single_mode_state(sys_, "u", 1, 1.0), sys_, cfg)
     assert abs(sol.rayleigh["max"] - reference[-1]) <= 1e-12 * scale
 
@@ -493,21 +516,21 @@ def test_observability_quotients_positive_and_stable():
 
 @pytest.mark.parametrize("N", [16, 32])
 def test_observability_matches_the_generalized_pencils(N):
-    # observability solves the standard problems of H = T^-1 G T^-T,
-    # T = blockdiag(R, I), and of its class block H[low, low]; the
+    # observability solves the standard problems of H = T^-1 G T^-1,
+    # T = blockdiag(diag(r), I), and of its class block H[low, low]; the
     # references are the pencils (G, metric) and (G[low], metric[low]) of
-    # the state metric blockdiag(A, I), A = R R'.  Measured at these N: the
-    # unfiltered extremes within 1.5e-16 * the largest eigenvalue, the class
-    # minimum within 2.4e-17 * the class's largest eigenvalue and, for
-    # cutoff 1 and 8, within 1.6e-13 relative.
+    # the state metric blockdiag(diag(r^2), I).  Measured at these N: the
+    # unfiltered extremes within 1.7e-23 * the largest eigenvalue, the class
+    # minimum within 2.0e-19 * the class's largest eigenvalue and, for
+    # cutoff 1 and 8, within 1.4e-15 relative.
     p, sys_ = controlled_system(N=N)
     n = sys_.ndof
     T = 4.0
     cfg = SchemeConfig(dt=T / (16 * N), T=T, stride=16 * N)
     G = gramian(sys_, cfg)
-    R = hum._metric_factor(sys_)
+    r = hum._metric_factor(sys_)
     metric = np.eye(2 * n)
-    metric[:n, :n] = R @ R.T
+    metric[:n, :n] = np.diag(r ** 2)
     full = scipy.linalg.eigh(G, metric, eigvals_only=True)
     for cutoff in (1, 8, n):
         low = np.ix_(*2 * [np.r_[:cutoff, n : n + cutoff]])
